@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DomainSingularity,
@@ -479,6 +478,8 @@ def fit_energy_display(levels) -> dict:
     The display's mu and nu are undefined upstream; this reports the best
     post-hoc fit and its rms misfit, labeled as a fit.
     """
+    from scipy.optimize import minimize_scalar  # only this fit needs it
+
     ns = np.array([s.n for s in levels], dtype=float)
     e2 = np.array([s.epsilon_n ** 2 for s in levels], dtype=float)
 

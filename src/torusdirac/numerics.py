@@ -7,11 +7,13 @@ Uniform grids only.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     ComplexPotential,
@@ -21,6 +23,13 @@ from .errors import (
     NotConfining,
 )
 from .grids import Grid
+
+log = logging.getLogger(__name__)
+
+# samples per banded solve in a Numerov sweep
+_CHUNK = 256
+# seeds above this are rescaled, leaving 1e200 of headroom inside one chunk
+_RENORM = 1e100
 
 
 @dataclass
@@ -170,28 +179,60 @@ class ShootingProblem:
             raise ValueError("need t_min < t_max")
 
 
-def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
-    """Numerov integration of y'' = f(t) y given the first two samples."""
+def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
+    """Numerov integration of y'' = f(t) y given the first two samples.
+
+    With c = h^2/12 and w = 1 - c f, the recurrence
+    w_{i+1} y_{i+1} - (2 + 10 c f_i) y_i + w_{i-1} y_{i-1} = 0
+    is a lower-triangular system with two subdiagonals.  Each chunk of
+    _CHUNK samples is one LAPACK banded triangular solve, seeded by the two
+    samples before it.  Seeds above _RENORM are scaled back to unit size and
+    the factor kept as a log, so each chunk can grow by 1e200 before it
+    overflows; at the end earlier chunks are brought to the last chunk's
+    scale, where negligible values may underflow to zero.  Returns
+    (y, interior node count); nodes are counted before that final rescale,
+    so underflow cannot hide one.  Raises ConvergenceFailure on a singular
+    band (some w_i = 0) or an overflow.
+    """
     n = f.shape[0]
-    y = np.empty(n)
-    y[0], y[1] = y0, y1
     c = h * h / 12.0
     w = 1.0 - c * f
-    # (1 - c f_{i+1}) y_{i+1} = (2 + 10 c f_i) y_i - (1 - c f_{i-1}) y_{i-1}
-    for i in range(1, n - 1):
-        y[i + 1] = ((2.0 + 10.0 * c * f[i]) * y[i] - w[i - 1] * y[i - 1]) / w[i + 1]
-        if abs(y[i + 1]) > 1e250:  # rescale to dodge overflow in deep wells
-            y[: i + 2] /= abs(y[i + 1])
-    return y
-
-
-def _left_sweep(p: ShootingProblem, v: np.ndarray, h: float, energy: float):
-    """Numerov sweep from the left wall; returns (profile, interior node count)."""
-    y = _numerov_sweep(v - energy, h, 0.0, 1e-8)
+    d = 2.0 + 10.0 * c * f
+    # lower band storage, ab[r, j] = A[j + r, j]; column j multiplies y_j
+    band = np.asfortranarray(np.stack([w, -d, w]))
+    y = np.empty(n)
+    y[0], y[1] = y0, y1
+    log_scale = np.zeros(n)  # log of the factor each sample was divided by
+    acc = 0.0
+    for k in range(2, n, _CHUNK):
+        m = min(_CHUNK, n - k)
+        a, b = y[k - 2], y[k - 1]
+        s = max(abs(a), abs(b))
+        if s > _RENORM:
+            a, b = a / s, b / s
+            acc += np.log(s)
+        rhs = np.zeros((m, 1))
+        rhs[0, 0] = d[k - 1] * b - w[k - 2] * a
+        if m > 1:
+            rhs[1, 0] = -w[k - 1] * b
+        x, info = dtbtrs(band[:, k:k + m], rhs, uplo="L")
+        if info != 0:
+            raise ConvergenceFailure(f"Numerov banded solve failed (LAPACK info={info})")
+        y[k:k + m] = x[:, 0]
+        log_scale[k:k + m] = acc
+    if not np.all(np.isfinite(y)):
+        raise ConvergenceFailure("Numerov sweep overflowed")
     sign = np.sign(y[1:-1])
     sign = sign[sign != 0]
     nodes = int(np.sum(sign[1:] * sign[:-1] < 0))
+    if acc:
+        y *= np.exp(log_scale - acc)
     return y, nodes
+
+
+def _left_sweep(v: np.ndarray, h: float, energy: float):
+    """Numerov sweep from the left wall; returns (profile, interior node count)."""
+    return _numerov_sweep(v - energy, h, 0.0, 1e-8)
 
 
 def shoot_bound_state(p: ShootingProblem, n: int,
@@ -216,7 +257,7 @@ def shoot_bound_state(p: ShootingProblem, n: int,
         raise NotConfining("potential window admits no bound-state energy range")
 
     def nodes_at(e: float) -> int:
-        return _left_sweep(p, v, h, e)[1]
+        return _left_sweep(v, h, e)[1]
 
     lo, hi = e_lo, e_hi
     if nodes_at(lo) > n:
@@ -234,7 +275,7 @@ def shoot_bound_state(p: ShootingProblem, n: int,
 
     # polish on the end value, which flips sign across the eigenvalue
     def miss(e: float) -> float:
-        y, _ = _left_sweep(p, v, h, e)
+        y, _ = _left_sweep(v, h, e)
         return y[-1]
 
     energy = 0.5 * (lo + hi)
@@ -242,13 +283,16 @@ def shoot_bound_state(p: ShootingProblem, n: int,
         span = max(hi - lo, 1e-13 * max(1.0, abs(energy)))
         energy = find_root_bracketed(miss, lo - 2 * span, hi + 2 * span,
                                      tol=p.tolerance * max(1.0, abs(miss(lo))))
-    except (NoSignChange, ConvergenceFailure):
-        pass  # bisected value is already tight
+    except (NoSignChange, ConvergenceFailure) as exc:
+        # the bisected value is already tight
+        log.info("shooting level %d: end-value polish failed on [%.17g, %.17g], "
+                 "keeping the bisected energy (%s)", n, lo, hi, exc)
 
-    prof, _ = _left_sweep(p, v, h, energy)
-    nrm = np.sqrt(h) * np.linalg.norm(prof)
-    if nrm > 0:
-        prof = prof / nrm
+    prof, _ = _left_sweep(v, h, energy)
+    peak = np.max(np.abs(prof))
+    if peak > 0:
+        prof = prof / peak  # keeps the norm below from overflowing
+        prof = prof / (np.sqrt(h) * np.linalg.norm(prof))
     return float(energy), (t, prof)
 
 
@@ -301,7 +345,7 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
         return lo
     if fb == 0.0:
         return hi
-    if not (np.isfinite(fa) and np.isfinite(fb)) or fa * fb > 0:
+    if not (np.isfinite(fa) and np.isfinite(fb)) or (fa > 0) == (fb > 0):
         raise NoSignChange(f"f({lo})={fa} and f({hi})={fb} do not bracket a root")
     a, b = lo, hi
     for _ in range(max_iter):
@@ -312,7 +356,7 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
         fm = f(m)
         if abs(fm) < tol or abs(b - a) < 1e-16 * max(1.0, abs(a) + abs(b)):
             return m
-        if fa * fm < 0:
+        if fa < 0 < fm or fm < 0 < fa:  # opposite signs, without overflow
             b, fb = m, fm
         else:
             a, fa = m, fm

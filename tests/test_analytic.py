@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import hyp2f1 as scipy_hyp2f1
@@ -306,3 +309,11 @@ def test_fit_energy_display_reports():
     assert set(fit) >= {"mu", "nu", "rms", "label"}
     assert fit["label"] == "post-hoc fit"
     assert np.isfinite(fit["rms"])
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only fit_energy_display needs scipy.optimize; importing it costs ~0.25 s
+    code = "import sys, torusdirac; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
