@@ -15,7 +15,7 @@ the tabulated (inconsistent) parameter display is retained for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import (
     PoleAtC,
     SingularParameter,
 )
-from .numerics import ShootingProblem, find_root_bracketed
+from .numerics import ShootingProblem
 from .pseudoherm import MathieuParams
 
 _SERIES_TOL = 1e-17
@@ -374,44 +374,24 @@ class Case2Solution:
         return self.a2
 
 
-def _termination_function(alpha: float, C1: float, n: int):
-    """G(eps) = 1/2 + 2 beta_-(eps) + n; its root is the quantized level."""
-    def g(eps: float) -> float:
-        disc = -1.0 - 4.0 * C1 + alpha ** 2 + 4.0 * eps ** 2
-        if disc < 0:
-            return np.nan
-        return 0.5 - 0.5 * np.sqrt(disc) + n
-
-    return g
-
-
 def case2_quantize(n: int, alpha: float, C1: float) -> Case2Solution:
     """Solve the series-termination condition a(eps) = -n for eps >= 0.
 
     The condition closes only on the negative beta branch, where the two
-    upper hypergeometric parameters coincide; the root is found by a
-    geometric-ladder scan over eps^2 in (1e-6, 1e4) followed by bracketed
-    bisection/secant iteration.
+    upper hypergeometric parameters coincide at 1/2 + 2 beta with
+    beta = -sqrt(disc)/4 and disc = -1 - 4 C1 + alpha^2 + 4 eps^2.  Setting
+    that to -n gives disc = (2n+1)^2, so the level is the closed form
+
+        eps_n^2 = ((2n+1)^2 + 1 + 4 C1 - alpha^2) / 4.
+
+    Raises NoRootInBracket when eps_n^2 is negative (level n is unbound).
     """
     if n < 0:
         raise ValueError("level index must be nonnegative")
-    g = _termination_function(alpha, C1, n)
-    ladder = np.sqrt(np.geomspace(1e-6, 1e4, 200))
-    candidates = np.concatenate([[0.0], ladder])
-    vals = np.array([g(e) for e in candidates])
-    eps_root = None
-    finite = np.isfinite(vals)
-    exact = np.nonzero(finite & (np.abs(vals) < 1e-13))[0]
-    if exact.size:
-        eps_root = float(candidates[exact[0]])
-    else:
-        for i in range(len(candidates) - 1):
-            if finite[i] and finite[i + 1] and vals[i] * vals[i + 1] < 0:
-                eps_root = find_root_bracketed(g, candidates[i], candidates[i + 1],
-                                               tol=1e-14)
-                break
-    if eps_root is None:
-        raise NoRootInBracket("no termination root for eps^2 in (0, 1e4)")
+    eps_sq = ((2 * n + 1) ** 2 + 1.0 + 4.0 * C1 - alpha ** 2) / 4.0
+    if not eps_sq >= 0.0:
+        raise NoRootInBracket(f"level {n} is unbound: eps^2 = {eps_sq!r} < 0")
+    eps_root = float(np.sqrt(eps_sq))
 
     hp = case2_hyp_params(alpha, C1, eps_root, branch=-1)
     residual = abs(hp.a_corrected + n)
@@ -444,13 +424,6 @@ def case2_wavefunction(n: int, alpha: float, C1: float, x,
     h = x_arr[1] - x_arr[0] if len(x_arr) > 1 else 1.0
     nrm = np.sqrt(h) * np.linalg.norm(vals)
     return vals / nrm if nrm > 0 else vals
-
-
-def case2_potential(alpha: float, C1: float, n: int, x):
-    """Rosen-Morse-II potential C1 + a2e tan x - tan^2 x / 4 solved by level n."""
-    sol = case2_quantize(n, alpha, C1)
-    x = np.asarray(x, dtype=float)
-    return C1 + sol.a2 * np.tan(x) - 0.25 * np.tan(x) ** 2
 
 
 def case2_ode_residual(n: int, alpha: float, C1: float,

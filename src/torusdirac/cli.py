@@ -17,6 +17,7 @@ byte-identical CSV output, modulo an optional timestamp comment that
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 import time
@@ -172,7 +173,8 @@ def load_config(path=None, grid_n=None) -> ScenarioConfig:
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         raw = _merge(DEFAULT_CONFIG, user)
-    return _build_config(raw, grid_n=grid_n)
+    # a private copy: the defaults' nested sections must never be shared
+    return _build_config(copy.deepcopy(raw), grid_n=grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,6 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
 def _verify_checks(cfg: ScenarioConfig, negative_control: bool) -> RunReport:
     rep = RunReport("verification suite")
     rep.metadata["negative_control"] = negative_control
-    warnings.filterwarnings("ignore", message="c <= a")
 
     # 1. geometry
     p_geo = cfg.torus
@@ -561,7 +562,9 @@ def _verify_checks(cfg: ScenarioConfig, negative_control: bool) -> RunReport:
 
 def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
                negative_control: bool = False) -> RunReport:
-    rep = _verify_checks(cfg, negative_control)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="c <= a")
+        rep = _verify_checks(cfg, negative_control)
     if "csv" in cfg.outputs or "report" in cfg.outputs:
         (out / "verify_report.txt").write_text(rep.to_text() + "\n")
         (out / "verify_report.json").write_text(rep.to_json() + "\n")

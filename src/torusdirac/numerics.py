@@ -39,7 +39,7 @@ class TridiagonalSym:
     diag: np.ndarray
     offdiag: np.ndarray
     # periodic discretizations carry a corner entry; the eigensolver then
-    # routes through the dense path
+    # solves the dense matrix for the lowest eigenpairs only
     corner: float = 0.0
 
     def __post_init__(self):
@@ -108,27 +108,18 @@ def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
     """Lowest-k eigenpairs.
 
     Pure tridiagonal problems use LAPACK's Sturm-sequence bisection plus
-    inverse iteration; a nonzero periodic corner falls back to the dense
-    symmetric solver.
+    inverse iteration; a nonzero periodic corner goes to the dense symmetric
+    solver, which computes only the lowest k eigenpairs.
     """
     if not 1 <= k_lowest <= m.n:
         raise ValueError("k_lowest out of range")
+    lowest = (0, k_lowest - 1)
     if m.corner == 0.0:
-        if with_vectors:
-            w, vecs = eigh_tridiagonal(
-                m.diag, m.offdiag, select="i", select_range=(0, k_lowest - 1)
-            )
-        else:
-            w = eigh_tridiagonal(
-                m.diag, m.offdiag, select="i", select_range=(0, k_lowest - 1),
-                eigvals_only=True,
-            )
-            vecs = None
+        out = eigh_tridiagonal(m.diag, m.offdiag, select="i", select_range=lowest,
+                               eigvals_only=not with_vectors)
     else:
-        w_all, v_all = eigh(m.dense())
-        w, vecs = w_all[:k_lowest], v_all[:, :k_lowest]
-        if not with_vectors:
-            vecs = None
+        out = eigh(m.dense(), subset_by_index=lowest, eigvals_only=not with_vectors)
+    w, vecs = out if with_vectors else (out, None)
     res = None
     if vecs is not None:
         res = np.array([

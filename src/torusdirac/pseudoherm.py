@@ -496,18 +496,3 @@ def intertwining_residual(eta, h_op, h_target, testset) -> float:
         num = float(np.sqrt(lhs.grid.h) * np.linalg.norm(lhs.values - rhs.values))
         worst = max(worst, num / phi.norm())
     return worst
-
-
-def residual_convergence(make_residual, grid: Grid, refinements: int = 2):
-    """Residuals on grid, grid/2, ... plus observed orders between levels."""
-    residuals = []
-    g = grid
-    for _ in range(refinements + 1):
-        residuals.append(make_residual(g))
-        g = g.refined()
-    orders = [
-        float(np.log2(residuals[i] / residuals[i + 1]))
-        if residuals[i + 1] > 0 else float("inf")
-        for i in range(len(residuals) - 1)
-    ]
-    return residuals, orders

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from torusdirac.analytic import (
@@ -262,9 +263,52 @@ def test_quantize_independent_bisection_pass():
     assert eps_b == pytest.approx(sol.epsilon_n, abs=1e-10)
 
 
-def test_quantize_no_root_error():
+def test_quantize_unbound_level_raises():
+    # eps^2 = (1 + 1 + 0 - 4)/4 = -0.5: level 0 is not bound
     with pytest.raises(NoRootInBracket):
-        case2_quantize(0, 1.0, 1e7)  # root sits beyond the search ladder
+        case2_quantize(0, 2.0, 0.0)
+
+
+def test_quantize_high_level():
+    # eps^2 = 100.5^2 lies beyond any fixed search window over eps^2 < 1e4
+    sol = case2_quantize(100, 1.0, 0.0)
+    assert sol.epsilon_n == pytest.approx(100.5, abs=1e-12)
+    assert sol.residual < 1e-9
+
+
+def test_quantize_large_c1():
+    sol = case2_quantize(0, 1.0, 1e7)
+    assert sol.epsilon_n ** 2 == pytest.approx((1 + 1 + 4e7 - 1) / 4, rel=1e-15)
+    # the residual recomputes disc = 1 as a difference of terms near 4e7, so
+    # its floor is a few ulps of 4e7 (one ulp is 7.5e-9)
+    assert sol.residual < 1e-15 * 4e7
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 20), alpha=st.floats(0.0, 3.0), c1=st.floats(-1.0, 5.0))
+def test_quantize_closed_form_matches_bisection(n, alpha, c1):
+    x = 1.0 + 4.0 * c1 - alpha ** 2
+    eps_sq = ((2 * n + 1) ** 2 + x) / 4.0
+    if eps_sq < 0.0:
+        with pytest.raises(NoRootInBracket):
+            case2_quantize(n, alpha, c1)
+        return
+    sol = case2_quantize(n, alpha, c1)
+    assert abs(sol.a_h + n) < 1e-10
+    assert abs(0.5 + 2.0 * sol.beta + n) < 1e-10
+    if eps_sq < 1e-6:
+        # the termination function is flat in eps at eps = 0, so bisection
+        # on eps cannot resolve the root to 1e-10 there
+        return
+
+    def g(eps):
+        disc = -1.0 - 4.0 * c1 + alpha ** 2 + 4.0 * eps ** 2
+        return 0.5 - 0.5 * np.sqrt(max(disc, 0.0)) + n
+
+    # g(lo) > 0 because eps_sq > 0, and g(hi) < 0 because disc(hi) >= (2n + 2)^2
+    lo, hi = np.sqrt(max(x, 0.0) / 4.0), n + 1.0 + np.sqrt(abs(x))
+    eps_b = find_root_bracketed(g, lo, hi, tol=1e-15)
+    assert abs(sol.epsilon_n - eps_b) < 1e-10
 
 
 def test_case2_wavefunction_shape_and_residual():

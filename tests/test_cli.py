@@ -1,8 +1,12 @@
+import copy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+
+from torusdirac import cli, geometry
 
 BASE = [sys.executable, "-m", "torusdirac.cli"]
 
@@ -123,3 +127,31 @@ def test_timestamp_toggle(tmp_path):
     assert run_cli("--out", str(d2), "--no-timestamp", "geometry").returncode == 0
     assert (d1 / "geometry.csv").read_text().startswith("# written ")
     assert (d2 / "geometry.csv").read_text().startswith("x,")
+
+
+def test_verify_leaves_warning_filters_alone(tmp_path):
+    before = list(warnings.filters)
+    assert cli.main(["--out", str(tmp_path), "--no-timestamp", "verify"]) == 0
+    assert warnings.filters == before
+    with warnings.catch_warnings(record=True) as caught:
+        geometry.TorusParams(a=2.0, c=1.0)
+    assert any(issubclass(w.category, UserWarning) and "c <= a" in str(w.message)
+               for w in caught)
+
+
+def test_load_config_does_not_share_default_state(tmp_path, monkeypatch):
+    pristine = copy.deepcopy(cli.DEFAULT_CONFIG)
+    monkeypatch.setattr(cli, "DEFAULT_CONFIG", copy.deepcopy(pristine))
+    cfg = cli.load_config(None)
+    cfg.raw["torus"]["a"] = 0.9
+    cfg.raw["analytic"]["alpha"] = 7.0
+    user = tmp_path / "user.yaml"
+    user.write_text("torus:\n  c: 3.0\n")
+    cfg_yaml = cli.load_config(user)
+    # sections the YAML did not touch must not alias the defaults either
+    cfg_yaml.raw["analytic"]["C1"] = 5.0
+    cfg_yaml.raw["grid"]["n"] = 16
+    fresh = cli.load_config(None)
+    assert fresh.raw == pristine
+    assert cli.DEFAULT_CONFIG == pristine
+    assert fresh.torus.a == 0.5 and fresh.alpha == 1.0 and fresh.C1 == 0.0

@@ -86,6 +86,35 @@ def test_periodic_path_is_dense_and_correct():
     assert abs(w[1] - 1.0) < 1e-3 and abs(w[2] - 1.0) < 1e-3
 
 
+def _default_periodic_mathieu():
+    """Periodic matrix of the default `spectrum` run (Mathieu form, n = 1024)."""
+    g = Grid(1024)
+    mf = pseudoherm.mathieu_form(geometry.TorusParams(a=0.5, c=2.0), 1.0, 0.2)
+    return discretize_schrodinger(mf.potential(g.points), g)
+
+
+def _random_periodic():
+    rng = np.random.default_rng(11)
+    return TridiagonalSym(diag=rng.standard_normal(200), offdiag=rng.standard_normal(199),
+                          corner=rng.standard_normal())
+
+
+@pytest.mark.parametrize("make", [_default_periodic_mathieu, _random_periodic],
+                         ids=["mathieu1024", "random200"])
+def test_periodic_lowest_k_match_full_spectrum(make):
+    m = make()
+    assert m.corner != 0.0
+    full = np.linalg.eigvalsh(m.dense())[:6]
+    res = eig_sym_tridiag(m, 6)
+    assert res.eigenvectors.shape == (m.n, 6)
+    assert np.all(np.abs(res.eigenvalues - full) <= 1e-9 * np.maximum(1.0, np.abs(full)))
+    assert np.max(res.residuals) < 1e-8
+    bare = eig_sym_tridiag(m, 6, with_vectors=False)
+    assert bare.eigenvectors is None and bare.residuals is None
+    assert np.all(np.abs(bare.eigenvalues - res.eigenvalues)
+                  <= 1e-12 * np.maximum(1.0, np.abs(full)))
+
+
 def test_complex_potential_rejected():
     g = Grid(64, 0.0, 1.0, "dirichlet")
     with pytest.raises(ComplexPotential):
