@@ -31,12 +31,11 @@ FERMI_KINDS = ("constant", "cosine", "tabulated")
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Angular wavenumber k (integer), charge e, constant gap Delta, energy E."""
+    """Angular wavenumber k (integer), charge e, constant gap Delta."""
 
     k: int = 1
     e: float = 1.0
     Delta: float = 0.0
-    E: float = 0.0
 
     def __post_init__(self):
         if self.k != int(self.k):

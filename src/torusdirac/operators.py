@@ -31,7 +31,7 @@ from .fields import (
     eval_gauge_derivatives,
 )
 from .geometry import TorusParams, radius_derivative, radius_profile
-from .grids import Grid, GridFunction, diff1, same_grid
+from .grids import Grid, GridFunction, diff1, diff2, same_grid
 
 CONVENTIONS = ("fg", "matrix_literal")
 
@@ -102,10 +102,21 @@ class SLProblem:
         if second_derivative == "d1d1":
             dd = diff1(diff1(v, self.grid), self.grid)
         else:
-            from .grids import diff2
-
             dd = diff2(v, self.grid)
         return GridFunction(self.grid, -dd + self.sigma * diff1(v, self.grid) + self.rho * v)
+
+    def apply_adjoint(self, gf: GridFunction) -> GridFunction:
+        """Conjugate transpose of the 'd2' matrix: -d2 v - d1(conj(sigma) v) + conj(rho) v.
+
+        Exact on both grid kinds: the d2 stencil is symmetric and the
+        (wrapped or zero-padded) d1 stencil antisymmetric.
+        """
+        if gf.grid != self.grid:
+            raise GridMismatch("operand grid differs from problem grid")
+        v = gf.values
+        return GridFunction(self.grid, -diff2(v, self.grid)
+                            - diff1(np.conj(self.sigma) * v, self.grid)
+                            + np.conj(self.rho) * v)
 
 
 def _check_ring(params: TorusParams, x: np.ndarray) -> np.ndarray:

@@ -155,3 +155,38 @@ def test_load_config_does_not_share_default_state(tmp_path, monkeypatch):
     assert fresh.raw == pristine
     assert cli.DEFAULT_CONFIG == pristine
     assert fresh.torus.a == 0.5 and fresh.alpha == 1.0 and fresh.C1 == 0.0
+
+
+@pytest.mark.parametrize("text, command", [
+    ("outputs: [csv, bogus]\n", "spectrum"),
+    ("quantum: {Delta: 3.0}\n", "geometry"),
+    ("field: {kind: zero}\n", "spectrum"),
+    ("field: {kind: linear_au}\n", "spectrum"),
+])
+def test_config_rejects_inputs_that_do_nothing(tmp_path, capsys, text, command):
+    cfg = tmp_path / "noop.yaml"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_accepts_zero_delta(tmp_path):
+    cfg = tmp_path / "delta.yaml"
+    cfg.write_text("quantum: {Delta: 0.0}\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "geometry"]) == 0
+
+
+@pytest.mark.parametrize("parameter", ["k", "a2", "C2"])
+def test_sweep_rejects_parameters_that_change_nothing(tmp_path, parameter):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "sweep", parameter, "1,2"])
+    assert exc.value.code == 2
+
+
+def test_sweep_keeps_list_order_and_counts_unbound_cells(tmp_path):
+    rep = cli.cmd_sweep(cli.load_config(None), tmp_path, False, "alpha", [2.0, 1.0, 1.5])
+    rows = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [2.0, 1.0, 1.5]
+    # level 0 is unbound above alpha = sqrt(2): NaN at alpha = 2 and 1.5
+    unbound = {r.name: r.value for r in rep.records}["unbound cells (NaN)"]
+    assert unbound == 2

@@ -60,22 +60,6 @@ def test_eigenvector_residuals_reported():
     assert np.max(res.residuals / np.abs(res.eigenvalues)) < 1e-8
 
 
-def test_box_benchmark():
-    g = Grid(4000, 0.0, np.pi, "dirichlet")
-    m = discretize_schrodinger(lambda x: np.zeros_like(x), g)
-    w = eig_sym_tridiag(m, 4, with_vectors=False).eigenvalues
-    for i in range(4):
-        assert abs(w[i] - (i + 1) ** 2) / (i + 1) ** 2 < 1e-5
-
-
-def test_oscillator_benchmark():
-    g = Grid(6000, -10.0, 10.0, "dirichlet")
-    m = discretize_schrodinger(lambda x: x ** 2, g)
-    w = eig_sym_tridiag(m, 3, with_vectors=False).eigenvalues
-    for i in range(3):
-        assert abs(w[i] - (2 * i + 1)) / (2 * i + 1) < 1e-5
-
-
 def test_periodic_path_is_dense_and_correct():
     g = Grid(400)
     m = discretize_schrodinger(lambda x: np.zeros_like(x), g)
@@ -243,15 +227,6 @@ def test_simpson_values():
     assert integrate_simpson(t ** 3, t[1] - t[0]) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(EvenSampleCount):
         integrate_simpson(np.ones(10), 0.1)
-
-
-def test_simpson_fourth_order_slope():
-    errs = []
-    for n in (101, 201, 401):
-        t = np.linspace(0.0, np.pi, n)
-        errs.append(abs(integrate_simpson(np.sin(t), t[1] - t[0]) - 2.0))
-    slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert 3.8 < np.mean(slopes) < 4.2
 
 
 def test_cumulative_simpson_matches_antiderivative():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusdirac.checks import squaring_consistency
 from torusdirac.errors import GridMismatch, VelocityZero
 from torusdirac.fields import (
     constant_velocity,
@@ -16,6 +17,7 @@ from torusdirac.fields import (
 from torusdirac.geometry import TorusParams, radius_profile
 from torusdirac.grids import Grid, GridFunction, band_limited
 from torusdirac.operators import (
+    SLProblem,
     SpinorGF,
     apply_dirac,
     decouple_constant_vf,
@@ -108,17 +110,8 @@ def test_sector_difference_closed_form():
 
 
 def test_squaring_oracle_and_refinement():
-    p = TorusParams(a=0.25, c=2.0)
-    f = quadratic_ring_field(C2=0.2, e=1.0, k=1)
-    g1 = Grid(1024)
-    worst = max(
-        squaring_discrepancy(p, f, 1, g1, spinor(g1, [5, 6, 7, 8], s))
-        for s in range(20)
-    )
-    assert worst < 1e-6
-    g2 = g1.refined()
-    d1 = squaring_discrepancy(p, f, 1, g1, spinor(g1, [5, 6, 7, 8], 0))
-    d2 = squaring_discrepancy(p, f, 1, g2, spinor(g2, [5, 6, 7, 8], 0))
+    # second-order convergence of the criterion-2 measurement
+    d1, d2 = (squaring_consistency(n, seeds=[0]) for n in (1024, 2048))
     assert np.log2(d1 / d2) > 1.9
 
 
@@ -208,3 +201,17 @@ def test_sl_coefficient_table_layout():
     header, rows = sl_coefficient_table(plus)
     assert header == ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"]
     assert len(rows) == G.n and len(rows[0]) == 5
+
+
+@pytest.mark.parametrize("grid", [Grid(256), Grid(300, -1.3, 1.3, "dirichlet")],
+                         ids=["periodic", "dirichlet"])
+def test_sl_apply_adjoint_is_the_conjugate_transpose(grid):
+    # <A u, v> = <u, A^H v> for random complex u, v and complex coefficients
+    rng = np.random.default_rng(7)
+    u, v, sigma, rho = (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+                        for _ in range(4))
+    op = SLProblem(grid, "plus", sigma, rho)
+    au = op.apply(GridFunction(grid, u)).values
+    lhs = np.vdot(au, v)
+    rhs = np.vdot(u, op.apply_adjoint(GridFunction(grid, v)).values)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(au) * np.linalg.norm(v)
