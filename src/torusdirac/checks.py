@@ -56,17 +56,13 @@ class RunReport:
     records: list = dc_field(default_factory=list)
     metadata: dict = dc_field(default_factory=dict)
 
-    def add(self, name, value, tolerance, passed, note="") -> CheckRecord:
-        rec = CheckRecord(name=name, value=float(value), tolerance=float(tolerance),
-                          passed=bool(passed), note=note)
-        self.records.append(rec)
-        return rec
+    def add(self, name, value, tolerance, passed, note="", gating=True) -> CheckRecord:
+        self.records.append(CheckRecord(name=name, value=float(value), tolerance=float(tolerance),
+                                        passed=bool(passed), gating=gating, note=note))
+        return self.records[-1]
 
     def add_info(self, name, value, note="") -> CheckRecord:
-        rec = CheckRecord(name=name, value=float(value), tolerance=float("nan"),
-                          passed=True, gating=False, note=note or "reported")
-        self.records.append(rec)
-        return rec
+        return self.add(name, value, float("nan"), True, note or "reported", gating=False)
 
     @property
     def ok(self) -> bool:
@@ -142,12 +138,10 @@ class Check:
 
 def frame_identity_gap(torus, xs) -> float:
     """max over the angles xs of |g - e.eta.e^T|."""
-    worst = 0.0
-    for x in xs:
+    def gap(x):
         e = geometry.vierbein_at(torus, x)
-        gap = geometry.metric_at(torus, x) - e @ geometry.ETA @ e.T
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+        return float(np.max(np.abs(geometry.metric_at(torus, x) - e @ geometry.ETA @ e.T)))
+    return max(gap(x) for x in xs)
 
 
 def christoffel_order(torus, xs) -> float:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torusdirac import analytic, geometry, pseudoherm
+from torusdirac import analytic, checks, geometry, pseudoherm
 from torusdirac.errors import (
     ComplexPotential,
     ConvergenceFailure,
@@ -58,6 +58,14 @@ def test_eigenvector_residuals_reported():
     res = eig_sym_tridiag(m, 6)
     assert res.residuals is not None
     assert np.max(res.residuals / np.abs(res.eigenvalues)) < 1e-8
+
+
+def test_box_benchmark():
+    assert checks.box_benchmark() < 1e-5
+
+
+def test_oscillator_benchmark():
+    assert checks.oscillator_benchmark() < 1e-5
 
 
 def test_periodic_path_is_dense_and_correct():
@@ -227,6 +235,10 @@ def test_simpson_values():
     assert integrate_simpson(t ** 3, t[1] - t[0]) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(EvenSampleCount):
         integrate_simpson(np.ones(10), 0.1)
+
+
+def test_simpson_fourth_order_slope():
+    assert 3.8 < checks.simpson_slope() < 4.2
 
 
 def test_cumulative_simpson_matches_antiderivative():
