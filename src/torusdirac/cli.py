@@ -215,18 +215,17 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     p = cfg.torus
     xs = np.linspace(0.0, 2.0 * np.pi, 181)
 
-    rows = []
-    for x in xs:
-        ch = geometry.christoffel_at(p, x)
-        rows.append((x, geometry.radius_profile(p, x), ch.gamma_2_12, ch.gamma_1_22,
-                     geometry.spin_connection_tabulated(p, x),
-                     geometry.spin_connection_derived(p, x)))
+    ch = geometry.christoffel_at(p, xs)
+    tabulated = geometry.spin_connection_tabulated(p, xs)
+    derived = geometry.spin_connection_derived(p, xs)
+    rows = zip(xs, geometry.radius_profile(p, xs), ch.gamma_2_12, ch.gamma_1_22,
+               tabulated, derived)
     for check in checks.registry(p, xs):
         if check.criterion == 1:
             check.record(rep)
 
     rep.add_info("spin-connection tabulated-vs-frame max gap",
-                 max(abs(row[4] - row[5]) for row in rows),
+                 np.max(np.abs(tabulated - derived)),
                  note="two definitions reported side by side")
 
     if "csv" in cfg.outputs:
@@ -244,6 +243,11 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                                                              "hermitizing_quadratic"):
         raise ConfigError(f"spectrum: field.kind {cfg.gauge.kind!r} has no C2; the "
                           "constant_vf spectrum needs quadratic_au or hermitizing_quadratic")
+    if cfg.case == "pdfv" and (cfg.raw["field"] != DEFAULT_CONFIG["field"]
+                               or cfg.grid != Grid(DEFAULT_CONFIG["grid"]["n"])):
+        # each pdfv level builds its own linear ring field and an 8000-point grid
+        raise ConfigError("spectrum: case pdfv reads neither field.* nor the grid; "
+                          "leave them at their defaults")
 
     if "box_selftest" in cfg.outputs:
         checks.BOX_BENCHMARK.record(rep)
@@ -297,21 +301,29 @@ def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
     return rep
 
 
-def _sweep_row(cfg: ScenarioConfig, name: str, value: float):
-    torus = cfg.torus
-    alpha, c1 = cfg.alpha, cfg.C1
-    e = cfg.quantum.e
-    if name == "a":
-        torus = geometry.TorusParams(a=float(value), c=torus.c)
-    elif name == "c":
-        torus = geometry.TorusParams(a=torus.a, c=float(value))
-    elif name == "alpha":
+def _sweep_point(cfg: ScenarioConfig, name: str, value: float):
+    """(torus, alpha, C1, e) with `name` set to `value`; ConfigError if no row can use it."""
+    torus, alpha, c1, e = cfg.torus, cfg.alpha, cfg.C1, cfg.quantum.e
+    try:
+        if name == "a":
+            torus = geometry.TorusParams(a=float(value), c=torus.c)
+        elif name == "c":
+            torus = geometry.TorusParams(a=torus.a, c=float(value))
+    except ValueError as exc:
+        raise ConfigError(f"sweep {name}={value!r}: {exc}") from exc
+    if name == "alpha":
         alpha = float(value)
     elif name == "C1":
         c1 = float(value)
     elif name == "e":
+        if value == 0:
+            raise ConfigError("sweep e=0: the C2 constraint divides by the charge")
         e = float(value)
+    return torus, alpha, c1, e
 
+
+def _sweep_row(value: float, point):
+    torus, alpha, c1, e = point
     row = [value]
     for n in range(4):
         try:
@@ -334,9 +346,10 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
     values = list(values)
     if not values:
         raise ConfigError("sweep: empty value list")
+    points = [_sweep_point(cfg, parameter, v) for v in values]
     rep = RunReport(f"sweep over {parameter}")
     with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(cfg, parameter, v), values))
+        rows = list(pool.map(_sweep_row, values, points))
     header = [parameter]
     for n in range(4):
         header += [f"eps{n}", f"resid{n}"]
@@ -374,8 +387,7 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     write_csv(out / "case2_wavefunctions.csv",
               ["x"] + [f"re_phi{n}" for n in range(len(wf_rows))]
               + [f"im_phi{n}" for n in range(len(wf_rows))],
-              [tuple([xg[i]] + [w[i].real for w in wf_rows] + [w[i].imag for w in wf_rows])
-               for i in range(len(xg))],
+              zip(xg, *(w.real for w in wf_rows), *(w.imag for w in wf_rows)),
               timestamp)
 
     # Morse-chain spectrum at the constrained-branch benchmark

@@ -3,7 +3,8 @@
 Coordinates are (t, x, u) where x is the angle around the tube (the small
 circle) and u the angle around the central axis.  The ring radius is
 R(x) = c + a*cos(x).  The metric is diag(1, -a^2, -R^2) with frame signature
-eta = diag(1, -1, -1).
+eta = diag(1, -1, -1).  Every evaluator takes a scalar angle or an array of
+angles and returns a matching shape; matrices carry two trailing axes.
 
 Two spin-connection values are provided on purpose: the closed form used by
 the rest of the operator construction, and an independent frame-formula
@@ -45,10 +46,27 @@ class TorusParams:
 
 @dataclass(frozen=True)
 class ChristoffelSet:
-    """The two nonvanishing Christoffel symbols Gamma^2_12 and Gamma^1_22."""
+    """The two nonvanishing Christoffel symbols Gamma^2_12 and Gamma^1_22.
 
-    gamma_2_12: float
-    gamma_1_22: float
+    Each is a float for a scalar angle and an array of the angles' shape otherwise.
+    """
+
+    gamma_2_12: float | np.ndarray
+    gamma_1_22: float | np.ndarray
+
+
+def _diag(d0, d1, d2) -> np.ndarray:
+    """diag(d0, d1, d2) with the entries broadcast over the angles: shape (..., 3, 3)."""
+    entries = np.broadcast_arrays(d0, d1, d2)
+    out = np.zeros(entries[0].shape + (3, 3))
+    for i, d in enumerate(entries):
+        out[..., i, i] = d
+    return out
+
+
+def _inverse_diag(m: np.ndarray) -> np.ndarray:
+    """Inverse of diagonal (..., 3, 3) matrices: the reciprocal of each diagonal entry."""
+    return _diag(*(1.0 / np.einsum("...ii->i...", m)))
 
 
 def radius_profile(params: TorusParams, x):
@@ -61,22 +79,26 @@ def radius_derivative(params: TorusParams, x):
     return -params.a * np.sin(x)
 
 
-def metric_at(params: TorusParams, x: float) -> np.ndarray:
-    """Metric tensor diag(1, -a^2, -R(x)^2) in (t, x, u) order."""
+def metric_at(params: TorusParams, x) -> np.ndarray:
+    """Metric tensor diag(1, -a^2, -R(x)^2) in (t, x, u) order, shape x.shape + (3, 3)."""
     r = radius_profile(params, x)
-    return np.diag([1.0, -params.a ** 2, -(r ** 2)])
+    return _diag(1.0, -params.a ** 2, -(r ** 2))
 
 
-def vierbein_at(params: TorusParams, x: float) -> np.ndarray:
-    """Diagonal frame matrix e^a_mu = diag(1, a, R(x)); satisfies g = e.eta.e^T."""
-    return np.diag([1.0, params.a, radius_profile(params, x)])
+def vierbein_at(params: TorusParams, x) -> np.ndarray:
+    """Diagonal frame matrix e^a_mu = diag(1, a, R(x)), shape x.shape + (3, 3).
+
+    Satisfies g = e.eta.e^T.
+    """
+    return _diag(1.0, params.a, radius_profile(params, x))
 
 
-def christoffel_at(params: TorusParams, x: float) -> ChristoffelSet:
+def christoffel_at(params: TorusParams, x) -> ChristoffelSet:
     """Closed-form Levi-Civita symbols of the surface metric."""
     r = radius_profile(params, x)
-    if abs(r) < 1e-12:
-        raise DegenerateGeometry(f"R(x) ~ 0 at x={x}")
+    degenerate = np.abs(r) < 1e-12
+    if np.any(degenerate):
+        raise DegenerateGeometry(f"R(x) ~ 0 at x={np.asarray(x)[degenerate]}")
     s = np.sin(x)
     return ChristoffelSet(
         gamma_2_12=-params.a * s / r,
@@ -84,95 +106,74 @@ def christoffel_at(params: TorusParams, x: float) -> ChristoffelSet:
     )
 
 
-def spin_connection_tabulated(params: TorusParams, x: float) -> float:
+def spin_connection_tabulated(params: TorusParams, x):
     """Coefficient (a/2) R(x) sin(x) multiplying gamma_1 gamma_2 (tabulated form)."""
     return 0.5 * params.a * radius_profile(params, x) * np.sin(x)
 
 
-def spin_connection_derived(params: TorusParams, x: float) -> float:
-    """Frame-formula spin connection coefficient of gamma_1 gamma_2.
+def _frame_formula(params: TorusParams, x, ch: ChristoffelSet):
+    """(1/2) S^{ab} e_a^nu g_{rho nu} D_u e_b^rho with the Christoffels `ch`.
 
-    Evaluates (1/2) S^{ab} e_a^nu g_{rho nu} D_u e_b^rho with
-    D_u e_b^rho = d_u e_b^rho + Gamma^rho_{u lam} e_b^lam and the closed-form
-    Christoffels.  Only the antisymmetric (1,2) frame component survives;
-    the result is -sin(x)/2, independent of the radii.
+    D_u e_b^rho = d_u e_b^rho + Gamma^rho_{u lam} e_b^lam.  The zweibeins do
+    not depend on u, so only the Gamma terms act.  Returns the coefficient
+    of gamma_1 gamma_2.
     """
-    ch = christoffel_at(params, x)
     g = metric_at(params, x)
-    e = vierbein_at(params, x)
-    e_inv = np.diag(1.0 / np.diag(e))  # e_a^mu for a diagonal frame
+    e_inv = _inverse_diag(vierbein_at(params, x))  # e_a^mu
 
     # Gamma^rho_{u lam}: nonzero entries (rho, lam) = (2, 1) and (1, 2)
-    gamma_u = np.zeros((3, 3))
-    gamma_u[2, 1] = ch.gamma_2_12
-    gamma_u[1, 2] = ch.gamma_1_22
+    gamma_u = np.zeros(np.shape(x) + (3, 3))
+    gamma_u[..., 2, 1] = ch.gamma_2_12
+    gamma_u[..., 1, 2] = ch.gamma_1_22
 
-    # D_u e_b^rho; the zweibeins do not depend on u, so only Gamma terms act
-    d_u = gamma_u @ e_inv  # (rho, b)
+    d_u = gamma_u @ e_inv  # D_u e_b^rho, index order (rho, b)
 
     # c_ab = e_a^nu g_{rho nu} D_u e_b^rho
-    c = e_inv.T @ g @ d_u  # index order (a, b)
+    c = np.swapaxes(e_inv, -1, -2) @ g @ d_u  # index order (a, b)
 
     # Gamma_u = (1/2) sum_ab S^ab c_ab with S^12 = (1/2) gamma^1 gamma^2:
     # coefficient of gamma_1 gamma_2 is (1/4)(c_12 - c_21)
-    return 0.25 * (c[1, 2] - c[2, 1])
+    return 0.25 * (c[..., 1, 2] - c[..., 2, 1])
+
+
+def spin_connection_derived(params: TorusParams, x):
+    """Frame-formula spin connection coefficient of gamma_1 gamma_2.
+
+    Evaluates the frame formula with the closed-form Christoffels.  Only
+    the antisymmetric (1,2) frame component survives; the result is
+    -sin(x)/2, independent of the radii.
+    """
+    return _frame_formula(params, x, christoffel_at(params, x))
 
 
 # ---------------------------------------------------------------------------
 # finite-difference oracles
 # ---------------------------------------------------------------------------
 
-def christoffel_fd_oracle(params: TorusParams, x: float, h: float = 1e-4) -> ChristoffelSet:
+def christoffel_fd_oracle(params: TorusParams, x, h: float = 1e-4) -> ChristoffelSet:
     """Levi-Civita formula with central-difference metric derivatives.
 
     Gamma^lam_{mu nu} = (1/2) g^{lam kap} (d_mu g_{kap nu} + d_nu g_{kap mu}
     - d_kap g_{mu nu}); only x-derivatives are nonzero here.
     """
-    g0 = metric_at(params, x)
+    g_inv = _inverse_diag(metric_at(params, x))
     dg = (metric_at(params, x + h) - metric_at(params, x - h)) / (2.0 * h)
-    g_inv = np.diag(1.0 / np.diag(g0))
 
-    # d_mu g: index 1 is the only coordinate with nonzero derivative
-    dgrad = np.zeros((3, 3, 3))
-    dgrad[1] = dg
+    # d_mu g_{kap nu}: index 1 is the only coordinate with nonzero derivative
+    dgrad = np.zeros(np.shape(x) + (3, 3, 3))
+    dgrad[..., 1, :, :] = dg
 
-    gamma = np.zeros((3, 3, 3))
-    for lam in range(3):
-        for mu in range(3):
-            for nu in range(3):
-                s = 0.0
-                for kap in range(3):
-                    s += g_inv[lam, kap] * (
-                        dgrad[mu, kap, nu] + dgrad[nu, kap, mu] - dgrad[kap, mu, nu]
-                    )
-                gamma[lam, mu, nu] = 0.5 * s
-    return ChristoffelSet(gamma_2_12=gamma[2, 1, 2], gamma_1_22=gamma[1, 2, 2])
+    # bracket[kap, mu, nu] = d_mu g_{kap nu} + d_nu g_{kap mu} - d_kap g_{mu nu}
+    bracket = (np.einsum("...mkn->...kmn", dgrad) + np.einsum("...nkm->...kmn", dgrad)
+               - dgrad)
+    gamma = 0.5 * np.einsum("...lk,...kmn->...lmn", g_inv, bracket)
+    # [()] turns the 0-d result of a scalar angle back into a float
+    return ChristoffelSet(gamma_2_12=gamma[..., 2, 1, 2][()],
+                          gamma_1_22=gamma[..., 1, 2, 2][()])
 
 
-def spin_connection_fd_oracle(params: TorusParams, x: float, h: float = 1e-3) -> float:
-    """Frame-formula evaluation with finite-difference Christoffels, Richardson-extrapolated.
-
-    Also differentiates the zweibeins in u numerically (identically zero by
-    symmetry, but the oracle does not assume it).
-    """
-
-    def frame_inverse(x_at: float) -> np.ndarray:
-        return np.diag(1.0 / np.diag(vierbein_at(params, x_at)))
-
-    def eval_at(step: float) -> float:
-        ch = christoffel_fd_oracle(params, x, step)
-        g = metric_at(params, x)
-        e_inv = frame_inverse(x)
-        gamma_u = np.zeros((3, 3))
-        gamma_u[2, 1] = ch.gamma_2_12
-        gamma_u[1, 2] = ch.gamma_1_22
-        # numerical d/du of the inverse zweibeins (zero by axial symmetry,
-        # but evaluated rather than assumed)
-        du_e_inv = (frame_inverse(x) - frame_inverse(x)) / (2.0 * step)
-        d_u = du_e_inv + gamma_u @ e_inv
-        c = e_inv.T @ g @ d_u
-        return 0.25 * (c[1, 2] - c[2, 1])
-
-    v1 = eval_at(h)
-    v2 = eval_at(h / 2.0)
+def spin_connection_fd_oracle(params: TorusParams, x, h: float = 1e-3):
+    """Frame-formula evaluation with finite-difference Christoffels, Richardson-extrapolated."""
+    v1 = _frame_formula(params, x, christoffel_fd_oracle(params, x, h))
+    v2 = _frame_formula(params, x, christoffel_fd_oracle(params, x, h / 2.0))
     return (4.0 * v2 - v1) / 3.0

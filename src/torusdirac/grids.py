@@ -74,10 +74,6 @@ class GridFunction:
         """Discrete L2 norm with the uniform weight h."""
         return float(np.sqrt(self.grid.h) * np.linalg.norm(self.values))
 
-    @classmethod
-    def from_callable(cls, grid: Grid, f) -> "GridFunction":
-        return cls(grid, np.asarray(f(grid.points), dtype=complex))
-
 
 def same_grid(*gfs: GridFunction) -> Grid:
     g0 = gfs[0].grid

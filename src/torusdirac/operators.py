@@ -305,10 +305,6 @@ def hermiticity_defect(params: TorusParams, gauge: GaugeField, k: int, grid: Gri
 def sl_coefficient_table(problem: SLProblem):
     """(header, rows) for CSV export of the sampled coefficients."""
     header = ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"]
-    x = problem.grid.points
-    rows = [
-        (x[i], problem.sigma[i].real, problem.sigma[i].imag,
-         problem.rho[i].real, problem.rho[i].imag)
-        for i in range(problem.grid.n)
-    ]
+    rows = list(zip(problem.grid.points, problem.sigma.real, problem.sigma.imag,
+                    problem.rho.real, problem.rho.imag))
     return header, rows

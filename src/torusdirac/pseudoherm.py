@@ -30,7 +30,7 @@ from .numerics import cumulative_simpson
 
 @dataclass
 class FirstOrderOp:
-    """d/dx + f(x) on a grid; f sampled, optional closed form kept for refinement."""
+    """d/dx + f(x) on a grid; f sampled, with its closed form when one is known."""
 
     grid: Grid
     f: np.ndarray = field(repr=False)
@@ -41,13 +41,6 @@ class FirstOrderOp:
         self.f = np.asarray(self.f, dtype=complex)
         if self.f.shape != (self.grid.n,):
             raise GridMismatch("coefficient samples do not match the grid")
-
-    def on_grid(self, grid: Grid) -> "FirstOrderOp":
-        if grid == self.grid:
-            return self
-        if self.f_callable is None:
-            raise GridMismatch("cannot resample a tabulated first-order operator")
-        return FirstOrderOp(grid, self.f_callable(grid.points), self.f_callable, dict(self.meta))
 
     def apply(self, gf: GridFunction) -> GridFunction:
         if gf.grid != self.grid:
@@ -67,19 +60,11 @@ class MultiplicativeOp:
 
     grid: Grid
     g: np.ndarray = field(repr=False)
-    g_callable: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=complex)
         if self.g.shape != (self.grid.n,):
             raise GridMismatch("coefficient samples do not match the grid")
-
-    def on_grid(self, grid: Grid) -> "MultiplicativeOp":
-        if grid == self.grid:
-            return self
-        if self.g_callable is None:
-            raise GridMismatch("cannot resample a tabulated multiplication operator")
-        return MultiplicativeOp(grid, self.g_callable(grid.points), self.g_callable)
 
     def apply(self, gf: GridFunction) -> GridFunction:
         if gf.grid != self.grid:
@@ -300,7 +285,7 @@ def eta1_case1(params: TorusParams, grid: Grid) -> MultiplicativeOp:
         x = np.asarray(x, dtype=float)
         return 1j * (2.0 - a) / (2.0 * a) + 1j * s / a * np.sin(x)
 
-    return MultiplicativeOp(grid, g(grid.points), g)
+    return MultiplicativeOp(grid, g(grid.points))
 
 
 # ---------------------------------------------------------------------------

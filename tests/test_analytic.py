@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,54 @@ def test_2f1_against_scipy_in_both_regions():
     for s in (0.2, 0.55, 0.85, -0.9):
         got = gauss_2f1(0.3, 1.2, 2.5, s)
         assert got == pytest.approx(scipy_hyp2f1(0.3, 1.2, 2.5, s), rel=1e-10)
+
+
+def _complexes(re, im):
+    return st.builds(complex, st.floats(*re), st.floats(*im))
+
+
+def _sample_array(elements):
+    """A scalar or a short array of `elements`, as the evaluators accept either."""
+    return st.one_of(elements, st.lists(elements, min_size=1, max_size=6).map(np.array))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 20), b=st.one_of(st.floats(0.25, 3.0), st.integers(-25, 0)),
+       c=st.builds(lambda re, im, sign: complex(re, sign * im), st.floats(-20.5, 3.0),
+                   st.floats(0.25, 2.0), st.sampled_from([1, -1])),
+       s=_sample_array(_complexes((-2.0, 2.0), (-10.0, 10.0))))
+def test_terminating_2f1_against_mpmath(n, b, c, s):
+    got = gauss_2f1(-n, b, c, s)
+    assert np.shape(got) == np.shape(s)
+    n_terms = min(n, -b) if isinstance(b, int) else n
+    for sk, gk in zip(np.atleast_1d(s), np.atleast_1d(got)):
+        # a forward sum is accurate to a few ulps of its largest term
+        term, scale = 1.0 + 0j, 1.0
+        for m in range(n_terms):
+            term *= (-n + m) * (b + m) / ((c + m) * (m + 1)) * sk
+            scale = max(scale, abs(term))
+        with mpmath.workdps(40):
+            ref = complex(mpmath.hyp2f1(-n, b, c, complex(sk)))
+        assert abs(gk - ref) <= 1e-15 * (n + 1) ** 2 * scale
+        assert abs(gauss_2f1(-n, b, c, complex(sk)) - ref) <= 1e-15 * (n + 1) ** 2 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 20), alpha=_complexes((-0.5, 2.0), (-0.3, 0.3)),
+       x=_sample_array(_complexes((0.0, 1.5), (-0.3, 0.3))))
+def test_laguerre_against_mpmath(n, alpha, x):
+    got = laguerre_gen(n, alpha, x)
+    assert np.shape(got) == np.shape(x)
+    for xk, gk in zip(np.atleast_1d(x), np.atleast_1d(got)):
+        with mpmath.workdps(40):
+            ref = complex(mpmath.laguerre(n, alpha, complex(xk)))
+        assert abs(gk - ref) <= 1e-13 * max(1.0, abs(ref))
+        assert abs(laguerre_gen(n, alpha, complex(xk)) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_2f1_array_needs_terminating_series():
+    with pytest.raises(DomainUnsupported):
+        gauss_2f1(0.3, 1.2, 2.5, np.array([0.2, 0.5]))
 
 
 def test_2f1_domain_errors():

@@ -190,3 +190,24 @@ def test_sweep_keeps_list_order_and_counts_unbound_cells(tmp_path):
     # level 0 is unbound above alpha = sqrt(2): NaN at alpha = 2 and 1.5
     unbound = {r.name: r.value for r in rep.records}["unbound cells (NaN)"]
     assert unbound == 2
+
+
+@pytest.mark.parametrize("parameter, values", [("c", "0.5"), ("a", "0,0.5"), ("e", "0,1")])
+def test_sweep_rejects_values_no_row_can_use(tmp_path, capsys, parameter, values):
+    # c = a, a = 0 and e = 0 cannot build a row; no row may be written either
+    assert cli.main(["--out", str(tmp_path), "sweep", parameter, values]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / f"sweep_{parameter}.csv").exists()
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("field: {kind: zero}\n", []),
+    ("grid: {n: 64}\n", []),
+    ("", ["--grid-n", "64"]),
+])
+def test_pdfv_spectrum_rejects_field_and_grid_it_ignores(tmp_path, capsys, text, flags):
+    cfg = tmp_path / "pdfv.yaml"
+    cfg.write_text("case: pdfv\nfermi: {kind: cosine}\n" + text)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), *flags, "spectrum"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum_pdfv.csv").exists()

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,32 @@ def test_param_validation():
         TorusParams(a=2.0, c=2.0)
     with pytest.warns(UserWarning):
         TorusParams(a=1.5, c=1.0)
+
+
+def _parts(value):
+    """A geometry result as a tuple of arrays; a ChristoffelSet has two."""
+    if isinstance(value, geometry.ChristoffelSet):
+        return np.asarray(value.gamma_2_12), np.asarray(value.gamma_1_22)
+    return (np.asarray(value),)
+
+
+@pytest.mark.parametrize("fn", [
+    pytest.param(radius_profile, id="radius_profile"),
+    pytest.param(geometry.radius_derivative, id="radius_derivative"),
+    pytest.param(metric_at, id="metric_at"),
+    pytest.param(vierbein_at, id="vierbein_at"),
+    pytest.param(christoffel_at, id="christoffel_at"),
+    pytest.param(spin_connection_tabulated, id="spin_connection_tabulated"),
+    pytest.param(spin_connection_derived, id="spin_connection_derived"),
+    pytest.param(partial(christoffel_fd_oracle, h=1e-3), id="christoffel_fd_oracle-1e-3"),
+    pytest.param(partial(christoffel_fd_oracle, h=5e-4), id="christoffel_fd_oracle-5e-4"),
+    pytest.param(spin_connection_fd_oracle, id="spin_connection_fd_oracle"),
+])
+def test_array_evaluation_equals_scalar_loop(fn):
+    xs = np.linspace(0.0, 2.0 * np.pi, 181)
+    batched = _parts(fn(P, xs))
+    looped = [np.array(part) for part in zip(*(_parts(fn(P, x)) for x in xs))]
+    assert len(batched) == len(looped)
+    for b, lp in zip(batched, looped):
+        assert b.shape == lp.shape
+        assert np.array_equal(b, lp)
