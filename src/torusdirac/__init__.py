@@ -44,7 +44,7 @@ from .pseudoherm import (
     FirstOrderOp,
     MathieuParams,
     MultiplicativeOp,
-    PotentialForm,
+    SchrodingerOp,
     eta1_case1,
     eta2_case1,
     eta2_case2,

@@ -155,7 +155,6 @@ class MorseChain:
     mathieu: MathieuParams
     quad_coeff: complex
     truncation_error: float
-    expansion_center: float = 1.0
 
     def u_of_t(self, t):
         w = np.exp(-self.alpha * np.asarray(t, dtype=float))
@@ -272,7 +271,6 @@ class Case1Solution:
     laguerre_order: complex
     s_scale: complex
     bounded: bool
-    reading: str = "z=s"
 
     def s_of_t(self, t):
         return self.s_scale * np.exp(-self.alpha * np.asarray(t, dtype=float))
@@ -369,8 +367,7 @@ class Case2Solution:
     beta: float
     a2: float          # tangent-coefficient tie, charge e = 1 convention
     gamma_h: complex
-    a_h: complex
-    b_h: complex
+    a_h: complex  # the two upper 2F1 parameters coincide here
     residual: float
 
 
@@ -398,7 +395,7 @@ def case2_quantize(n: int, alpha: float, C1: float) -> Case2Solution:
     return Case2Solution(
         n=n, alpha=alpha, C1=C1, epsilon_n=float(eps_root),
         beta=float(np.real(hp.beta)), a2=float(-2.0 * alpha * np.real(hp.beta)),
-        gamma_h=hp.gamma_h, a_h=hp.a_corrected, b_h=hp.a_corrected,
+        gamma_h=hp.gamma_h, a_h=hp.a_corrected,
         residual=float(residual),
     )
 

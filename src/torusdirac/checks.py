@@ -46,7 +46,6 @@ class CheckRecord:
     tolerance: float
     passed: bool
     gating: bool = True
-    order: float = None
     note: str = ""
 
 
@@ -73,9 +72,8 @@ class RunReport:
         for r in self.records:
             status = ("PASS" if r.passed else "FAIL") if r.gating else "INFO"
             tol = "" if np.isnan(r.tolerance) else f" tol={r.tolerance:g}"
-            order = "" if r.order is None else f" order={r.order:.2f}"
             note = f"  [{r.note}]" if r.note else ""
-            lines.append(f"{status:4s} {r.name:48s} value={r.value:.6e}{tol}{order}{note}")
+            lines.append(f"{status:4s} {r.name:48s} value={r.value:.6e}{tol}{note}")
         lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines)
 
@@ -87,8 +85,7 @@ class RunReport:
             "records": [
                 {"name": r.name, "value": r.value,
                  "tolerance": None if np.isnan(r.tolerance) else r.tolerance,
-                 "passed": r.passed, "gating": r.gating, "order": r.order,
-                 "note": r.note}
+                 "passed": r.passed, "gating": r.gating, "note": r.note}
                 for r in self.records
             ],
         }

@@ -84,41 +84,55 @@ def _merge(base: dict, extra: dict, path="") -> dict:
 
 
 def _build_config(raw: dict, grid_n=None) -> ScenarioConfig:
-    def need(section, key, types, where):
+    def real(section, key):
+        """raw[section][key] as a finite float; YAML strings and booleans are rejected."""
         val = raw[section][key]
-        if not isinstance(val, types):
-            raise ConfigError(f"{where}: expected {types}, got {val!r}")
-        return val
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+            raise ConfigError(f"{section}.{key}: expected a finite number, got {val!r}")
+        return float(val)
 
-    a = float(need("torus", "a", (int, float), "torus.a"))
-    c = float(need("torus", "c", (int, float), "torus.c"))
+    def integer(section, key):
+        val = real(section, key)
+        if not val.is_integer():
+            raise ConfigError(f"{section}.{key}: expected an integer, got {raw[section][key]!r}")
+        return int(val)
+
+    def cplx(section, key):
+        val = raw[section][key]
+        try:
+            out = complex(val)
+        except (TypeError, ValueError):
+            out = None
+        if isinstance(val, bool) or out is None or not np.isfinite(out):
+            raise ConfigError(f"{section}.{key}: expected a finite complex number, got {val!r}")
+        return out
+
     try:
-        torus = geometry.TorusParams(a=a, c=c)
+        torus = geometry.TorusParams(a=real("torus", "a"), c=real("torus", "c"))
     except ValueError as exc:
         raise ConfigError(f"torus: {exc}") from exc
 
-    q = raw["quantum"]
-    if float(q["Delta"]) != 0.0:
+    if real("quantum", "Delta") != 0.0:
         # no computation reads a gap: the operator is massless
-        raise ConfigError(f"quantum.Delta: only 0 is supported, got {q['Delta']!r}")
-    quantum = fields.QuantumNumbers(k=int(q["k"]), e=float(q["e"]))
+        raise ConfigError(f"quantum.Delta: only 0 is supported, got {raw['quantum']['Delta']!r}")
+    quantum = fields.QuantumNumbers(k=integer("quantum", "k"), e=real("quantum", "e"))
 
     f = raw["field"]
     kind = f["kind"]
-    c3 = None if f.get("C3") in (None, "auto") else complex(f["C3"])
+    c3 = None if f["C3"] in (None, "auto") else cplx("field", "C3")
     try:
         if kind == "zero":
             gauge = fields.zero_field()
         elif kind == "hermitizing_ax":
             gauge = fields.hermitizing_field(e=quantum.e)
         elif kind == "quadratic_au":
-            gauge = fields.quadratic_ring_field(complex(f["C2"]), e=quantum.e,
+            gauge = fields.quadratic_ring_field(cplx("field", "C2"), e=quantum.e,
                                                 k=quantum.k, C3=c3)
         elif kind == "hermitizing_quadratic":
-            gauge = fields.hermitizing_quadratic_field(complex(f["C2"]), e=quantum.e,
+            gauge = fields.hermitizing_quadratic_field(cplx("field", "C2"), e=quantum.e,
                                                        k=quantum.k, C3=c3)
         elif kind == "linear_au":
-            gauge = fields.linear_ring_field(float(f["a2"]), e=quantum.e, k=quantum.k)
+            gauge = fields.linear_ring_field(real("field", "a2"), e=quantum.e, k=quantum.k)
         else:
             raise ConfigError(f"field.kind: unknown kind {kind!r}")
     except TorusDiracError as exc:
@@ -126,7 +140,10 @@ def _build_config(raw: dict, grid_n=None) -> ScenarioConfig:
 
     fm = raw["fermi"]
     if fm["kind"] == "constant":
-        fermi = fields.constant_velocity(float(fm["v_f"]))
+        try:
+            fermi = fields.constant_velocity(real("fermi", "v_f"))
+        except ValueError as exc:
+            raise ConfigError(f"fermi: {exc}") from exc
     elif fm["kind"] == "cosine":
         fermi = fields.cosine_velocity()
     else:
@@ -139,15 +156,12 @@ def _build_config(raw: dict, grid_n=None) -> ScenarioConfig:
         # the position-dependent case needs a non-constant profile
         raise ConfigError("case: pdfv requires fermi.kind != constant")
 
-    g = raw["grid"]
-    n = int(grid_n if grid_n is not None else g["n"])
-    boundary = g.get("boundary", "periodic")
+    if raw["grid"]["boundary"] != "periodic":
+        # every grid-reading computation samples the periodic angle
+        raise ConfigError(f"grid.boundary: only periodic is supported, "
+                          f"got {raw['grid']['boundary']!r}")
     try:
-        if boundary == "periodic":
-            grid = Grid(n)
-        else:
-            grid = Grid(n, float(g.get("x_min", -np.pi / 2 + 1e-3)),
-                        float(g.get("x_max", np.pi / 2 - 1e-3)), "dirichlet")
+        grid = Grid(grid_n if grid_n is not None else integer("grid", "n"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -158,11 +172,13 @@ def _build_config(raw: dict, grid_n=None) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"outputs: unknown entries {unknown}; choose from {OUTPUTS}")
 
-    an = raw["analytic"]
+    n_max = integer("analytic", "n_max")
+    if n_max < 0:
+        raise ConfigError(f"analytic.n_max: expected a nonnegative integer, got {n_max}")
     return ScenarioConfig(
         torus=torus, gauge=gauge, fermi=fermi, quantum=quantum, grid=grid,
-        case=case, alpha=float(an["alpha"]), C1=float(an["C1"]),
-        n_max=int(an["n_max"]), outputs=list(outputs), raw=raw,
+        case=case, alpha=real("analytic", "alpha"), C1=real("analytic", "C1"),
+        n_max=n_max, outputs=list(outputs), raw=raw,
     )
 
 
@@ -243,6 +259,10 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                                                              "hermitizing_quadratic"):
         raise ConfigError(f"spectrum: field.kind {cfg.gauge.kind!r} has no C2; the "
                           "constant_vf spectrum needs quadratic_au or hermitizing_quadratic")
+    if cfg.case == "constant_vf" and cfg.gauge.C3 is not None:
+        # the Mathieu form is the counterpart potential at C3 = -k/(a e)
+        raise ConfigError("spectrum: the constant_vf spectrum needs field.C3: auto, "
+                          f"got {cfg.raw['field']['C3']!r}")
     if cfg.case == "pdfv" and (cfg.raw["field"] != DEFAULT_CONFIG["field"]
                                or cfg.grid != Grid(DEFAULT_CONFIG["grid"]["n"])):
         # each pdfv level builds its own linear ring field and an 8000-point grid
@@ -254,10 +274,8 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
 
     if cfg.case == "constant_vf":
         # symmetrized branch: real trigonometric-polynomial potential
-        mf = pseudoherm.mathieu_form(p, e, cfg.gauge.C2)
-        pot = mf.potential(cfg.grid.points if cfg.grid.boundary == "periodic"
-                           else Grid(cfg.grid.n).points)
-        grid = cfg.grid if cfg.grid.boundary == "periodic" else Grid(cfg.grid.n)
+        grid = cfg.grid
+        pot = pseudoherm.mathieu_form(p, e, cfg.gauge.C2).potential(grid.points)
         try:
             m = numerics.discretize_schrodinger(pot, grid)
         except ComplexPotential as exc:
@@ -304,6 +322,8 @@ def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
 def _sweep_point(cfg: ScenarioConfig, name: str, value: float):
     """(torus, alpha, C1, e) with `name` set to `value`; ConfigError if no row can use it."""
     torus, alpha, c1, e = cfg.torus, cfg.alpha, cfg.C1, cfg.quantum.e
+    if not math.isfinite(value):
+        raise ConfigError(f"sweep {name}={value!r}: values must be finite")
     try:
         if name == "a":
             torus = geometry.TorusParams(a=float(value), c=torus.c)
@@ -413,13 +433,16 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
 
 def _parse_range(text: str):
     """'lo:hi:count' inclusive linear range, or a comma list of values."""
-    if ":" in text:
-        lo, hi, count = text.split(":")
-        count = int(count)
-        if count <= 0:
-            raise ConfigError("sweep: range count must be positive")
-        return list(np.linspace(float(lo), float(hi), count))
-    return [float(tok) for tok in text.split(",") if tok]
+    try:
+        if ":" in text:
+            lo, hi, count = text.split(":")
+            count = int(count)
+            if count <= 0:
+                raise ConfigError("sweep: range count must be positive")
+            return list(np.linspace(float(lo), float(hi), count))
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise ConfigError(f"sweep: cannot read values {text!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ChargeZero, FamilyMismatch, GridMismatch
 from .geometry import TorusParams, radius_profile
-from .grids import Grid
+from .grids import Grid, diff1
 
 GAUGE_KINDS = (
     "zero",
@@ -26,16 +26,15 @@ GAUGE_KINDS = (
     "hermitizing_quadratic",  # hermitizing A_x composed with the quadratic A_u
     "tabulated",
 )
-FERMI_KINDS = ("constant", "cosine", "tabulated")
+FERMI_KINDS = ("constant", "cosine")
 
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Angular wavenumber k (integer), charge e, constant gap Delta."""
+    """Angular wavenumber k (integer) and charge e."""
 
     k: int = 1
     e: float = 1.0
-    Delta: float = 0.0
 
     def __post_init__(self):
         if self.k != int(self.k):
@@ -157,8 +156,6 @@ def eval_gauge_derivatives(gauge: GaugeField, params: TorusParams, x):
     # tabulated: central differences on the field's own grid
     if not np.allclose(x, gauge.grid.points):
         raise GridMismatch("tabulated gauge field differentiated off its grid")
-    from .grids import diff1
-
     return (
         diff1(np.asarray(gauge.ax_samples, dtype=complex), gauge.grid),
         diff1(np.asarray(gauge.au_samples, dtype=complex), gauge.grid),
@@ -167,20 +164,16 @@ def eval_gauge_derivatives(gauge: GaugeField, params: TorusParams, x):
 
 @dataclass(frozen=True)
 class FermiVelocity:
-    """Constant speed, the cosine profile V_F(x) = a cos(x), or tabulated samples."""
+    """Constant speed or the cosine profile V_F(x) = a cos(x)."""
 
     kind: str
     v_f: float = 1.0
-    grid: Optional[Grid] = None
-    samples: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in FERMI_KINDS:
             raise FamilyMismatch(f"unknown Fermi-velocity kind {self.kind!r}")
         if self.kind == "constant" and self.v_f <= 0:
             raise ValueError("constant Fermi velocity must be positive")
-        if self.kind == "tabulated" and (self.grid is None or self.samples is None):
-            raise ValueError("tabulated Fermi velocity needs grid and samples")
 
 
 def constant_velocity(v_f: float = 1.0) -> FermiVelocity:
@@ -196,14 +189,7 @@ def eval_fermi_velocity(vel: FermiVelocity, params: TorusParams, x):
     x = np.asarray(x, dtype=float)
     if vel.kind == "constant":
         return np.full_like(x, vel.v_f, dtype=float), np.zeros_like(x, dtype=float)
-    if vel.kind == "cosine":
-        return params.a * np.cos(x), -params.a * np.sin(x)
-    if not np.allclose(x, vel.grid.points):
-        raise GridMismatch("tabulated Fermi velocity evaluated off its grid")
-    v = np.asarray(vel.samples, dtype=float)
-    from .grids import diff1  # local import to avoid a cycle at module load
-
-    return v, diff1(v, vel.grid).real
+    return params.a * np.cos(x), -params.a * np.sin(x)
 
 
 def eval_fermi_velocity_2(vel: FermiVelocity, params: TorusParams, x):
@@ -212,8 +198,4 @@ def eval_fermi_velocity_2(vel: FermiVelocity, params: TorusParams, x):
     x = np.asarray(x, dtype=float)
     if vel.kind == "constant":
         return v, vp, np.zeros_like(x)
-    if vel.kind == "cosine":
-        return v, vp, -params.a * np.cos(x)
-    from .grids import diff2
-
-    return v, vp, diff2(np.asarray(vel.samples, dtype=float), vel.grid).real
+    return v, vp, -params.a * np.cos(x)

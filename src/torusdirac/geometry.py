@@ -32,6 +32,8 @@ class TorusParams:
     c: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.c)):
+            raise ValueError("torus radii must be finite")
         if self.a <= 0 or self.c <= 0:
             raise ValueError("torus radii must be positive")
         if self.a == self.c:

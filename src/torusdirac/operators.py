@@ -18,7 +18,6 @@ decoupled coefficients themselves are identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,8 @@ from .fields import (
 from .geometry import TorusParams, radius_derivative, radius_profile
 from .grids import Grid, GridFunction, diff1, diff2, same_grid
 
-CONVENTIONS = ("fg", "matrix_literal")
+# sign that maps a^2 H^2 onto the decoupled operators, per assembly convention
+SQUARE_SIGN = {"fg": +1, "matrix_literal": -1}
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,16 @@ class SpinorGF:
 
 @dataclass
 class SLProblem:
-    """Second-order problem  -psi'' + sigma psi' + rho psi = eigen_scale * lam * w(x) * psi.
+    """Second-order operator  -psi'' + sigma psi' + rho psi  sampled on a grid.
 
-    `weight` is None for the constant-velocity case (w = 1); the
-    position-dependent case carries w = 1/V_F^2 with eigen_scale = a^2 and
-    lam = E^2.
+    The decouplers document how its eigenvalue relates to the energy;
+    `meta` holds the intermediate coefficients a decoupler exposes (F and G
+    for position-dependent velocity).
     """
 
     grid: Grid
-    sector: str  # 'plus' or 'minus'
     sigma: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
-    eigen_scale: float = 1.0
-    weight: Optional[np.ndarray] = field(default=None, repr=False)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -86,8 +83,6 @@ class SLProblem:
             raise GridMismatch("coefficient samples do not match the grid")
         if not (np.all(np.isfinite(self.sigma)) and np.all(np.isfinite(self.rho))):
             raise ValueError("non-finite coefficients on interior grid points")
-        if self.eigen_scale <= 0:
-            raise ValueError("eigen_scale must be positive")
 
     def apply(self, gf: GridFunction, second_derivative: str = "d2") -> GridFunction:
         """Apply -d2 + sigma d1 + rho with the chosen second-derivative stencil.
@@ -136,23 +131,15 @@ def dirac_offdiag(params: TorusParams, gauge: GaugeField, x) -> W12Pair:
     return W12Pair(w1=complex(w1), w2=complex(w2))
 
 
-def _w1_q(params: TorusParams, gauge: GaugeField, k: int, e: float, x: np.ndarray):
-    """Return (W1, Q) sampled on x."""
-    r = _check_ring(params, x)
-    ax, au = eval_gauge(gauge, params, x)
-    w1 = 0.5 * params.a * np.sin(x) - 1j * e / params.a * ax
-    q = (k + e * params.a * au) / r
-    return w1, q
-
-
 def _coefficients(params: TorusParams, gauge: GaugeField, k: int, e: float,
                   x: np.ndarray):
     """Return (W1, Q, W1', Q') sampled on x."""
     r = _check_ring(params, x)
     rp = radius_derivative(params, x)
-    w1, q = _w1_q(params, gauge, k, e, x)
-    _, au = eval_gauge(gauge, params, x)
+    ax, au = eval_gauge(gauge, params, x)
     axp, aup = eval_gauge_derivatives(gauge, params, x)
+    w1 = 0.5 * params.a * np.sin(x) - 1j * e / params.a * ax
+    q = (k + e * params.a * au) / r
     w1p = 0.5 * params.a * np.cos(x) - 1j * e / params.a * axp
     qp = e * params.a * aup / r - (k + e * params.a * au) * rp / r ** 2
     return w1, q, w1p, qp
@@ -161,14 +148,13 @@ def _coefficients(params: TorusParams, gauge: GaugeField, k: int, e: float,
 def apply_dirac(params: TorusParams, gauge: GaugeField, k: int, grid: Grid,
                 spinor: SpinorGF, convention: str = "fg") -> SpinorGF:
     """Apply the reduced Dirac operator to a spinor on a periodic grid."""
-    if convention not in CONVENTIONS:
+    if convention not in SQUARE_SIGN:
         raise ValueError(f"unknown convention {convention!r}")
     if grid.boundary != "periodic":
         raise GridMismatch("the Dirac kernel is applied on periodic grids")
     if spinor.grid != grid:
         raise GridMismatch("spinor grid differs from the requested grid")
-    x = grid.points
-    w1, q = _w1_q(params, gauge, k, gauge.e, x)
+    w1, q, _, _ = _coefficients(params, gauge, k, gauge.e, grid.points)
     inv_a = 1.0 / params.a
     d1 = diff1(spinor.psi1.values, grid)
     d2 = diff1(spinor.psi2.values, grid)
@@ -177,6 +163,21 @@ def apply_dirac(params: TorusParams, gauge: GaugeField, k: int, grid: Grid,
     if convention == "fg":
         out2 = -out2
     return SpinorGF(GridFunction(grid, out1), GridFunction(grid, out2))
+
+
+def _squared_terms(params: TorusParams, gauge: GaugeField, k: int, e: float,
+                   x: np.ndarray):
+    """(sigma, (F+, F-), (G+, G-)) of the squared kernel on x.
+
+    sigma = 2 a W1,  F+- = a (W1 +- Q)' - a^2 (W1 - Q)(W1 + Q),  G+- = a (W1 +- Q).
+    """
+    w1, q, w1p, qp = _coefficients(params, gauge, k, e, x)
+    a = params.a
+    mp = (w1 - q) * (w1 + q)
+    sigma = 2.0 * a * w1
+    f = (a * (w1p + qp) - a * a * mp, a * (w1p - qp) - a * a * mp)
+    g = (a * (w1 + q), a * (w1 - q))
+    return sigma, f, g
 
 
 def decouple_constant_vf(params: TorusParams, gauge: GaugeField, k: int, e: float,
@@ -188,25 +189,10 @@ def decouple_constant_vf(params: TorusParams, gauge: GaugeField, k: int, e: floa
     rho_minus = a (W1 - Q)' - a^2 (W1 - Q)(W1 + Q)
 
     so that the minus sector is exactly the k -> -k, A_u -> -A_u image of
-    the plus sector.  Eigenvalue normalization: lam = (E/V_F - Delta)^2 with
-    eigen_scale = a^2.
+    the plus sector.  The eigenvalue of either problem is a^2 (E/V_F)^2.
     """
-    x = grid.points
-    r = _check_ring(params, x)
-    w1, q, w1p, qp = _coefficients(params, gauge, k, e, x)
-    a = params.a
-    m, p = w1 - q, w1 + q
-    mp = m * p
-    sigma = 2.0 * a * w1
-    rho_plus = a * (w1p + qp) - a * a * mp
-    rho_minus = a * (w1p - qp) - a * a * mp
-    meta = {"k": k, "e": e, "gauge_kind": gauge.kind,
-            "eigen_relation": "lam = (E/V_F - Delta)^2",
-            "square_sign": {"fg": +1, "matrix_literal": -1}}
-    return (
-        SLProblem(grid, "plus", sigma, rho_plus, eigen_scale=a * a, meta=dict(meta)),
-        SLProblem(grid, "minus", sigma, rho_minus, eigen_scale=a * a, meta=dict(meta)),
-    )
+    sigma, (f_plus, f_minus), _ = _squared_terms(params, gauge, k, e, grid.points)
+    return SLProblem(grid, sigma, f_plus), SLProblem(grid, sigma, f_minus)
 
 
 def decouple_pdfv(params: TorusParams, gauge: GaugeField, k: int, e: float,
@@ -224,25 +210,11 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, k: int, e: float,
     v, vp = eval_fermi_velocity(vf, params, x)
     if np.min(np.abs(v)) < 1e-12:
         raise VelocityZero("V_F vanishes on an interior grid point; choose a grid avoiding it")
-    w1, q, w1p, qp = _coefficients(params, gauge, k, e, x)
-    a = params.a
-    mp = (w1 - q) * (w1 + q)
-    sigma = 2.0 * a * w1
-    f_plus = a * (w1p + qp) - a * a * mp
-    f_minus = a * (w1p - qp) - a * a * mp
-    g_plus = a * (w1 + q)
-    g_minus = a * (w1 - q)
+    sigma, (f_plus, f_minus), (g_plus, g_minus) = _squared_terms(params, gauge, k, e, x)
     t = vp / v
-    weight = 1.0 / v ** 2
-    meta = {"k": k, "e": e, "gauge_kind": gauge.kind, "vf_kind": vf.kind,
-            "eigen_relation": "lam = E^2, weight = 1/V_F^2"}
-    plus = SLProblem(grid, "plus", sigma - t, f_plus + g_plus * t,
-                     eigen_scale=a * a, weight=weight,
-                     meta={**meta, "F": f_plus, "G": g_plus})
-    minus = SLProblem(grid, "minus", sigma - t, f_minus + g_minus * t,
-                      eigen_scale=a * a, weight=weight,
-                      meta={**meta, "F": f_minus, "G": g_minus})
-    return plus, minus
+    return (SLProblem(grid, sigma - t, f_plus + g_plus * t, meta={"F": f_plus, "G": g_plus}),
+            SLProblem(grid, sigma - t, f_minus + g_minus * t,
+                      meta={"F": f_minus, "G": g_minus}))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +235,7 @@ def squaring_discrepancy(params: TorusParams, gauge: GaugeField, k: int,
     hh = apply_dirac(params, gauge, k, grid,
                      apply_dirac(params, gauge, k, grid, spinor, convention),
                      convention)
-    sign = plus.meta["square_sign"][convention]
+    sign = SQUARE_SIGN[convention]
     a2 = params.a ** 2
     lhs1 = sign * a2 * hh.psi1.values
     lhs2 = sign * a2 * hh.psi2.values

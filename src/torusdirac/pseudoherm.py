@@ -13,15 +13,15 @@ which the residual reports rather than hides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainSingularity, FamilyMismatch, GridMismatch
 from .fields import FermiVelocity, GaugeField, eval_gauge, eval_gauge_derivatives, eval_fermi_velocity_2
 from .geometry import TorusParams, radius_derivative, radius_profile
-from .grids import Grid, GridFunction, diff1, diff2
+from .grids import Grid, GridFunction, compact_test_functions, diff1, diff2
 from .numerics import cumulative_simpson
+from .operators import decouple_pdfv
 
 
 # ---------------------------------------------------------------------------
@@ -30,11 +30,10 @@ from .numerics import cumulative_simpson
 
 @dataclass
 class FirstOrderOp:
-    """d/dx + f(x) on a grid; f sampled, with its closed form when one is known."""
+    """d/dx + f(x) on a grid, f sampled."""
 
     grid: Grid
     f: np.ndarray = field(repr=False)
-    f_callable: Optional[Callable] = field(default=None, repr=False)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,6 +87,8 @@ class SchrodingerOp:
         self.v = np.asarray(self.v, dtype=complex)
         if self.v.shape != (self.grid.n,):
             raise GridMismatch("potential samples do not match the grid")
+        if not np.all(np.isfinite(self.v)):
+            raise ValueError("potential has non-finite interior samples")
 
     def apply(self, gf: GridFunction) -> GridFunction:
         if gf.grid != self.grid:
@@ -124,27 +125,6 @@ class ComposedOp:
         return gf
 
 
-@dataclass
-class PotentialForm:
-    """A sampled potential with a functional provenance label."""
-
-    grid: Grid
-    v: np.ndarray = field(repr=False)
-    label: str = ""
-    v_callable: Optional[Callable] = field(default=None, repr=False)
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=complex)
-        if self.v.shape != (self.grid.n,):
-            raise GridMismatch("potential samples do not match the grid")
-        if not np.all(np.isfinite(self.v)):
-            raise ValueError("potential has non-finite interior samples")
-
-    def operator(self) -> SchrodingerOp:
-        return SchrodingerOp(self.grid, self.v)
-
-
 @dataclass(frozen=True)
 class MathieuParams:
     """Scalars of the model -psi'' + (A + B cos x + C sin x + D sin^2 x) psi = 0."""
@@ -172,17 +152,13 @@ def eta2_case1(params: TorusParams, C1: float, grid: Grid) -> FirstOrderOp:
     test functions; the flag is recorded in metadata.
     """
     a4 = params.a ** 4
-
-    def coeff(x):
-        return (C1 + a4 * x / 4.0 - 0.5 * params.a ** 2 * np.sin(x)
-                - a4 / 8.0 * np.sin(2.0 * x))
-
-    return FirstOrderOp(grid, coeff(grid.points), coeff,
-                        meta={"secular": True, "C1": C1})
+    x = grid.points
+    coeff = C1 + a4 * x / 4.0 - 0.5 * params.a ** 2 * np.sin(x) - a4 / 8.0 * np.sin(2.0 * x)
+    return FirstOrderOp(grid, coeff, meta={"secular": True, "C1": C1})
 
 
 def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
-                                k: int, e: float, grid: Grid) -> PotentialForm:
+                                k: int, e: float, grid: Grid) -> SchrodingerOp:
     """Hermitian-counterpart potential of the constant-velocity chain.
 
     V1 = (a k + a^2 e A_u)^2 / R^2 + a e A_u' / R - a k R'/R^2 - a^2 e A_u R'/R^2,
@@ -194,20 +170,15 @@ def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
         raise FamilyMismatch("the counterpart potential needs the quadratic A_u family")
 
     a = params.a
-
-    def v(x):
-        x = np.asarray(x, dtype=float)
-        r = radius_profile(params, x)
-        rp = radius_derivative(params, x)
-        _, au = eval_gauge(gauge, params, x)
-        _, aup = eval_gauge_derivatives(gauge, params, x)
-        return ((a * k + a ** 2 * e * au) ** 2 / r ** 2
-                + a * e * aup / r
-                - a * k * rp / r ** 2
-                - a ** 2 * e * au * rp / r ** 2)
-
-    return PotentialForm(grid, v(grid.points), label="hermitian-counterpart", v_callable=v,
-                         meta={"k": k, "e": e})
+    x = grid.points
+    r = radius_profile(params, x)
+    rp = radius_derivative(params, x)
+    _, au = eval_gauge(gauge, params, x)
+    _, aup = eval_gauge_derivatives(gauge, params, x)
+    return SchrodingerOp(grid, (a * k + a ** 2 * e * au) ** 2 / r ** 2
+                         + a * e * aup / r
+                         - a * k * rp / r ** 2
+                         - a ** 2 * e * au * rp / r ** 2)
 
 
 def mathieu_form(params: TorusParams, e: float, C2: complex) -> MathieuParams:
@@ -237,11 +208,7 @@ def superpotential_case1(params: TorusParams, grid: Grid, e: float = 1.0) -> Fir
     """
     a = params.a
     s = sqrt_am1(a)
-
-    def w(x):
-        x = np.asarray(x, dtype=float)
-        return -1j * s / a * np.sin(x) + 1j * (a - 2.0) / (2.0 * a)
-
+    w = -1j * s / a * np.sin(grid.points) + 1j * (a - 2.0) / (2.0 * a)
     c2 = s / (a ** 4 * e)
     if a < 1.0:
         branch = "real-c"
@@ -249,43 +216,24 @@ def superpotential_case1(params: TorusParams, grid: Grid, e: float = 1.0) -> Fir
     else:
         branch = "real-C2"
         c_val = 0.5 * a ** 2 / (-1j * s)  # formally a^2/(2 sqrt(1-a)), imaginary here
-    return FirstOrderOp(grid, w(grid.points), w,
-                        meta={"C2": c2, "c": c_val, "branch": branch, "e": e})
+    return FirstOrderOp(grid, w, meta={"C2": c2, "c": c_val, "branch": branch, "e": e})
 
 
 def partner_potentials_case1(params: TorusParams, grid: Grid):
     """Closed-form factorization partners (V, V1) = (W^2 - W', W^2 + W')."""
     a = params.a
     s = sqrt_am1(a)
-
-    def base(x):
-        x = np.asarray(x, dtype=float)
-        return ((a - 1.0) / a ** 2 * np.cos(x) ** 2
-                + (a - 2.0) / a ** 2 * s * np.sin(x)
-                - 0.25)
-
-    def v(x):
-        return base(x) + 1j * s / a * np.cos(x)
-
-    def v1(x):
-        return base(x) - 1j * s / a * np.cos(x)
-
-    return (
-        PotentialForm(grid, v(grid.points), label="factorization-minus", v_callable=v),
-        PotentialForm(grid, v1(grid.points), label="factorization-plus", v_callable=v1),
-    )
+    x = grid.points
+    base = (a - 1.0) / a ** 2 * np.cos(x) ** 2 + (a - 2.0) / a ** 2 * s * np.sin(x) - 0.25
+    return (SchrodingerOp(grid, base + 1j * s / a * np.cos(x)),
+            SchrodingerOp(grid, base - 1j * s / a * np.cos(x)))
 
 
 def eta1_case1(params: TorusParams, grid: Grid) -> MultiplicativeOp:
     """Multiplicative similarity factor i(2-a)/(2a) + (i sqrt(a-1)/a) sin x."""
     a = params.a
     s = sqrt_am1(a)
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return 1j * (2.0 - a) / (2.0 * a) + 1j * s / a * np.sin(x)
-
-    return MultiplicativeOp(grid, g(grid.points))
+    return MultiplicativeOp(grid, 1j * (2.0 - a) / (2.0 * a) + 1j * s / a * np.sin(grid.points))
 
 
 # ---------------------------------------------------------------------------
@@ -299,67 +247,41 @@ def eta2_case2(params: TorusParams, C2: float, grid: Grid) -> FirstOrderOp:
     constant-velocity chain this one is 2pi-periodic.
     """
     a4 = params.a ** 4
-
-    def coeff(x):
-        x = np.asarray(x, dtype=float)
-        return (a4 / 16.0 + C2 + 0.75 * params.a ** 2 * np.sin(x)
-                - a4 / 32.0 * np.sin(2.0 * x))
-
-    return FirstOrderOp(grid, coeff(grid.points), coeff, meta={"secular": False, "C2": C2})
+    x = grid.points
+    coeff = a4 / 16.0 + C2 + 0.75 * params.a ** 2 * np.sin(x) - a4 / 32.0 * np.sin(2.0 * x)
+    return FirstOrderOp(grid, coeff, meta={"secular": False, "C2": C2})
 
 
-def prefactor_case2(params: TorusParams, gauge: GaugeField, grid: Grid) -> GridFunction:
-    """Gauge prefactor exp[(1/2) integral (2 i e A_x - a^2 sin x + tan x) dx].
+def prefactor_case2(params: TorusParams, gauge: GaugeField, grid: Grid,
+                    sign: float = 1.0) -> GridFunction:
+    """Gauge prefactor exp[(1/2) integral (sign (2 i e A_x - a^2 sin x) + tan x) dx].
 
-    The sine and tangent pieces use their antiderivatives anchored at x = 0
-    (so the prefactor equals 1 there); a general tabulated A_x is integrated
-    with composite Simpson.
+    sign = +1 is the tabulated reading; sign = -1 gives h'/h = (sigma - V'/V)/2
+    with sigma = a^2 sin x - 2 i e A_x, the reading that removes the
+    first-derivative term (the mapping report quantifies both).  The tan x
+    piece is -V'/V of the cosine velocity in both readings.  The sine and
+    tangent pieces use their antiderivatives anchored at x = 0 (so the
+    prefactor equals 1 there); a tabulated A_x is integrated with composite
+    Simpson.
     """
     x = grid.points
     if np.min(np.abs(np.cos(x))) < 1e-6:
         raise DomainSingularity("grid touches a tangent pole")
 
     a2 = params.a ** 2
-    half_int = 0.5 * (a2 * (np.cos(x) - 1.0) - np.log(np.abs(np.cos(x))))
+    half_int = 0.5 * (sign * a2 * (np.cos(x) - 1.0) - np.log(np.abs(np.cos(x))))
 
     if gauge.kind in ("hermitizing_ax", "hermitizing_quadratic"):
         # 2 i e A_x = a^2 sin x exactly; its antiderivative from 0 is a^2 (1 - cos x)
-        half_int = half_int + 0.5 * a2 * (1.0 - np.cos(x))
+        half_int = half_int + 0.5 * sign * a2 * (1.0 - np.cos(x))
     elif gauge.kind == "tabulated":
         ax = np.asarray(gauge.ax_samples, dtype=complex)
-        table = cumulative_simpson(2j * gauge.e * ax, grid.h)
+        table = cumulative_simpson(sign * 2j * gauge.e * ax, grid.h)
         anchor = np.interp(0.0, x, table.real) + 1j * np.interp(0.0, x, table.imag)
         half_int = half_int + 0.5 * (table - anchor)
     # remaining closed-form families have A_x = 0
 
     return GridFunction(grid, np.exp(half_int))
-
-
-def prefactor_case2_calibrated(params: TorusParams, gauge: GaugeField,
-                               vf: FermiVelocity, k: int, e: float,
-                               grid: Grid) -> GridFunction:
-    """Prefactor whose reading actually removes the first-derivative term.
-
-    h'/h = (sigma - V'/V)/2 with sigma = a^2 sin x - 2 i e A_x; the tabulated
-    form of `prefactor_case2` carries the opposite sign on the sigma part,
-    which the mapping report quantifies.  Anchored to 1 at x = 0.
-    """
-    x = grid.points
-    if np.min(np.abs(np.cos(x))) < 1e-6:
-        raise DomainSingularity("grid touches a tangent pole")
-    if vf.kind != "cosine":
-        raise FamilyMismatch("calibrated prefactor implemented for the cosine velocity")
-    a2_sq = params.a ** 2
-    half = 0.5 * (-a2_sq * (np.cos(x) - 1.0) - np.log(np.abs(np.cos(x))))
-    if gauge.kind in ("hermitizing_ax", "hermitizing_quadratic"):
-        # -2 i e A_x = -a^2 sin x, antiderivative from 0 is a^2 (cos x - 1)
-        half = half + 0.5 * a2_sq * (np.cos(x) - 1.0)
-    elif gauge.kind == "tabulated":
-        ax = np.asarray(gauge.ax_samples, dtype=complex)
-        table = cumulative_simpson(-2j * gauge.e * ax, grid.h)
-        anchor = np.interp(0.0, x, table.real) + 1j * np.interp(0.0, x, table.imag)
-        half = half + 0.5 * (table - anchor)
-    return GridFunction(grid, np.exp(half))
 
 
 def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: float,
@@ -373,23 +295,18 @@ def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: floa
     Rosen-Morse-II form with the coefficient rescaling a2 -> a * a2 that the
     ring bookkeeping produces.
     """
-    from .grids import compact_test_functions, diff2 as _diff2
-    from .operators import decouple_pdfv
-
     _, minus = decouple_pdfv(params, gauge, k, e, vf, grid)
     x = grid.points
     phis = compact_test_functions(grid, modes=[2, 3, 5], rng=rng, n_functions=3,
                                   margin=0.2 * (grid.x_max - grid.x_min))
     report = {}
-    for name, maker in (("as-printed", prefactor_case2),
-                        ("sigma-half", lambda p_, g_, gr_: prefactor_case2_calibrated(
-                            p_, g_, vf, k, e, gr_))):
-        h = maker(params, gauge, grid).values
+    for name, sign in (("as-printed", 1.0), ("sigma-half", -1.0)):
+        h = prefactor_case2(params, gauge, grid, sign).values
         v_num = minus.apply(GridFunction(grid, h)).values / h
         worst = 0.0
         for phi in phis:
             lhs = minus.apply(GridFunction(grid, h * phi.values)).values / h
-            resid = lhs + _diff2(phi.values, grid) - v_num * phi.values
+            resid = lhs + diff2(phi.values, grid) - v_num * phi.values
             worst = max(worst, float(np.max(np.abs(resid[10:-10]))
                                      / np.max(np.abs(phi.values))))
         report[name] = {"first_derivative_residual": worst}
@@ -416,7 +333,7 @@ def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: floa
 
 
 def veff_case2(params: TorusParams, gauge: GaugeField, k: int, e: float,
-               vf: FermiVelocity, grid: Grid) -> PotentialForm:
+               vf: FermiVelocity, grid: Grid) -> SchrodingerOp:
     """Effective potential of the transformed position-dependent-velocity problem.
 
     V_eff = -V'^2/(4V^2) + V''/(2V) + (a e A_u + k)^2/R^2 - a e A_u'/R
@@ -430,28 +347,22 @@ def veff_case2(params: TorusParams, gauge: GaugeField, k: int, e: float,
     if vf.kind != "cosine":
         raise FamilyMismatch("the effective potential needs the cosine velocity profile")
 
-    a = params.a
-
-    def v_eff(x):
-        x = np.asarray(x, dtype=float)
-        r = radius_profile(params, x)
-        rp = radius_derivative(params, x)
-        _, au = eval_gauge(gauge, params, x)
-        _, aup = eval_gauge_derivatives(gauge, params, x)
-        v, vp, vpp = eval_fermi_velocity_2(vf, params, x)
-        return (-(vp ** 2) / (4.0 * v ** 2)
-                + vpp / (2.0 * v)
-                + (au * a * e + k) ** 2 / r ** 2
-                - a * e * aup / r
-                + (k + a * e * au) * rp / r ** 2
-                - k * vp / (r * v)
-                - a * e * au * vp / (r * v))
-
     x = grid.points
     if np.min(np.abs(np.cos(x))) < 1e-9:
         raise DomainSingularity("grid touches a velocity zero")
-    return PotentialForm(grid, v_eff(x), label="pdfv-effective", v_callable=v_eff,
-                         meta={"k": k, "e": e, "a2": gauge.a2})
+    a = params.a
+    r = radius_profile(params, x)
+    rp = radius_derivative(params, x)
+    _, au = eval_gauge(gauge, params, x)
+    _, aup = eval_gauge_derivatives(gauge, params, x)
+    v, vp, vpp = eval_fermi_velocity_2(vf, params, x)
+    return SchrodingerOp(grid, -(vp ** 2) / (4.0 * v ** 2)
+                         + vpp / (2.0 * v)
+                         + (au * a * e + k) ** 2 / r ** 2
+                         - a * e * aup / r
+                         + (k + a * e * au) * rp / r ** 2
+                         - k * vp / (r * v)
+                         - a * e * au * vp / (r * v))
 
 
 def rosen_morse_form(params: TorusParams, a2: float, e: float, x):

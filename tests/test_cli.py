@@ -162,6 +162,10 @@ def test_load_config_does_not_share_default_state(tmp_path, monkeypatch):
     ("quantum: {Delta: 3.0}\n", "geometry"),
     ("field: {kind: zero}\n", "spectrum"),
     ("field: {kind: linear_au}\n", "spectrum"),
+    # the periodic grid replaced a Dirichlet one without a word
+    ("grid: {boundary: dirichlet}\n", "spectrum"),
+    # the Mathieu form assumes C3 = -k/(a e), so an explicit C3 left the spectrum unchanged
+    ("field: {C3: 5.0}\n", "spectrum"),
 ])
 def test_config_rejects_inputs_that_do_nothing(tmp_path, capsys, text, command):
     cfg = tmp_path / "noop.yaml"
@@ -192,9 +196,13 @@ def test_sweep_keeps_list_order_and_counts_unbound_cells(tmp_path):
     assert unbound == 2
 
 
-@pytest.mark.parametrize("parameter, values", [("c", "0.5"), ("a", "0,0.5"), ("e", "0,1")])
+@pytest.mark.parametrize("parameter, values", [
+    ("c", "0.5"), ("a", "0,0.5"), ("e", "0,1"),
+    ("a", "nan"), ("c", "inf"), ("alpha", "nan"), ("alpha", "abc"),
+])
 def test_sweep_rejects_values_no_row_can_use(tmp_path, capsys, parameter, values):
-    # c = a, a = 0 and e = 0 cannot build a row; no row may be written either
+    # c = a, a = 0, e = 0 and non-finite or unreadable values cannot build a row;
+    # no row may be written either
     assert cli.main(["--out", str(tmp_path), "sweep", parameter, values]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / f"sweep_{parameter}.csv").exists()
@@ -211,3 +219,27 @@ def test_pdfv_spectrum_rejects_field_and_grid_it_ignores(tmp_path, capsys, text,
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), *flags, "spectrum"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "spectrum_pdfv.csv").exists()
+
+
+@pytest.mark.parametrize("text, command", [
+    ("quantum: {e: abc}\n", "analytic"),
+    ("analytic: {alpha: abc}\n", "analytic"),
+    ("grid: {n: abc}\n", "spectrum"),
+    ("field: {C2: abc}\n", "spectrum"),
+    ("fermi: {v_f: -1.0}\n", "geometry"),
+    # int() used to truncate these silently
+    ("quantum: {k: 1.5}\n", "geometry"),
+    ("analytic: {n_max: 2.7}\n", "analytic"),
+    ("analytic: {n_max: -1}\n", "analytic"),
+    # non-finite radii pass every ordering comparison
+    ("torus: {a: .nan}\n", "spectrum"),
+    ("torus: {a: .inf}\n", "geometry"),
+    ("quantum: {e: .inf}\n", "geometry"),
+], ids=["e-abc", "alpha-abc", "n-abc", "C2-abc", "v_f-negative", "k-1.5", "n_max-2.7",
+        "n_max-negative", "a-nan", "a-inf", "e-inf"])
+def test_config_rejects_values_of_the_wrong_kind(tmp_path, capsys, text, command):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

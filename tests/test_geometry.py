@@ -110,6 +110,10 @@ def test_param_validation():
         TorusParams(a=2.0, c=2.0)
     with pytest.warns(UserWarning):
         TorusParams(a=1.5, c=1.0)
+    # every ordering comparison is false for NaN, so the sign checks alone let it through
+    for a, c in [(np.nan, 2.0), (0.5, np.nan), (np.inf, 2.0), (0.5, np.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            TorusParams(a=a, c=c)
 
 
 def _parts(value):

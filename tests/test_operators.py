@@ -147,7 +147,6 @@ def test_pdfv_reduces_to_constant_velocity_case():
     assert np.max(np.abs(plus_p.sigma - plus_c.sigma)) == 0.0
     assert np.max(np.abs(plus_p.rho - plus_c.rho)) == 0.0
     assert np.max(np.abs(minus_p.rho - minus_c.rho)) == 0.0
-    assert np.allclose(plus_p.weight, 0.25)
 
 
 def test_pdfv_swap_rule_for_f_and_g():
@@ -210,7 +209,7 @@ def test_sl_apply_adjoint_is_the_conjugate_transpose(grid):
     rng = np.random.default_rng(7)
     u, v, sigma, rho = (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
                         for _ in range(4))
-    op = SLProblem(grid, "plus", sigma, rho)
+    op = SLProblem(grid, sigma, rho)
     au = op.apply(GridFunction(grid, u)).values
     lhs = np.vdot(au, v)
     rhs = np.vdot(u, op.apply_adjoint(GridFunction(grid, v)).values)

@@ -30,7 +30,6 @@ from torusdirac.pseudoherm import (
     mathieu_form,
     partner_potentials_case1,
     prefactor_case2,
-    prefactor_case2_calibrated,
     rosen_morse_form,
     sqrt_am1,
     superpotential_case1,
@@ -38,6 +37,14 @@ from torusdirac.pseudoherm import (
 )
 
 P = TorusParams(a=0.5, c=2.0)
+# two periods, n odd: x and x + 2 pi are both grid points (index shift 256)
+TWO_PERIODS = Grid(511, 0.0, 4 * np.pi, "dirichlet")
+
+
+def period_gap(values):
+    """max |f(x + 2 pi) - f(x)| over the TWO_PERIODS grid."""
+    shift = (TWO_PERIODS.n + 1) // 2
+    return np.max(np.abs(values[shift:] - values[:TWO_PERIODS.n - shift]))
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +79,7 @@ def test_counterpart_matches_trig_polynomial():
     poly = mathieu_form(P, 1.0, 1.0).potential(g.points)
     assert np.max(np.abs(v.v - poly)) < 1e-13
     # periodicity
-    shifted = v.v_callable(g.points + 2 * np.pi)
-    assert np.max(np.abs(v.v - shifted)) < 1e-13
+    assert period_gap(hermitian_counterpart_case1(P, f, 1, 1.0, TWO_PERIODS).v) < 1e-13
 
 
 def test_counterpart_family_guard():
@@ -151,6 +157,15 @@ def test_eta1_values():
 # ---------------------------------------------------------------------------
 # intertwining machinery
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_schrodinger_op_rejects_non_finite_potential(bad):
+    g = Grid(64)
+    v = np.cos(g.points)
+    v[7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SchrodingerOp(g, v)
+
 
 def test_identity_intertwiner_is_exact():
     g = Grid(256)
@@ -244,22 +259,23 @@ def test_eta2_case2_values_and_periodicity():
     g = Grid(128)
     op = eta2_case2(P, 0.0, g)
     assert op.f[0] == pytest.approx(0.00390625, abs=1e-15)
-    assert np.max(np.abs(op.f_callable(g.points + 2 * np.pi) - op.f)) < 1e-13
+    assert period_gap(eta2_case2(P, 0.0, TWO_PERIODS).f) < 1e-13
     assert op.meta["secular"] is False
     tiny = eta2_case2(TorusParams(a=1e-6, c=2.0), 0.0, g)
     assert np.max(np.abs(tiny.f)) < 1e-12
 
 
-def test_prefactor_limits_and_anchor():
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["as-printed", "sigma-half"])
+def test_prefactor_limits_and_anchor(sign):
     n = 1001
     g = Grid(n, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
     tiny = TorusParams(a=1e-8, c=2.0)
-    pref = prefactor_case2(tiny, zero_field(), g)
+    pref = prefactor_case2(tiny, zero_field(), g, sign)
     assert np.max(np.abs(pref.values - np.abs(np.cos(g.points)) ** -0.5)) < 1e-16 + 1e-8
     # anchored antiderivatives: closed-form value reproduced everywhere
-    pref5 = prefactor_case2(P, zero_field(), g)
+    pref5 = prefactor_case2(P, zero_field(), g, sign)
     x = g.points
-    expected = np.exp(0.5 * (P.a ** 2 * (np.cos(x) - 1.0))) / np.sqrt(np.abs(np.cos(x)))
+    expected = np.exp(0.5 * sign * P.a ** 2 * (np.cos(x) - 1.0)) / np.sqrt(np.abs(np.cos(x)))
     assert np.max(np.abs(pref5.values - expected)) < 1e-13
     idx = np.argmin(np.abs(x))
     assert abs(pref5.values[idx] - 1.0) < 1e-3  # equals 1 at x = 0 by anchoring
@@ -310,6 +326,6 @@ def test_mapping_report_calibration():
 
 def test_calibrated_prefactor_has_hermitizing_branch():
     g = Grid(301, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
-    pref = prefactor_case2_calibrated(P, hermitizing_field(), cosine_velocity(), 1, 1.0, g)
+    pref = prefactor_case2(P, hermitizing_field(), g, sign=-1.0)
     # with the hermitizing gauge the sine parts cancel, leaving |cos|^(-1/2)
     assert np.max(np.abs(pref.values - np.abs(np.cos(g.points)) ** -0.5)) < 1e-12
