@@ -43,8 +43,8 @@ w_vals = -1j * s / a * np.sin(x) + 1j * (a - 2) / (2 * a)
 w_prime = -1j * s / a * np.cos(x)
 v, v1 = partner_potentials_case1(TorusParams(a=a, c=2.0), g)
 print(f"\nfactorization identities on {g.n} points:")
-print(f"  |W^2 - W' - V |_max = {np.max(np.abs(w_vals**2 - w_prime - v.v)):.3e}")
-print(f"  |W^2 + W' - V1|_max = {np.max(np.abs(w_vals**2 + w_prime - v1.v)):.3e}")
+print(f"  |W^2 - W' - V |_max = {np.max(np.abs(w_vals**2 - w_prime - v.rho)):.3e}")
+print(f"  |W^2 + W' - V1|_max = {np.max(np.abs(w_vals**2 + w_prime - v1.rho)):.3e}")
 
 # under the constrained radius the ring-field potential equals the
 # factorized one exactly
@@ -55,9 +55,9 @@ field = hermitizing_quadratic_field(C2=w_op.meta["C2"], e=1.0, k=2)
 counter = hermitian_counterpart_case1(p_con, field, 2, 1.0, g)
 v_con, _ = partner_potentials_case1(p_con, g)
 print(f"\nconstrained ring (c = {c_con:.4f}):")
-print(f"  |counterpart - factorized V|_max = {np.max(np.abs(counter.v - v_con.v)):.3e}")
+print(f"  |counterpart - factorized V|_max = {np.max(np.abs(counter.rho - v_con.rho)):.3e}")
 poly = mathieu_form(p_con, 1.0, w_op.meta["C2"]).potential(x)
-print(f"  |counterpart - trig polynomial|_max = {np.max(np.abs(counter.v - poly)):.3e}")
+print(f"  |counterpart - trig polynomial|_max = {np.max(np.abs(counter.rho - poly)):.3e}")
 
 g2 = Grid(2048)
 w2 = superpotential_case1(TorusParams(a=a, c=2.0), g2)

@@ -30,21 +30,16 @@ from .fields import (
     zero_field,
 )
 from .operators import (
-    SLProblem,
+    SampledOp,
     SpinorGF,
-    W12Pair,
     apply_dirac,
     decouple_constant_vf,
     decouple_pdfv,
-    dirac_offdiag,
     hermiticity_defect,
     squaring_discrepancy,
 )
 from .pseudoherm import (
-    FirstOrderOp,
     MathieuParams,
-    MultiplicativeOp,
-    SchrodingerOp,
     eta1_case1,
     eta2_case1,
     eta2_case2,

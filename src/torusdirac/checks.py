@@ -206,8 +206,8 @@ def factorization_defect(scale: float = 1.0) -> float:
     w, wp = _superpotential(0.5, g.points)
     w = scale * w
     v, v1 = pseudoherm.partner_potentials_case1(DEFAULT_TORUS, g)
-    return max(float(np.max(np.abs(w ** 2 - wp - v.v))),
-               float(np.max(np.abs(w ** 2 + wp - v1.v))))
+    return max(float(np.max(np.abs(w ** 2 - wp - v.rho))),
+               float(np.max(np.abs(w ** 2 + wp - v1.rho))))
 
 
 def _intertwining_probe():
@@ -231,8 +231,8 @@ def closed_form_pair_residual() -> float:
     a_pair = pseudoherm.superpotential_case1(geometry.TorusParams(a=0.9, c=2.0), g)
     w, wp = _superpotential(0.9, g.points)
     return pseudoherm.intertwining_residual(
-        a_pair, pseudoherm.SchrodingerOp(g, w ** 2 - wp),
-        pseudoherm.SchrodingerOp(g, w ** 2 + wp), phis)
+        a_pair, operators.SampledOp(g, 1, 0, w ** 2 - wp),
+        operators.SampledOp(g, 1, 0, w ** 2 + wp), phis)
 
 
 def tabulated_intertwiner_residual() -> float:
@@ -240,7 +240,7 @@ def tabulated_intertwiner_residual() -> float:
     g, phis = _intertwining_probe()
     herm_gauge = fields.hermitizing_quadratic_field(0.4, e=1.0, k=1)
     plus, _ = operators.decouple_constant_vf(DEFAULT_TORUS, herm_gauge, 1, 1.0, g)
-    h_s = pseudoherm.SchrodingerOp(g, plus.rho)  # sigma vanishes for this gauge
+    h_s = operators.SampledOp(g, 1, 0, plus.rho)  # sigma vanishes for this gauge
     eta2 = pseudoherm.eta2_case1(DEFAULT_TORUS, 0.0, g)
     return pseudoherm.intertwining_residual(eta2, h_s, pseudoherm.AdjointOf(h_s), phis)
 
@@ -262,7 +262,7 @@ def effective_potential_gap() -> float:
     gauge = fields.linear_ring_field(a2=0.2, e=1.0, k=1)
     ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge, 1, 1.0, fields.cosine_velocity(), g)
     return float(np.max(np.abs(
-        ve.v - pseudoherm.rosen_morse_form(DEFAULT_TORUS, 0.2, 1.0, g.points))))
+        ve.rho - pseudoherm.rosen_morse_form(DEFAULT_TORUS, 0.2, 1.0, g.points))))
 
 
 def wavefunction_residual() -> float:
@@ -298,7 +298,7 @@ def pdfv_levels(torus, e, k, fermi, alpha, n_max, grid) -> list[tuple]:
         sol = analytic.case2_quantize(n, alpha, alpha ** 2 * (n + 0.5) ** 2 - 0.5)
         gauge_n = fields.linear_ring_field(a2=alpha * (n + 0.5) / (e * torus.a), e=e, k=k)
         ve = pseudoherm.veff_case2(torus, gauge_n, k, e, fermi, grid)
-        m = numerics.discretize_schrodinger(np.real(ve.v), grid)
+        m = numerics.discretize_schrodinger(np.real(ve.rho), grid)
         fd = numerics.eig_sym_tridiag(m, n + 1, with_vectors=False).eigenvalues[n]
         eps_sq = sol.epsilon_n ** 2
         rows.append((n, fd, eps_sq, abs(fd - eps_sq) / max(1.0, eps_sq)))

@@ -138,12 +138,13 @@ def _build_config(raw: dict, grid_n=None) -> ScenarioConfig:
     except TorusDiracError as exc:
         raise ConfigError(f"field: {exc}") from exc
 
+    if real("fermi", "v_f") != 1.0:
+        # the constant_vf spectrum is the V_F-free Mathieu form; pdfv fixes the cosine profile
+        raise ConfigError(f"fermi.v_f: no output reads the velocity scale; only 1.0 is "
+                          f"supported, got {raw['fermi']['v_f']!r}")
     fm = raw["fermi"]
     if fm["kind"] == "constant":
-        try:
-            fermi = fields.constant_velocity(real("fermi", "v_f"))
-        except ValueError as exc:
-            raise ConfigError(f"fermi: {exc}") from exc
+        fermi = fields.constant_velocity()
     elif fm["kind"] == "cosine":
         fermi = fields.cosine_velocity()
     else:
@@ -252,6 +253,10 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     return rep
 
 
+def _default_grid(cfg: ScenarioConfig) -> bool:
+    return cfg.grid == Grid(DEFAULT_CONFIG["grid"]["n"])
+
+
 def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     rep = RunReport("spectrum")
     p, e, k = cfg.torus, cfg.quantum.e, cfg.quantum.k
@@ -264,7 +269,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
         raise ConfigError("spectrum: the constant_vf spectrum needs field.C3: auto, "
                           f"got {cfg.raw['field']['C3']!r}")
     if cfg.case == "pdfv" and (cfg.raw["field"] != DEFAULT_CONFIG["field"]
-                               or cfg.grid != Grid(DEFAULT_CONFIG["grid"]["n"])):
+                               or not _default_grid(cfg)):
         # each pdfv level builds its own linear ring field and an 8000-point grid
         raise ConfigError("spectrum: case pdfv reads neither field.* nor the grid; "
                           "leave them at their defaults")
@@ -471,6 +476,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, grid_n=args.grid_n)
+        if args.command != "spectrum" and not _default_grid(cfg):
+            # only the constant_vf spectrum samples the configured grid
+            raise ConfigError(f"{args.command} reads neither grid.* nor --grid-n; "
+                              "leave them at their defaults")
         if args.command == "geometry":
             rep = cmd_geometry(cfg, out, timestamp)
         elif args.command == "spectrum":

@@ -61,7 +61,6 @@ class GaugeField:
     grid: Optional[Grid] = None
     ax_samples: Optional[tuple] = field(default=None, repr=False)
     au_samples: Optional[tuple] = field(default=None, repr=False)
-    c2_convention: str = "as-given"  # or "rotated" when C2 -> i*C2 was applied
 
     def __post_init__(self):
         if self.kind not in GAUGE_KINDS:
@@ -77,15 +76,6 @@ class GaugeField:
                 raise GridMismatch("tabulated gauge samples do not match the grid")
             if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(au))):
                 raise ValueError("tabulated gauge samples must be finite")
-
-    def rotated_c2(self) -> "GaugeField":
-        """Return the same family with C2 -> i*C2 (recorded in metadata)."""
-        if self.kind not in ("quadratic_au", "hermitizing_quadratic"):
-            raise FamilyMismatch("C2 rotation applies to the quadratic A_u families")
-        return GaugeField(
-            kind=self.kind, e=self.e, k=self.k, C2=1j * self.C2, C3=self.C3,
-            c2_convention="rotated",
-        )
 
 
 def zero_field() -> GaugeField:

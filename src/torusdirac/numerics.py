@@ -326,10 +326,12 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 
 def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
                         max_iter: int = 200) -> float:
-    """Root of f in [lo, hi] by bisection with secant acceleration.
+    """Root of f in [lo, hi] by the Illinois variant of false position.
 
     Requires a sign change; stops when |f(root)| < tol or the bracket is
-    machine-tight.
+    machine-tight.  When the same end survives two steps in a row its f is
+    halved, so the bracket closes from both sides even where |f| cannot
+    fall below tol.
     """
     fa, fb = f(lo), f(hi)
     if fa == 0.0:
@@ -339,16 +341,25 @@ def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
     if not (np.isfinite(fa) and np.isfinite(fb)) or (fa > 0) == (fb > 0):
         raise NoSignChange(f"f({lo})={fa} and f({hi})={fb} do not bracket a root")
     a, b = lo, hi
+    kept = None  # the end that survived the previous step
     for _ in range(max_iter):
         # secant candidate, kept only if it lands strictly inside the bracket
         m = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
         if not (min(a, b) < m < max(a, b)):
             m = 0.5 * (a + b)
+            if not (min(a, b) < m < max(a, b)):
+                return m  # no float lies strictly inside the bracket
         fm = f(m)
         if abs(fm) < tol or abs(b - a) < 1e-16 * max(1.0, abs(a) + abs(b)):
             return m
         if fa < 0 < fm or fm < 0 < fa:  # opposite signs, without overflow
             b, fb = m, fm
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
         else:
             a, fa = m, fm
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
     raise ConvergenceFailure("bracketed root search exceeded max iterations")

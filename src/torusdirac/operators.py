@@ -5,7 +5,6 @@ x alone.  Its off-diagonal entries combine a first derivative with the
 multiplicative coefficients
 
     W1(x) = (a/2) sin x - (i e / a) A_x(x)
-    W2(x) = -i e a A_u(x) / R(x)
     Q(x)  = (k + e a A_u(x)) / R(x)      (the reduced angular + gauge term)
 
 Two assembly conventions exist because the source system is printed with an
@@ -13,6 +12,10 @@ ambiguous second row.  'matrix_literal' uses -(1/a) d/dx in both rows;
 'fg' (default) negates the second row, which is the reading whose square
 reproduces the decoupled equations with a positive eigenvalue scale.  The
 decoupled coefficients themselves are identical either way.
+
+Every sampled operator of the package, from the decoupled second-order
+problems to the first-order and multiplicative intertwiners, is one
+`SampledOp`  -p psi'' + sigma psi' + rho psi.
 """
 
 from __future__ import annotations
@@ -36,14 +39,6 @@ from .grids import Grid, GridFunction, diff1, diff2, same_grid
 SQUARE_SIGN = {"fg": +1, "matrix_literal": -1}
 
 
-@dataclass(frozen=True)
-class W12Pair:
-    """Sampled off-diagonal coefficients W1 and W2."""
-
-    w1: complex
-    w2: complex
-
-
 @dataclass
 class SpinorGF:
     """Two-component spinor sampled on a common grid."""
@@ -63,55 +58,66 @@ class SpinorGF:
 
 
 @dataclass
-class SLProblem:
-    """Second-order operator  -psi'' + sigma psi' + rho psi  sampled on a grid.
+class SampledOp:
+    """Operator  -p psi'' + sigma psi' + rho psi  sampled on a grid.
 
-    The decouplers document how its eigenvalue relates to the energy;
-    `meta` holds the intermediate coefficients a decoupler exposes (F and G
-    for position-dependent velocity).
+    p = 1 gives the Schrodinger (sigma = 0) and Sturm-Liouville forms, p = 0
+    the first-order (sigma = 1) and multiplicative (sigma = 0) ones.  A
+    scalar sigma or rho is broadcast over the grid.  The decouplers
+    document how their eigenvalue relates to the energy; `meta` holds what
+    a constructor exposes (F and G for position-dependent velocity, the
+    branch constants of the superpotential).
     """
 
     grid: Grid
+    p: float
     sigma: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=complex)
-        self.rho = np.asarray(self.rho, dtype=complex)
+        self.p = float(self.p)
+        self.sigma, self.rho = (np.full(self.grid.n, c, dtype=complex) if np.ndim(c) == 0
+                                else np.asarray(c, dtype=complex)
+                                for c in (self.sigma, self.rho))
         if self.sigma.shape != (self.grid.n,) or self.rho.shape != (self.grid.n,):
             raise GridMismatch("coefficient samples do not match the grid")
-        if not (np.all(np.isfinite(self.sigma)) and np.all(np.isfinite(self.rho))):
-            raise ValueError("non-finite coefficients on interior grid points")
+        if not (np.isfinite(self.p) and np.all(np.isfinite(self.sigma))
+                and np.all(np.isfinite(self.rho))):
+            raise ValueError("non-finite coefficient samples")
 
     def apply(self, gf: GridFunction, second_derivative: str = "d2") -> GridFunction:
-        """Apply -d2 + sigma d1 + rho with the chosen second-derivative stencil.
+        """Apply -p d2 + sigma d1 + rho with the chosen second-derivative stencil.
 
         'd1d1' composes the central first-derivative stencil with itself,
         which is the discrete operator a squared first-order system actually
         produces; 'd2' is the standard three-point Laplacian.
         """
         if gf.grid != self.grid:
-            raise GridMismatch("operand grid differs from problem grid")
+            raise GridMismatch("operand grid differs from operator grid")
         v = gf.values
-        if second_derivative == "d1d1":
-            dd = diff1(diff1(v, self.grid), self.grid)
-        else:
-            dd = diff2(v, self.grid)
-        return GridFunction(self.grid, -dd + self.sigma * diff1(v, self.grid) + self.rho * v)
+        out = self.sigma * diff1(v, self.grid)
+        if self.p:
+            if second_derivative == "d1d1":
+                dd = diff1(diff1(v, self.grid), self.grid)
+            else:
+                dd = diff2(v, self.grid)
+            out = -self.p * dd + out
+        return GridFunction(self.grid, out + self.rho * v)
 
     def apply_adjoint(self, gf: GridFunction) -> GridFunction:
-        """Conjugate transpose of the 'd2' matrix: -d2 v - d1(conj(sigma) v) + conj(rho) v.
+        """Conjugate transpose of the 'd2' matrix: -p d2 v - d1(conj(sigma) v) + conj(rho) v.
 
         Exact on both grid kinds: the d2 stencil is symmetric and the
         (wrapped or zero-padded) d1 stencil antisymmetric.
         """
         if gf.grid != self.grid:
-            raise GridMismatch("operand grid differs from problem grid")
+            raise GridMismatch("operand grid differs from operator grid")
         v = gf.values
-        return GridFunction(self.grid, -diff2(v, self.grid)
-                            - diff1(np.conj(self.sigma) * v, self.grid)
-                            + np.conj(self.rho) * v)
+        out = -diff1(np.conj(self.sigma) * v, self.grid)
+        if self.p:
+            out = -self.p * diff2(v, self.grid) + out
+        return GridFunction(self.grid, out + np.conj(self.rho) * v)
 
 
 def _check_ring(params: TorusParams, x: np.ndarray) -> np.ndarray:
@@ -119,16 +125,6 @@ def _check_ring(params: TorusParams, x: np.ndarray) -> np.ndarray:
     if np.min(np.abs(r)) < 1e-12:
         raise DegenerateGeometry("ring radius vanishes on the grid")
     return r
-
-
-def dirac_offdiag(params: TorusParams, gauge: GaugeField, x) -> W12Pair:
-    """W1 and W2 at a single angle."""
-    xs = np.asarray([x], dtype=float)
-    r = _check_ring(params, xs)[0]
-    ax, au = eval_gauge(gauge, params, xs)
-    w1 = 0.5 * params.a * np.sin(x) - 1j * gauge.e / params.a * ax[0]
-    w2 = -1j * gauge.e * params.a * au[0] / r
-    return W12Pair(w1=complex(w1), w2=complex(w2))
 
 
 def _coefficients(params: TorusParams, gauge: GaugeField, k: int, e: float,
@@ -192,7 +188,7 @@ def decouple_constant_vf(params: TorusParams, gauge: GaugeField, k: int, e: floa
     the plus sector.  The eigenvalue of either problem is a^2 (E/V_F)^2.
     """
     sigma, (f_plus, f_minus), _ = _squared_terms(params, gauge, k, e, grid.points)
-    return SLProblem(grid, sigma, f_plus), SLProblem(grid, sigma, f_minus)
+    return SampledOp(grid, 1, sigma, f_plus), SampledOp(grid, 1, sigma, f_minus)
 
 
 def decouple_pdfv(params: TorusParams, gauge: GaugeField, k: int, e: float,
@@ -212,8 +208,9 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, k: int, e: float,
         raise VelocityZero("V_F vanishes on an interior grid point; choose a grid avoiding it")
     sigma, (f_plus, f_minus), (g_plus, g_minus) = _squared_terms(params, gauge, k, e, x)
     t = vp / v
-    return (SLProblem(grid, sigma - t, f_plus + g_plus * t, meta={"F": f_plus, "G": g_plus}),
-            SLProblem(grid, sigma - t, f_minus + g_minus * t,
+    return (SampledOp(grid, 1, sigma - t, f_plus + g_plus * t,
+                      meta={"F": f_plus, "G": g_plus}),
+            SampledOp(grid, 1, sigma - t, f_minus + g_minus * t,
                       meta={"F": f_minus, "G": g_minus}))
 
 
@@ -274,7 +271,7 @@ def hermiticity_defect(params: TorusParams, gauge: GaugeField, k: int, grid: Gri
     return worst
 
 
-def sl_coefficient_table(problem: SLProblem):
+def sl_coefficient_table(problem: SampledOp):
     """(header, rows) for CSV export of the sampled coefficients."""
     header = ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"]
     rows = list(zip(problem.grid.points, problem.sigma.real, problem.sigma.imag,

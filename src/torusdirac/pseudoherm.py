@@ -12,92 +12,21 @@ which the residual reports rather than hides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainSingularity, FamilyMismatch, GridMismatch
 from .fields import FermiVelocity, GaugeField, eval_gauge, eval_gauge_derivatives, eval_fermi_velocity_2
 from .geometry import TorusParams, radius_derivative, radius_profile
-from .grids import Grid, GridFunction, compact_test_functions, diff1, diff2
+from .grids import Grid, GridFunction, compact_test_functions, diff2
 from .numerics import cumulative_simpson
-from .operators import decouple_pdfv
+from .operators import SampledOp, decouple_pdfv
 
 
 # ---------------------------------------------------------------------------
-# operator containers
+# operator combinators (the operators themselves are `SampledOp`s)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FirstOrderOp:
-    """d/dx + f(x) on a grid, f sampled."""
-
-    grid: Grid
-    f: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=complex)
-        if self.f.shape != (self.grid.n,):
-            raise GridMismatch("coefficient samples do not match the grid")
-
-    def apply(self, gf: GridFunction) -> GridFunction:
-        if gf.grid != self.grid:
-            raise GridMismatch("operand grid differs from operator grid")
-        return GridFunction(self.grid, diff1(gf.values, self.grid) + self.f * gf.values)
-
-    def apply_adjoint(self, gf: GridFunction) -> GridFunction:
-        """Conjugate transpose of the discretized matrix: -d/dx + conj(f)."""
-        if gf.grid != self.grid:
-            raise GridMismatch("operand grid differs from operator grid")
-        return GridFunction(self.grid, -diff1(gf.values, self.grid) + np.conj(self.f) * gf.values)
-
-
-@dataclass
-class MultiplicativeOp:
-    """Pointwise multiplication by g(x)."""
-
-    grid: Grid
-    g: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=complex)
-        if self.g.shape != (self.grid.n,):
-            raise GridMismatch("coefficient samples do not match the grid")
-
-    def apply(self, gf: GridFunction) -> GridFunction:
-        if gf.grid != self.grid:
-            raise GridMismatch("operand grid differs from operator grid")
-        return GridFunction(self.grid, self.g * gf.values)
-
-
-class IdentityOp:
-    def apply(self, gf: GridFunction) -> GridFunction:
-        return gf
-
-
-@dataclass
-class SchrodingerOp:
-    """-d^2/dx^2 + v(x) with second-order central differences."""
-
-    grid: Grid
-    v: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=complex)
-        if self.v.shape != (self.grid.n,):
-            raise GridMismatch("potential samples do not match the grid")
-        if not np.all(np.isfinite(self.v)):
-            raise ValueError("potential has non-finite interior samples")
-
-    def apply(self, gf: GridFunction) -> GridFunction:
-        if gf.grid != self.grid:
-            raise GridMismatch("operand grid differs from operator grid")
-        return GridFunction(self.grid, -diff2(gf.values, self.grid) + self.v * gf.values)
-
-    def apply_adjoint(self, gf: GridFunction) -> GridFunction:
-        return GridFunction(self.grid, -diff2(gf.values, self.grid) + np.conj(self.v) * gf.values)
-
 
 @dataclass
 class AdjointOf:
@@ -114,7 +43,8 @@ class ComposedOp:
     """Right-to-left composition of operators (last entry applied first).
 
     Useful for building factorized Hamiltonians L1 L2 whose intertwining by
-    L1 or L2 is exact at the discrete level by associativity.
+    L1 or L2 is exact at the discrete level by associativity; the empty
+    composition is the identity.
     """
 
     ops: tuple
@@ -144,7 +74,7 @@ class MathieuParams:
 # constant-velocity chain
 # ---------------------------------------------------------------------------
 
-def eta2_case1(params: TorusParams, C1: float, grid: Grid) -> FirstOrderOp:
+def eta2_case1(params: TorusParams, C1: float, grid: Grid) -> SampledOp:
     """First-order intertwiner d/dx + A(x) of the constant-velocity chain.
 
     A(x) = C1 + a^4 x / 4 - (a^2/2) sin x - (a^4/8) sin 2x.  The x/4 term is
@@ -154,11 +84,11 @@ def eta2_case1(params: TorusParams, C1: float, grid: Grid) -> FirstOrderOp:
     a4 = params.a ** 4
     x = grid.points
     coeff = C1 + a4 * x / 4.0 - 0.5 * params.a ** 2 * np.sin(x) - a4 / 8.0 * np.sin(2.0 * x)
-    return FirstOrderOp(grid, coeff, meta={"secular": True, "C1": C1})
+    return SampledOp(grid, 0, 1, coeff, meta={"secular": True, "C1": C1})
 
 
 def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
-                                k: int, e: float, grid: Grid) -> SchrodingerOp:
+                                k: int, e: float, grid: Grid) -> SampledOp:
     """Hermitian-counterpart potential of the constant-velocity chain.
 
     V1 = (a k + a^2 e A_u)^2 / R^2 + a e A_u' / R - a k R'/R^2 - a^2 e A_u R'/R^2,
@@ -175,10 +105,10 @@ def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
     rp = radius_derivative(params, x)
     _, au = eval_gauge(gauge, params, x)
     _, aup = eval_gauge_derivatives(gauge, params, x)
-    return SchrodingerOp(grid, (a * k + a ** 2 * e * au) ** 2 / r ** 2
-                         + a * e * aup / r
-                         - a * k * rp / r ** 2
-                         - a ** 2 * e * au * rp / r ** 2)
+    return SampledOp(grid, 1, 0, (a * k + a ** 2 * e * au) ** 2 / r ** 2
+                     + a * e * aup / r
+                     - a * k * rp / r ** 2
+                     - a ** 2 * e * au * rp / r ** 2)
 
 
 def mathieu_form(params: TorusParams, e: float, C2: complex) -> MathieuParams:
@@ -198,7 +128,7 @@ def sqrt_am1(a: float) -> complex:
     return complex(np.sqrt(complex(a - 1.0, 0.0)))
 
 
-def superpotential_case1(params: TorusParams, grid: Grid, e: float = 1.0) -> FirstOrderOp:
+def superpotential_case1(params: TorusParams, grid: Grid, e: float = 1.0) -> SampledOp:
     """Superpotential operator d/dx + W with W = -(i sqrt(a-1)/a) sin x + i(a-2)/(2a).
 
     The factorization branch constrains the companion constants:
@@ -216,7 +146,7 @@ def superpotential_case1(params: TorusParams, grid: Grid, e: float = 1.0) -> Fir
     else:
         branch = "real-C2"
         c_val = 0.5 * a ** 2 / (-1j * s)  # formally a^2/(2 sqrt(1-a)), imaginary here
-    return FirstOrderOp(grid, w, meta={"C2": c2, "c": c_val, "branch": branch, "e": e})
+    return SampledOp(grid, 0, 1, w, meta={"C2": c2, "c": c_val, "branch": branch, "e": e})
 
 
 def partner_potentials_case1(params: TorusParams, grid: Grid):
@@ -225,22 +155,22 @@ def partner_potentials_case1(params: TorusParams, grid: Grid):
     s = sqrt_am1(a)
     x = grid.points
     base = (a - 1.0) / a ** 2 * np.cos(x) ** 2 + (a - 2.0) / a ** 2 * s * np.sin(x) - 0.25
-    return (SchrodingerOp(grid, base + 1j * s / a * np.cos(x)),
-            SchrodingerOp(grid, base - 1j * s / a * np.cos(x)))
+    return (SampledOp(grid, 1, 0, base + 1j * s / a * np.cos(x)),
+            SampledOp(grid, 1, 0, base - 1j * s / a * np.cos(x)))
 
 
-def eta1_case1(params: TorusParams, grid: Grid) -> MultiplicativeOp:
+def eta1_case1(params: TorusParams, grid: Grid) -> SampledOp:
     """Multiplicative similarity factor i(2-a)/(2a) + (i sqrt(a-1)/a) sin x."""
     a = params.a
     s = sqrt_am1(a)
-    return MultiplicativeOp(grid, 1j * (2.0 - a) / (2.0 * a) + 1j * s / a * np.sin(grid.points))
+    return SampledOp(grid, 0, 0, 1j * (2.0 - a) / (2.0 * a) + 1j * s / a * np.sin(grid.points))
 
 
 # ---------------------------------------------------------------------------
 # position-dependent-velocity chain
 # ---------------------------------------------------------------------------
 
-def eta2_case2(params: TorusParams, C2: float, grid: Grid) -> FirstOrderOp:
+def eta2_case2(params: TorusParams, C2: float, grid: Grid) -> SampledOp:
     """First-order intertwiner of the position-dependent-velocity chain.
 
     Coefficient a^4/16 + C2 + (3/4) a^2 sin x - (a^4/32) sin 2x; unlike the
@@ -249,7 +179,7 @@ def eta2_case2(params: TorusParams, C2: float, grid: Grid) -> FirstOrderOp:
     a4 = params.a ** 4
     x = grid.points
     coeff = a4 / 16.0 + C2 + 0.75 * params.a ** 2 * np.sin(x) - a4 / 32.0 * np.sin(2.0 * x)
-    return FirstOrderOp(grid, coeff, meta={"secular": False, "C2": C2})
+    return SampledOp(grid, 0, 1, coeff, meta={"secular": False, "C2": C2})
 
 
 def prefactor_case2(params: TorusParams, gauge: GaugeField, grid: Grid,
@@ -333,7 +263,7 @@ def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: floa
 
 
 def veff_case2(params: TorusParams, gauge: GaugeField, k: int, e: float,
-               vf: FermiVelocity, grid: Grid) -> SchrodingerOp:
+               vf: FermiVelocity, grid: Grid) -> SampledOp:
     """Effective potential of the transformed position-dependent-velocity problem.
 
     V_eff = -V'^2/(4V^2) + V''/(2V) + (a e A_u + k)^2/R^2 - a e A_u'/R
@@ -356,13 +286,13 @@ def veff_case2(params: TorusParams, gauge: GaugeField, k: int, e: float,
     _, au = eval_gauge(gauge, params, x)
     _, aup = eval_gauge_derivatives(gauge, params, x)
     v, vp, vpp = eval_fermi_velocity_2(vf, params, x)
-    return SchrodingerOp(grid, -(vp ** 2) / (4.0 * v ** 2)
-                         + vpp / (2.0 * v)
-                         + (au * a * e + k) ** 2 / r ** 2
-                         - a * e * aup / r
-                         + (k + a * e * au) * rp / r ** 2
-                         - k * vp / (r * v)
-                         - a * e * au * vp / (r * v))
+    return SampledOp(grid, 1, 0, -(vp ** 2) / (4.0 * v ** 2)
+                     + vpp / (2.0 * v)
+                     + (au * a * e + k) ** 2 / r ** 2
+                     - a * e * aup / r
+                     + (k + a * e * au) * rp / r ** 2
+                     - k * vp / (r * v)
+                     - a * e * au * vp / (r * v))
 
 
 def rosen_morse_form(params: TorusParams, a2: float, e: float, x):

@@ -166,12 +166,21 @@ def test_load_config_does_not_share_default_state(tmp_path, monkeypatch):
     ("grid: {boundary: dirichlet}\n", "spectrum"),
     # the Mathieu form assumes C3 = -k/(a e), so an explicit C3 left the spectrum unchanged
     ("field: {C3: 5.0}\n", "spectrum"),
+    # no output reads the Fermi-velocity scale
+    ("fermi: {v_f: 2.0}\n", "spectrum"),
+    ("fermi: {v_f: 2.0}\n", "analytic"),
+    # only the constant_vf spectrum samples the configured grid
+    *[(text, flags + command)
+      for command in ("geometry", "verify", "analytic", "sweep alpha 1.0")
+      for text, flags in (("grid: {n: 64}\n", ""), ("", "--grid-n 64 "))],
 ])
 def test_config_rejects_inputs_that_do_nothing(tmp_path, capsys, text, command):
     cfg = tmp_path / "noop.yaml"
     cfg.write_text(text)
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == 2
+    argv = ["--config", str(cfg), "--out", str(tmp_path), *command.split()]
+    assert cli.main(argv) == 2
     assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_accepts_zero_delta(tmp_path):
@@ -243,3 +252,12 @@ def test_config_rejects_values_of_the_wrong_kind(tmp_path, capsys, text, command
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["geometry", "analytic", "sweep alpha 1.0"])
+def test_config_accepts_explicit_defaults(tmp_path, command):
+    # scenario files spell out the grid and the Fermi velocity at their defaults
+    cfg = tmp_path / "defaults.yaml"
+    cfg.write_text("grid: {n: 1024, boundary: periodic}\nfermi: {kind: constant, v_f: 1.0}\n")
+    argv = ["--config", str(cfg), "--out", str(tmp_path), "--grid-n", "1024", *command.split()]
+    assert cli.main(argv) == 0

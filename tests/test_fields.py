@@ -76,15 +76,6 @@ def test_k_cancellation_identity():
     assert np.max(np.abs(lhs - P.a * 1.3 * 0.8 * r ** 2)) < 1e-12
 
 
-def test_c2_rotation_records_convention():
-    f = quadratic_ring_field(C2=0.5, e=1.0, k=1)
-    rot = f.rotated_c2()
-    assert rot.C2 == 0.5j
-    assert rot.c2_convention == "rotated"
-    with pytest.raises(FamilyMismatch):
-        linear_ring_field(0.1).rotated_c2()
-
-
 def test_fermi_velocity_families():
     v, vp = eval_fermi_velocity(constant_velocity(1.0), P, 0.7)
     assert v == 1.0 and vp == 0.0

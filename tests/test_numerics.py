@@ -253,3 +253,10 @@ def test_root_finder():
     assert find_root_bracketed(np.cos, 1.0, 2.0) == pytest.approx(np.pi / 2, abs=1e-12)
     with pytest.raises(NoSignChange):
         find_root_bracketed(lambda x: x * x + 1, -1.0, 1.0)
+
+
+def test_root_finder_returns_a_bracket_of_adjacent_floats():
+    # |f| never falls below tol, so the search ends on two neighbouring floats
+    r = 17.557883060133592
+    root = find_root_bracketed(lambda x: 1.0 if x < r else -1.0, 0.0, 30.0, tol=0.0)
+    assert abs(root - r) <= np.spacing(r)

@@ -17,12 +17,12 @@ from torusdirac.fields import (
 from torusdirac.geometry import TorusParams, radius_profile
 from torusdirac.grids import Grid, GridFunction, band_limited
 from torusdirac.operators import (
-    SLProblem,
+    SampledOp,
     SpinorGF,
+    _coefficients,
     apply_dirac,
     decouple_constant_vf,
     decouple_pdfv,
-    dirac_offdiag,
     hermiticity_defect,
     sl_coefficient_table,
     squaring_discrepancy,
@@ -37,17 +37,16 @@ def spinor(grid, modes, seed):
 
 
 def test_offdiag_zero_field_values():
-    w = dirac_offdiag(P, zero_field(), np.pi / 2)
-    assert w.w1 == pytest.approx(0.25) and w.w2 == 0.0
-    w0 = dirac_offdiag(P, zero_field(), 0.0)
-    assert w0.w1 == pytest.approx(0.0, abs=1e-16)
+    w1, _, _, _ = _coefficients(P, zero_field(), 1, 1.0, np.array([np.pi / 2, 0.0]))
+    assert w1[0] == pytest.approx(0.25)
+    assert w1[1] == pytest.approx(0.0, abs=1e-16)
 
 
 def test_offdiag_hermitizing_cancels_w1():
     # the imaginary gauge term exactly cancels the geometric sine term
-    for x in (0.3, np.pi / 2, 2.5):
-        w = dirac_offdiag(P, hermitizing_field(e=1.0), x)
-        assert abs(w.w1) < 1e-15
+    w1, _, _, _ = _coefficients(P, hermitizing_field(e=1.0), 1, 1.0,
+                                np.array([0.3, np.pi / 2, 2.5]))
+    assert np.max(np.abs(w1)) < 1e-15
 
 
 def test_apply_dirac_offdiagonal_structure():
@@ -202,14 +201,25 @@ def test_sl_coefficient_table_layout():
     assert len(rows) == G.n and len(rows[0]) == 5
 
 
-@pytest.mark.parametrize("grid", [Grid(256), Grid(300, -1.3, 1.3, "dirichlet")],
-                         ids=["periodic", "dirichlet"])
-def test_sl_apply_adjoint_is_the_conjugate_transpose(grid):
+PERIODIC, DIRICHLET = Grid(256), Grid(300, -1.3, 1.3, "dirichlet")
+
+
+@pytest.mark.parametrize("grid, form", [
+    pytest.param(PERIODIC, "second-order", id="periodic"),
+    pytest.param(DIRICHLET, "second-order", id="dirichlet"),
+    pytest.param(PERIODIC, "first-order", id="periodic-first-order"),
+    pytest.param(DIRICHLET, "first-order", id="dirichlet-first-order"),
+    pytest.param(PERIODIC, "multiplicative", id="periodic-multiplicative"),
+    pytest.param(DIRICHLET, "multiplicative", id="dirichlet-multiplicative"),
+])
+def test_sl_apply_adjoint_is_the_conjugate_transpose(grid, form):
     # <A u, v> = <u, A^H v> for random complex u, v and complex coefficients
     rng = np.random.default_rng(7)
     u, v, sigma, rho = (rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
                         for _ in range(4))
-    op = SLProblem(grid, sigma, rho)
+    p, sigma = {"second-order": (1, sigma), "first-order": (0, 1),
+                "multiplicative": (0, 0)}[form]
+    op = SampledOp(grid, p, sigma, rho)
     au = op.apply(GridFunction(grid, u)).values
     lhs = np.vdot(au, v)
     rhs = np.vdot(u, op.apply_adjoint(GridFunction(grid, v)).values)

@@ -13,14 +13,10 @@ from torusdirac.fields import (
 )
 from torusdirac.geometry import TorusParams
 from torusdirac.grids import Grid, GridFunction, compact_test_functions
-from torusdirac.operators import decouple_constant_vf
+from torusdirac.operators import SampledOp, decouple_constant_vf
 from torusdirac.pseudoherm import (
     AdjointOf,
     ComposedOp,
-    FirstOrderOp,
-    IdentityOp,
-    MultiplicativeOp,
-    SchrodingerOp,
     case2_mapping_report,
     eta1_case1,
     eta2_case1,
@@ -57,11 +53,11 @@ def test_eta2_case1_coefficient():
     x = g.points
     a4 = P.a ** 4
     expected = a4 * x / 4 - P.a ** 2 / 2 * np.sin(x) - a4 / 8 * np.sin(2 * x)
-    assert np.max(np.abs(op.f - expected)) < 1e-15
+    assert np.max(np.abs(op.rho - expected)) < 1e-15
     assert op.meta["secular"] is True
-    assert abs(op.f[0]) < 1e-15  # value at x = 0 with C1 = 0
+    assert abs(op.rho[0]) < 1e-15  # value at x = 0 with C1 = 0
     tiny = eta2_case1(TorusParams(a=1e-6, c=2.0), 0.0, g)
-    assert np.max(np.abs(tiny.f)) < 1e-12
+    assert np.max(np.abs(tiny.rho)) < 1e-12
 
 
 def test_counterpart_k_cancellation():
@@ -69,7 +65,7 @@ def test_counterpart_k_cancellation():
     g = Grid(128)
     f = quadratic_ring_field(C2=0.0, e=1.0, k=5)
     v = hermitian_counterpart_case1(P, f, 5, 1.0, g)
-    assert np.max(np.abs(v.v)) < 1e-13
+    assert np.max(np.abs(v.rho)) < 1e-13
 
 
 def test_counterpart_matches_trig_polynomial():
@@ -77,9 +73,9 @@ def test_counterpart_matches_trig_polynomial():
     f = quadratic_ring_field(C2=1.0, e=1.0, k=1)
     v = hermitian_counterpart_case1(P, f, 1, 1.0, g)
     poly = mathieu_form(P, 1.0, 1.0).potential(g.points)
-    assert np.max(np.abs(v.v - poly)) < 1e-13
+    assert np.max(np.abs(v.rho - poly)) < 1e-13
     # periodicity
-    assert period_gap(hermitian_counterpart_case1(P, f, 1, 1.0, TWO_PERIODS).v) < 1e-13
+    assert period_gap(hermitian_counterpart_case1(P, f, 1, 1.0, TWO_PERIODS).rho) < 1e-13
 
 
 def test_counterpart_family_guard():
@@ -113,7 +109,7 @@ def test_superpotential_constraint_branch():
     w = superpotential_case1(P, g)
     assert w.meta["branch"] == "real-c"
     assert np.real(w.meta["c"]) == pytest.approx(0.25 / (2 * np.sqrt(0.5)), abs=1e-12)
-    assert w.f[0] == pytest.approx(-1.5j, abs=1e-15)  # x = 0 value at a = 1/2
+    assert w.rho[0] == pytest.approx(-1.5j, abs=1e-15)  # x = 0 value at a = 1/2
     big = superpotential_case1(TorusParams(a=1.5, c=3.0), g)
     assert big.meta["branch"] == "real-C2"
     assert abs(np.imag(big.meta["C2"])) < 1e-14
@@ -127,31 +123,31 @@ def test_factorization_identities_pointwise():
     w = -1j * s / a * np.sin(x) + 1j * (a - 2) / (2 * a)
     wp = -1j * s / a * np.cos(x)
     v, v1 = partner_potentials_case1(P, g)
-    assert np.max(np.abs(w ** 2 - wp - v.v)) < 1e-12
-    assert np.max(np.abs(w ** 2 + wp - v1.v)) < 1e-12
+    assert np.max(np.abs(w ** 2 - wp - v.rho)) < 1e-12
+    assert np.max(np.abs(w ** 2 + wp - v1.rho)) < 1e-12
     # 1% perturbation blows the defect up by far more than 10^3
-    defect = np.max(np.abs((1.01 * w) ** 2 - wp - v.v))
-    assert defect > 1e3 * max(np.max(np.abs(w ** 2 - wp - v.v)), 1e-15)
+    defect = np.max(np.abs((1.01 * w) ** 2 - wp - v.rho))
+    assert defect > 1e3 * max(np.max(np.abs(w ** 2 - wp - v.rho)), 1e-15)
 
 
 def test_partner_difference_closed_form():
     g = Grid(256)
     v, v1 = partner_potentials_case1(P, g)
     s = sqrt_am1(P.a)
-    assert np.max(np.abs((v.v - v1.v) - 2j * s / P.a * np.cos(g.points))) < 1e-14
+    assert np.max(np.abs((v.rho - v1.rho) - 2j * s / P.a * np.cos(g.points))) < 1e-14
     # at x = pi/2 the differing cosine term vanishes
     idx = np.argmin(np.abs(g.points - np.pi / 2))
     expected = (P.a - 2) / P.a ** 2 * s - 0.25
-    assert v.v[idx] == pytest.approx(expected, abs=1e-6)
-    assert v1.v[idx] == pytest.approx(expected, abs=1e-6)
+    assert v.rho[idx] == pytest.approx(expected, abs=1e-6)
+    assert v1.rho[idx] == pytest.approx(expected, abs=1e-6)
 
 
 def test_eta1_values():
     g = Grid(64)
     op2 = eta1_case1(TorusParams(a=2.0, c=5.0), g)
-    assert np.max(np.abs(op2.g - 0.5j * np.sin(g.points))) < 1e-15
+    assert np.max(np.abs(op2.rho - 0.5j * np.sin(g.points))) < 1e-15
     op = eta1_case1(P, g)
-    assert op.g[0] == pytest.approx(1j * (2 - P.a) / (2 * P.a), abs=1e-15)
+    assert op.rho[0] == pytest.approx(1j * (2 - P.a) / (2 * P.a), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +160,14 @@ def test_schrodinger_op_rejects_non_finite_potential(bad):
     v = np.cos(g.points)
     v[7] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        SchrodingerOp(g, v)
+        SampledOp(g, 1, 0, v)
 
 
 def test_identity_intertwiner_is_exact():
     g = Grid(256)
-    h = SchrodingerOp(g, np.cos(g.points))
+    h = SampledOp(g, 1, 0, np.cos(g.points))
     phis = compact_test_functions(g, [2, 3], rng=1, n_functions=2)
-    assert intertwining_residual(IdentityOp(), h, h, phis) == 0.0
+    assert intertwining_residual(ComposedOp(()), h, h, phis) == 0.0
 
 
 def test_factorized_pair_intertwining_exact_and_sensitive():
@@ -182,7 +178,7 @@ def test_factorized_pair_intertwining_exact_and_sensitive():
     phis = compact_test_functions(g, [3, 4, 6], rng=5, n_functions=3)
     base = intertwining_residual(w, h, h_partner, phis)
     assert base < 1e-12
-    wrong = FirstOrderOp(g, 1.01 * w.f)
+    wrong = SampledOp(g, 0, 1, 1.01 * w.rho)
     assert intertwining_residual(wrong, h, h_partner, phis) > 1e3 * max(base, 1e-15)
 
 
@@ -195,7 +191,7 @@ def test_closed_form_pair_residual_converges_second_order():
         wp = -1j * s / 0.9 * np.cos(x)
         phis = compact_test_functions(grid, [3, 4], rng=2, n_functions=2)
         return intertwining_residual(
-            w, SchrodingerOp(grid, wv ** 2 - wp), SchrodingerOp(grid, wv ** 2 + wp), phis)
+            w, SampledOp(grid, 1, 0, wv ** 2 - wp), SampledOp(grid, 1, 0, wv ** 2 + wp), phis)
 
     r1, r2 = residual(Grid(1024)), residual(Grid(2048))
     assert np.log2(r1 / r2) > 1.9
@@ -205,12 +201,12 @@ def test_multiplicative_symmetrizer_is_exact_intertwiner():
     # exp(-integral sigma) maps the drifted operator to its discrete adjoint
     g = Grid(2048)
     plus, _ = decouple_constant_vf(P, zero_field(), 0, 1.0, g)
-    mu = MultiplicativeOp(g, np.exp(P.a ** 2 * np.cos(g.points)))  # exp(-int sigma)
+    mu = SampledOp(g, 0, 0, np.exp(P.a ** 2 * np.cos(g.points)))  # exp(-int sigma)
     phis = compact_test_functions(g, [2, 4], rng=3, n_functions=2)
     r1 = intertwining_residual(mu, plus, AdjointOf(plus), phis)
     g2 = Grid(4096)
     plus2, _ = decouple_constant_vf(P, zero_field(), 0, 1.0, g2)
-    mu2 = MultiplicativeOp(g2, np.exp(P.a ** 2 * np.cos(g2.points)))
+    mu2 = SampledOp(g2, 0, 0, np.exp(P.a ** 2 * np.cos(g2.points)))
     phis2 = compact_test_functions(g2, [2, 4], rng=3, n_functions=2)
     r2 = intertwining_residual(mu2, plus2, AdjointOf(plus2), phis2)
     assert np.log2(r1 / r2) > 1.8  # discretization error only
@@ -224,7 +220,7 @@ def test_tabulated_intertwiner_obstruction_is_reported_not_hidden():
     herm = hermitizing_quadratic_field(C2=0.4, e=1.0, k=1)
     plus, _ = decouple_constant_vf(P, herm, 1, 1.0, g)
     assert np.max(np.abs(plus.sigma)) < 1e-14
-    h_s = SchrodingerOp(g, plus.rho)
+    h_s = SampledOp(g, 1, 0, plus.rho)
     eta2 = eta2_case1(P, 0.0, g)
     phis = compact_test_functions(g, [3, 4, 6], rng=5, n_functions=3)
     res = intertwining_residual(eta2, h_s, AdjointOf(h_s), phis)
@@ -246,9 +242,9 @@ def test_eta1_similarity_defect_measured_with_exclusion_zone():
     g = Grid(1024)
     eta1 = eta1_case1(P, g)
     v, v1 = partner_potentials_case1(P, g)
-    h_s = SchrodingerOp(g, v.v)
-    h_1 = SchrodingerOp(g, v1.v)
-    mask = np.abs(eta1.g) > 1e-6
+    h_s = SampledOp(g, 1, 0, v.rho)
+    h_1 = SampledOp(g, 1, 0, v1.rho)
+    mask = np.abs(eta1.rho) > 1e-6
     phis = [gf for gf in compact_test_functions(g, [3, 5], rng=9, n_functions=3)]
     phis = [GridFunction(g, gf.values * mask) for gf in phis]
     res = intertwining_residual(eta1, h_1, h_s, phis)
@@ -258,11 +254,11 @@ def test_eta1_similarity_defect_measured_with_exclusion_zone():
 def test_eta2_case2_values_and_periodicity():
     g = Grid(128)
     op = eta2_case2(P, 0.0, g)
-    assert op.f[0] == pytest.approx(0.00390625, abs=1e-15)
-    assert period_gap(eta2_case2(P, 0.0, TWO_PERIODS).f) < 1e-13
+    assert op.rho[0] == pytest.approx(0.00390625, abs=1e-15)
+    assert period_gap(eta2_case2(P, 0.0, TWO_PERIODS).rho) < 1e-13
     assert op.meta["secular"] is False
     tiny = eta2_case2(TorusParams(a=1e-6, c=2.0), 0.0, g)
-    assert np.max(np.abs(tiny.f)) < 1e-12
+    assert np.max(np.abs(tiny.rho)) < 1e-12
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["as-printed", "sigma-half"])
@@ -294,10 +290,10 @@ def test_veff_values_and_guards():
     idx = np.argmin(np.abs(g.points))
     x0 = g.points[idx]
     expected0 = (P.a * 0.2) ** 2 - 0.5 + 0.2 * P.a * np.tan(x0) - np.tan(x0) ** 2 / 4
-    assert v.v[idx] == pytest.approx(expected0, abs=1e-12)
+    assert v.rho[idx] == pytest.approx(expected0, abs=1e-12)
     f0 = linear_ring_field(a2=0.0, e=1.0, k=1)
     v0 = veff_case2(P, f0, 1, 1.0, cosine_velocity(), g)
-    assert np.max(np.abs(v0.v - (-0.5 - np.tan(g.points) ** 2 / 4))) < 1e-12
+    assert np.max(np.abs(v0.rho - (-0.5 - np.tan(g.points) ** 2 / 4))) < 1e-12
     with pytest.raises(FamilyMismatch):
         veff_case2(P, zero_field(), 1, 1.0, cosine_velocity(), g)
     with pytest.raises(FamilyMismatch):
@@ -308,7 +304,7 @@ def test_veff_equals_rosen_morse_closed_form():
     g = Grid(2000, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
     f = linear_ring_field(a2=0.2, e=1.0, k=1)
     v = veff_case2(P, f, 1, 1.0, cosine_velocity(), g)
-    assert np.max(np.abs(v.v - rosen_morse_form(P, 0.2, 1.0, g.points))) < 1e-10
+    assert np.max(np.abs(v.rho - rosen_morse_form(P, 0.2, 1.0, g.points))) < 1e-10
 
 
 def test_mapping_report_calibration():
