@@ -287,17 +287,20 @@ def partner_oracle_match() -> float:
     return worst
 
 
-def pdfv_levels(torus, e, k, fermi, alpha, n_max, grid) -> list[tuple]:
+def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
     """Rows (n, lambda_fd, eps_n^2, rel deviation) for the levels n = 0..n_max.
 
     Level n sets C1 and the linear ring amplitude so that it is quantized,
-    then solves the effective potential on `grid` with Dirichlet walls.
+    then solves the cosine-velocity effective potential on `grid` with
+    Dirichlet walls.  With a2 = alpha (n + 1/2)/(e a) that potential depends on
+    alpha alone, so the default torus and k = e = 1 are used.
     """
     rows = []
     for n in range(n_max + 1):
         sol = analytic.case2_quantize(n, alpha, alpha ** 2 * (n + 0.5) ** 2 - 0.5)
-        gauge_n = fields.linear_ring_field(a2=alpha * (n + 0.5) / (e * torus.a), e=e, k=k)
-        ve = pseudoherm.veff_case2(torus, gauge_n, k, e, fermi, grid)
+        gauge_n = fields.linear_ring_field(a2=alpha * (n + 0.5) / DEFAULT_TORUS.a)
+        ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge_n, 1, 1.0, fields.cosine_velocity(),
+                                   grid)
         m = numerics.discretize_schrodinger(np.real(ve.rho), grid)
         fd = numerics.eig_sym_tridiag(m, n + 1, with_vectors=False).eigenvalues[n]
         eps_sq = sol.epsilon_n ** 2
@@ -308,7 +311,7 @@ def pdfv_levels(torus, e, k, fermi, alpha, n_max, grid) -> list[tuple]:
 def truncated_domain_match() -> float:
     """Worst level deviation n = 0..3 with the walls moved in by 1e-3 (8000 points)."""
     g = Grid(8000, -np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, "dirichlet")
-    rows = pdfv_levels(DEFAULT_TORUS, 1.0, 1, fields.cosine_velocity(), 1.0, 3, g)
+    rows = pdfv_levels(1.0, 3, g)
     return max(row[3] for row in rows)
 
 

@@ -33,7 +33,8 @@ from .checks import RunReport
 from .errors import ComplexPotential, ConfigError, TorusDiracError, UnknownParameter
 from .grids import Grid
 
-SWEEPABLE = ("a", "c", "e", "alpha", "C1")
+# sweep parameter -> the config key its values replace
+SWEEPABLE = {"a": "torus.a", "e": "quantum.e", "alpha": "analytic.alpha", "C1": "analytic.C1"}
 OUTPUTS = ("report", "csv", "coefficients", "box_selftest")
 
 
@@ -52,12 +53,26 @@ DEFAULT_CONFIG = {
     "outputs": ["report", "csv"],
 }
 
+# The config keys and flags each run reads.  No output of a run depends on any
+# other key, so `main` rejects a value other than its default.  `--grid-n` sets grid.n.
+READS = {
+    "geometry": ("torus.a", "torus.c", "outputs"),
+    "spectrum constant_vf": ("torus.a", "torus.c", "field.kind", "field.C2", "quantum.k",
+                             "quantum.e", "grid.n", "case", "outputs"),
+    # the levels set their own ring field and grid; see checks.pdfv_levels
+    "spectrum pdfv": ("case", "fermi.kind", "analytic.alpha", "analytic.n_max", "outputs"),
+    "verify": ("outputs", "--negative-control"),
+    # the Morse chain fixes c = 2, and the charge cancels in its coefficients
+    "analytic": ("torus.a", "analytic.alpha", "analytic.C1", "analytic.n_max"),
+    # less the swept key, whose value each row replaces
+    "sweep": tuple(SWEEPABLE.values()),
+}
+
 
 @dataclass
 class ScenarioConfig:
     torus: geometry.TorusParams
     gauge: fields.GaugeField
-    fermi: fields.FermiVelocity
     quantum: fields.QuantumNumbers
     grid: Grid
     case: str
@@ -83,7 +98,7 @@ def _merge(base: dict, extra: dict, path="") -> dict:
     return out
 
 
-def _build_config(raw: dict, grid_n=None) -> ScenarioConfig:
+def _build_config(raw: dict) -> ScenarioConfig:
     def real(section, key):
         """raw[section][key] as a finite float; YAML strings and booleans are rejected."""
         val = raw[section][key]
@@ -112,57 +127,30 @@ def _build_config(raw: dict, grid_n=None) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"torus: {exc}") from exc
 
-    if real("quantum", "Delta") != 0.0:
-        # no computation reads a gap: the operator is massless
-        raise ConfigError(f"quantum.Delta: only 0 is supported, got {raw['quantum']['Delta']!r}")
     quantum = fields.QuantumNumbers(k=integer("quantum", "k"), e=real("quantum", "e"))
 
-    f = raw["field"]
-    kind = f["kind"]
-    c3 = None if f["C3"] in (None, "auto") else cplx("field", "C3")
+    # the Mathieu form of the constant_vf spectrum needs a C2 and C3 = -k/(a e)
+    kind = raw["field"]["kind"]
+    if kind not in ("quadratic_au", "hermitizing_quadratic"):
+        raise ConfigError(f"field.kind: expected quadratic_au or hermitizing_quadratic, "
+                          f"got {kind!r}")
+    build = (fields.quadratic_ring_field if kind == "quadratic_au"
+             else fields.hermitizing_quadratic_field)
     try:
-        if kind == "zero":
-            gauge = fields.zero_field()
-        elif kind == "hermitizing_ax":
-            gauge = fields.hermitizing_field(e=quantum.e)
-        elif kind == "quadratic_au":
-            gauge = fields.quadratic_ring_field(cplx("field", "C2"), e=quantum.e,
-                                                k=quantum.k, C3=c3)
-        elif kind == "hermitizing_quadratic":
-            gauge = fields.hermitizing_quadratic_field(cplx("field", "C2"), e=quantum.e,
-                                                       k=quantum.k, C3=c3)
-        elif kind == "linear_au":
-            gauge = fields.linear_ring_field(real("field", "a2"), e=quantum.e, k=quantum.k)
-        else:
-            raise ConfigError(f"field.kind: unknown kind {kind!r}")
+        gauge = build(cplx("field", "C2"), e=quantum.e, k=quantum.k)
     except TorusDiracError as exc:
         raise ConfigError(f"field: {exc}") from exc
-
-    if real("fermi", "v_f") != 1.0:
-        # the constant_vf spectrum is the V_F-free Mathieu form; pdfv fixes the cosine profile
-        raise ConfigError(f"fermi.v_f: no output reads the velocity scale; only 1.0 is "
-                          f"supported, got {raw['fermi']['v_f']!r}")
-    fm = raw["fermi"]
-    if fm["kind"] == "constant":
-        fermi = fields.constant_velocity()
-    elif fm["kind"] == "cosine":
-        fermi = fields.cosine_velocity()
-    else:
-        raise ConfigError(f"fermi.kind: unknown kind {fm['kind']!r}")
 
     case = raw["case"]
     if case not in ("constant_vf", "pdfv"):
         raise ConfigError(f"case: expected constant_vf or pdfv, got {case!r}")
-    if case == "pdfv" and fm["kind"] == "constant":
-        # the position-dependent case needs a non-constant profile
-        raise ConfigError("case: pdfv requires fermi.kind != constant")
+    if case == "pdfv" and raw["fermi"]["kind"] != "cosine":
+        # the position-dependent case is solved for the cosine profile only
+        raise ConfigError(f"case: pdfv requires fermi.kind: cosine, "
+                          f"got {raw['fermi']['kind']!r}")
 
-    if raw["grid"]["boundary"] != "periodic":
-        # every grid-reading computation samples the periodic angle
-        raise ConfigError(f"grid.boundary: only periodic is supported, "
-                          f"got {raw['grid']['boundary']!r}")
     try:
-        grid = Grid(grid_n if grid_n is not None else integer("grid", "n"))
+        grid = Grid(integer("grid", "n"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -177,7 +165,7 @@ def _build_config(raw: dict, grid_n=None) -> ScenarioConfig:
     if n_max < 0:
         raise ConfigError(f"analytic.n_max: expected a nonnegative integer, got {n_max}")
     return ScenarioConfig(
-        torus=torus, gauge=gauge, fermi=fermi, quantum=quantum, grid=grid,
+        torus=torus, gauge=gauge, quantum=quantum, grid=grid,
         case=case, alpha=real("analytic", "alpha"), C1=real("analytic", "C1"),
         n_max=n_max, outputs=list(outputs), raw=raw,
     )
@@ -198,7 +186,36 @@ def load_config(path=None, grid_n=None) -> ScenarioConfig:
             raise ConfigError(f"{path}: top level must be a mapping")
         raw = _merge(DEFAULT_CONFIG, user)
     # a private copy: the defaults' nested sections must never be shared
-    return _build_config(copy.deepcopy(raw), grid_n=grid_n)
+    raw = copy.deepcopy(raw)
+    if grid_n is not None:
+        raw["grid"]["n"] = grid_n
+    return _build_config(raw)
+
+
+def _leaves(default: dict, raw: dict, prefix=""):
+    """(dotted key, default, value) for every leaf of the config tree."""
+    for key, dflt in default.items():
+        if isinstance(dflt, dict):
+            yield from _leaves(dflt, raw[key], f"{prefix}{key}.")
+        else:
+            yield prefix + key, dflt, raw[key]
+
+
+def _check_reads(cfg: ScenarioConfig, command: str, negative_control: bool,
+                 swept=None) -> None:
+    """ConfigError for a setting off its default that the run does not read (`READS`)."""
+    run = f"{command} {cfg.case}" if command == "spectrum" else command
+    reads = set(READS[run]) - {SWEEPABLE.get(swept)}
+    settings = [*_leaves(DEFAULT_CONFIG, cfg.raw),
+                ("--negative-control", False, negative_control)]
+    for key, default, value in settings:
+        if key == "outputs":
+            same = set(value) == set(default)
+        else:
+            # YAML's `true` equals 1 in Python
+            same = isinstance(value, bool) == isinstance(default, bool) and value == default
+        if key not in reads and not same:
+            raise ConfigError(f"{run} does not read {key}; leave it at {default!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +270,9 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     return rep
 
 
-def _default_grid(cfg: ScenarioConfig) -> bool:
-    return cfg.grid == Grid(DEFAULT_CONFIG["grid"]["n"])
-
-
 def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     rep = RunReport("spectrum")
     p, e, k = cfg.torus, cfg.quantum.e, cfg.quantum.k
-    if cfg.case == "constant_vf" and cfg.gauge.kind not in ("quadratic_au",
-                                                             "hermitizing_quadratic"):
-        raise ConfigError(f"spectrum: field.kind {cfg.gauge.kind!r} has no C2; the "
-                          "constant_vf spectrum needs quadratic_au or hermitizing_quadratic")
-    if cfg.case == "constant_vf" and cfg.gauge.C3 is not None:
-        # the Mathieu form is the counterpart potential at C3 = -k/(a e)
-        raise ConfigError("spectrum: the constant_vf spectrum needs field.C3: auto, "
-                          f"got {cfg.raw['field']['C3']!r}")
-    if cfg.case == "pdfv" and (cfg.raw["field"] != DEFAULT_CONFIG["field"]
-                               or not _default_grid(cfg)):
-        # each pdfv level builds its own linear ring field and an 8000-point grid
-        raise ConfigError("spectrum: case pdfv reads neither field.* nor the grid; "
-                          "leave them at their defaults")
-
     if "box_selftest" in cfg.outputs:
         checks.BOX_BENCHMARK.record(rep)
 
@@ -300,7 +299,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
             write_csv(out / "sl_coefficients_plus.csv", header, crows, timestamp)
     else:
         g = Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet")
-        rows = checks.pdfv_levels(p, e, k, cfg.fermi, cfg.alpha, cfg.n_max, g)
+        rows = checks.pdfv_levels(cfg.alpha, cfg.n_max, g)
         rep.add_info("pdfv analytic-vs-fd max rel deviation", max(row[3] for row in rows),
                      note="wall-singular oracle; see verify for the convergent one")
         if "csv" in cfg.outputs:
@@ -315,7 +314,7 @@ def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
     rep = RunReport("verification suite")
     rep.metadata["negative_control"] = negative_control
     angles = np.linspace(0.0, 2.0 * np.pi, 91)
-    for check in checks.registry(cfg.torus, angles, negative_control):
+    for check in checks.registry(angles=angles, negative_control=negative_control):
         if check.verify:
             check.record(rep)
     if "csv" in cfg.outputs or "report" in cfg.outputs:
@@ -324,42 +323,30 @@ def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
     return rep
 
 
-def _sweep_point(cfg: ScenarioConfig, name: str, value: float):
-    """(torus, alpha, C1, e) with `name` set to `value`; ConfigError if no row can use it."""
-    torus, alpha, c1, e = cfg.torus, cfg.alpha, cfg.C1, cfg.quantum.e
+def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
+    """Row inputs a, e, alpha, C1 with `name` set to `value`; ConfigError if no row can use it."""
     if not math.isfinite(value):
         raise ConfigError(f"sweep {name}={value!r}: values must be finite")
-    try:
-        if name == "a":
-            torus = geometry.TorusParams(a=float(value), c=torus.c)
-        elif name == "c":
-            torus = geometry.TorusParams(a=torus.a, c=float(value))
-    except ValueError as exc:
-        raise ConfigError(f"sweep {name}={value!r}: {exc}") from exc
-    if name == "alpha":
-        alpha = float(value)
-    elif name == "C1":
-        c1 = float(value)
-    elif name == "e":
-        if value == 0:
-            raise ConfigError("sweep e=0: the C2 constraint divides by the charge")
-        e = float(value)
-    return torus, alpha, c1, e
+    if name == "a" and not value > 0:
+        raise ConfigError(f"sweep a={value!r}: the tube radius must be positive")
+    if name == "e" and value == 0:
+        raise ConfigError("sweep e=0: the C2 constraint divides by the charge")
+    return {"a": cfg.torus.a, "e": cfg.quantum.e, "alpha": cfg.alpha, "C1": cfg.C1,
+            name: float(value)}
 
 
-def _sweep_row(value: float, point):
-    torus, alpha, c1, e = point
+def _sweep_row(value: float, point: dict):
+    a, e = point["a"], point["e"]
     row = [value]
     for n in range(4):
         try:
-            sol = analytic.case2_quantize(n, alpha, c1)
+            sol = analytic.case2_quantize(n, point["alpha"], point["C1"])
             row.extend([sol.epsilon_n, sol.residual])
         except TorusDiracError:
             row.extend([float("nan"), float("nan")])
-    s = pseudoherm.sqrt_am1(torus.a)
-    c2_constraint = s / (torus.a ** 4 * e)
-    c_constraint = (0.5 * torus.a ** 2 / np.sqrt(1.0 - torus.a)
-                    if torus.a < 1 else float("nan"))
+    s = pseudoherm.sqrt_am1(a)
+    c2_constraint = s / (a ** 4 * e)
+    c_constraint = 0.5 * a ** 2 / np.sqrt(1.0 - a) if a < 1 else float("nan")
     row.extend([c2_constraint.real, c2_constraint.imag, c_constraint])
     return tuple(row)
 
@@ -367,7 +354,7 @@ def _sweep_row(value: float, point):
 def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
               parameter: str, values) -> RunReport:
     if parameter not in SWEEPABLE:
-        raise UnknownParameter(f"cannot sweep {parameter!r}; choose from {SWEEPABLE}")
+        raise UnknownParameter(f"cannot sweep {parameter!r}; choose from {tuple(SWEEPABLE)}")
     values = list(values)
     if not values:
         raise ConfigError("sweep: empty value list")
@@ -389,7 +376,9 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
 
 def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     rep = RunReport("closed-form solutions")
-    alpha, c1 = cfg.alpha, cfg.C1
+    alpha, c1, a = cfg.alpha, cfg.C1, cfg.torus.a
+    if a >= 1:
+        raise ConfigError(f"analytic: the Morse chain needs torus.a < 1, got {a!r}")
 
     rows = []
     sols = []
@@ -416,9 +405,8 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
               timestamp)
 
     # Morse-chain spectrum at the constrained-branch benchmark
-    a_m = cfg.torus.a if cfg.torus.a < 1 else 0.5
-    c2_rot = 1j * np.sqrt(1 - a_m) / (a_m ** 4 * cfg.quantum.e)
-    mf = pseudoherm.mathieu_form(geometry.TorusParams(a=a_m, c=2.0), cfg.quantum.e, c2_rot)
+    c2_rot = 1j * np.sqrt(1 - a) / a ** 4
+    mf = pseudoherm.mathieu_form(geometry.TorusParams(a=a, c=2.0), 1.0, c2_rot)
     mf0 = pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
     rows1 = []
     for n in range(cfg.n_max + 1):
@@ -457,11 +445,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", type=str, default=None, help="YAML scenario file")
     parser.add_argument("--out", type=str, default=".", help="output directory")
-    parser.add_argument("--grid-n", type=int, default=None, help="override grid size")
+    parser.add_argument("--grid-n", type=int, default=None,
+                        help="override grid.n; only the constant_vf spectrum reads it")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="suppress the timestamp comment in CSV output")
     parser.add_argument("--negative-control", action="store_true",
-                        help="perturb the superpotential by 1%% and expect failure")
+                        help="verify only: perturb the superpotential by 1%% "
+                             "and expect failure")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("geometry", "spectrum", "verify", "analytic"):
         sub.add_parser(name)
@@ -476,10 +466,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, grid_n=args.grid_n)
-        if args.command != "spectrum" and not _default_grid(cfg):
-            # only the constant_vf spectrum samples the configured grid
-            raise ConfigError(f"{args.command} reads neither grid.* nor --grid-n; "
-                              "leave them at their defaults")
+        _check_reads(cfg, args.command, args.negative_control,
+                     getattr(args, "parameter", None))
         if args.command == "geometry":
             rep = cmd_geometry(cfg, out, timestamp)
         elif args.command == "spectrum":

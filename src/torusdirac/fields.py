@@ -154,20 +154,18 @@ def eval_gauge_derivatives(gauge: GaugeField, params: TorusParams, x):
 
 @dataclass(frozen=True)
 class FermiVelocity:
-    """Constant speed or the cosine profile V_F(x) = a cos(x)."""
+    """Unit constant speed (the decoupled problems read only V_F'/V_F) or the
+    cosine profile V_F(x) = a cos(x)."""
 
     kind: str
-    v_f: float = 1.0
 
     def __post_init__(self):
         if self.kind not in FERMI_KINDS:
             raise FamilyMismatch(f"unknown Fermi-velocity kind {self.kind!r}")
-        if self.kind == "constant" and self.v_f <= 0:
-            raise ValueError("constant Fermi velocity must be positive")
 
 
-def constant_velocity(v_f: float = 1.0) -> FermiVelocity:
-    return FermiVelocity(kind="constant", v_f=v_f)
+def constant_velocity() -> FermiVelocity:
+    return FermiVelocity(kind="constant")
 
 
 def cosine_velocity() -> FermiVelocity:
@@ -178,7 +176,7 @@ def eval_fermi_velocity(vel: FermiVelocity, params: TorusParams, x):
     """Evaluate (V_F(x), V_F'(x)); zeros of the cosine profile are legal here."""
     x = np.asarray(x, dtype=float)
     if vel.kind == "constant":
-        return np.full_like(x, vel.v_f, dtype=float), np.zeros_like(x, dtype=float)
+        return np.ones_like(x, dtype=float), np.zeros_like(x, dtype=float)
     return params.a * np.cos(x), -params.a * np.sin(x)
 
 

@@ -5,8 +5,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from torusdirac import cli, geometry
+from torusdirac.errors import ConfigError
 
 BASE = [sys.executable, "-m", "torusdirac.cli"]
 
@@ -189,7 +192,7 @@ def test_config_accepts_zero_delta(tmp_path):
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "geometry"]) == 0
 
 
-@pytest.mark.parametrize("parameter", ["k", "a2", "C2"])
+@pytest.mark.parametrize("parameter", ["k", "a2", "C2", "c"])
 def test_sweep_rejects_parameters_that_change_nothing(tmp_path, parameter):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--out", str(tmp_path), "sweep", parameter, "1,2"])
@@ -206,11 +209,10 @@ def test_sweep_keeps_list_order_and_counts_unbound_cells(tmp_path):
 
 
 @pytest.mark.parametrize("parameter, values", [
-    ("c", "0.5"), ("a", "0,0.5"), ("e", "0,1"),
-    ("a", "nan"), ("c", "inf"), ("alpha", "nan"), ("alpha", "abc"),
+    ("a", "0,0.5"), ("e", "0,1"), ("a", "nan"), ("alpha", "nan"), ("alpha", "abc"),
 ])
 def test_sweep_rejects_values_no_row_can_use(tmp_path, capsys, parameter, values):
-    # c = a, a = 0, e = 0 and non-finite or unreadable values cannot build a row;
+    # a = 0, e = 0 and non-finite or unreadable values cannot build a row;
     # no row may be written either
     assert cli.main(["--out", str(tmp_path), "sweep", parameter, values]) == 2
     assert "config error" in capsys.readouterr().err
@@ -244,8 +246,10 @@ def test_pdfv_spectrum_rejects_field_and_grid_it_ignores(tmp_path, capsys, text,
     ("torus: {a: .nan}\n", "spectrum"),
     ("torus: {a: .inf}\n", "geometry"),
     ("quantum: {e: .inf}\n", "geometry"),
+    # analytic used to swap a >= 1 for 0.5 in the Morse chain without a word
+    ("torus: {a: 1.5}\n", "analytic"),
 ], ids=["e-abc", "alpha-abc", "n-abc", "C2-abc", "v_f-negative", "k-1.5", "n_max-2.7",
-        "n_max-negative", "a-nan", "a-inf", "e-inf"])
+        "n_max-negative", "a-nan", "a-inf", "e-inf", "a-1.5-analytic"])
 def test_config_rejects_values_of_the_wrong_kind(tmp_path, capsys, text, command):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
@@ -261,3 +265,121 @@ def test_config_accepts_explicit_defaults(tmp_path, command):
     cfg.write_text("grid: {n: 1024, boundary: periodic}\nfermi: {kind: constant, v_f: 1.0}\n")
     argv = ["--config", str(cfg), "--out", str(tmp_path), "--grid-n", "1024", *command.split()]
     assert cli.main(argv) == 0
+
+
+# Every config key and flag, with a valid value other than its default.
+CHANGED = {
+    "torus.a": 0.6, "torus.c": 2.5, "field.kind": "hermitizing_quadratic", "field.C2": 0.3,
+    "field.C3": 5.0, "field.a2": 0.3, "fermi.kind": "cosine", "fermi.v_f": 2.0,
+    "quantum.k": 2, "quantum.e": 1.5, "quantum.Delta": 3.0, "grid.n": 256,
+    "grid.boundary": "dirichlet", "analytic.alpha": 1.2, "analytic.C1": 0.5,
+    "analytic.n_max": 2, "case": "pdfv", "outputs": ["box_selftest"],
+    "--grid-n": 256, "--negative-control": True,
+}
+SWEPT = {"torus.a", "quantum.e", "analytic.alpha", "analytic.C1"}
+# run -> (arguments, settings it starts from, the keys and flags whose value it reads)
+RUNS = {
+    "geometry": ("geometry", {}, {"torus.a", "torus.c", "outputs"}),
+    # field.kind and quantum.k change only the coefficient table
+    "spectrum": ("spectrum", {"outputs": ["csv", "coefficients"]},
+                 {"torus.a", "torus.c", "field.kind", "field.C2", "quantum.k", "quantum.e",
+                  "grid.n", "--grid-n", "case", "outputs"}),
+    "spectrum pdfv": ("spectrum", {"case": "pdfv", "fermi.kind": "cosine"},
+                      {"case", "fermi.kind", "analytic.alpha", "analytic.n_max", "outputs"}),
+    "verify": ("verify", {}, {"outputs", "--negative-control"}),
+    "analytic": ("analytic", {}, {"torus.a", "analytic.alpha", "analytic.C1", "analytic.n_max"}),
+    "sweep a": ("sweep a 0.5", {}, SWEPT - {"torus.a"}),
+    "sweep e": ("sweep e 1.0", {}, SWEPT - {"quantum.e"}),
+    "sweep alpha": ("sweep alpha 1.0", {}, SWEPT - {"analytic.alpha"}),
+    "sweep C1": ("sweep C1 0.0", {}, SWEPT - {"analytic.C1"}),
+}
+
+
+def _run_with(tmp_path, capsys, run, key=None):
+    """Run `run` with `key` changed (back to its default when the run sets it).
+
+    Returns (exit code, stdout, stderr, {file name: bytes written}).
+    """
+    command, base, _ = RUNS[run]
+    settings = dict(base)
+    if key in base:
+        del settings[key]
+    elif key is not None:
+        settings[key] = CHANGED[key]
+    scenario, flags = {}, []
+    for name, value in settings.items():
+        if name.startswith("--"):
+            flags += [name] + ([] if value is True else [str(value)])
+        else:
+            *sections, leaf = name.split(".")
+            node = scenario
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = value
+    out = tmp_path / f"{run}-{key}".replace(" ", "_")
+    out.mkdir()
+    cfg = out / "scenario.yaml"
+    cfg.write_text(yaml.safe_dump(scenario))
+    code = cli.main(["--config", str(cfg), "--out", str(out), "--no-timestamp", *flags,
+                     *command.split()])
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != cfg.name}
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+def test_each_run_reads_its_keys_and_rejects_the_rest(tmp_path, capsys, run):
+    reads = RUNS[run][2]
+    base = _run_with(tmp_path, capsys, run)
+    assert base[0] in (0, 1), base[2]
+    for key in CHANGED:
+        got = _run_with(tmp_path, capsys, run, key)
+        if key in reads:
+            # some output file, stdout or the exit code changes, and not by the read check
+            assert got != base, f"{run} ignores {key}"
+            assert f"does not read {key}" not in got[2]
+        else:
+            code, _, err, files = got
+            assert code == 2 and "config error" in err, f"{run} accepts {key}: {err}"
+            assert ("grid.n" if key == "--grid-n" else key) in err
+            assert not [name for name in files if name.endswith(".csv")]
+
+
+LEAVES = [(section, key) for section, body in cli.DEFAULT_CONFIG.items()
+          for key in (body if isinstance(body, dict) else [None])]
+NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chosen=st.sets(st.sampled_from(LEAVES)))
+def test_config_spelling_out_defaults_changes_nothing(tmp_path_factory, chosen):
+    scenario = {}
+    for section, key in chosen:
+        default = cli.DEFAULT_CONFIG[section]
+        if key is None:
+            scenario[section] = default
+        else:
+            scenario.setdefault(section, {})[key] = default[key]
+    path = tmp_path_factory.mktemp("defaults") / "scenario.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    assert cli.load_config(path) == cli.load_config(None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(section=st.sampled_from([None] + [s for s, b in cli.DEFAULT_CONFIG.items()
+                                         if isinstance(b, dict)]),
+       name=NAMES, below=st.lists(NAMES, max_size=2))
+def test_config_names_an_unknown_key_by_its_path(tmp_path_factory, section, name, below):
+    known = cli.DEFAULT_CONFIG if section is None else cli.DEFAULT_CONFIG[section]
+    if name in known:
+        name += "_x"
+    value = 1
+    for inner in reversed(below):
+        value = {inner: value}
+    scenario = {name: value} if section is None else {section: {name: value}}
+    path = tmp_path_factory.mktemp("unknown") / "scenario.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    with pytest.raises(ConfigError) as exc:
+        cli.load_config(path)
+    where = name if section is None else f"{section}.{name}"
+    assert str(exc.value) == f"unknown config key: {where}"

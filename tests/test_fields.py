@@ -77,7 +77,7 @@ def test_k_cancellation_identity():
 
 
 def test_fermi_velocity_families():
-    v, vp = eval_fermi_velocity(constant_velocity(1.0), P, 0.7)
+    v, vp = eval_fermi_velocity(constant_velocity(), P, 0.7)
     assert v == 1.0 and vp == 0.0
     v, vp = eval_fermi_velocity(cosine_velocity(), P, 0.0)
     assert v == pytest.approx(0.5) and vp == pytest.approx(0.0)

@@ -142,7 +142,7 @@ def test_pdfv_reduces_to_constant_velocity_case():
     g = Grid(256)
     f = quadratic_ring_field(C2=0.3, e=1.0, k=1)
     plus_c, minus_c = decouple_constant_vf(P, f, 1, 1.0, g)
-    plus_p, minus_p = decouple_pdfv(P, f, 1, 1.0, constant_velocity(2.0), g)
+    plus_p, minus_p = decouple_pdfv(P, f, 1, 1.0, constant_velocity(), g)
     assert np.max(np.abs(plus_p.sigma - plus_c.sigma)) == 0.0
     assert np.max(np.abs(plus_p.rho - plus_c.rho)) == 0.0
     assert np.max(np.abs(minus_p.rho - minus_c.rho)) == 0.0
