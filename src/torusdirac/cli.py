@@ -10,8 +10,8 @@ analytic   closed-form spectra and wavefunction tables
 
 Config files are YAML; every field has a default (a=0.5, c=2, e=1, k=1,
 chosen here since the source fixes no numbers).  Identical configs produce
-byte-identical CSV output, modulo an optional timestamp comment that
---no-timestamp suppresses.
+byte-identical CSV output at a fixed BLAS thread count, modulo an optional
+timestamp comment that --no-timestamp suppresses.
 """
 
 from __future__ import annotations
@@ -56,12 +56,14 @@ DEFAULT_CONFIG = {
 # The config keys and flags each run reads.  No output of a run depends on any
 # other key, so `main` rejects a value other than its default.  `--grid-n` sets grid.n.
 READS = {
-    "geometry": ("torus.a", "torus.c", "outputs"),
+    "geometry": ("torus.a", "torus.c", "outputs.csv"),
     "spectrum constant_vf": ("torus.a", "torus.c", "field.kind", "field.C2", "quantum.k",
-                             "quantum.e", "grid.n", "case", "outputs"),
+                             "quantum.e", "grid.n", "case", "outputs.csv",
+                             "outputs.coefficients", "outputs.box_selftest"),
     # the levels set their own ring field and grid; see checks.pdfv_levels
-    "spectrum pdfv": ("case", "fermi.kind", "analytic.alpha", "analytic.n_max", "outputs"),
-    "verify": ("outputs", "--negative-control"),
+    "spectrum pdfv": ("case", "fermi.kind", "analytic.alpha", "analytic.n_max", "outputs.csv",
+                      "outputs.box_selftest"),
+    "verify": ("outputs.report", "--negative-control"),
     # the Morse chain fixes c = 2, and the charge cancels in its coefficients
     "analytic": ("torus.a", "analytic.alpha", "analytic.C1", "analytic.n_max"),
     # less the swept key, whose value each row replaces
@@ -193,10 +195,16 @@ def load_config(path=None, grid_n=None) -> ScenarioConfig:
 
 
 def _leaves(default: dict, raw: dict, prefix=""):
-    """(dotted key, default, value) for every leaf of the config tree."""
+    """(dotted key, default, value) for every leaf of the config tree.
+
+    Each `outputs` entry is a leaf of its own: `outputs.<entry>`, true when listed.
+    """
     for key, dflt in default.items():
         if isinstance(dflt, dict):
             yield from _leaves(dflt, raw[key], f"{prefix}{key}.")
+        elif key == "outputs":
+            for entry in OUTPUTS:
+                yield f"outputs.{entry}", entry in dflt, entry in raw[key]
         else:
             yield prefix + key, dflt, raw[key]
 
@@ -209,11 +217,8 @@ def _check_reads(cfg: ScenarioConfig, command: str, negative_control: bool,
     settings = [*_leaves(DEFAULT_CONFIG, cfg.raw),
                 ("--negative-control", False, negative_control)]
     for key, default, value in settings:
-        if key == "outputs":
-            same = set(value) == set(default)
-        else:
-            # YAML's `true` equals 1 in Python
-            same = isinstance(value, bool) == isinstance(default, bool) and value == default
+        # YAML's `true` equals 1 in Python
+        same = isinstance(value, bool) == isinstance(default, bool) and value == default
         if key not in reads and not same:
             raise ConfigError(f"{run} does not read {key}; leave it at {default!r}")
 
@@ -317,7 +322,7 @@ def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
     for check in checks.registry(angles=angles, negative_control=negative_control):
         if check.verify:
             check.record(rep)
-    if "csv" in cfg.outputs or "report" in cfg.outputs:
+    if "report" in cfg.outputs:
         (out / "verify_report.txt").write_text(rep.to_text() + "\n")
         (out / "verify_report.json").write_text(rep.to_json() + "\n")
     return rep
@@ -404,7 +409,8 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
               zip(xg, *(w.real for w in wf_rows), *(w.imag for w in wf_rows)),
               timestamp)
 
-    # Morse-chain spectrum at the constrained-branch benchmark
+    # Morse-chain spectrum with the factorization-branch C2 at c = 2; this is
+    # not the constrained-radius point that `verify` certifies (checks._morse_params)
     c2_rot = 1j * np.sqrt(1 - a) / a ** 4
     mf = pseudoherm.mathieu_form(geometry.TorusParams(a=a, c=2.0), 1.0, c2_rot)
     mf0 = pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)

@@ -7,7 +7,6 @@ Uniform grids only.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,8 +22,6 @@ from .errors import (
     NotConfining,
 )
 from .grids import Grid
-
-log = logging.getLogger(__name__)
 
 # samples per banded solve in a Numerov sweep
 _CHUNK = 256
@@ -163,7 +160,6 @@ class ShootingProblem:
     t_min: float
     t_max: float
     n: int = 6001
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if not self.t_min < self.t_max:
@@ -181,9 +177,11 @@ def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
     the factor kept as a log, so each chunk can grow by 1e200 before it
     overflows; at the end earlier chunks are brought to the last chunk's
     scale, where negligible values may underflow to zero.  Returns
-    (y, interior node count); nodes are counted before that final rescale,
-    so underflow cannot hide one.  Raises ConvergenceFailure on a singular
-    band (some w_i = 0) or an overflow.
+    (y, node count).  Nodes are the sign changes over y[1:], through the
+    last sample, so the count rises exactly where the end value changes
+    sign; they are counted before that final rescale, so underflow cannot
+    hide one.  Raises ConvergenceFailure on a singular band (some w_i = 0)
+    or an overflow.
     """
     n = f.shape[0]
     c = h * h / 12.0
@@ -213,7 +211,7 @@ def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
         log_scale[k:k + m] = acc
     if not np.all(np.isfinite(y)):
         raise ConvergenceFailure("Numerov sweep overflowed")
-    sign = np.sign(y[1:-1])
+    sign = np.sign(y[1:])
     sign = sign[sign != 0]
     nodes = int(np.sum(sign[1:] * sign[:-1] < 0))
     if acc:
@@ -221,65 +219,42 @@ def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
     return y, nodes
 
 
-def _left_sweep(v: np.ndarray, h: float, energy: float):
-    """Numerov sweep from the left wall; returns (profile, interior node count)."""
-    return _numerov_sweep(v - energy, h, 0.0, 1e-8)
-
-
-def shoot_bound_state(p: ShootingProblem, n: int,
-                      e_lo: Optional[float] = None,
-                      e_hi: Optional[float] = None):
+def shoot_bound_state(p: ShootingProblem, n: int):
     """n-th bound-state energy (n = 0, 1, ...) by node counting plus bisection.
 
-    A single Numerov sweep from the left end defines the miss function
-    (the value at the right wall); its n-th zero is bracketed by bisecting
-    the interior node count, which jumps n -> n+1 exactly at the eigenvalue,
-    then polished on the sign change of the end value.  Returns
-    (energy, (t, profile)) with the profile normalized to unit discrete L2.
+    A Numerov sweep from the left wall counts the sign changes through the
+    right-wall sample, so the count jumps n -> n+1 exactly where the end
+    value changes sign; bisection on that count over
+    [min v + 1e-9, min(v[0], v[-1])] closes on the eigenvalue to machine
+    precision.  Returns (energy, (t, profile)) with the profile normalized
+    to unit discrete L2.
     """
     t = np.linspace(p.t_min, p.t_max, p.n)
     h = t[1] - t[0]
     v = p.potential(t)
-    if e_lo is None:
-        e_lo = float(np.min(v)) + 1e-9
-    if e_hi is None:
-        e_hi = float(min(v[0], v[-1]))
-    if not e_lo < e_hi:
+    lo = float(np.min(v)) + 1e-9
+    hi = float(min(v[0], v[-1]))
+    if not lo < hi:
         raise NotConfining("potential window admits no bound-state energy range")
 
-    def nodes_at(e: float) -> int:
-        return _left_sweep(v, h, e)[1]
+    def sweep(e: float):
+        return _numerov_sweep(v - e, h, 0.0, 1e-8)
 
-    lo, hi = e_lo, e_hi
-    if nodes_at(lo) > n:
+    if sweep(lo)[1] > n:
         raise NotConfining(f"window already has more than {n} nodes at its energy floor")
-    if nodes_at(hi) <= n:
+    if sweep(hi)[1] <= n:
         raise NotConfining(f"state {n} is not confined below the window walls")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if nodes_at(mid) <= n:
+        if sweep(mid)[1] <= n:
             lo = mid
         else:
             hi = mid
         if hi - lo < max(1e-14, 4e-16 * abs(hi)):
             break
 
-    # polish on the end value, which flips sign across the eigenvalue
-    def miss(e: float) -> float:
-        y, _ = _left_sweep(v, h, e)
-        return y[-1]
-
     energy = 0.5 * (lo + hi)
-    try:
-        span = max(hi - lo, 1e-13 * max(1.0, abs(energy)))
-        energy = find_root_bracketed(miss, lo - 2 * span, hi + 2 * span,
-                                     tol=p.tolerance * max(1.0, abs(miss(lo))))
-    except (NoSignChange, ConvergenceFailure) as exc:
-        # the bisected value is already tight
-        log.info("shooting level %d: end-value polish failed on [%.17g, %.17g], "
-                 "keeping the bisected energy (%s)", n, lo, hi, exc)
-
-    prof, _ = _left_sweep(v, h, energy)
+    prof, _ = sweep(energy)
     peak = np.max(np.abs(prof))
     if peak > 0:
         prof = prof / peak  # keeps the norm below from overflowing

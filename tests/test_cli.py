@@ -114,7 +114,7 @@ def test_sweep_single_point_consistent_with_analytic(tmp_path):
 
 def test_spectrum_coefficient_export(tmp_path):
     cfg = tmp_path / "coef.yaml"
-    cfg.write_text("outputs: [csv, coefficients]\n")
+    cfg.write_text("outputs: [report, csv, coefficients]\n")
     r = run_cli("--config", str(cfg), "--out", str(tmp_path), "--no-timestamp",
                 "spectrum")
     assert r.returncode == 0, r.stderr
@@ -273,20 +273,23 @@ CHANGED = {
     "field.C3": 5.0, "field.a2": 0.3, "fermi.kind": "cosine", "fermi.v_f": 2.0,
     "quantum.k": 2, "quantum.e": 1.5, "quantum.Delta": 3.0, "grid.n": 256,
     "grid.boundary": "dirichlet", "analytic.alpha": 1.2, "analytic.C1": 0.5,
-    "analytic.n_max": 2, "case": "pdfv", "outputs": ["box_selftest"],
+    "analytic.n_max": 2, "case": "pdfv", "outputs.report": False, "outputs.csv": False,
+    "outputs.coefficients": True, "outputs.box_selftest": True,
     "--grid-n": 256, "--negative-control": True,
 }
 SWEPT = {"torus.a", "quantum.e", "analytic.alpha", "analytic.C1"}
 # run -> (arguments, settings it starts from, the keys and flags whose value it reads)
 RUNS = {
-    "geometry": ("geometry", {}, {"torus.a", "torus.c", "outputs"}),
+    "geometry": ("geometry", {}, {"torus.a", "torus.c", "outputs.csv"}),
     # field.kind and quantum.k change only the coefficient table
-    "spectrum": ("spectrum", {"outputs": ["csv", "coefficients"]},
+    "spectrum": ("spectrum", {"outputs.coefficients": True},
                  {"torus.a", "torus.c", "field.kind", "field.C2", "quantum.k", "quantum.e",
-                  "grid.n", "--grid-n", "case", "outputs"}),
+                  "grid.n", "--grid-n", "case", "outputs.csv", "outputs.coefficients",
+                  "outputs.box_selftest"}),
     "spectrum pdfv": ("spectrum", {"case": "pdfv", "fermi.kind": "cosine"},
-                      {"case", "fermi.kind", "analytic.alpha", "analytic.n_max", "outputs"}),
-    "verify": ("verify", {}, {"outputs", "--negative-control"}),
+                      {"case", "fermi.kind", "analytic.alpha", "analytic.n_max", "outputs.csv",
+                       "outputs.box_selftest"}),
+    "verify": ("verify", {}, {"outputs.report", "--negative-control"}),
     "analytic": ("analytic", {}, {"torus.a", "analytic.alpha", "analytic.C1", "analytic.n_max"}),
     "sweep a": ("sweep a 0.5", {}, SWEPT - {"torus.a"}),
     "sweep e": ("sweep e 1.0", {}, SWEPT - {"quantum.e"}),
@@ -307,15 +310,19 @@ def _run_with(tmp_path, capsys, run, key=None):
     elif key is not None:
         settings[key] = CHANGED[key]
     scenario, flags = {}, []
+    outputs = {entry: entry in cli.DEFAULT_CONFIG["outputs"] for entry in cli.OUTPUTS}
     for name, value in settings.items():
         if name.startswith("--"):
             flags += [name] + ([] if value is True else [str(value)])
+        elif name.startswith("outputs."):
+            outputs[name.partition(".")[2]] = value
         else:
             *sections, leaf = name.split(".")
             node = scenario
             for section in sections:
                 node = node.setdefault(section, {})
             node[leaf] = value
+    scenario["outputs"] = [entry for entry, listed in outputs.items() if listed]
     out = tmp_path / f"{run}-{key}".replace(" ", "_")
     out.mkdir()
     cfg = out / "scenario.yaml"

@@ -148,21 +148,17 @@ def _numerov_reference(f, h, y0, y1):
     return y
 
 
-def _interior_nodes(y):
-    sign = np.sign(y[1:-1])
+def _nodes_through_wall(y):
+    """Sign changes over y[1:], the right-wall sample included."""
+    sign = np.sign(y[1:])
     sign = sign[sign != 0]
     return int(np.sum(sign[1:] * sign[:-1] < 0))
 
 
 def _morse_verify_problem():
     """The Morse-chain shooting problem certified by `verify`."""
-    a = 0.5
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="c <= a")
-        p = geometry.TorusParams(a=a, c=0.5 * a ** 2 / np.sqrt(1 - a))
-        mf = pseudoherm.mathieu_form(p, 1.0, 1j * np.sqrt(1 - a) / a ** 4)
-    mf0 = pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
-    return analytic.morse_shooting_problem(mf0, 1.0, t_min=-4.0, t_max=50.0, n=16001)
+    return analytic.morse_shooting_problem(checks._morse_params(), 1.0,
+                                           t_min=-4.0, t_max=50.0, n=16001)
 
 
 @pytest.mark.parametrize("problem", [
@@ -178,7 +174,15 @@ def test_banded_sweep_matches_per_step_recurrence(problem):
         y, nodes = _numerov_sweep(v - e, h, 0.0, 1e-8)
         ref = _numerov_reference(v - e, h, 0.0, 1e-8)
         assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
-        assert nodes == _interior_nodes(ref)
+        assert nodes == _nodes_through_wall(ref)
+    # In the Morse problem 4.10019997415 lies between level 1 with the wall at
+    # t_max and with the wall one step short of it, where counts with and
+    # without the wall sample differ.  Its tail is a cancellation in which both recurrences
+    # carry ~1e-8 of the peak in rounding (against an extended-precision
+    # sweep), so only the node counts are compared there.
+    e = 4.10019997415
+    assert _numerov_sweep(v - e, h, 0.0, 1e-8)[1] == _nodes_through_wall(
+        _numerov_reference(v - e, h, 0.0, 1e-8))
 
 
 def test_numerov_sweep_failures_raise():
@@ -212,14 +216,18 @@ def test_shoot_deep_well_profile_finite_unit_norm():
     assert abs(np.sqrt(t[1] - t[0]) * np.linalg.norm(prof) - 1.0) < 1e-12
 
 
-def test_shoot_polish_fallback_is_logged(caplog):
-    # level 1 of the verify Morse problem: the end value keeps its sign
-    # across the bisected bracket, so the secant polish gives up
-    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
-        shoot_bound_state(_morse_verify_problem(), 1)
-    msgs = [r.getMessage() for r in caplog.records if r.name == "torusdirac.numerics"]
-    assert len(msgs) == 1
-    assert "level 1" in msgs[0] and "polish failed" in msgs[0]
+def test_shoot_level_is_a_sign_change_of_the_end_value(caplog):
+    # level 1 of the verify Morse problem sits 0.021 below the continuum edge,
+    # where moving the wall by one step shifts it by 8e-11
+    sp = _morse_verify_problem()
+    with caplog.at_level(logging.DEBUG, logger="torusdirac"):
+        e, _ = shoot_bound_state(sp, 1)
+    t = np.linspace(sp.t_min, sp.t_max, sp.n)
+    v = sp.potential(t)
+    below, above = (_numerov_sweep(v - e * s, t[1] - t[0], 0.0, 1e-8)[0][-1]
+                    for s in (1 - 1e-12, 1 + 1e-12))
+    assert below < 0 < above or above < 0 < below
+    assert not [r for r in caplog.records if r.name.startswith("torusdirac")]
 
 
 def test_shoot_not_confining():
