@@ -23,14 +23,13 @@ from torusdirac.analytic import (
     morse_shooting_problem,
 )
 from torusdirac.numerics import shoot_bound_state
-from torusdirac.pseudoherm import MathieuParams, mathieu_form
+from torusdirac.pseudoherm import MathieuParams, factorization_constants, mathieu_form
 
 warnings.filterwarnings("ignore", message="c <= a")
 
 a, e, alpha = 0.5, 1.0, 1.0
-c = 0.5 * a ** 2 / np.sqrt(1 - a)
-p = TorusParams(a=a, c=c)
-c2 = 1j * np.sqrt(1 - a) / (a ** 4 * e)  # imaginary-amplitude branch
+c2, c = factorization_constants(a, e)  # imaginary-amplitude branch, real radius
+p = TorusParams(a=a, c=c.real)
 mf = mathieu_form(p, e, c2)
 m = MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)  # real branch
 print(f"trig-polynomial coefficients: B={m.B_m.real:.5f}, D={m.D_m.real:.5f}")
@@ -40,7 +39,7 @@ print(f"quadratic coefficient of the expansion: {chain.quad_coeff:.5f}")
 print(f"expansion truncation gap over the full circle: {chain.truncation_error:.3f}")
 print("(the expansion step is an approximation; the gap above quantifies it)")
 
-sp = morse_shooting_problem(m, alpha, t_min=-4.0, t_max=50.0, n=16001)
+sp = morse_shooting_problem(m, alpha)
 print("\nenergy routes for the transformed equation:")
 print(f"  {'n':>2} {'tabulated':>12} {'derived':>12} {'shooting':>12}")
 for n in range(3):

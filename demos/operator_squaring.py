@@ -48,12 +48,9 @@ pairs = [
      SpinorGF(*band_limited(g, [2, 4], rng=70 + s, n_functions=2)))
     for s in range(6)
 ]
-real_ax = GaugeField(kind="tabulated", grid=g, e=1.0, k=1,
-                     ax_samples=tuple(np.cos(g.points)),
-                     au_samples=tuple(np.zeros(g.n)))
 for label, f in (("hermitizing imaginary gauge", hermitizing_quadratic_field(0.4)),
                  ("gauge off", zero_field()),
-                 ("real gauge, unit scale", real_ax)):
+                 ("real gauge, unit scale", GaugeField(kind="real_cos_ax"))):
     d = hermiticity_defect(p5, f, 1, g, pairs)
     print(f"  {label:28s}: {d:.3e}")
 print("  only the hermitizing choice cancels the geometric drift; with the")

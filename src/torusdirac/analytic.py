@@ -30,9 +30,6 @@ from .errors import (
 from .numerics import ShootingProblem
 from .pseudoherm import MathieuParams
 
-_SERIES_TOL = 1e-17
-_SERIES_MAX = 100_000
-
 
 # ---------------------------------------------------------------------------
 # special functions
@@ -90,51 +87,29 @@ def laguerre_recurrence(n: int, alpha: complex, x: complex) -> complex:
     return l_cur
 
 
-def _hyp_series(a: complex, b: complex, c: complex, s: complex) -> complex:
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for m in range(_SERIES_MAX):
-        term *= (a + m) * (b + m) / ((c + m) * (m + 1)) * s
-        total += term
-        if abs(term) < _SERIES_TOL * max(1.0, abs(total)):
-            return total
-    raise DomainUnsupported("hypergeometric series did not converge")
-
-
 def gauss_2f1(a: complex, b: complex, c: complex, s):
-    """Gauss hypergeometric 2F1(a, b; c; s).
+    """Gauss hypergeometric 2F1(a, b; c; s) for a terminating series.
 
-    Terminating cases (a or b a nonpositive integer) sum exactly for any s,
-    scalar or array; the forward sum is accurate to a few ulps of its
-    largest term.  Otherwise s must be a scalar: direct series for
-    |s| < 0.8, Euler transformation for 0.8 <= |s| < 1, and refusal beyond
-    the unit disk.
+    a or b must be a nonpositive integer; the series then sums exactly for
+    any s, scalar or array, and the forward sum is accurate to a few ulps
+    of its largest term.  A non-terminating series raises DomainUnsupported,
+    and a pole of the lower parameter before termination raises PoleAtC.
     """
     a, b, c = complex(a), complex(b), complex(c)
     scalar = np.ndim(s) == 0
     s = complex(s) if scalar else np.asarray(s, dtype=complex)
     na, nb = _as_nonpositive_int(a), _as_nonpositive_int(b)
-    if na is not None or nb is not None:
-        n_terms = min(x for x in (-na if na is not None else None,
-                                  -nb if nb is not None else None) if x is not None)
-        nc = _as_nonpositive_int(c)
-        if nc is not None and -nc < n_terms:
-            raise PoleAtC("lower parameter pole before series termination")
-        total = term = 1.0 + 0.0j if scalar else np.ones_like(s)
-        for m in range(n_terms):
-            term = term * ((a + m) * (b + m) / ((c + m) * (m + 1)) * s)
-            total = total + term
-        return total
-    if not scalar:
-        raise DomainUnsupported("array arguments need a terminating series")
-    if _as_nonpositive_int(c) is not None:
-        raise PoleAtC("lower parameter is a nonpositive integer")
-    if abs(s) < 0.8:
-        return _hyp_series(a, b, c, s)
-    if abs(s) < 1.0:
-        # Euler transformation improves behavior approaching the unit circle
-        return (1.0 - s) ** (c - a - b) * _hyp_series(c - a, c - b, c, s)
-    raise DomainUnsupported("non-terminating 2F1 outside the unit disk")
+    if na is None and nb is None:
+        raise DomainUnsupported("2F1 is evaluated only where its series terminates")
+    n_terms = min(-m for m in (na, nb) if m is not None)
+    nc = _as_nonpositive_int(c)
+    if nc is not None and -nc < n_terms:
+        raise PoleAtC("lower parameter pole before series termination")
+    total = term = 1.0 + 0.0j if scalar else np.ones_like(s)
+    for m in range(n_terms):
+        term = term * ((a + m) * (b + m) / ((c + m) * (m + 1)) * s)
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +209,8 @@ def morse_energy_exact(n: int, mathieu: MathieuParams):
 
 
 def morse_shooting_problem(mathieu: MathieuParams, alpha: float,
-                           t_min: float = -4.0, t_max: float = 20.0,
-                           n: int = 8001) -> ShootingProblem:
+                           t_min: float = -4.0, t_max: float = 50.0,
+                           n: int = 16001) -> ShootingProblem:
     """Real-branch shooting oracle for the transformed equation.
 
     Requires B, C, D such that the potential -alpha^2 U(t) is real

@@ -349,10 +349,9 @@ def _sweep_row(value: float, point: dict):
             row.extend([sol.epsilon_n, sol.residual])
         except TorusDiracError:
             row.extend([float("nan"), float("nan")])
-    s = pseudoherm.sqrt_am1(a)
-    c2_constraint = s / (a ** 4 * e)
-    c_constraint = 0.5 * a ** 2 / np.sqrt(1.0 - a) if a < 1 else float("nan")
-    row.extend([c2_constraint.real, c2_constraint.imag, c_constraint])
+    c2_constraint, c_constraint = pseudoherm.factorization_constants(a, e)
+    row.extend([c2_constraint.real, c2_constraint.imag,
+                c_constraint.real if a < 1 else float("nan")])
     return tuple(row)
 
 
@@ -411,7 +410,7 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
 
     # Morse-chain spectrum with the factorization-branch C2 at c = 2; this is
     # not the constrained-radius point that `verify` certifies (checks._morse_params)
-    c2_rot = 1j * np.sqrt(1 - a) / a ** 4
+    c2_rot, _ = pseudoherm.factorization_constants(a)
     mf = pseudoherm.mathieu_form(geometry.TorusParams(a=a, c=2.0), 1.0, c2_rot)
     mf0 = pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
     rows1 = []

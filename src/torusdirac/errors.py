@@ -30,11 +30,11 @@ class DomainSingularity(TorusDiracError):
 
 
 class DomainUnsupported(TorusDiracError):
-    """Argument outside the convergence domain of a series evaluation."""
+    """A series evaluation outside its supported domain (a non-terminating 2F1)."""
 
 
 class PoleAtC(TorusDiracError):
-    """Hypergeometric lower parameter hits a nonpositive integer in a non-terminating case."""
+    """Hypergeometric lower parameter hits a nonpositive integer before the series terminates."""
 
 
 class SingularParameter(TorusDiracError):

@@ -9,14 +9,13 @@ Units of the charge e and the field amplitudes are dimensionless throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ChargeZero, FamilyMismatch, GridMismatch
-from .geometry import TorusParams, radius_profile
-from .grids import Grid, diff1
+from .errors import ChargeZero, FamilyMismatch
+from .geometry import TorusParams, radius_derivative, radius_profile
 
 GAUGE_KINDS = (
     "zero",
@@ -24,7 +23,7 @@ GAUGE_KINDS = (
     "quadratic_au",
     "linear_au",
     "hermitizing_quadratic",  # hermitizing A_x composed with the quadratic A_u
-    "tabulated",
+    "real_cos_ax",
 )
 FERMI_KINDS = ("constant", "cosine")
 
@@ -43,13 +42,14 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class GaugeField:
-    """One of the built-in gauge families, or tabulated samples.
+    """One of the built-in gauge families.
 
     kind='zero'            A_x = A_u = 0
     kind='hermitizing_ax'  A_x = -i a^2 sin(x) / (2e), A_u = 0
     kind='quadratic_au'    A_u = C2 R(x)^2 + C3 (C3 defaults to -k/(a e))
     kind='linear_au'       A_u = a2 R(x) - k/(a e)
-    kind='tabulated'       samples of (A_x, A_u) on a grid
+    kind='hermitizing_quadratic'  the hermitizing A_x with the quadratic A_u
+    kind='real_cos_ax'     A_x = cos(x), A_u = 0 (a real gauge of unit scale)
     """
 
     kind: str
@@ -58,24 +58,12 @@ class GaugeField:
     C2: complex = 0.0
     C3: Optional[complex] = None  # quadratic_au; None means -k/(a e)
     a2: float = 0.0
-    grid: Optional[Grid] = None
-    ax_samples: Optional[tuple] = field(default=None, repr=False)
-    au_samples: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in GAUGE_KINDS:
             raise FamilyMismatch(f"unknown gauge kind {self.kind!r}")
-        if self.kind != "zero" and self.kind != "tabulated" and self.e == 0:
+        if self.kind not in ("zero", "real_cos_ax") and self.e == 0:
             raise ChargeZero(f"gauge family {self.kind!r} needs e != 0")
-        if self.kind == "tabulated":
-            if self.grid is None or self.ax_samples is None or self.au_samples is None:
-                raise ValueError("tabulated gauge field needs grid, ax_samples, au_samples")
-            ax = np.asarray(self.ax_samples)
-            au = np.asarray(self.au_samples)
-            if ax.shape != (self.grid.n,) or au.shape != (self.grid.n,):
-                raise GridMismatch("tabulated gauge samples do not match the grid")
-            if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(au))):
-                raise ValueError("tabulated gauge samples must be finite")
 
 
 def zero_field() -> GaugeField:
@@ -102,54 +90,23 @@ def hermitizing_quadratic_field(C2: complex, e: float = 1.0, k: int = 1,
 
 
 def eval_gauge(gauge: GaugeField, params: TorusParams, x):
-    """Evaluate (A_x(x), A_u(x)); accepts scalar or array x."""
+    """Evaluate (A_x, A_u, A_x', A_u') at x, scalar or array, as four separate arrays."""
     x = np.asarray(x, dtype=float)
-    zero = np.zeros_like(x, dtype=complex)
-    if gauge.kind == "zero":
-        return zero, zero.copy()
-    if gauge.kind == "hermitizing_ax":
+    ax, au, axp, aup = (np.zeros_like(x, dtype=complex) for _ in range(4))
+    if gauge.kind in ("hermitizing_ax", "hermitizing_quadratic"):
         ax = -1j * params.a ** 2 * np.sin(x) / (2.0 * gauge.e)
-        return ax, zero
-    r = radius_profile(params, x)
-    if gauge.kind in ("quadratic_au", "hermitizing_quadratic"):
-        c3 = gauge.C3 if gauge.C3 is not None else -gauge.k / (params.a * gauge.e)
-        au = gauge.C2 * r ** 2 + c3 + 0j
-        if gauge.kind == "hermitizing_quadratic":
-            ax = -1j * params.a ** 2 * np.sin(x) / (2.0 * gauge.e)
-            return ax, au
-        return zero, au
-    if gauge.kind == "linear_au":
-        return zero, gauge.a2 * r - gauge.k / (params.a * gauge.e) + 0j
-    # tabulated
-    if not np.allclose(x, gauge.grid.points):
-        raise GridMismatch("tabulated gauge field evaluated off its grid")
-    return np.asarray(gauge.ax_samples, dtype=complex), np.asarray(gauge.au_samples, dtype=complex)
-
-
-def eval_gauge_derivatives(gauge: GaugeField, params: TorusParams, x):
-    """(A_x'(x), A_u'(x)) for the closed-form families; central differences otherwise."""
-    x = np.asarray(x, dtype=float)
-    zero = np.zeros_like(x, dtype=complex)
-    if gauge.kind == "zero":
-        return zero, zero.copy()
-    if gauge.kind == "hermitizing_ax":
-        return -1j * params.a ** 2 * np.cos(x) / (2.0 * gauge.e), zero
-    rp = -params.a * np.sin(x)
+        axp = -1j * params.a ** 2 * np.cos(x) / (2.0 * gauge.e)
+    elif gauge.kind == "real_cos_ax":
+        ax, axp = np.cos(x) + 0j, -np.sin(x) + 0j
     if gauge.kind in ("quadratic_au", "hermitizing_quadratic"):
         r = radius_profile(params, x)
-        aup = 2.0 * gauge.C2 * r * rp + 0j
-        if gauge.kind == "hermitizing_quadratic":
-            return -1j * params.a ** 2 * np.cos(x) / (2.0 * gauge.e), aup
-        return zero, aup
-    if gauge.kind == "linear_au":
-        return zero, gauge.a2 * rp + 0j
-    # tabulated: central differences on the field's own grid
-    if not np.allclose(x, gauge.grid.points):
-        raise GridMismatch("tabulated gauge field differentiated off its grid")
-    return (
-        diff1(np.asarray(gauge.ax_samples, dtype=complex), gauge.grid),
-        diff1(np.asarray(gauge.au_samples, dtype=complex), gauge.grid),
-    )
+        c3 = gauge.C3 if gauge.C3 is not None else -gauge.k / (params.a * gauge.e)
+        au = gauge.C2 * r ** 2 + c3 + 0j
+        aup = 2.0 * gauge.C2 * r * radius_derivative(params, x) + 0j
+    elif gauge.kind == "linear_au":
+        au = gauge.a2 * radius_profile(params, x) - gauge.k / (params.a * gauge.e) + 0j
+        aup = gauge.a2 * radius_derivative(params, x) + 0j
+    return ax, au, axp, aup
 
 
 @dataclass(frozen=True)
@@ -173,17 +130,8 @@ def cosine_velocity() -> FermiVelocity:
 
 
 def eval_fermi_velocity(vel: FermiVelocity, params: TorusParams, x):
-    """Evaluate (V_F(x), V_F'(x)); zeros of the cosine profile are legal here."""
+    """Evaluate (V_F, V_F', V_F'') at x; zeros of the cosine profile are legal here."""
     x = np.asarray(x, dtype=float)
     if vel.kind == "constant":
-        return np.ones_like(x, dtype=float), np.zeros_like(x, dtype=float)
-    return params.a * np.cos(x), -params.a * np.sin(x)
-
-
-def eval_fermi_velocity_2(vel: FermiVelocity, params: TorusParams, x):
-    """(V_F, V_F', V_F'') - the second derivative is needed by the effective potential."""
-    v, vp = eval_fermi_velocity(vel, params, x)
-    x = np.asarray(x, dtype=float)
-    if vel.kind == "constant":
-        return v, vp, np.zeros_like(x)
-    return v, vp, -params.a * np.cos(x)
+        return np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    return params.a * np.cos(x), -params.a * np.sin(x), -params.a * np.cos(x)

@@ -227,7 +227,9 @@ def shoot_bound_state(p: ShootingProblem, n: int):
     value changes sign; bisection on that count over
     [min v + 1e-9, min(v[0], v[-1])] closes on the eigenvalue to machine
     precision.  Returns (energy, (t, profile)) with the profile normalized
-    to unit discrete L2.
+    to unit discrete L2.  Numerov needs w = 1 - h^2 (v - E)/12 > 0 at every
+    sample, or the recurrence invents nodes; w is smallest at the floor
+    energy, so a step too coarse there raises ConvergenceFailure.
     """
     t = np.linspace(p.t_min, p.t_max, p.n)
     h = t[1] - t[0]
@@ -236,6 +238,10 @@ def shoot_bound_state(p: ShootingProblem, n: int):
     hi = float(min(v[0], v[-1]))
     if not lo < hi:
         raise NotConfining("potential window admits no bound-state energy range")
+    c_max = h * h * float(np.max(v) - lo) / 12.0
+    if not c_max < 1.0:
+        raise ConvergenceFailure(f"Numerov step too coarse: h^2 (v - E)/12 reaches "
+                                 f"{c_max:.3g} at the energy floor and must stay below 1")
 
     def sweep(e: float):
         return _numerov_sweep(v - e, h, 0.0, 1e-8)
@@ -276,27 +282,6 @@ def integrate_simpson(samples: np.ndarray, h: float) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(np.real_if_close(h / 3.0 * np.sum(w * y)))
-
-
-def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Antiderivative samples F with F[0] = 0, O(h^4) on even indices.
-
-    Odd points use a local three-point (parabolic) half-panel rule, keeping
-    the whole table fourth-order accurate.
-    """
-    y = np.asarray(y)
-    n = y.shape[0]
-    out = np.zeros(n, dtype=y.dtype)
-    if n >= 3:
-        # half-panel corrections
-        left = h * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]) / 12.0
-        right = h * (-y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:]) / 12.0
-        out[1] = left[0]
-        for i in range(2, n):
-            out[i] = out[i - 2] + left[i - 2] + right[i - 2]
-    elif n == 2:
-        out[1] = 0.5 * h * (y[0] + y[1])
-    return out
 
 
 def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12,

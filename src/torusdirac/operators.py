@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometry, GridMismatch, VelocityZero
-from .fields import (
-    FermiVelocity,
-    GaugeField,
-    eval_fermi_velocity,
-    eval_gauge,
-    eval_gauge_derivatives,
-)
+from .fields import FermiVelocity, GaugeField, eval_fermi_velocity, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
 from .grids import Grid, GridFunction, diff1, diff2, same_grid
 
@@ -132,8 +126,7 @@ def _coefficients(params: TorusParams, gauge: GaugeField, k: int, e: float,
     """Return (W1, Q, W1', Q') sampled on x."""
     r = _check_ring(params, x)
     rp = radius_derivative(params, x)
-    ax, au = eval_gauge(gauge, params, x)
-    axp, aup = eval_gauge_derivatives(gauge, params, x)
+    ax, au, axp, aup = eval_gauge(gauge, params, x)
     w1 = 0.5 * params.a * np.sin(x) - 1j * e / params.a * ax
     q = (k + e * params.a * au) / r
     w1p = 0.5 * params.a * np.cos(x) - 1j * e / params.a * axp
@@ -203,7 +196,7 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, k: int, e: float,
     F and G are recorded in the problem metadata for inspection.
     """
     x = grid.points
-    v, vp = eval_fermi_velocity(vf, params, x)
+    v, vp, _ = eval_fermi_velocity(vf, params, x)
     if np.min(np.abs(v)) < 1e-12:
         raise VelocityZero("V_F vanishes on an interior grid point; choose a grid avoiding it")
     sigma, (f_plus, f_minus), (g_plus, g_minus) = _squared_terms(params, gauge, k, e, x)

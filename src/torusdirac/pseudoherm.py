@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainSingularity, FamilyMismatch, GridMismatch
-from .fields import FermiVelocity, GaugeField, eval_gauge, eval_gauge_derivatives, eval_fermi_velocity_2
+from .fields import FermiVelocity, GaugeField, eval_fermi_velocity, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
 from .grids import Grid, GridFunction, compact_test_functions, diff2
-from .numerics import cumulative_simpson
 from .operators import SampledOp, decouple_pdfv
 
 
@@ -103,8 +102,7 @@ def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
     x = grid.points
     r = radius_profile(params, x)
     rp = radius_derivative(params, x)
-    _, au = eval_gauge(gauge, params, x)
-    _, aup = eval_gauge_derivatives(gauge, params, x)
+    _, au, _, aup = eval_gauge(gauge, params, x)
     return SampledOp(grid, 1, 0, (a * k + a ** 2 * e * au) ** 2 / r ** 2
                      + a * e * aup / r
                      - a * k * rp / r ** 2
@@ -128,25 +126,32 @@ def sqrt_am1(a: float) -> complex:
     return complex(np.sqrt(complex(a - 1.0, 0.0)))
 
 
+def factorization_constants(a: float, e: float = 1.0) -> tuple[complex, complex]:
+    """Companion constants (C2, c) that the factorization branch fixes.
+
+    C2 = sqrt(a-1)/(a^4 e) and c = a^2 / (2 sqrt(1-a)), the latter read as
+    a^2 / (-2 i sqrt(a-1)) on the branch of `sqrt_am1`.  Both are complex:
+    for a < 1 the ring radius c is real (its real part is the radius) while
+    C2 is imaginary; for a > 1 it is the other way round.  c diverges at
+    a = 1, where it is returned as inf.
+    """
+    s = sqrt_am1(a)
+    c = 0.5 * a ** 2 / (-1j * s) if s else complex(np.inf)
+    return s / (a ** 4 * e), c
+
+
 def superpotential_case1(params: TorusParams, grid: Grid, e: float = 1.0) -> SampledOp:
     """Superpotential operator d/dx + W with W = -(i sqrt(a-1)/a) sin x + i(a-2)/(2a).
 
-    The factorization branch constrains the companion constants:
-    C2 = sqrt(a-1)/(a^4 e) and c = a^2 / (2 sqrt(1-a)).  For a < 1 the ring
-    radius c is real while C2 is imaginary; for a > 1 it is the other way
-    round.  Both are derived here and recorded in metadata.
+    The companion constants of `factorization_constants` are recorded in
+    metadata, with the branch on which the ring radius c is real ('real-c',
+    a < 1) or C2 is ('real-C2').
     """
     a = params.a
-    s = sqrt_am1(a)
-    w = -1j * s / a * np.sin(grid.points) + 1j * (a - 2.0) / (2.0 * a)
-    c2 = s / (a ** 4 * e)
-    if a < 1.0:
-        branch = "real-c"
-        c_val = complex(0.5 * a ** 2 / np.sqrt(1.0 - a))
-    else:
-        branch = "real-C2"
-        c_val = 0.5 * a ** 2 / (-1j * s)  # formally a^2/(2 sqrt(1-a)), imaginary here
-    return SampledOp(grid, 0, 1, w, meta={"C2": c2, "c": c_val, "branch": branch, "e": e})
+    w = -1j * sqrt_am1(a) / a * np.sin(grid.points) + 1j * (a - 2.0) / (2.0 * a)
+    c2, c_val = factorization_constants(a, e)
+    return SampledOp(grid, 0, 1, w, meta={"C2": c2, "c": c_val, "e": e,
+                                          "branch": "real-c" if a < 1.0 else "real-C2"})
 
 
 def partner_potentials_case1(params: TorusParams, grid: Grid):
@@ -189,10 +194,9 @@ def prefactor_case2(params: TorusParams, gauge: GaugeField, grid: Grid,
     sign = +1 is the tabulated reading; sign = -1 gives h'/h = (sigma - V'/V)/2
     with sigma = a^2 sin x - 2 i e A_x, the reading that removes the
     first-derivative term (the mapping report quantifies both).  The tan x
-    piece is -V'/V of the cosine velocity in both readings.  The sine and
-    tangent pieces use their antiderivatives anchored at x = 0 (so the
-    prefactor equals 1 there); a tabulated A_x is integrated with composite
-    Simpson.
+    piece is -V'/V of the cosine velocity in both readings.  Every piece
+    uses its closed-form antiderivative anchored at x = 0, so the prefactor
+    equals 1 there.
     """
     x = grid.points
     if np.min(np.abs(np.cos(x))) < 1e-6:
@@ -204,11 +208,9 @@ def prefactor_case2(params: TorusParams, gauge: GaugeField, grid: Grid,
     if gauge.kind in ("hermitizing_ax", "hermitizing_quadratic"):
         # 2 i e A_x = a^2 sin x exactly; its antiderivative from 0 is a^2 (1 - cos x)
         half_int = half_int + 0.5 * sign * a2 * (1.0 - np.cos(x))
-    elif gauge.kind == "tabulated":
-        ax = np.asarray(gauge.ax_samples, dtype=complex)
-        table = cumulative_simpson(sign * 2j * gauge.e * ax, grid.h)
-        anchor = np.interp(0.0, x, table.real) + 1j * np.interp(0.0, x, table.imag)
-        half_int = half_int + 0.5 * (table - anchor)
+    elif gauge.kind == "real_cos_ax":
+        # 2 i e A_x = 2 i e cos x; its antiderivative from 0 is 2 i e sin x
+        half_int = half_int + 1j * sign * gauge.e * np.sin(x)
     # remaining closed-form families have A_x = 0
 
     return GridFunction(grid, np.exp(half_int))
@@ -246,9 +248,9 @@ def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: floa
         # q = a (k + a e A_u)/R (constant for the linear ring field),
         # V_trans = T^2/4 + T'/2 + q^2 - q' - q T, which is the
         # Rosen-Morse-II form with the rescaled coefficient a * a2.
-        q = params.a * (k + e * params.a * (gauge.a2 * radius_profile(params, x)
-                                            - k / (params.a * e))) / radius_profile(params, x)
-        v, vp, vpp = eval_fermi_velocity_2(vf, params, x)
+        _, au, _, _ = eval_gauge(gauge, params, x)
+        q = params.a * (k + e * params.a * au) / radius_profile(params, x)
+        v, vp, vpp = eval_fermi_velocity(vf, params, x)
         t_log = vp / v
         t_log_p = vpp / v - t_log ** 2
         v_trans = t_log ** 2 / 4.0 + t_log_p / 2.0 + q ** 2 - q * t_log
@@ -283,9 +285,8 @@ def veff_case2(params: TorusParams, gauge: GaugeField, k: int, e: float,
     a = params.a
     r = radius_profile(params, x)
     rp = radius_derivative(params, x)
-    _, au = eval_gauge(gauge, params, x)
-    _, aup = eval_gauge_derivatives(gauge, params, x)
-    v, vp, vpp = eval_fermi_velocity_2(vf, params, x)
+    _, au, _, aup = eval_gauge(gauge, params, x)
+    v, vp, vpp = eval_fermi_velocity(vf, params, x)
     return SampledOp(grid, 1, 0, -(vp ** 2) / (4.0 * v ** 2)
                      + vpp / (2.0 * v)
                      + (au * a * e + k) ** 2 / r ** 2

@@ -3,6 +3,7 @@ import pytest
 
 from torusdirac.errors import ChargeZero, FamilyMismatch
 from torusdirac.fields import (
+    GAUGE_KINDS,
     FermiVelocity,
     GaugeField,
     QuantumNumbers,
@@ -10,7 +11,6 @@ from torusdirac.fields import (
     cosine_velocity,
     eval_fermi_velocity,
     eval_gauge,
-    eval_gauge_derivatives,
     hermitizing_field,
     hermitizing_quadratic_field,
     linear_ring_field,
@@ -24,22 +24,22 @@ P = TorusParams(a=0.5, c=2.0)
 
 def test_hermitizing_ax_values():
     f = hermitizing_field(e=1.0)
-    ax, au = eval_gauge(f, P, 0.0)
+    ax, au, _, _ = eval_gauge(f, P, 0.0)
     assert ax == 0.0 and au == 0.0
-    ax, _ = eval_gauge(f, P, np.pi / 2)
+    ax, _, _, _ = eval_gauge(f, P, np.pi / 2)
     assert ax == pytest.approx(-0.125j, abs=1e-15)  # -i a^2 / (2e)
     assert ax.real == 0.0
 
 
 def test_quadratic_au_with_default_c3():
     f = quadratic_ring_field(C2=1.0, e=1.0, k=1)
-    _, au = eval_gauge(f, P, np.pi / 2)
+    _, au, _, _ = eval_gauge(f, P, np.pi / 2)
     assert au == pytest.approx(4.0 - 2.0, abs=1e-14)  # R^2 + C3 with C3 = -k/(a e)
 
 
 def test_linear_au_value():
     f = linear_ring_field(a2=0.1, k=2, e=1.0)
-    _, au = eval_gauge(f, P, 0.0)
+    _, au, _, _ = eval_gauge(f, P, 0.0)
     assert au == pytest.approx(0.1 * 2.5 - 2.0 / 0.5, abs=1e-14)
 
 
@@ -59,9 +59,10 @@ def test_unknown_kinds_rejected():
 def test_periodicity_of_builtin_families():
     x = np.linspace(0, 2 * np.pi, 50)
     for f in (zero_field(), hermitizing_field(), quadratic_ring_field(0.7, k=2),
-              linear_ring_field(0.3, k=1), hermitizing_quadratic_field(0.2)):
-        ax1, au1 = eval_gauge(f, P, x)
-        ax2, au2 = eval_gauge(f, P, x + 2 * np.pi)
+              linear_ring_field(0.3, k=1), hermitizing_quadratic_field(0.2),
+              GaugeField(kind="real_cos_ax")):
+        ax1, au1, _, _ = eval_gauge(f, P, x)
+        ax2, au2, _, _ = eval_gauge(f, P, x + 2 * np.pi)
         assert np.max(np.abs(ax1 - ax2)) < 1e-13
         assert np.max(np.abs(au1 - au2)) < 1e-13
 
@@ -70,30 +71,38 @@ def test_k_cancellation_identity():
     # k + a e A_u collapses to a e C2 R^2 with the default C3
     f = quadratic_ring_field(C2=0.8, e=1.3, k=4)
     x = np.linspace(0, 2 * np.pi, 40)
-    _, au = eval_gauge(f, P, x)
+    _, au, _, _ = eval_gauge(f, P, x)
     r = radius_profile(P, x)
     lhs = 4 + P.a * 1.3 * au
     assert np.max(np.abs(lhs - P.a * 1.3 * 0.8 * r ** 2)) < 1e-12
 
 
 def test_fermi_velocity_families():
-    v, vp = eval_fermi_velocity(constant_velocity(), P, 0.7)
-    assert v == 1.0 and vp == 0.0
-    v, vp = eval_fermi_velocity(cosine_velocity(), P, 0.0)
+    v, vp, vpp = eval_fermi_velocity(constant_velocity(), P, 0.7)
+    assert v == 1.0 and vp == 0.0 and vpp == 0.0
+    v, vp, vpp = eval_fermi_velocity(cosine_velocity(), P, 0.0)
     assert v == pytest.approx(0.5) and vp == pytest.approx(0.0)
-    v, vp = eval_fermi_velocity(cosine_velocity(), P, np.pi / 2)
+    assert vpp == pytest.approx(-0.5)
+    v, vp, vpp = eval_fermi_velocity(cosine_velocity(), P, np.pi / 2)
     assert v == pytest.approx(0.0, abs=1e-15) and vp == pytest.approx(-0.5)
+    assert vpp == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gauge_derivatives_match_finite_differences():
+    fields = {f.kind: f for f in (
+        zero_field(), hermitizing_field(), quadratic_ring_field(0.4, k=2),
+        linear_ring_field(0.2), hermitizing_quadratic_field(0.3 + 0.1j, e=1.5, k=2),
+        GaugeField(kind="real_cos_ax"),
+    )}
+    assert set(fields) == set(GAUGE_KINDS)  # every kind, and no other
     x = np.linspace(0.3, 5.0, 11)
     h = 1e-6
-    for f in (hermitizing_field(), quadratic_ring_field(0.4, k=2), linear_ring_field(0.2)):
-        axp, aup = eval_gauge_derivatives(f, P, x)
+    for kind, f in fields.items():
+        _, _, axp, aup = eval_gauge(f, P, x)
         axp_fd = (eval_gauge(f, P, x + h)[0] - eval_gauge(f, P, x - h)[0]) / (2 * h)
         aup_fd = (eval_gauge(f, P, x + h)[1] - eval_gauge(f, P, x - h)[1]) / (2 * h)
-        assert np.max(np.abs(axp - axp_fd)) < 1e-8
-        assert np.max(np.abs(aup - aup_fd)) < 1e-8
+        assert np.max(np.abs(axp - axp_fd)) < 1e-8, kind
+        assert np.max(np.abs(aup - aup_fd)) < 1e-8, kind
 
 
 def test_quantum_numbers_integer_k():

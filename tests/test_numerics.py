@@ -17,7 +17,6 @@ from torusdirac.numerics import (
     ShootingProblem,
     _numerov_sweep,
     TridiagonalSym,
-    cumulative_simpson,
     discretize_schrodinger,
     eig_sym_tridiag,
     find_root_bracketed,
@@ -156,9 +155,8 @@ def _nodes_through_wall(y):
 
 
 def _morse_verify_problem():
-    """The Morse-chain shooting problem certified by `verify`."""
-    return analytic.morse_shooting_problem(checks._morse_params(), 1.0,
-                                           t_min=-4.0, t_max=50.0, n=16001)
+    """The Morse-chain shooting problem certified by `verify` (the default window)."""
+    return analytic.morse_shooting_problem(checks._morse_params(), 1.0)
 
 
 @pytest.mark.parametrize("problem", [
@@ -230,6 +228,17 @@ def test_shoot_level_is_a_sign_change_of_the_end_value(caplog):
     assert not [r for r in caplog.records if r.name.startswith("torusdirac")]
 
 
+def test_shoot_rejects_a_step_too_coarse_for_numerov():
+    # on [-6, 50] at 8001 samples h^2 (v - floor)/12 reaches 1.79 at the left
+    # wall; where it exceeds 1 the recurrence flips sign each step and invents
+    # nodes, which used to surface as a NotConfining error naming the window
+    sp = analytic.morse_shooting_problem(checks._morse_params(), 1.0,
+                                         t_min=-6.0, t_max=50.0, n=8001)
+    with pytest.raises(ConvergenceFailure,
+                       match=r"Numerov step too coarse: .* reaches 1\.79 "):
+        shoot_bound_state(sp, 0)
+
+
 def test_shoot_not_confining():
     sp = ShootingProblem(potential=lambda t: np.zeros_like(t), t_min=0.0, t_max=1.0)
     with pytest.raises(NotConfining):
@@ -247,12 +256,6 @@ def test_simpson_values():
 
 def test_simpson_fourth_order_slope():
     assert 3.8 < checks.simpson_slope() < 4.2
-
-
-def test_cumulative_simpson_matches_antiderivative():
-    t = np.linspace(0.0, 2.0, 401)
-    table = cumulative_simpson(np.exp(t), t[1] - t[0])
-    assert np.max(np.abs(table - (np.exp(t) - 1.0))) < 1e-9
 
 
 def test_root_finder():

@@ -127,9 +127,7 @@ def test_hermiticity_contrast():
     pairs = [(spinor(g, [1, 2, 3], s), spinor(g, [2, 4], 50 + s)) for s in range(6)]
     herm = hermitizing_quadratic_field(C2=0.4, e=1.0, k=1)
     assert hermiticity_defect(P, herm, 1, g, pairs) < 1e-12
-    real_ax = GaugeField(kind="tabulated", grid=g, e=1.0, k=1,
-                         ax_samples=tuple(np.cos(g.points)),
-                         au_samples=tuple(np.zeros(g.n)))
+    real_ax = GaugeField(kind="real_cos_ax")
     assert hermiticity_defect(P, real_ax, 1, g, pairs) > 1e-3
     # the geometric sine term alone already obstructs flat self-adjointness;
     # documented, so the zero-gauge defect is large as well
@@ -153,8 +151,9 @@ def test_pdfv_swap_rule_for_f_and_g():
     f = linear_ring_field(a2=0.15, e=1.0, k=2)
     # k -> -k, A_u -> -A_u is again a linear ring field with flipped parameters
     f_sw = linear_ring_field(a2=-0.15, e=1.0, k=-2)
-    assert np.max(np.abs(eval_gauge(f_sw, P, g.points)[1]
-                         + eval_gauge(f, P, g.points)[1])) < 1e-15
+    _, au_sw, _, _ = eval_gauge(f_sw, P, g.points)
+    _, au, _, _ = eval_gauge(f, P, g.points)
+    assert np.max(np.abs(au_sw + au)) < 1e-15
     plus, minus = decouple_pdfv(P, f, 2, 1.0, cosine_velocity(), g)
     plus2, minus2 = decouple_pdfv(P, f_sw, -2, 1.0, cosine_velocity(), g)
     assert np.max(np.abs(plus.meta["F"] - minus2.meta["F"])) < 1e-12

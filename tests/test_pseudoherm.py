@@ -3,6 +3,7 @@ import pytest
 
 from torusdirac.errors import DomainSingularity, FamilyMismatch
 from torusdirac.fields import (
+    GaugeField,
     constant_velocity,
     cosine_velocity,
     hermitizing_field,
@@ -275,6 +276,18 @@ def test_prefactor_limits_and_anchor(sign):
     assert np.max(np.abs(pref5.values - expected)) < 1e-13
     idx = np.argmin(np.abs(x))
     assert abs(pref5.values[idx] - 1.0) < 1e-3  # equals 1 at x = 0 by anchoring
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["as-printed", "sigma-half"])
+def test_prefactor_real_cos_gauge_closed_form(sign):
+    # A_x = cos x enters through its antiderivative sin x, anchored at x = 0
+    g = Grid(1001, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
+    e = 1.3
+    pref = prefactor_case2(P, GaugeField(kind="real_cos_ax", e=e), g, sign)
+    x = g.points
+    expected = np.exp(0.5 * (sign * P.a ** 2 * (np.cos(x) - 1.0) - np.log(np.abs(np.cos(x))))
+                      + 1j * sign * e * np.sin(x))
+    assert np.max(np.abs(pref.values - expected)) < 1e-13
 
 
 def test_prefactor_pole_guard():
