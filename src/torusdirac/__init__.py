@@ -75,6 +75,7 @@ from .numerics import (
     discretize_schrodinger,
     eig_sym_tridiag,
     find_root_bracketed,
+    hill_eigenvalues,
     integrate_simpson,
     shoot_bound_state,
 )

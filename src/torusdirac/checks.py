@@ -12,8 +12,9 @@ info    reported without a threshold; the suite asserts only that it is finite
 
 `registry()` lists every check in `verify`'s report order.  `verify` skips
 the checks marked `verify=False`: the Christoffel oracle order and the
-truncated-domain spectrum match would add about a quarter to its cost, and
-the position-dependent intertwiner has never been part of its report.
+truncated-domain spectrum match would add about a quarter to its cost, the
+position-dependent intertwiner has never been part of its report, and the
+periodic spectrum's order against Hill's method is reported by `spectrum`.
 
 Library functions are called through their module attributes
 (`geometry.metric_at`), so wrappers installed on those modules see them.
@@ -387,6 +388,22 @@ def oscillator_benchmark() -> float:
     return max(abs(w[i] - (2 * i + 1)) / (2 * i + 1) for i in range(3))
 
 
+def hill_order() -> float:
+    """Convergence order of the periodic FD spectrum to Hill's, n = 512 -> 1024 -> 2048.
+
+    The default scenario's Mathieu-form potential (a=0.5, c=2, e=1, C2=0.2);
+    the mean log2 error ratio of the six lowest levels.
+    """
+    potential = pseudoherm.mathieu_form(DEFAULT_TORUS, 1.0, 0.2).potential
+    exact = numerics.hill_eigenvalues(potential, 6)
+    errs = []
+    for n in (512, 1024, 2048):
+        m = numerics.discretize_schrodinger(potential, Grid(n))
+        errs.append(np.abs(numerics.eig_sym_tridiag(m, 6, with_vectors=False).eigenvalues
+                           - exact))
+    return float(np.mean([np.log2(errs[i] / errs[i + 1]) for i in range(2)]))
+
+
 def simpson_slope() -> float:
     """Mean log2 error ratio of Simpson's rule for sin on [0, pi], 101 -> 201 -> 401 points."""
     errs = []
@@ -401,6 +418,8 @@ def simpson_slope() -> float:
 # ---------------------------------------------------------------------------
 
 BOX_BENCHMARK = Check("numerics: box benchmark", 10, box_benchmark, 1e-5)
+HILL_ORDER = Check("numerics: periodic FD order vs Hill's method", 10, hill_order,
+                   (1.9, 2.1), "window", verify=False)
 
 
 def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
@@ -455,5 +474,6 @@ def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
               special_function_gap, 1e-13),
         BOX_BENCHMARK,
         Check("numerics: oscillator benchmark", 10, oscillator_benchmark, 1e-5),
+        HILL_ORDER,
         Check("numerics: simpson error slope", 10, simpson_slope, (3.8, 4.2), "window"),
     )

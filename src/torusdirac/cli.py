@@ -10,8 +10,8 @@ analytic   closed-form spectra and wavefunction tables
 
 Config files are YAML; every field has a default (a=0.5, c=2, e=1, k=1,
 chosen here since the source fixes no numbers).  Identical configs produce
-byte-identical CSV output at a fixed BLAS thread count, modulo an optional
-timestamp comment that --no-timestamp suppresses.
+byte-identical CSV output, modulo an optional timestamp comment that
+--no-timestamp suppresses.
 """
 
 from __future__ import annotations
@@ -295,6 +295,8 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
         rows = [(i, res.eigenvalues[i], res.residuals[i]) for i in range(len(res.eigenvalues))]
         worst = float(np.max(res.residuals))
         rep.add("eigenpair residual max", worst, 1e-8, worst < 1e-8)
+        rep.add_info("periodic eigensolve Fourier modes", res.modes, note=f"of {grid.n}")
+        checks.HILL_ORDER.record(rep)
         if "csv" in cfg.outputs:
             write_csv(out / "spectrum_constant_vf.csv", ["n", "lambda", "residual"],
                       rows, timestamp)

@@ -7,6 +7,7 @@ Uniform grids only.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,6 +24,8 @@ from .errors import (
 )
 from .grids import Grid
 
+logger = logging.getLogger(__name__)
+
 # samples per banded solve in a Numerov sweep
 _CHUNK = 256
 # seeds above this are rescaled, leaving 1e200 of headroom inside one chunk
@@ -35,8 +38,8 @@ class TridiagonalSym:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    # periodic discretizations carry a corner entry; the eigensolver then
-    # solves the dense matrix for the lowest eigenpairs only
+    # periodic discretizations couple the last sample to the first; the
+    # eigensolver then works in the discrete Fourier basis
     corner: float = 0.0
 
     def __post_init__(self):
@@ -51,16 +54,6 @@ class TridiagonalSym:
     def n(self) -> int:
         return self.diag.shape[0]
 
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        m[idx, idx + 1] = self.offdiag
-        m[idx + 1, idx] = self.offdiag
-        if self.corner != 0.0:
-            m[0, -1] += self.corner
-            m[-1, 0] += self.corner
-        return m
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
         out[:-1] += self.offdiag * v[1:]
@@ -73,11 +66,27 @@ class TridiagonalSym:
 
 @dataclass
 class EigResult:
-    """Ascending eigenvalues, optional eigenvectors (columns), and residual norms."""
+    """Ascending eigenvalues, optional eigenvectors (columns), and residual norms.
+
+    `modes` is the number of Fourier modes a periodic solve kept (None for a
+    pure tridiagonal one).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = field(default=None, repr=False)
     residuals: Optional[np.ndarray] = None
+    modes: Optional[int] = None
+
+
+def _real_samples(potential, grid: Grid) -> np.ndarray:
+    """Real samples of a callable of x (or of given samples) on the grid's points."""
+    v = potential(grid.points) if callable(potential) else np.asarray(potential)
+    if np.max(np.abs(np.imag(v))) > 1e-12:
+        raise ComplexPotential("real eigensolves only; potential has an imaginary part")
+    v = np.real(v).astype(float)
+    if v.shape != (grid.n,):
+        raise ValueError("potential samples do not match grid size")
+    return v
 
 
 def discretize_schrodinger(potential, grid: Grid) -> TridiagonalSym:
@@ -86,13 +95,7 @@ def discretize_schrodinger(potential, grid: Grid) -> TridiagonalSym:
     `potential` is a callable of x or an array of samples.  Dirichlet grids
     hold interior points only; periodic grids get the wraparound corner.
     """
-    x = grid.points
-    v = potential(x) if callable(potential) else np.asarray(potential)
-    if np.max(np.abs(np.imag(v))) > 1e-12:
-        raise ComplexPotential("real eigensolves only; potential has an imaginary part")
-    v = np.real(v).astype(float)
-    if v.shape != (grid.n,):
-        raise ValueError("potential samples do not match grid size")
+    v = _real_samples(potential, grid)
     hh = grid.h * grid.h
     diag = 2.0 / hh + v
     offdiag = np.full(grid.n - 1, -1.0 / hh)
@@ -100,32 +103,123 @@ def discretize_schrodinger(potential, grid: Grid) -> TridiagonalSym:
     return TridiagonalSym(diag, offdiag, corner)
 
 
+def _fourier_galerkin(dhat: np.ndarray, ohat: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Real Galerkin matrix of a periodic operator on the modes `modes`.
+
+    With omega = exp(2 pi i/n), the unitary DFT basis omega^(m j)/sqrt(n)
+    carries a periodic matrix with diagonal d and couplings o_j between j
+    and j+1 (mod n) to
+        H[m, m'] = dhat[m - m'] + ohat[m - m'] (omega^m' + omega^-m),
+    dhat = fft(d)/n and ohat = fft(o)/n, indices mod n: an exact similarity.
+    For a mode set closed under negation, cas(2 pi m j/n)/sqrt(n) with
+    cas = cos + sin is a real orthonormal basis of the same space, and the
+    matrix in it is Re H[m, m'] - Im H[m, -m'] (a real matrix makes
+    H[-m, -m'] = conj H[m, m']).
+    """
+    n = dhat.shape[0]
+    omega = np.exp(2j * np.pi * modes / n)
+    p, q = modes[:, None], modes[None, :]
+    wq, wp_inv = omega[None, :], omega[:, None].conj()
+    k = (p - q) % n
+    g = (dhat[k] + ohat[k] * (wq + wp_inv)).real
+    k = (p + q) % n
+    g -= (dhat[k] + ohat[k] * (wq.conj() + wp_inv)).imag
+    return g
+
+
+def _residuals(m: TridiagonalSym, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return np.array([np.linalg.norm(m.matvec(vecs[:, i]) - w[i] * vecs[:, i])
+                     for i in range(len(w))])
+
+
+def _eig_periodic(m: TridiagonalSym, k: int):
+    """Lowest-k eigenpairs of a periodic matrix by Galerkin on the modes |m| <= M.
+
+    M starts at 8 (or k) and doubles, with a log line, until every full-grid
+    residual is at most 1e-9 max(1, max |lambda|); with all n modes the
+    solve is the exact similarity and is returned as it is.  Returns
+    (eigenvalues, real orthonormal eigenvectors, residuals, mode count).
+    """
+    n = m.n
+    dhat = np.fft.fft(m.diag) / n
+    ohat = np.fft.fft(np.append(m.offdiag, m.corner)) / n
+    cut = max(8, k)
+    while True:
+        modes = np.arange(-cut, cut + 1) if 2 * cut + 1 < n else np.arange(n) - n // 2
+        w, c = eigh(_fourier_galerkin(dhat, ohat, modes), subset_by_index=(0, k - 1))
+        coef = np.zeros((n, k))
+        coef[modes % n] = c
+        f = np.fft.fft(coef, axis=0)
+        vecs = (f.real - f.imag) / np.sqrt(n)
+        res = _residuals(m, w, vecs)
+        tol = 1e-9 * max(1.0, np.max(np.abs(w)))
+        if len(modes) == n or np.all(res <= tol):
+            return w, vecs, res, len(modes)
+        logger.info("periodic eigensolve: %d Fourier modes leave a residual of %.3g > %.3g; "
+                    "widening to %d", len(modes), np.max(res), tol, min(4 * cut + 1, n))
+        cut *= 2
+
+
 def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
                     with_vectors: bool = True) -> EigResult:
     """Lowest-k eigenpairs.
 
     Pure tridiagonal problems use LAPACK's Sturm-sequence bisection plus
-    inverse iteration; a nonzero periodic corner goes to the dense symmetric
-    solver, which computes only the lowest k eigenpairs.
+    inverse iteration.  A nonzero periodic corner is solved in Fourier
+    space (`_eig_periodic`): a real Galerkin matrix on the modes |m| <= M,
+    M widened until the eigenpairs pass a full-grid residual check, and the
+    mode count kept in `modes`.  That path always computes the vectors, for
+    its check, and drops them when `with_vectors` is false.  Residuals above
+    1e-6 max(1, max |lambda|) raise ConvergenceFailure.
     """
     if not 1 <= k_lowest <= m.n:
         raise ValueError("k_lowest out of range")
-    lowest = (0, k_lowest - 1)
+    modes = None
     if m.corner == 0.0:
-        out = eigh_tridiagonal(m.diag, m.offdiag, select="i", select_range=lowest,
+        out = eigh_tridiagonal(m.diag, m.offdiag, select="i", select_range=(0, k_lowest - 1),
                                eigvals_only=not with_vectors)
+        w, vecs = out if with_vectors else (out, None)
+        res = None if vecs is None else _residuals(m, w, vecs)
     else:
-        out = eigh(m.dense(), subset_by_index=lowest, eigvals_only=not with_vectors)
-    w, vecs = out if with_vectors else (out, None)
-    res = None
-    if vecs is not None:
-        res = np.array([
-            np.linalg.norm(m.matvec(vecs[:, i]) - w[i] * vecs[:, i])
-            for i in range(len(w))
-        ])
-        if np.any(res > 1e-6 * max(1.0, np.max(np.abs(w)))):
-            raise ConvergenceFailure("eigenpair residuals exceed solver tolerance")
-    return EigResult(eigenvalues=w, eigenvectors=vecs, residuals=res)
+        w, vecs, res, modes = _eig_periodic(m, k_lowest)
+    if res is not None and np.any(res > 1e-6 * max(1.0, np.max(np.abs(w)))):
+        raise ConvergenceFailure("eigenpair residuals exceed solver tolerance")
+    if not with_vectors:
+        vecs = res = None
+    return EigResult(eigenvalues=w, eigenvectors=vecs, residuals=res, modes=modes)
+
+
+def hill_eigenvalues(potential: Callable[[np.ndarray], np.ndarray],
+                     k_lowest: int) -> np.ndarray:
+    """Lowest-k eigenvalues of -psi'' + V psi on the 2 pi-periodic line (Hill's method).
+
+    The Galerkin matrix of the periodic eigensolver with the continuum
+    symbol m^2 in place of the difference operator, on the modes |m| <= M,
+    with V's Fourier coefficients taken from 8 M samples of the callable
+    `potential`.  M starts at 8 (or k) and doubles, with a log line, until
+    the solves at M and 2 M agree to 1e-11 max(1, max |lambda|); the finer
+    one is returned.  No agreement by M = 256 raises ConvergenceFailure.
+    """
+    def solve(cut):
+        v = _real_samples(potential, Grid(8 * cut))
+        modes = np.arange(-cut, cut + 1)
+        g = _fourier_galerkin(np.fft.fft(v) / v.shape[0], np.zeros(v.shape[0]), modes)
+        g[np.diag_indices_from(g)] += modes ** 2.0
+        return eigh(g, subset_by_index=(0, k_lowest - 1), eigvals_only=True)
+
+    if k_lowest < 1:
+        raise ValueError("k_lowest out of range")
+    cut = max(8, k_lowest)
+    w = solve(cut)
+    while cut < 256:
+        finer = solve(2 * cut)
+        gap, tol = np.max(np.abs(finer - w)), 1e-11 * max(1.0, np.max(np.abs(finer)))
+        if gap <= tol:
+            return finer
+        logger.info("Hill's method: %d and %d modes differ by %.3g > %.3g; widening",
+                    2 * cut + 1, 4 * cut + 1, gap, tol)
+        cut, w = 2 * cut, finer
+    raise ConvergenceFailure(f"Hill's method did not converge within {2 * cut + 1} modes")
 
 
 def sturm_count(m: TridiagonalSym, lam: float) -> int:

@@ -57,7 +57,8 @@ class SampledOp:
 
     p = 1 gives the Schrodinger (sigma = 0) and Sturm-Liouville forms, p = 0
     the first-order (sigma = 1) and multiplicative (sigma = 0) ones.  A
-    scalar sigma or rho is broadcast over the grid.  The decouplers
+    scalar sigma or rho is broadcast over the grid; a sigma that is zero
+    everywhere skips the first-derivative stencil.  The decouplers
     document how their eigenvalue relates to the energy; `meta` holds what
     a constructor exposes (F and G for position-dependent velocity, the
     branch constants of the superpotential).
@@ -90,7 +91,7 @@ class SampledOp:
         if gf.grid != self.grid:
             raise GridMismatch("operand grid differs from operator grid")
         v = gf.values
-        out = self.sigma * diff1(v, self.grid)
+        out = self.sigma * diff1(v, self.grid) if np.any(self.sigma) else 0.0
         if self.p:
             if second_derivative == "d1d1":
                 dd = diff1(diff1(v, self.grid), self.grid)
@@ -108,7 +109,7 @@ class SampledOp:
         if gf.grid != self.grid:
             raise GridMismatch("operand grid differs from operator grid")
         v = gf.values
-        out = -diff1(np.conj(self.sigma) * v, self.grid)
+        out = -diff1(np.conj(self.sigma) * v, self.grid) if np.any(self.sigma) else 0.0
         if self.p:
             out = -self.p * diff2(v, self.grid) + out
         return GridFunction(self.grid, out + np.conj(self.rho) * v)

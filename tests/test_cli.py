@@ -1,4 +1,5 @@
 import copy
+import os
 import subprocess
 import sys
 import warnings
@@ -60,6 +61,19 @@ def test_spectrum_writes_table_and_complex_hint(tmp_path):
     r2 = run_cli("--config", str(cfg), "--out", str(tmp_path), "spectrum")
     assert r2.returncode == 1
     assert "verify" in r2.stderr
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        r = subprocess.run(BASE + ["--out", str(out), "--no-timestamp", "spectrum"],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        tables.append((out / "spectrum_constant_vf.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_verify_passes_and_negative_control_fails(tmp_path):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import mathieu_a, mathieu_b
 
 from torusdirac import analytic, checks, geometry, pseudoherm
 from torusdirac.errors import (
@@ -20,16 +21,28 @@ from torusdirac.numerics import (
     discretize_schrodinger,
     eig_sym_tridiag,
     find_root_bracketed,
+    hill_eigenvalues,
     integrate_simpson,
     shoot_bound_state,
     sturm_count,
 )
 
 
+def _dense(m):
+    """The full matrix of a TridiagonalSym, corner entries included."""
+    out = np.diag(m.diag)
+    idx = np.arange(m.n - 1)
+    out[idx, idx + 1] = m.offdiag
+    out[idx + 1, idx] = m.offdiag
+    out[0, -1] += m.corner
+    out[-1, 0] += m.corner
+    return out
+
+
 def test_tridiag_known_3x3_padded():
     # classic second-difference 3x3 block embedded in identity padding
     m = TridiagonalSym(diag=np.array([2.0, 2.0, 2.0]), offdiag=np.array([-1.0, -1.0]))
-    w = np.linalg.eigvalsh(m.dense())
+    w = np.linalg.eigvalsh(_dense(m))
     assert np.allclose(w, [2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)], atol=1e-12)
 
 
@@ -38,6 +51,7 @@ def test_identity_eigenvalues():
     res = eig_sym_tridiag(m, 5)
     assert np.allclose(res.eigenvalues, 1.0)
     assert np.max(res.residuals) < 1e-12
+    assert res.modes is None  # a pure tridiagonal solve keeps no Fourier modes
 
 
 def test_random_tridiag_against_sturm_count():
@@ -67,14 +81,66 @@ def test_oscillator_benchmark():
     assert checks.oscillator_benchmark() < 1e-5
 
 
-def test_periodic_path_is_dense_and_correct():
+def test_periodic_path_is_fourier_and_correct():
     g = Grid(400)
     m = discretize_schrodinger(lambda x: np.zeros_like(x), g)
     assert m.corner != 0.0
-    w = eig_sym_tridiag(m, 3, with_vectors=False).eigenvalues
+    res = eig_sym_tridiag(m, 3, with_vectors=False)
+    w = res.eigenvalues
     # free periodic modes: 0, 1, 1 up to discretization
     assert abs(w[0]) < 1e-10
     assert abs(w[1] - 1.0) < 1e-3 and abs(w[2] - 1.0) < 1e-3
+    assert res.modes == 17
+
+
+def test_periodic_degenerate_pairs_give_real_orthonormal_vectors():
+    # the free grid's levels 4 sin^2(m h/2)/h^2 come in exactly degenerate pairs +-m
+    g = Grid(400)
+    m = discretize_schrodinger(lambda x: np.zeros_like(x), g)
+    res = eig_sym_tridiag(m, 7)
+    vecs = res.eigenvectors
+    assert vecs.dtype == np.float64
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(7))) < 1e-12
+    assert np.max(res.residuals) < 1e-8
+    levels = 4.0 / g.h ** 2 * np.sin(np.array([0, 1, 1, 2, 2, 3, 3]) * g.h / 2) ** 2
+    assert np.allclose(res.eigenvalues, levels, rtol=0.0, atol=1e-9)
+
+
+def test_periodic_widening_is_logged_and_counted(caplog):
+    # a random periodic matrix has no low Fourier content: every doubling fails
+    # the residual check until all 200 modes are in
+    m = _random_periodic()
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        res = eig_sym_tridiag(m, 6)
+    assert res.modes == 200
+    widened = [r.getMessage() for r in caplog.records if "widening" in r.getMessage()]
+    assert len(widened) == 4 and widened[-1].endswith("widening to 200")
+    assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(_dense(m))[:6], rtol=0.0,
+                       atol=1e-12)
+
+
+def test_hill_matches_mathieu_characteristic_values():
+    # -y'' + 2 q cos(2x) y = lambda y: the 2 pi-periodic levels are a_0, b_1, a_1, b_2, ...
+    q = 1.0
+    exact = sorted([mathieu_a(0, q), mathieu_b(1, q), mathieu_a(1, q), mathieu_b(2, q),
+                    mathieu_a(2, q), mathieu_b(3, q)])
+    w = hill_eigenvalues(lambda x: 2 * q * np.cos(2 * x), 6)
+    assert np.max(np.abs(w - exact)) < 1e-11
+
+
+def test_hill_widens_for_slow_coefficients_and_raises_when_they_never_settle(caplog):
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        w = hill_eigenvalues(lambda x: 1.0 / (1.2 - np.cos(x)), 4)
+    assert [r for r in caplog.records if "Hill's method" in r.getMessage()]
+    g = Grid(2048)
+    fd = eig_sym_tridiag(discretize_schrodinger(lambda x: 1.0 / (1.2 - np.cos(x)), g), 4,
+                         with_vectors=False).eigenvalues
+    assert np.max(np.abs(fd - w)) < 1e-4
+    # |sin x| has a kink: its coefficients fall as 1/m^2 and the levels keep moving
+    with pytest.raises(ConvergenceFailure, match="513 modes"):
+        hill_eigenvalues(lambda x: np.abs(np.sin(x)), 4)
+    with pytest.raises(ComplexPotential):
+        hill_eigenvalues(lambda x: 1j * np.cos(x), 2)
 
 
 def _default_periodic_mathieu():
@@ -95,7 +161,7 @@ def _random_periodic():
 def test_periodic_lowest_k_match_full_spectrum(make):
     m = make()
     assert m.corner != 0.0
-    full = np.linalg.eigvalsh(m.dense())[:6]
+    full = np.linalg.eigvalsh(_dense(m))[:6]
     res = eig_sym_tridiag(m, 6)
     assert res.eigenvectors.shape == (m.n, 6)
     assert np.all(np.abs(res.eigenvalues - full) <= 1e-9 * np.maximum(1.0, np.abs(full)))

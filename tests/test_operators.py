@@ -15,7 +15,8 @@ from torusdirac.fields import (
     GaugeField,
 )
 from torusdirac.geometry import TorusParams, radius_profile
-from torusdirac.grids import Grid, GridFunction, band_limited
+from torusdirac import operators
+from torusdirac.grids import Grid, GridFunction, band_limited, diff2
 from torusdirac.operators import (
     SampledOp,
     SpinorGF,
@@ -223,3 +224,20 @@ def test_sl_apply_adjoint_is_the_conjugate_transpose(grid, form):
     lhs = np.vdot(au, v)
     rhs = np.vdot(u, op.apply_adjoint(GridFunction(grid, v)).values)
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(au) * np.linalg.norm(v)
+
+
+
+def test_vanishing_sigma_skips_the_first_derivative(monkeypatch):
+    # the Schrodinger form spends no first-derivative stencil on a zero sigma
+    g = Grid(64)
+    v = GridFunction(g, np.exp(1j * g.points) + np.cos(3 * g.points))
+    rho = 2.0 + np.sin(g.points)
+    op = SampledOp(g, 1, 0, rho)
+
+    def forbidden(*args):
+        raise AssertionError("diff1 called for a zero sigma")
+
+    monkeypatch.setattr(operators, "diff1", forbidden)
+    want = -diff2(v.values, g) + rho * v.values
+    assert np.array_equal(op.apply(v).values, want)
+    assert np.array_equal(op.apply_adjoint(v).values, want)
