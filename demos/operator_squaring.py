@@ -28,17 +28,16 @@ print("squared kernel vs decoupled operators (relative, 20 random spinors):")
 for n in (512, 1024, 2048):
     g = Grid(n)
     worst = max(
-        squaring_discrepancy(p, gauge, 1, g,
+        squaring_discrepancy(p, gauge, g,
                              SpinorGF(*band_limited(g, [5, 6, 7, 8], rng=s, n_functions=2)))
         for s in range(20)
     )
     print(f"  n={n:5d}: {worst:.3e}")
 
 g = Grid(512)
-plus, minus = decouple_constant_vf(p, gauge, 1, 1.0, g)
+plus, minus = decouple_constant_vf(p, gauge, g)
 print("\nsector exchange k -> -k, A_u -> -A_u swaps the problems exactly:")
-swapped = decouple_constant_vf(
-    p, GaugeField(kind="quadratic_au", C2=-0.2, e=1.0, k=-1), -1, 1.0, g)
+swapped = decouple_constant_vf(p, GaugeField(kind="quadratic_au", C2=-0.2, e=1.0, k=-1), g)
 print(f"  plus == swapped minus: {np.array_equal(plus.rho, swapped[1].rho)}")
 
 print("\nself-adjointness defect (flat inner product):")
@@ -51,7 +50,7 @@ pairs = [
 for label, f in (("hermitizing imaginary gauge", hermitizing_quadratic_field(0.4)),
                  ("gauge off", zero_field()),
                  ("real gauge, unit scale", GaugeField(kind="real_cos_ax"))):
-    d = hermiticity_defect(p5, f, 1, g, pairs)
+    d = hermiticity_defect(p5, f, g, pairs)
     print(f"  {label:28s}: {d:.3e}")
 print("  only the hermitizing choice cancels the geometric drift; with the")
 print("  gauge off the tube's sine term alone keeps the kernel non-self-adjoint.")

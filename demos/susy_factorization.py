@@ -52,7 +52,7 @@ w_op = superpotential_case1(TorusParams(a=a, c=2.0), g)
 c_con = float(np.real(w_op.meta["c"]))
 p_con = TorusParams(a=a, c=c_con)
 field = hermitizing_quadratic_field(C2=w_op.meta["C2"], e=1.0, k=2)
-counter = hermitian_counterpart_case1(p_con, field, 2, 1.0, g)
+counter = hermitian_counterpart_case1(p_con, field, g)
 v_con, _ = partner_potentials_case1(p_con, g)
 print(f"\nconstrained ring (c = {c_con:.4f}):")
 print(f"  |counterpart - factorized V|_max = {np.max(np.abs(counter.rho - v_con.rho)):.3e}")

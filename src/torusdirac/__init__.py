@@ -18,7 +18,6 @@ from .grids import Grid, GridFunction
 from .fields import (
     FermiVelocity,
     GaugeField,
-    QuantumNumbers,
     constant_velocity,
     cosine_velocity,
     eval_fermi_velocity,

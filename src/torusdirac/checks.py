@@ -44,7 +44,7 @@ DEFAULT_TORUS = geometry.TorusParams(a=0.5, c=2.0)
 class CheckRecord:
     name: str
     value: float
-    tolerance: float
+    tolerance: float | tuple  # (lo, hi) for a window
     passed: bool
     gating: bool = True
     note: str = ""
@@ -57,7 +57,9 @@ class RunReport:
     metadata: dict = dc_field(default_factory=dict)
 
     def add(self, name, value, tolerance, passed, note="", gating=True) -> CheckRecord:
-        self.records.append(CheckRecord(name=name, value=float(value), tolerance=float(tolerance),
+        if not isinstance(tolerance, tuple):
+            tolerance = float(tolerance)
+        self.records.append(CheckRecord(name=name, value=float(value), tolerance=tolerance,
                                         passed=bool(passed), gating=gating, note=note))
         return self.records[-1]
 
@@ -72,7 +74,10 @@ class RunReport:
         lines = [f"== {self.title} =="]
         for r in self.records:
             status = ("PASS" if r.passed else "FAIL") if r.gating else "INFO"
-            tol = "" if np.isnan(r.tolerance) else f" tol={r.tolerance:g}"
+            if isinstance(r.tolerance, tuple):
+                tol = " window=({:g}, {:g})".format(*r.tolerance)
+            else:
+                tol = "" if np.isnan(r.tolerance) else f" tol={r.tolerance:g}"
             note = f"  [{r.note}]" if r.note else ""
             lines.append(f"{status:4s} {r.name:48s} value={r.value:.6e}{tol}{note}")
         lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
@@ -85,7 +90,8 @@ class RunReport:
             "metadata": self.metadata,
             "records": [
                 {"name": r.name, "value": r.value,
-                 "tolerance": None if np.isnan(r.tolerance) else r.tolerance,
+                 "tolerance": (list(r.tolerance) if isinstance(r.tolerance, tuple)
+                               else None if np.isnan(r.tolerance) else r.tolerance),
                  "passed": r.passed, "gating": r.gating, "note": r.note}
                 for r in self.records
             ],
@@ -122,12 +128,7 @@ class Check:
         value = self.measure()
         if self.status != "gate":
             return report.add_info(self.name, value, note=self.note)
-        passed = self.passes(value)
-        if self.direction != "window":
-            return report.add(self.name, value, self.tolerance, passed, self.note)
-        lo, hi = self.tolerance
-        return report.add(self.name, value, lo, passed,
-                          self.note if passed else f"outside the window ({lo:g}, {hi:g})")
+        return report.add(self.name, value, self.tolerance, self.passes(value), self.note)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +167,12 @@ def squaring_consistency(n: int = 1024, seeds=range(20)) -> float:
     for seed in seeds:
         sp = operators.SpinorGF(*grids.band_limited(g, modes=[5, 6, 7, 8],
                                                     rng=seed, n_functions=2))
-        worst = max(worst, operators.squaring_discrepancy(torus, gauge, 1, g, sp))
+        worst = max(worst, operators.squaring_discrepancy(torus, gauge, g, sp))
     return worst
 
 
 def kernel_defect(gauge: fields.GaugeField) -> float:
-    """Flat self-adjointness defect of the kernel under `gauge` (a=0.5, k=1, 512 points).
+    """Flat self-adjointness defect of the kernel under `gauge` (a=0.5, 512 points).
 
     Six fixed pairs of band-limited spinors probe the defect.
     """
@@ -181,7 +182,7 @@ def kernel_defect(gauge: fields.GaugeField) -> float:
          operators.SpinorGF(*grids.band_limited(g, [2, 4], rng=90 + s, n_functions=2)))
         for s in range(6)
     ]
-    return operators.hermiticity_defect(DEFAULT_TORUS, gauge, 1, g, pairs)
+    return operators.hermiticity_defect(DEFAULT_TORUS, gauge, g, pairs)
 
 
 def _superpotential(a: float, x):
@@ -233,7 +234,7 @@ def tabulated_intertwiner_residual() -> float:
     """Tabulated first-order intertwiner of the constant-velocity chain, to adjoint form."""
     g, phis = _intertwining_probe()
     herm_gauge = fields.hermitizing_quadratic_field(0.4, e=1.0, k=1)
-    plus, _ = operators.decouple_constant_vf(DEFAULT_TORUS, herm_gauge, 1, 1.0, g)
+    plus, _ = operators.decouple_constant_vf(DEFAULT_TORUS, herm_gauge, g)
     h_s = operators.SampledOp(g, 1, 0, plus.rho)  # sigma vanishes for this gauge
     eta2 = pseudoherm.eta2_case1(DEFAULT_TORUS, 0.0, g)
     return pseudoherm.intertwining_residual(eta2, h_s, pseudoherm.AdjointOf(h_s), phis)
@@ -244,8 +245,7 @@ def pdfv_intertwiner_residual() -> float:
     g = Grid(2048, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
     phis = grids.compact_test_functions(g, [3, 5], rng=6, n_functions=4, margin=0.35)
     gauge = fields.linear_ring_field(a2=0.2, e=1.0, k=1)
-    plus, _ = operators.decouple_pdfv(DEFAULT_TORUS, gauge, 1, 1.0,
-                                      fields.cosine_velocity(), g)
+    plus, _ = operators.decouple_pdfv(DEFAULT_TORUS, gauge, fields.cosine_velocity(), g)
     eta2 = pseudoherm.eta2_case2(DEFAULT_TORUS, 0.0, g)
     return pseudoherm.intertwining_residual(eta2, plus, pseudoherm.AdjointOf(plus), phis)
 
@@ -254,7 +254,7 @@ def effective_potential_gap() -> float:
     """Effective potential of the cosine-velocity case against its Rosen-Morse form."""
     g = Grid(2000, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
     gauge = fields.linear_ring_field(a2=0.2, e=1.0, k=1)
-    ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge, 1, 1.0, fields.cosine_velocity(), g)
+    ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge, fields.cosine_velocity(), g)
     return float(np.max(np.abs(
         ve.rho - pseudoherm.rosen_morse_form(DEFAULT_TORUS, 0.2, 1.0, g.points))))
 
@@ -293,8 +293,7 @@ def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
     for n in range(n_max + 1):
         sol = analytic.case2_quantize(n, alpha, alpha ** 2 * (n + 0.5) ** 2 - 0.5)
         gauge_n = fields.linear_ring_field(a2=alpha * (n + 0.5) / DEFAULT_TORUS.a)
-        ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge_n, 1, 1.0, fields.cosine_velocity(),
-                                   grid)
+        ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge_n, fields.cosine_velocity(), grid)
         m = numerics.discretize_schrodinger(np.real(ve.rho), grid)
         fd = numerics.eig_sym_tridiag(m, n + 1, with_vectors=False).eigenvalues[n]
         eps_sq = sol.epsilon_n ** 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import math
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -74,8 +75,7 @@ READS = {
 @dataclass
 class ScenarioConfig:
     torus: geometry.TorusParams
-    gauge: fields.GaugeField
-    quantum: fields.QuantumNumbers
+    gauge: fields.GaugeField  # carries quantum.k and quantum.e
     grid: Grid
     case: str
     alpha: float
@@ -129,9 +129,9 @@ def _build_config(raw: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"torus: {exc}") from exc
 
-    quantum = fields.QuantumNumbers(k=integer("quantum", "k"), e=real("quantum", "e"))
+    k, e = integer("quantum", "k"), real("quantum", "e")
 
-    # the Mathieu form of the constant_vf spectrum needs a C2 and C3 = -k/(a e)
+    # the Mathieu form of the constant_vf spectrum needs the quadratic ring field
     kind = raw["field"]["kind"]
     if kind not in ("quadratic_au", "hermitizing_quadratic"):
         raise ConfigError(f"field.kind: expected quadratic_au or hermitizing_quadratic, "
@@ -139,7 +139,7 @@ def _build_config(raw: dict) -> ScenarioConfig:
     build = (fields.quadratic_ring_field if kind == "quadratic_au"
              else fields.hermitizing_quadratic_field)
     try:
-        gauge = build(cplx("field", "C2"), e=quantum.e, k=quantum.k)
+        gauge = build(cplx("field", "C2"), e=e, k=k)
     except TorusDiracError as exc:
         raise ConfigError(f"field: {exc}") from exc
 
@@ -167,10 +167,20 @@ def _build_config(raw: dict) -> ScenarioConfig:
     if n_max < 0:
         raise ConfigError(f"analytic.n_max: expected a nonnegative integer, got {n_max}")
     return ScenarioConfig(
-        torus=torus, gauge=gauge, quantum=quantum, grid=grid,
+        torus=torus, gauge=gauge, grid=grid,
         case=case, alpha=real("analytic", "alpha"), C1=real("analytic", "C1"),
         n_max=n_max, outputs=list(outputs), raw=raw,
     )
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """YAML 1.1 with exponent floats: `1e7`, `5e-1` and `1.0e7` are numbers, not strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
 
 
 def load_config(path=None, grid_n=None) -> ScenarioConfig:
@@ -181,7 +191,7 @@ def load_config(path=None, grid_n=None) -> ScenarioConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            user = yaml.safe_load(text) or {}
+            user = yaml.load(text, Loader=_ConfigLoader) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
         if not isinstance(user, dict):
@@ -277,14 +287,14 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
 
 def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     rep = RunReport("spectrum")
-    p, e, k = cfg.torus, cfg.quantum.e, cfg.quantum.k
+    p = cfg.torus
     if "box_selftest" in cfg.outputs:
         checks.BOX_BENCHMARK.record(rep)
 
     if cfg.case == "constant_vf":
         # symmetrized branch: real trigonometric-polynomial potential
         grid = cfg.grid
-        pot = pseudoherm.mathieu_form(p, e, cfg.gauge.C2).potential(grid.points)
+        pot = pseudoherm.mathieu_form(p, cfg.gauge.e, cfg.gauge.C2).potential(grid.points)
         try:
             m = numerics.discretize_schrodinger(pot, grid)
         except ComplexPotential as exc:
@@ -301,7 +311,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
             write_csv(out / "spectrum_constant_vf.csv", ["n", "lambda", "residual"],
                       rows, timestamp)
         if "coefficients" in cfg.outputs:
-            plus, _ = operators.decouple_constant_vf(p, cfg.gauge, k, e, grid)
+            plus, _ = operators.decouple_constant_vf(p, cfg.gauge, grid)
             header, crows = operators.sl_coefficient_table(plus)
             write_csv(out / "sl_coefficients_plus.csv", header, crows, timestamp)
     else:
@@ -338,7 +348,7 @@ def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
         raise ConfigError(f"sweep a={value!r}: the tube radius must be positive")
     if name == "e" and value == 0:
         raise ConfigError("sweep e=0: the C2 constraint divides by the charge")
-    return {"a": cfg.torus.a, "e": cfg.quantum.e, "alpha": cfg.alpha, "C1": cfg.C1,
+    return {"a": cfg.torus.a, "e": cfg.gauge.e, "alpha": cfg.alpha, "C1": cfg.C1,
             name: float(value)}
 
 

@@ -10,7 +10,6 @@ Units of the charge e and the field amplitudes are dimensionless throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,24 +28,16 @@ FERMI_KINDS = ("constant", "cosine")
 
 
 @dataclass(frozen=True)
-class QuantumNumbers:
-    """Angular wavenumber k (integer) and charge e."""
-
-    k: int = 1
-    e: float = 1.0
-
-    def __post_init__(self):
-        if self.k != int(self.k):
-            raise ValueError("k must be an integer (single-valuedness in u)")
-
-
-@dataclass(frozen=True)
 class GaugeField:
-    """One of the built-in gauge families.
+    """One of the built-in gauge families, with the spinor's angular wavenumber k
+    (an integer) and charge e that it is defined for.
+
+    The operators read k and e from here.  The ring fields cancel the
+    k-dependence of the reduced operator through their constant -k/(a e).
 
     kind='zero'            A_x = A_u = 0
     kind='hermitizing_ax'  A_x = -i a^2 sin(x) / (2e), A_u = 0
-    kind='quadratic_au'    A_u = C2 R(x)^2 + C3 (C3 defaults to -k/(a e))
+    kind='quadratic_au'    A_u = C2 R(x)^2 - k/(a e)
     kind='linear_au'       A_u = a2 R(x) - k/(a e)
     kind='hermitizing_quadratic'  the hermitizing A_x with the quadratic A_u
     kind='real_cos_ax'     A_x = cos(x), A_u = 0 (a real gauge of unit scale)
@@ -56,10 +47,11 @@ class GaugeField:
     e: float = 1.0
     k: int = 1
     C2: complex = 0.0
-    C3: Optional[complex] = None  # quadratic_au; None means -k/(a e)
     a2: float = 0.0
 
     def __post_init__(self):
+        if self.k != int(self.k):
+            raise ValueError("k must be an integer (single-valuedness in u)")
         if self.kind not in GAUGE_KINDS:
             raise FamilyMismatch(f"unknown gauge kind {self.kind!r}")
         if self.kind not in ("zero", "real_cos_ax") and self.e == 0:
@@ -74,19 +66,17 @@ def hermitizing_field(e: float = 1.0) -> GaugeField:
     return GaugeField(kind="hermitizing_ax", e=e)
 
 
-def quadratic_ring_field(C2: complex, e: float = 1.0, k: int = 1,
-                         C3: Optional[complex] = None) -> GaugeField:
-    return GaugeField(kind="quadratic_au", C2=C2, e=e, k=k, C3=C3)
+def quadratic_ring_field(C2: complex, e: float = 1.0, k: int = 1) -> GaugeField:
+    return GaugeField(kind="quadratic_au", C2=C2, e=e, k=k)
 
 
 def linear_ring_field(a2: float, e: float = 1.0, k: int = 1) -> GaugeField:
     return GaugeField(kind="linear_au", a2=a2, e=e, k=k)
 
 
-def hermitizing_quadratic_field(C2: complex, e: float = 1.0, k: int = 1,
-                                C3: Optional[complex] = None) -> GaugeField:
+def hermitizing_quadratic_field(C2: complex, e: float = 1.0, k: int = 1) -> GaugeField:
     """Hermitizing A_x together with the quadratic ring field A_u."""
-    return GaugeField(kind="hermitizing_quadratic", C2=C2, e=e, k=k, C3=C3)
+    return GaugeField(kind="hermitizing_quadratic", C2=C2, e=e, k=k)
 
 
 def eval_gauge(gauge: GaugeField, params: TorusParams, x):
@@ -100,8 +90,7 @@ def eval_gauge(gauge: GaugeField, params: TorusParams, x):
         ax, axp = np.cos(x) + 0j, -np.sin(x) + 0j
     if gauge.kind in ("quadratic_au", "hermitizing_quadratic"):
         r = radius_profile(params, x)
-        c3 = gauge.C3 if gauge.C3 is not None else -gauge.k / (params.a * gauge.e)
-        au = gauge.C2 * r ** 2 + c3 + 0j
+        au = gauge.C2 * r ** 2 - gauge.k / (params.a * gauge.e) + 0j
         aup = 2.0 * gauge.C2 * r * radius_derivative(params, x) + 0j
     elif gauge.kind == "linear_au":
         au = gauge.a2 * radius_profile(params, x) - gauge.k / (params.a * gauge.e) + 0j

@@ -136,13 +136,19 @@ def _eig_periodic(m: TridiagonalSym, k: int):
     """Lowest-k eigenpairs of a periodic matrix by Galerkin on the modes |m| <= M.
 
     M starts at 8 (or k) and doubles, with a log line, until every full-grid
-    residual is at most 1e-9 max(1, max |lambda|); with all n modes the
-    solve is the exact similarity and is returned as it is.  Returns
-    (eigenvalues, real orthonormal eigenvectors, residuals, mode count).
+    residual is at most 1e-9 max(1, max |lambda|), or 4 eps |T|_inf where
+    that is larger: the rounding of T v alone leaves about 0.6 eps |T|_inf,
+    which grows as n^2 and would otherwise widen a large grid's solve to all
+    n modes.  With all n modes the solve is the exact similarity and is
+    returned as it is.  Returns (eigenvalues, real orthonormal eigenvectors,
+    residuals, mode count).
     """
     n = m.n
+    couplings = np.append(m.offdiag, m.corner)
     dhat = np.fft.fft(m.diag) / n
-    ohat = np.fft.fft(np.append(m.offdiag, m.corner)) / n
+    ohat = np.fft.fft(couplings) / n
+    row_sum = np.abs(m.diag) + np.abs(couplings) + np.abs(np.roll(couplings, 1))
+    floor = 4.0 * np.finfo(float).eps * np.max(row_sum)
     cut = max(8, k)
     while True:
         modes = np.arange(-cut, cut + 1) if 2 * cut + 1 < n else np.arange(n) - n // 2
@@ -152,8 +158,12 @@ def _eig_periodic(m: TridiagonalSym, k: int):
         f = np.fft.fft(coef, axis=0)
         vecs = (f.real - f.imag) / np.sqrt(n)
         res = _residuals(m, w, vecs)
-        tol = 1e-9 * max(1.0, np.max(np.abs(w)))
+        target = 1e-9 * max(1.0, np.max(np.abs(w)))
+        tol = max(target, floor)
         if len(modes) == n or np.all(res <= tol):
+            if floor > target:
+                logger.info("periodic eigensolve: residual target widened from %.3g to the "
+                            "rounding floor 4 eps |T|_inf = %.3g", target, floor)
             return w, vecs, res, len(modes)
         logger.info("periodic eigensolve: %d Fourier modes leave a residual of %.3g > %.3g; "
                     "widening to %d", len(modes), np.max(res), tol, min(4 * cut + 1, n))

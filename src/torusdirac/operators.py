@@ -1,8 +1,9 @@
 """Torus Dirac kernel and its reduction to second-order problems.
 
 After the exp(i k u) ansatz the operator acts on two-component functions of
-x alone.  Its off-diagonal entries combine a first derivative with the
-multiplicative coefficients
+x alone; the wavenumber k and the charge e are read from the gauge field.
+Its off-diagonal entries combine a first derivative with the multiplicative
+coefficients
 
     W1(x) = (a/2) sin x - (i e / a) A_x(x)
     Q(x)  = (k + e a A_u(x)) / R(x)      (the reduced angular + gauge term)
@@ -122,9 +123,9 @@ def _check_ring(params: TorusParams, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _coefficients(params: TorusParams, gauge: GaugeField, k: int, e: float,
-                  x: np.ndarray):
+def _coefficients(params: TorusParams, gauge: GaugeField, x: np.ndarray):
     """Return (W1, Q, W1', Q') sampled on x."""
+    k, e = gauge.k, gauge.e
     r = _check_ring(params, x)
     rp = radius_derivative(params, x)
     ax, au, axp, aup = eval_gauge(gauge, params, x)
@@ -135,7 +136,7 @@ def _coefficients(params: TorusParams, gauge: GaugeField, k: int, e: float,
     return w1, q, w1p, qp
 
 
-def apply_dirac(params: TorusParams, gauge: GaugeField, k: int, grid: Grid,
+def apply_dirac(params: TorusParams, gauge: GaugeField, grid: Grid,
                 spinor: SpinorGF, convention: str = "fg") -> SpinorGF:
     """Apply the reduced Dirac operator to a spinor on a periodic grid."""
     if convention not in SQUARE_SIGN:
@@ -144,7 +145,7 @@ def apply_dirac(params: TorusParams, gauge: GaugeField, k: int, grid: Grid,
         raise GridMismatch("the Dirac kernel is applied on periodic grids")
     if spinor.grid != grid:
         raise GridMismatch("spinor grid differs from the requested grid")
-    w1, q, _, _ = _coefficients(params, gauge, k, gauge.e, grid.points)
+    w1, q, _, _ = _coefficients(params, gauge, grid.points)
     inv_a = 1.0 / params.a
     d1 = diff1(spinor.psi1.values, grid)
     d2 = diff1(spinor.psi2.values, grid)
@@ -155,13 +156,12 @@ def apply_dirac(params: TorusParams, gauge: GaugeField, k: int, grid: Grid,
     return SpinorGF(GridFunction(grid, out1), GridFunction(grid, out2))
 
 
-def _squared_terms(params: TorusParams, gauge: GaugeField, k: int, e: float,
-                   x: np.ndarray):
+def _squared_terms(params: TorusParams, gauge: GaugeField, x: np.ndarray):
     """(sigma, (F+, F-), (G+, G-)) of the squared kernel on x.
 
     sigma = 2 a W1,  F+- = a (W1 +- Q)' - a^2 (W1 - Q)(W1 + Q),  G+- = a (W1 +- Q).
     """
-    w1, q, w1p, qp = _coefficients(params, gauge, k, e, x)
+    w1, q, w1p, qp = _coefficients(params, gauge, x)
     a = params.a
     mp = (w1 - q) * (w1 + q)
     sigma = 2.0 * a * w1
@@ -170,8 +170,7 @@ def _squared_terms(params: TorusParams, gauge: GaugeField, k: int, e: float,
     return sigma, f, g
 
 
-def decouple_constant_vf(params: TorusParams, gauge: GaugeField, k: int, e: float,
-                         grid: Grid):
+def decouple_constant_vf(params: TorusParams, gauge: GaugeField, grid: Grid):
     """Decoupled plus/minus problems for constant Fermi velocity.
 
     sigma = a^2 sin x - 2 i e A_x
@@ -181,12 +180,11 @@ def decouple_constant_vf(params: TorusParams, gauge: GaugeField, k: int, e: floa
     so that the minus sector is exactly the k -> -k, A_u -> -A_u image of
     the plus sector.  The eigenvalue of either problem is a^2 (E/V_F)^2.
     """
-    sigma, (f_plus, f_minus), _ = _squared_terms(params, gauge, k, e, grid.points)
+    sigma, (f_plus, f_minus), _ = _squared_terms(params, gauge, grid.points)
     return SampledOp(grid, 1, sigma, f_plus), SampledOp(grid, 1, sigma, f_minus)
 
 
-def decouple_pdfv(params: TorusParams, gauge: GaugeField, k: int, e: float,
-                  vf: FermiVelocity, grid: Grid):
+def decouple_pdfv(params: TorusParams, gauge: GaugeField, vf: FermiVelocity, grid: Grid):
     """Decoupled problems for position-dependent Fermi velocity.
 
     Dividing the squared system by V_F^2 gives
@@ -200,7 +198,7 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, k: int, e: float,
     v, vp, _ = eval_fermi_velocity(vf, params, x)
     if np.min(np.abs(v)) < 1e-12:
         raise VelocityZero("V_F vanishes on an interior grid point; choose a grid avoiding it")
-    sigma, (f_plus, f_minus), (g_plus, g_minus) = _squared_terms(params, gauge, k, e, x)
+    sigma, (f_plus, f_minus), (g_plus, g_minus) = _squared_terms(params, gauge, x)
     t = vp / v
     return (SampledOp(grid, 1, sigma - t, f_plus + g_plus * t,
                       meta={"F": f_plus, "G": g_plus}),
@@ -212,9 +210,8 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, k: int, e: float,
 # certification helpers
 # ---------------------------------------------------------------------------
 
-def squaring_discrepancy(params: TorusParams, gauge: GaugeField, k: int,
-                         grid: Grid, spinor: SpinorGF,
-                         convention: str = "fg") -> float:
+def squaring_discrepancy(params: TorusParams, gauge: GaugeField, grid: Grid,
+                         spinor: SpinorGF, convention: str = "fg") -> float:
     """Relative mismatch between a^2 * H(H psi) and the decoupled operators.
 
     The decoupled problems are applied with the composed first-derivative
@@ -222,9 +219,8 @@ def squaring_discrepancy(params: TorusParams, gauge: GaugeField, k: int,
     the choice of Laplacian stencil.  The 'matrix_literal' assembly squares
     to the negative of the decoupled operators; the sign is accounted for.
     """
-    plus, minus = decouple_constant_vf(params, gauge, k, gauge.e, grid)
-    hh = apply_dirac(params, gauge, k, grid,
-                     apply_dirac(params, gauge, k, grid, spinor, convention),
+    plus, minus = decouple_constant_vf(params, gauge, grid)
+    hh = apply_dirac(params, gauge, grid, apply_dirac(params, gauge, grid, spinor, convention),
                      convention)
     sign = SQUARE_SIGN[convention]
     a2 = params.a ** 2
@@ -237,29 +233,17 @@ def squaring_discrepancy(params: TorusParams, gauge: GaugeField, k: int,
     return float(num / den)
 
 
-def hermiticity_defect(params: TorusParams, gauge: GaugeField, k: int, grid: Grid,
-                       pairs, convention: str = "fg",
-                       measure: str = "flat") -> float:
-    """max |<f, H g> - <H f, g>| / (|f| |g|) over the supplied spinor pairs.
-
-    `measure` is 'flat' (uniform weights) or 'curved' (weight a R(x) dx).
-    """
-    x = grid.points
-    if measure == "curved":
-        w = params.a * radius_profile(params, x)
-    else:
-        w = np.ones_like(x)
-
+def hermiticity_defect(params: TorusParams, gauge: GaugeField, grid: Grid,
+                       pairs, convention: str = "fg") -> float:
+    """max |<f, H g> - <H f, g>| / (|f| |g|) over the supplied spinor pairs (flat measure)."""
     def inner(f: SpinorGF, g: SpinorGF) -> complex:
-        return grid.h * (
-            np.sum(w * np.conj(f.psi1.values) * g.psi1.values)
-            + np.sum(w * np.conj(f.psi2.values) * g.psi2.values)
-        )
+        return grid.h * (np.sum(np.conj(f.psi1.values) * g.psi1.values)
+                         + np.sum(np.conj(f.psi2.values) * g.psi2.values))
 
     worst = 0.0
     for f, g in pairs:
-        hf = apply_dirac(params, gauge, k, grid, f, convention)
-        hg = apply_dirac(params, gauge, k, grid, g, convention)
+        hf = apply_dirac(params, gauge, grid, f, convention)
+        hg = apply_dirac(params, gauge, grid, g, convention)
         d = abs(inner(f, hg) - inner(hf, g)) / (f.norm() * g.norm())
         worst = max(worst, float(d))
     return worst

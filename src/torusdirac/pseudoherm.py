@@ -87,18 +87,18 @@ def eta2_case1(params: TorusParams, C1: float, grid: Grid) -> SampledOp:
 
 
 def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
-                                k: int, e: float, grid: Grid) -> SampledOp:
+                                grid: Grid) -> SampledOp:
     """Hermitian-counterpart potential of the constant-velocity chain.
 
     V1 = (a k + a^2 e A_u)^2 / R^2 + a e A_u' / R - a k R'/R^2 - a^2 e A_u R'/R^2,
-    tabulated exactly as displayed in the source chain.  With the quadratic
-    ring field and C3 = -k/(a e) the k-dependence cancels and V1 collapses
-    to a trigonometric polynomial in R and R'.
+    tabulated exactly as displayed in the source chain, with k and e read from
+    the gauge field.  The quadratic ring field's constant -k/(a e) cancels the
+    k-dependence, and V1 collapses to a trigonometric polynomial in R and R'.
     """
     if gauge.kind not in ("quadratic_au", "hermitizing_quadratic"):
         raise FamilyMismatch("the counterpart potential needs the quadratic A_u family")
 
-    a = params.a
+    a, k, e = params.a, gauge.k, gauge.e
     x = grid.points
     r = radius_profile(params, x)
     rp = radius_derivative(params, x)
@@ -216,8 +216,8 @@ def prefactor_case2(params: TorusParams, gauge: GaugeField, grid: Grid,
     return GridFunction(grid, np.exp(half_int))
 
 
-def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: float,
-                         vf: FermiVelocity, grid: Grid, rng=11) -> dict:
+def case2_mapping_report(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,
+                         grid: Grid, rng=11) -> dict:
     """Measure how each prefactor reading maps the coupled problem to potential form.
 
     For each reading h, the conjugated operator (1/h) SL (h .) is probed on
@@ -227,7 +227,7 @@ def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: floa
     Rosen-Morse-II form with the coefficient rescaling a2 -> a * a2 that the
     ring bookkeeping produces.
     """
-    _, minus = decouple_pdfv(params, gauge, k, e, vf, grid)
+    _, minus = decouple_pdfv(params, gauge, vf, grid)
     x = grid.points
     phis = compact_test_functions(grid, modes=[2, 3, 5], rng=rng, n_functions=3,
                                   margin=0.2 * (grid.x_max - grid.x_min))
@@ -248,6 +248,7 @@ def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: floa
         # q = a (k + a e A_u)/R (constant for the linear ring field),
         # V_trans = T^2/4 + T'/2 + q^2 - q' - q T, which is the
         # Rosen-Morse-II form with the rescaled coefficient a * a2.
+        k, e = gauge.k, gauge.e
         _, au, _, _ = eval_gauge(gauge, params, x)
         q = params.a * (k + e * params.a * au) / radius_profile(params, x)
         v, vp, vpp = eval_fermi_velocity(vf, params, x)
@@ -264,15 +265,16 @@ def case2_mapping_report(params: TorusParams, gauge: GaugeField, k: int, e: floa
     return report
 
 
-def veff_case2(params: TorusParams, gauge: GaugeField, k: int, e: float,
-               vf: FermiVelocity, grid: Grid) -> SampledOp:
+def veff_case2(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,
+               grid: Grid) -> SampledOp:
     """Effective potential of the transformed position-dependent-velocity problem.
 
     V_eff = -V'^2/(4V^2) + V''/(2V) + (a e A_u + k)^2/R^2 - a e A_u'/R
             + (k + a e A_u) R'/R^2 - (k + a e A_u) V'/(R V)
 
     With the cosine velocity and the linear ring field this collapses to the
-    trigonometric Rosen-Morse-II form; see `rosen_morse_form`.
+    trigonometric Rosen-Morse-II form; see `rosen_morse_form`.  k and e are
+    read from the gauge field.
     """
     if gauge.kind != "linear_au":
         raise FamilyMismatch("the effective potential needs the linear A_u family")
@@ -282,7 +284,7 @@ def veff_case2(params: TorusParams, gauge: GaugeField, k: int, e: float,
     x = grid.points
     if np.min(np.abs(np.cos(x))) < 1e-9:
         raise DomainSingularity("grid touches a velocity zero")
-    a = params.a
+    a, k, e = params.a, gauge.k, gauge.e
     r = radius_profile(params, x)
     rp = radius_derivative(params, x)
     _, au, _, aup = eval_gauge(gauge, params, x)

@@ -262,14 +262,48 @@ def test_pdfv_spectrum_rejects_field_and_grid_it_ignores(tmp_path, capsys, text,
     ("quantum: {e: .inf}\n", "geometry"),
     # analytic used to swap a >= 1 for 0.5 in the Morse chain without a word
     ("torus: {a: 1.5}\n", "analytic"),
+    # a quoted number stays a string
+    ("quantum: {e: '1e7'}\n", "analytic"),
+    ("analytic: {C1: '1.0e+7'}\n", "analytic"),
 ], ids=["e-abc", "alpha-abc", "n-abc", "C2-abc", "v_f-negative", "k-1.5", "n_max-2.7",
-        "n_max-negative", "a-nan", "a-inf", "e-inf", "a-1.5-analytic"])
+        "n_max-negative", "a-nan", "a-inf", "e-inf", "a-1.5-analytic", "e-quoted",
+        "C1-quoted"])
 def test_config_rejects_values_of_the_wrong_kind(tmp_path, capsys, text, command):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("exponent, plain, command", [
+    ("analytic: {C1: 1e7}\n", "analytic: {C1: 1.0e+7}\n", "analytic"),
+    ("analytic: {C1: 1.0e7}\n", "analytic: {C1: 1.0e+7}\n", "analytic"),
+    ("analytic: {C1: -2E-1}\n", "analytic: {C1: -0.2}\n", "analytic"),
+    ("analytic: {alpha: 5e-1}\n", "analytic: {alpha: 0.5}\n", "analytic"),
+    ("torus: {a: .6e0}\n", "torus: {a: 0.6}\n", "geometry"),
+    ("grid: {n: 5.12e2}\n", "grid: {n: 512}\n", "spectrum"),
+], ids=["1e7", "1.0e7", "-2E-1", "5e-1", ".6e0", "5.12e2"])
+def test_config_reads_numbers_in_exponent_form(tmp_path, capsys, exponent, plain, command):
+    # YAML 1.1 reads a float only with a dot and a signed exponent
+    runs = []
+    for name, text in (("exponent", exponent), ("plain", plain)):
+        out = tmp_path / name
+        out.mkdir()
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(text)
+        code = cli.main(["--config", str(cfg), "--out", str(out), "--no-timestamp", command])
+        runs.append((code, capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0][0] == 0, runs[0][1].err
+    assert runs[0] == runs[1]
+
+
+def test_config_loader_keeps_integers_and_strings():
+    docs = {"1024": 1024, "1e7": 1e7, "-2E3": -2000.0, "5e-1": 0.5, "auto": "auto",
+            "'1e7'": "1e7", "abc": "abc", "e7": "e7", "1e": "1e"}
+    for text, want in docs.items():
+        got = yaml.load(f"v: {text}", Loader=cli._ConfigLoader)["v"]
+        assert got == want and type(got) is type(want), text
 
 
 @pytest.mark.parametrize("command", ["geometry", "analytic", "sweep alpha 1.0"])

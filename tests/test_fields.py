@@ -6,7 +6,6 @@ from torusdirac.fields import (
     GAUGE_KINDS,
     FermiVelocity,
     GaugeField,
-    QuantumNumbers,
     constant_velocity,
     cosine_velocity,
     eval_fermi_velocity,
@@ -34,7 +33,7 @@ def test_hermitizing_ax_values():
 def test_quadratic_au_with_default_c3():
     f = quadratic_ring_field(C2=1.0, e=1.0, k=1)
     _, au, _, _ = eval_gauge(f, P, np.pi / 2)
-    assert au == pytest.approx(4.0 - 2.0, abs=1e-14)  # R^2 + C3 with C3 = -k/(a e)
+    assert au == pytest.approx(4.0 - 2.0, abs=1e-14)  # R^2 - k/(a e)
 
 
 def test_linear_au_value():
@@ -68,7 +67,7 @@ def test_periodicity_of_builtin_families():
 
 
 def test_k_cancellation_identity():
-    # k + a e A_u collapses to a e C2 R^2 with the default C3
+    # k + a e A_u collapses to a e C2 R^2: the field's constant is -k/(a e)
     f = quadratic_ring_field(C2=0.8, e=1.3, k=4)
     x = np.linspace(0, 2 * np.pi, 40)
     _, au, _, _ = eval_gauge(f, P, x)
@@ -105,6 +104,9 @@ def test_gauge_derivatives_match_finite_differences():
         assert np.max(np.abs(aup - aup_fd)) < 1e-8, kind
 
 
-def test_quantum_numbers_integer_k():
-    with pytest.raises(ValueError):
-        QuantumNumbers(k=1.5)
+def test_gauge_field_needs_an_integer_k():
+    # single-valuedness in u; the operators read k from the field
+    for kind in GAUGE_KINDS:
+        with pytest.raises(ValueError, match="integer"):
+            GaugeField(kind=kind, k=1.5)
+        assert GaugeField(kind=kind, k=-2.0).k == -2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import mathieu_a, mathieu_b
 
-from torusdirac import analytic, checks, geometry, pseudoherm
+from torusdirac import analytic, checks, geometry, numerics, pseudoherm
 from torusdirac.errors import (
     ComplexPotential,
     ConvergenceFailure,
@@ -117,6 +117,24 @@ def test_periodic_widening_is_logged_and_counted(caplog):
     assert len(widened) == 4 and widened[-1].endswith("widening to 200")
     assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(_dense(m))[:6], rtol=0.0,
                        atol=1e-12)
+
+
+def test_large_periodic_grid_stops_at_the_rounding_floor(monkeypatch, caplog):
+    # from n of about 20000 on, the rounding of T v alone exceeds 1e-9 max(1, |lambda|);
+    # the residual target is floored there instead of widening to all n modes
+    galerkin = numerics._fourier_galerkin
+
+    def bounded(dhat, ohat, modes):
+        if len(modes) > 1025:
+            raise AssertionError(f"a Galerkin matrix of {len(modes)} modes")
+        return galerkin(dhat, ohat, modes)
+
+    monkeypatch.setattr(numerics, "_fourier_galerkin", bounded)
+    potential = pseudoherm.mathieu_form(checks.DEFAULT_TORUS, 1.0, 0.2).potential
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        res = eig_sym_tridiag(discretize_schrodinger(potential, Grid(32768)), 6)
+    assert res.modes <= 65
+    assert [r for r in caplog.records if "rounding floor" in r.getMessage()]
 
 
 def test_hill_matches_mathieu_characteristic_values():

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from torusdirac import checks, pseudoherm
 from torusdirac.checks import squaring_consistency
 from torusdirac.errors import GridMismatch, VelocityZero
 from torusdirac.fields import (
@@ -38,22 +41,21 @@ def spinor(grid, modes, seed):
 
 
 def test_offdiag_zero_field_values():
-    w1, _, _, _ = _coefficients(P, zero_field(), 1, 1.0, np.array([np.pi / 2, 0.0]))
+    w1, _, _, _ = _coefficients(P, zero_field(), np.array([np.pi / 2, 0.0]))
     assert w1[0] == pytest.approx(0.25)
     assert w1[1] == pytest.approx(0.0, abs=1e-16)
 
 
 def test_offdiag_hermitizing_cancels_w1():
     # the imaginary gauge term exactly cancels the geometric sine term
-    w1, _, _, _ = _coefficients(P, hermitizing_field(e=1.0), 1, 1.0,
-                                np.array([0.3, np.pi / 2, 2.5]))
+    w1, _, _, _ = _coefficients(P, hermitizing_field(e=1.0), np.array([0.3, np.pi / 2, 2.5]))
     assert np.max(np.abs(w1)) < 1e-15
 
 
 def test_apply_dirac_offdiagonal_structure():
     psi1 = band_limited(G, [2, 3], rng=0)[0]
     zero = GridFunction(G, np.zeros(G.n))
-    out = apply_dirac(P, zero_field(), 1, G, SpinorGF(psi1, zero))
+    out = apply_dirac(P, zero_field(), G, SpinorGF(psi1, zero))
     # first output component only sees the second input component
     assert np.max(np.abs(out.psi1.values)) == 0.0
     assert np.max(np.abs(out.psi2.values)) > 0.0
@@ -61,7 +63,7 @@ def test_apply_dirac_offdiagonal_structure():
 
 def test_apply_dirac_constant_spinor_literal_convention():
     const = GridFunction(G, np.ones(G.n))
-    out = apply_dirac(P, zero_field(), 0, G, SpinorGF(const, const),
+    out = apply_dirac(P, GaugeField(kind="zero", k=0), G, SpinorGF(const, const),
                       convention="matrix_literal")
     w1 = 0.5 * P.a * np.sin(G.points)
     assert np.max(np.abs(out.psi1.values - w1)) < 1e-14
@@ -71,15 +73,15 @@ def test_apply_dirac_constant_spinor_literal_convention():
 def test_apply_dirac_grid_guards():
     other = Grid(512)
     with pytest.raises(GridMismatch):
-        apply_dirac(P, zero_field(), 1, other, spinor(G, [1], 0))
+        apply_dirac(P, zero_field(), other, spinor(G, [1], 0))
     bad = Grid(256, 0.1, 1.0, "dirichlet")
     with pytest.raises(GridMismatch):
-        apply_dirac(P, zero_field(), 1, bad, spinor(bad, [1], 0))
+        apply_dirac(P, zero_field(), bad, spinor(bad, [1], 0))
 
 
 def test_decouple_zero_field_closed_forms():
     g = Grid(512)
-    plus, minus = decouple_constant_vf(P, zero_field(), 0, 1.0, g)
+    plus, minus = decouple_constant_vf(P, GaugeField(kind="zero", k=0), g)
     x = g.points
     a = P.a
     assert np.max(np.abs(plus.sigma - a ** 2 * np.sin(x))) == 0.0
@@ -92,8 +94,8 @@ def test_sector_swap_is_bit_exact():
     g = Grid(256)
     f = quadratic_ring_field(C2=0.3, e=1.0, k=2)
     f_swapped = GaugeField(kind="quadratic_au", C2=-0.3, e=1.0, k=-2)
-    plus, minus = decouple_constant_vf(P, f, 2, 1.0, g)
-    plus2, minus2 = decouple_constant_vf(P, f_swapped, -2, 1.0, g)
+    plus, minus = decouple_constant_vf(P, f, g)
+    plus2, minus2 = decouple_constant_vf(P, f_swapped, g)
     assert np.array_equal(plus.rho, minus2.rho)
     assert np.array_equal(minus.rho, plus2.rho)
     assert np.array_equal(plus.sigma, plus2.sigma)
@@ -101,7 +103,7 @@ def test_sector_swap_is_bit_exact():
 
 def test_sector_difference_closed_form():
     g = Grid(512)
-    plus, minus = decouple_constant_vf(P, zero_field(), 1, 1.0, g)
+    plus, minus = decouple_constant_vf(P, zero_field(), g)
     x = g.points
     r = radius_profile(P, x)
     rp = -P.a * np.sin(x)
@@ -118,8 +120,8 @@ def test_squaring_oracle_and_refinement():
 def test_squaring_both_conventions_agree():
     f = quadratic_ring_field(C2=0.3, e=1.0, k=1)
     sp = spinor(G, [3, 4], 5)
-    d_fg = squaring_discrepancy(P, f, 1, G, sp, "fg")
-    d_lit = squaring_discrepancy(P, f, 1, G, sp, "matrix_literal")
+    d_fg = squaring_discrepancy(P, f, G, sp, "fg")
+    d_lit = squaring_discrepancy(P, f, G, sp, "matrix_literal")
     assert d_fg == pytest.approx(d_lit, rel=1e-12)
 
 
@@ -127,21 +129,19 @@ def test_hermiticity_contrast():
     g = Grid(256)
     pairs = [(spinor(g, [1, 2, 3], s), spinor(g, [2, 4], 50 + s)) for s in range(6)]
     herm = hermitizing_quadratic_field(C2=0.4, e=1.0, k=1)
-    assert hermiticity_defect(P, herm, 1, g, pairs) < 1e-12
+    assert hermiticity_defect(P, herm, g, pairs) < 1e-12
     real_ax = GaugeField(kind="real_cos_ax")
-    assert hermiticity_defect(P, real_ax, 1, g, pairs) > 1e-3
+    assert hermiticity_defect(P, real_ax, g, pairs) > 1e-3
     # the geometric sine term alone already obstructs flat self-adjointness;
     # documented, so the zero-gauge defect is large as well
-    assert hermiticity_defect(P, zero_field(), 1, g, pairs) > 1e-3
-    # curved-measure option runs and stays finite
-    assert np.isfinite(hermiticity_defect(P, herm, 1, g, pairs, measure="curved"))
+    assert hermiticity_defect(P, zero_field(), g, pairs) > 1e-3
 
 
 def test_pdfv_reduces_to_constant_velocity_case():
     g = Grid(256)
     f = quadratic_ring_field(C2=0.3, e=1.0, k=1)
-    plus_c, minus_c = decouple_constant_vf(P, f, 1, 1.0, g)
-    plus_p, minus_p = decouple_pdfv(P, f, 1, 1.0, constant_velocity(), g)
+    plus_c, minus_c = decouple_constant_vf(P, f, g)
+    plus_p, minus_p = decouple_pdfv(P, f, constant_velocity(), g)
     assert np.max(np.abs(plus_p.sigma - plus_c.sigma)) == 0.0
     assert np.max(np.abs(plus_p.rho - plus_c.rho)) == 0.0
     assert np.max(np.abs(minus_p.rho - minus_c.rho)) == 0.0
@@ -155,8 +155,8 @@ def test_pdfv_swap_rule_for_f_and_g():
     _, au_sw, _, _ = eval_gauge(f_sw, P, g.points)
     _, au, _, _ = eval_gauge(f, P, g.points)
     assert np.max(np.abs(au_sw + au)) < 1e-15
-    plus, minus = decouple_pdfv(P, f, 2, 1.0, cosine_velocity(), g)
-    plus2, minus2 = decouple_pdfv(P, f_sw, -2, 1.0, cosine_velocity(), g)
+    plus, minus = decouple_pdfv(P, f, cosine_velocity(), g)
+    plus2, minus2 = decouple_pdfv(P, f_sw, cosine_velocity(), g)
     assert np.max(np.abs(plus.meta["F"] - minus2.meta["F"])) < 1e-12
     assert np.max(np.abs(plus.meta["G"] - minus2.meta["G"])) < 1e-12
 
@@ -166,7 +166,7 @@ def test_pdfv_coefficient_recomputation_oracle():
     g = Grid(300, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
     a, e, k, a2 = P.a, 1.0, 1, 0.1
     f = linear_ring_field(a2=a2, e=e, k=k)
-    plus, _ = decouple_pdfv(P, f, k, e, cosine_velocity(), g)
+    plus, _ = decouple_pdfv(P, f, cosine_velocity(), g)
     x = g.points
     r = radius_profile(P, x)
     rp = -a * np.sin(x)
@@ -191,11 +191,11 @@ def test_pdfv_velocity_zero_guard():
     g = Grid(63, np.pi / 2 - 0.5, np.pi / 2 + 0.5, "dirichlet")
     assert np.min(np.abs(g.points - np.pi / 2)) < 1e-15
     with pytest.raises(VelocityZero):
-        decouple_pdfv(P, zero_field(), 1, 1.0, cosine_velocity(), g)
+        decouple_pdfv(P, zero_field(), cosine_velocity(), g)
 
 
 def test_sl_coefficient_table_layout():
-    plus, _ = decouple_constant_vf(P, zero_field(), 1, 1.0, G)
+    plus, _ = decouple_constant_vf(P, zero_field(), G)
     header, rows = sl_coefficient_table(plus)
     assert header == ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"]
     assert len(rows) == G.n and len(rows[0]) == 5
@@ -241,3 +241,21 @@ def test_vanishing_sigma_skips_the_first_derivative(monkeypatch):
     want = -diff2(v.values, g) + rho * v.values
     assert np.array_equal(op.apply(v).values, want)
     assert np.array_equal(op.apply_adjoint(v).values, want)
+
+
+@pytest.mark.parametrize("module", [operators, pseudoherm, checks],
+                         ids=lambda m: m.__name__.rpartition(".")[2])
+def test_functions_read_k_and_e_from_the_gauge_field(module):
+    # one home for the quantum numbers: no public function takes a gauge field
+    # together with a k or an e that could disagree with it
+    taking_gauge = {}
+    for name, fn in vars(module).items():
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        if fn.__module__ != module.__name__:
+            continue
+        params = set(inspect.signature(fn).parameters)
+        if "gauge" in params:
+            taking_gauge[name] = params & {"k", "e"}
+    assert taking_gauge
+    assert {name: both for name, both in taking_gauge.items() if both} == {}

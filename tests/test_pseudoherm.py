@@ -65,24 +65,24 @@ def test_counterpart_k_cancellation():
     # constant A_u = -k/(a e): every k-dependent term cancels exactly
     g = Grid(128)
     f = quadratic_ring_field(C2=0.0, e=1.0, k=5)
-    v = hermitian_counterpart_case1(P, f, 5, 1.0, g)
+    v = hermitian_counterpart_case1(P, f, g)
     assert np.max(np.abs(v.rho)) < 1e-13
 
 
 def test_counterpart_matches_trig_polynomial():
     g = Grid(512)
     f = quadratic_ring_field(C2=1.0, e=1.0, k=1)
-    v = hermitian_counterpart_case1(P, f, 1, 1.0, g)
+    v = hermitian_counterpart_case1(P, f, g)
     poly = mathieu_form(P, 1.0, 1.0).potential(g.points)
     assert np.max(np.abs(v.rho - poly)) < 1e-13
     # periodicity
-    assert period_gap(hermitian_counterpart_case1(P, f, 1, 1.0, TWO_PERIODS).rho) < 1e-13
+    assert period_gap(hermitian_counterpart_case1(P, f, TWO_PERIODS).rho) < 1e-13
 
 
 def test_counterpart_family_guard():
     g = Grid(64)
     with pytest.raises(FamilyMismatch):
-        hermitian_counterpart_case1(P, zero_field(), 1, 1.0, g)
+        hermitian_counterpart_case1(P, zero_field(), g)
 
 
 def test_mathieu_form_zero_and_rotation():
@@ -201,12 +201,12 @@ def test_closed_form_pair_residual_converges_second_order():
 def test_multiplicative_symmetrizer_is_exact_intertwiner():
     # exp(-integral sigma) maps the drifted operator to its discrete adjoint
     g = Grid(2048)
-    plus, _ = decouple_constant_vf(P, zero_field(), 0, 1.0, g)
+    plus, _ = decouple_constant_vf(P, GaugeField(kind="zero", k=0), g)
     mu = SampledOp(g, 0, 0, np.exp(P.a ** 2 * np.cos(g.points)))  # exp(-int sigma)
     phis = compact_test_functions(g, [2, 4], rng=3, n_functions=2)
     r1 = intertwining_residual(mu, plus, AdjointOf(plus), phis)
     g2 = Grid(4096)
-    plus2, _ = decouple_constant_vf(P, zero_field(), 0, 1.0, g2)
+    plus2, _ = decouple_constant_vf(P, GaugeField(kind="zero", k=0), g2)
     mu2 = SampledOp(g2, 0, 0, np.exp(P.a ** 2 * np.cos(g2.points)))
     phis2 = compact_test_functions(g2, [2, 4], rng=3, n_functions=2)
     r2 = intertwining_residual(mu2, plus2, AdjointOf(plus2), phis2)
@@ -219,7 +219,7 @@ def test_tabulated_intertwiner_obstruction_is_reported_not_hidden():
     # exist; the residual quantifies that obstruction
     g = Grid(2048)
     herm = hermitizing_quadratic_field(C2=0.4, e=1.0, k=1)
-    plus, _ = decouple_constant_vf(P, herm, 1, 1.0, g)
+    plus, _ = decouple_constant_vf(P, herm, g)
     assert np.max(np.abs(plus.sigma)) < 1e-14
     h_s = SampledOp(g, 1, 0, plus.rho)
     eta2 = eta2_case1(P, 0.0, g)
@@ -299,35 +299,35 @@ def test_prefactor_pole_guard():
 def test_veff_values_and_guards():
     g = Grid(256, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
     f = linear_ring_field(a2=0.2, e=1.0, k=1)
-    v = veff_case2(P, f, 1, 1.0, cosine_velocity(), g)
+    v = veff_case2(P, f, cosine_velocity(), g)
     idx = np.argmin(np.abs(g.points))
     x0 = g.points[idx]
     expected0 = (P.a * 0.2) ** 2 - 0.5 + 0.2 * P.a * np.tan(x0) - np.tan(x0) ** 2 / 4
     assert v.rho[idx] == pytest.approx(expected0, abs=1e-12)
     f0 = linear_ring_field(a2=0.0, e=1.0, k=1)
-    v0 = veff_case2(P, f0, 1, 1.0, cosine_velocity(), g)
+    v0 = veff_case2(P, f0, cosine_velocity(), g)
     assert np.max(np.abs(v0.rho - (-0.5 - np.tan(g.points) ** 2 / 4))) < 1e-12
     with pytest.raises(FamilyMismatch):
-        veff_case2(P, zero_field(), 1, 1.0, cosine_velocity(), g)
+        veff_case2(P, zero_field(), cosine_velocity(), g)
     with pytest.raises(FamilyMismatch):
-        veff_case2(P, f, 1, 1.0, constant_velocity(), g)
+        veff_case2(P, f, constant_velocity(), g)
 
 
 def test_veff_equals_rosen_morse_closed_form():
     g = Grid(2000, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
     f = linear_ring_field(a2=0.2, e=1.0, k=1)
-    v = veff_case2(P, f, 1, 1.0, cosine_velocity(), g)
+    v = veff_case2(P, f, cosine_velocity(), g)
     assert np.max(np.abs(v.rho - rosen_morse_form(P, 0.2, 1.0, g.points))) < 1e-10
 
 
 def test_mapping_report_calibration():
     g = Grid(2000, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
     f = linear_ring_field(a2=0.2, e=1.0, k=1)
-    rep = case2_mapping_report(P, f, 1, 1.0, cosine_velocity(), g)
+    rep = case2_mapping_report(P, f, cosine_velocity(), g)
     assert rep["as-printed"]["first_derivative_residual"] > 1e-1
     assert rep["sigma-half"]["first_derivative_residual"] < 1e-4
     assert rep["rescaled_rosen_morse_gap"] < 1e-12
-    rep2 = case2_mapping_report(P, f, 1, 1.0, cosine_velocity(), g.refined())
+    rep2 = case2_mapping_report(P, f, cosine_velocity(), g.refined())
     order = np.log2(rep["sigma-half"]["first_derivative_residual"]
                     / rep2["sigma-half"]["first_derivative_residual"])
     assert order > 1.8
