@@ -319,27 +319,21 @@ def _morse_params() -> pseudoherm.MathieuParams:
     return pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
 
 
+def _morse_gap(energies) -> float:
+    """Worst relative gap of energies[n] to the derived Morse levels n = 0, 1."""
+    exact = [analytic.morse_energy_exact(n, _morse_params())[0].real for n in range(2)]
+    return max(abs(e - lam) / abs(lam) for e, lam in zip(energies, exact))
+
+
 def morse_shooting_gap() -> float:
     """Derived Morse energies n = 0, 1 against Numerov shooting, relative to the former."""
-    mf0 = _morse_params()
-    sp = analytic.morse_shooting_problem(mf0, 1.0)
-    worst = 0.0
-    for n in range(2):
-        en, _ = numerics.shoot_bound_state(sp, n)
-        exact = analytic.morse_energy_exact(n, mf0)[0].real
-        worst = max(worst, abs(en - exact) / abs(exact))
-    return worst
+    sp = analytic.morse_shooting_problem(_morse_params(), 1.0)
+    return _morse_gap([numerics.shoot_bound_state(sp, n)[0] for n in range(2)])
 
 
 def morse_tabulated_gap() -> float:
     """Tabulated Morse energies n = 0, 1 against the derived ones, relative to the latter."""
-    mf0 = _morse_params()
-    worst = 0.0
-    for n in range(2):
-        exact = analytic.morse_energy_exact(n, mf0)[0].real
-        tab = analytic.case1_energy(n, 1.0, mf0)[0]
-        worst = max(worst, abs(tab - exact) / abs(exact))
-    return worst
+    return _morse_gap([analytic.case1_energy(n, 1.0, _morse_params())[0] for n in range(2)])
 
 
 def morse_truncation_gap() -> float:

@@ -258,7 +258,7 @@ def sturm_count(m: TridiagonalSym, lam: float) -> int:
 
 @dataclass
 class ShootingProblem:
-    """Confining real potential on [t_min, t_max] with decay-to-zero ends."""
+    """Confining real potential on [t_min, t_max]; past t_max it stays at its last value."""
 
     potential: Callable[[np.ndarray], np.ndarray]
     t_min: float
@@ -268,6 +268,13 @@ class ShootingProblem:
     def __post_init__(self):
         if not self.t_min < self.t_max:
             raise ValueError("need t_min < t_max")
+
+
+def _tail_ratio(f: float, h: float) -> float:
+    """Numerov's decaying ratio y_{i+1} / y_i on a constant f >= 0 (1 at f = 0)."""
+    # smaller root of w r^2 - d r + w = 0; d^2 - 4 w^2 as 12 c f (4 + 8 c f) does not cancel
+    cf = h * h * f / 12.0
+    return 2.0 * (1.0 - cf) / (2.0 + 10.0 * cf + np.sqrt(12.0 * cf * (4.0 + 8.0 * cf)))
 
 
 def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
@@ -281,11 +288,10 @@ def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
     the factor kept as a log, so each chunk can grow by 1e200 before it
     overflows; at the end earlier chunks are brought to the last chunk's
     scale, where negligible values may underflow to zero.  Returns
-    (y, node count).  Nodes are the sign changes over y[1:], through the
-    last sample, so the count rises exactly where the end value changes
-    sign; they are counted before that final rescale, so underflow cannot
-    hide one.  Raises ConvergenceFailure on a singular band (some w_i = 0)
-    or an overflow.
+    (y, node count).  Nodes are the sign changes over y[1:-1] and then
+    z = y[-1] - r y[-2] (r = `_tail_ratio`(f[-1], h), both samples on one
+    scale), counted before that final rescale, so underflow cannot hide one.
+    Raises ConvergenceFailure on a singular band (w_i = 0) or an overflow.
     """
     n = f.shape[0]
     c = h * h / 12.0
@@ -315,7 +321,8 @@ def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
         log_scale[k:k + m] = acc
     if not np.all(np.isfinite(y)):
         raise ConvergenceFailure("Numerov sweep overflowed")
-    sign = np.sign(y[1:])
+    z = y[-1] - _tail_ratio(f[-1], h) * y[-2] * np.exp(log_scale[-2] - acc)
+    sign = np.sign(np.append(y[1:-1], z))
     sign = sign[sign != 0]
     nodes = int(np.sum(sign[1:] * sign[:-1] < 0))
     if acc:
@@ -326,14 +333,14 @@ def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
 def shoot_bound_state(p: ShootingProblem, n: int):
     """n-th bound-state energy (n = 0, 1, ...) by node counting plus bisection.
 
-    A Numerov sweep from the left wall counts the sign changes through the
-    right-wall sample, so the count jumps n -> n+1 exactly where the end
-    value changes sign; bisection on that count over
-    [min v + 1e-9, min(v[0], v[-1])] closes on the eigenvalue to machine
-    precision.  Returns (energy, (t, profile)) with the profile normalized
-    to unit discrete L2.  Numerov needs w = 1 - h^2 (v - E)/12 > 0 at every
-    sample, or the recurrence invents nodes; w is smallest at the floor
-    energy, so a step too coarse there raises ConvergenceFailure.
+    Sweeps from zero at t_min count nodes through the end sample z of
+    `_numerov_sweep`, which changes sign where the solution matches the
+    decaying tail of v held at v[-1] (exact on a flat tail); bisection on
+    the count over [min v + 1e-9, min(v[0], v[-1])] closes on the eigenvalue
+    to machine precision.  Returns (energy, (t, profile)) with the profile
+    normalized to unit discrete L2.  Numerov needs w = 1 - h^2 (v - E)/12 > 0
+    at every sample, or the recurrence invents nodes; w is smallest at the
+    floor energy, so a step too coarse there raises ConvergenceFailure.
     """
     t = np.linspace(p.t_min, p.t_max, p.n)
     h = t[1] - t[0]
@@ -354,15 +361,13 @@ def shoot_bound_state(p: ShootingProblem, n: int):
         raise NotConfining(f"window already has more than {n} nodes at its energy floor")
     if sweep(hi)[1] <= n:
         raise NotConfining(f"state {n} is not confined below the window walls")
-    for _ in range(200):
+    # adjacent floats are closer than this bound, so the halving always ends
+    while hi - lo >= max(1e-14, 4e-16 * abs(hi)):
         mid = 0.5 * (lo + hi)
         if sweep(mid)[1] <= n:
             lo = mid
         else:
             hi = mid
-        if hi - lo < max(1e-14, 4e-16 * abs(hi)):
-            break
-
     energy = 0.5 * (lo + hi)
     prof, _ = sweep(energy)
     peak = np.max(np.abs(prof))

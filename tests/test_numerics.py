@@ -17,6 +17,7 @@ from torusdirac.grids import Grid
 from torusdirac.numerics import (
     ShootingProblem,
     _numerov_sweep,
+    _tail_ratio,
     TridiagonalSym,
     discretize_schrodinger,
     eig_sym_tridiag,
@@ -231,9 +232,9 @@ def _numerov_reference(f, h, y0, y1):
     return y
 
 
-def _nodes_through_wall(y):
-    """Sign changes over y[1:], the right-wall sample included."""
-    sign = np.sign(y[1:])
+def _nodes_through_tail(y, f, h):
+    """Sign changes over y[1:-1] and then the virtual sample y[-1] - r y[-2]."""
+    sign = np.sign(np.append(y[1:-1], y[-1] - _tail_ratio(f[-1], h) * y[-2]))
     sign = sign[sign != 0]
     return int(np.sum(sign[1:] * sign[:-1] < 0))
 
@@ -243,11 +244,36 @@ def _morse_verify_problem():
     return analytic.morse_shooting_problem(checks._morse_params(), 1.0)
 
 
-@pytest.mark.parametrize("problem", [
-    lambda: ShootingProblem(potential=lambda t: t ** 2, t_min=-10.0, t_max=10.0, n=8001),
-    _morse_verify_problem,
+def test_tail_ratio_is_the_decaying_root_of_the_recurrence():
+    h = 34.0 / 4000  # the step of the default Morse window
+    for fc in (0.021, 1.0, 400.0):
+        r = _tail_ratio(fc, h)
+        assert 0.0 < r < 1.0
+        f = np.full(4001, fc)
+        # one step of the per-step recurrence keeps the ratio, and a generic
+        # seed grows at the other root, 1/r, once r^(2 i) is negligible
+        assert _numerov_reference(f[:3], h, 1.0, r)[2] == pytest.approx(r * r, rel=1e-15)
+        if r ** 8000 < 1e-20:
+            grow = _numerov_reference(f, h, 1.0, 1.0)
+            assert r * grow[-1] / grow[-2] == pytest.approx(1.0, rel=1e-13)
+    assert _tail_ratio(0.0, h) == 1.0
+    # level 1 of the Morse problem is bound 0.021 below its tail.  A sweep
+    # seeded on that tail stays on it up to rounding fed into the growing
+    # mode: 3.2e-9 over 4001 samples, as for the per-step recurrence (3.1e-9)
+    f, r = np.full(4001, 0.021), _tail_ratio(0.021, h)
+    y, _ = _numerov_sweep(f, h, 1.0, r)
+    assert np.max(np.abs(y - r ** np.arange(f.shape[0]))) < 1e-8
+
+
+@pytest.mark.parametrize("problem, between", [
+    (lambda: ShootingProblem(potential=lambda t: t ** 2, t_min=-10.0, t_max=10.0, n=8001),
+     None),
+    # 4.100214 lies between level 1 against the decaying tail (4.1001999) and
+    # level 1 with a Dirichlet wall at t_max (4.1002280), where counts through
+    # the virtual sample and through y[-1] differ
+    (_morse_verify_problem, 4.100214),
 ], ids=["oscillator", "morse"])
-def test_banded_sweep_matches_per_step_recurrence(problem):
+def test_banded_sweep_matches_per_step_recurrence(problem, between):
     sp = problem()
     t = np.linspace(sp.t_min, sp.t_max, sp.n)
     h = t[1] - t[0]
@@ -256,15 +282,21 @@ def test_banded_sweep_matches_per_step_recurrence(problem):
         y, nodes = _numerov_sweep(v - e, h, 0.0, 1e-8)
         ref = _numerov_reference(v - e, h, 0.0, 1e-8)
         assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
-        assert nodes == _nodes_through_wall(ref)
-    # In the Morse problem 4.10019997415 lies between level 1 with the wall at
-    # t_max and with the wall one step short of it, where counts with and
-    # without the wall sample differ.  Its tail is a cancellation in which both recurrences
-    # carry ~1e-8 of the peak in rounding (against an extended-precision
-    # sweep), so only the node counts are compared there.
-    e = 4.10019997415
-    assert _numerov_sweep(v - e, h, 0.0, 1e-8)[1] == _nodes_through_wall(
-        _numerov_reference(v - e, h, 0.0, 1e-8))
+        assert nodes == _nodes_through_tail(ref, v - e, h)
+    if between is not None:
+        y, nodes = _numerov_sweep(v - between, h, 0.0, 1e-8)
+        ref = _numerov_reference(v - between, h, 0.0, 1e-8)
+        assert nodes == _nodes_through_tail(ref, v - between, h)
+        sign = np.sign(y[1:])
+        assert nodes != int(np.sum(sign[1:] * sign[:-1] < 0))
+
+
+def test_sweep_counts_the_tail_across_a_renormalisation():
+    # a growing solution without nodes; at 259 samples the last chunk holds
+    # one sample, seeded after the seeds were scaled down by more than 1e100
+    for n in (258, 259, 260):
+        y, nodes = _numerov_sweep(np.full(n, 2.0), 1.0, 0.0, 1.0)
+        assert nodes == 0 and np.all(y[1:] > 0)
 
 
 def test_numerov_sweep_failures_raise():
@@ -299,17 +331,37 @@ def test_shoot_deep_well_profile_finite_unit_norm():
 
 
 def test_shoot_level_is_a_sign_change_of_the_end_value(caplog):
-    # level 1 of the verify Morse problem sits 0.021 below the continuum edge,
-    # where moving the wall by one step shifts it by 8e-11
+    # level 1 of the verify Morse problem sits 0.021 below the continuum edge;
+    # the end value is the virtual sample z = y[-1] - r y[-2]
     sp = _morse_verify_problem()
     with caplog.at_level(logging.DEBUG, logger="torusdirac"):
         e, _ = shoot_bound_state(sp, 1)
     t = np.linspace(sp.t_min, sp.t_max, sp.n)
-    v = sp.potential(t)
-    below, above = (_numerov_sweep(v - e * s, t[1] - t[0], 0.0, 1e-8)[0][-1]
-                    for s in (1 - 1e-12, 1 + 1e-12))
+    h, v = t[1] - t[0], sp.potential(t)
+
+    def z(energy):
+        y, _ = _numerov_sweep(v - energy, h, 0.0, 1e-8)
+        return y[-1] - _tail_ratio(v[-1] - energy, h) * y[-2]
+
+    below, above = z(e * (1 - 1e-12)), z(e * (1 + 1e-12))
     assert below < 0 < above or above < 0 < below
     assert not [r for r in caplog.records if r.name.startswith("torusdirac")]
+
+
+def test_shooting_record_does_not_depend_on_the_window_end():
+    # past t = 30 the Morse potential is flat to about 5e-13, so moving the
+    # end out at the same step moves neither level; a Dirichlet wall at the
+    # end shifted level 1, bound 0.021 below the continuum, by 6.6e-6
+    mf0 = checks._morse_params()
+    for n in range(2):
+        e30, e40 = (shoot_bound_state(analytic.morse_shooting_problem(
+            mf0, 1.0, t_max=t_max, n=samples), n)[0]
+            for t_max, samples in ((30.0, 3401), (40.0, 4401)))
+        assert e40 == pytest.approx(e30, rel=1e-12)
+
+
+def test_morse_shooting_record_is_below_1e9():
+    assert checks.morse_shooting_gap() < 1e-9
 
 
 def test_shoot_rejects_a_step_too_coarse_for_numerov():
