@@ -173,8 +173,8 @@ def _build_config(raw: dict) -> ScenarioConfig:
     )
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """YAML 1.1 with exponent floats: `1e7`, `5e-1` and `1.0e7` are numbers, not strings."""
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """YAML 1.1 (libyaml when built in) with exponent floats: `1e7`, `5e-1` are numbers."""
 
 
 _ConfigLoader.add_implicit_resolver(

@@ -56,23 +56,35 @@ class Grid:
 
 @dataclass
 class GridFunction:
-    """Complex samples on a grid."""
+    """Complex samples on a grid: one function (n,) or a stack of probes (S, n)."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
+        if self.values.ndim > 2 or self.values.shape[-1:] != (self.grid.n,):
             raise GridMismatch(
-                f"value array of length {self.values.shape} does not fit grid n={self.grid.n}"
+                f"value array of shape {self.values.shape} does not fit grid n={self.grid.n}"
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function contains non-finite samples")
 
-    def norm(self) -> float:
-        """Discrete L2 norm with the uniform weight h."""
-        return float(np.sqrt(self.grid.h) * np.linalg.norm(self.values))
+    def norm(self):
+        """Discrete L2 norm with the uniform weight h; an array with one per row for a stack."""
+        out = np.sqrt(self.grid.h) * row_norms(self.values)
+        return out if self.values.ndim == 2 else float(out[0])
+
+
+def row_norms(values: np.ndarray) -> np.ndarray:
+    """2-norm of each row of an (n,) or (S, n) array as a 1-D norm (`axis=-1` rounds otherwise)."""
+    return np.array([np.linalg.norm(r) for r in np.atleast_2d(values)])
+
+
+def row_blocks(values: np.ndarray) -> list[np.ndarray]:
+    """Blocks of whole rows, at most 4096 samples (or one row) each: they bound temporaries."""
+    step = max(1, 4096 // values.shape[-1])
+    return [values[i:i + step] for i in range(0, len(values), step)]
 
 
 def same_grid(*gfs: GridFunction) -> Grid:
@@ -88,33 +100,33 @@ def same_grid(*gfs: GridFunction) -> Grid:
 # ---------------------------------------------------------------------------
 
 def diff1(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Central first derivative; periodic wraparound or zero-padded Dirichlet."""
+    """Central first derivative on the last axis; periodic wraparound or zero-padded Dirichlet."""
     v = np.asarray(values)
     h2 = 2.0 * grid.h
     if grid.boundary == "periodic":
-        return (np.roll(v, -1) - np.roll(v, 1)) / h2
+        return (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / h2
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / h2
-    out[0] = v[1] / h2          # ghost value 0 at x_min
-    out[-1] = -v[-2] / h2       # ghost value 0 at x_max
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / h2
+    out[..., 0] = v[..., 1] / h2          # ghost value 0 at x_min
+    out[..., -1] = -v[..., -2] / h2       # ghost value 0 at x_max
     return out
 
 
 def diff2(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Standard three-point second derivative, same boundary handling."""
+    """Standard three-point second derivative, same axis and boundary handling."""
     v = np.asarray(values)
     hh = grid.h * grid.h
     if grid.boundary == "periodic":
-        return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / hh
+        return (np.roll(v, -1, axis=-1) - 2.0 * v + np.roll(v, 1, axis=-1)) / hh
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / hh
-    out[0] = (v[1] - 2.0 * v[0]) / hh
-    out[-1] = (-2.0 * v[-1] + v[-2]) / hh
+    out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / hh
+    out[..., 0] = (v[..., 1] - 2.0 * v[..., 0]) / hh
+    out[..., -1] = (-2.0 * v[..., -1] + v[..., -2]) / hh
     return out
 
 
 def diff2_fourth_order(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Five-point O(h^4) second derivative for residual measurements.
+    """Five-point O(h^4) second derivative along the last axis, for residual measurements.
 
     Dirichlet grids fall back to the three-point stencil on the two points
     nearest each wall.
@@ -123,14 +135,15 @@ def diff2_fourth_order(values: np.ndarray, grid: Grid) -> np.ndarray:
     hh = 12.0 * grid.h * grid.h
     if grid.boundary == "periodic":
         return (
-            -np.roll(v, -2) + 16.0 * np.roll(v, -1) - 30.0 * v
-            + 16.0 * np.roll(v, 1) - np.roll(v, 2)
+            -np.roll(v, -2, axis=-1) + 16.0 * np.roll(v, -1, axis=-1) - 30.0 * v
+            + 16.0 * np.roll(v, 1, axis=-1) - np.roll(v, 2, axis=-1)
         ) / hh
     out = np.empty_like(v)
-    out[2:-2] = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]) / hh
+    out[..., 2:-2] = (-v[..., 4:] + 16.0 * v[..., 3:-1] - 30.0 * v[..., 2:-2]
+                      + 16.0 * v[..., 1:-3] - v[..., :-4]) / hh
     three = diff2(v, grid)
-    out[:2] = three[:2]
-    out[-2:] = three[-2:]
+    out[..., :2] = three[..., :2]
+    out[..., -2:] = three[..., -2:]
     return out
 
 
@@ -139,17 +152,14 @@ def diff2_fourth_order(values: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def band_limited(grid: Grid, modes, rng=None, n_functions: int = 1) -> list[GridFunction]:
-    """Random smooth periodic functions supported on the given Fourier modes."""
-    rng = np.random.default_rng(rng)
+    """Random smooth periodic functions on the given modes, drawn at once in scalar-draw order."""
+    c = np.random.default_rng(rng).standard_normal((n_functions, len(modes), 2))
+    c = c[..., 0] + 1j * c[..., 1]
     x = grid.points
-    out = []
-    for _ in range(n_functions):
-        v = np.zeros(grid.n, dtype=complex)
-        for m in modes:
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            v += c * np.exp(1j * m * x)
-        out.append(GridFunction(grid, v))
-    return out
+    v = np.zeros((n_functions, grid.n), dtype=complex)
+    for j, m in enumerate(modes):
+        v += c[:, j, None] * np.exp(1j * m * x)
+    return [GridFunction(grid, row) for row in v]
 
 
 def bump_window(grid: Grid, lo: float, hi: float) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateGeometry, GridMismatch, VelocityZero
 from .fields import FermiVelocity, GaugeField, eval_fermi_velocity, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
-from .grids import Grid, GridFunction, diff1, diff2, same_grid
+from .grids import Grid, GridFunction, diff1, diff2, row_blocks, row_norms, same_grid
 
 # sign that maps a^2 H^2 onto the decoupled operators, per assembly convention
 SQUARE_SIGN = {"fg": +1, "matrix_literal": -1}
@@ -48,8 +48,15 @@ class SpinorGF:
     def grid(self) -> Grid:
         return self.psi1.grid
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.psi1.norm() ** 2 + self.psi2.norm() ** 2))
+    def norm(self):
+        """L2 norm of the pair; an array with one per row for a stack."""
+        out = _hypot_rows(self.psi1.norm(), self.psi2.norm())
+        return out if self.psi1.values.ndim == 2 else float(out[0])
+
+
+def _hypot_rows(n1, n2) -> np.ndarray:
+    """sqrt(n1^2 + n2^2) row by row; scalar squares, as an array square can round differently."""
+    return np.array([np.sqrt(a ** 2 + b ** 2) for a, b in zip(*np.atleast_1d(n1, n2))])
 
 
 @dataclass
@@ -58,11 +65,11 @@ class SampledOp:
 
     p = 1 gives the Schrodinger (sigma = 0) and Sturm-Liouville forms, p = 0
     the first-order (sigma = 1) and multiplicative (sigma = 0) ones.  A
-    scalar sigma or rho is broadcast over the grid; a sigma that is zero
-    everywhere skips the first-derivative stencil.  The decouplers
-    document how their eigenvalue relates to the energy; `meta` holds what
-    a constructor exposes (F and G for position-dependent velocity, the
-    branch constants of the superpotential).
+    scalar sigma or rho is broadcast over the grid, and the samples over a
+    stack of probes; a sigma that is zero everywhere skips the first-derivative
+    stencil.  The decouplers document how their eigenvalue relates to the
+    energy; `meta` holds what a constructor exposes (F and G for
+    position-dependent velocity, the branch constants of the superpotential).
     """
 
     grid: Grid
@@ -138,22 +145,30 @@ def _coefficients(params: TorusParams, gauge: GaugeField, x: np.ndarray):
 
 def apply_dirac(params: TorusParams, gauge: GaugeField, grid: Grid,
                 spinor: SpinorGF, convention: str = "fg") -> SpinorGF:
-    """Apply the reduced Dirac operator to a spinor on a periodic grid."""
+    """Apply the reduced Dirac operator to a spinor (or a stack) on a periodic grid."""
+    return _dirac(params, gauge, grid, convention)(spinor)
+
+
+def _dirac(params: TorusParams, gauge: GaugeField, grid: Grid, convention: str):
+    """The reduced Dirac operator as a map of spinors, its coefficients evaluated once."""
     if convention not in SQUARE_SIGN:
         raise ValueError(f"unknown convention {convention!r}")
     if grid.boundary != "periodic":
         raise GridMismatch("the Dirac kernel is applied on periodic grids")
-    if spinor.grid != grid:
-        raise GridMismatch("spinor grid differs from the requested grid")
     w1, q, _, _ = _coefficients(params, gauge, grid.points)
     inv_a = 1.0 / params.a
-    d1 = diff1(spinor.psi1.values, grid)
-    d2 = diff1(spinor.psi2.values, grid)
-    out1 = -inv_a * d2 + (w1 - q) * spinor.psi2.values
-    out2 = -inv_a * d1 + (w1 + q) * spinor.psi1.values
-    if convention == "fg":
-        out2 = -out2
-    return SpinorGF(GridFunction(grid, out1), GridFunction(grid, out2))
+
+    def apply(spinor: SpinorGF) -> SpinorGF:
+        if spinor.grid != grid:
+            raise GridMismatch("spinor grid differs from the requested grid")
+        d1 = diff1(spinor.psi1.values, grid)
+        d2 = diff1(spinor.psi2.values, grid)
+        out1 = -inv_a * d2 + (w1 - q) * spinor.psi2.values
+        out2 = -inv_a * d1 + (w1 + q) * spinor.psi1.values
+        if convention == "fg":
+            out2 = -out2
+        return SpinorGF(GridFunction(grid, out1), GridFunction(grid, out2))
+    return apply
 
 
 def _squared_terms(params: TorusParams, gauge: GaugeField, x: np.ndarray):
@@ -218,34 +233,37 @@ def squaring_discrepancy(params: TorusParams, gauge: GaugeField, grid: Grid,
     stencil ('d1d1') so the comparison isolates the coefficient algebra from
     the choice of Laplacian stencil.  The 'matrix_literal' assembly squares
     to the negative of the decoupled operators; the sign is accounted for.
+    A stacked spinor gives the worst of its probes, each as it would alone.
     """
     plus, minus = decouple_constant_vf(params, gauge, grid)
-    hh = apply_dirac(params, gauge, grid, apply_dirac(params, gauge, grid, spinor, convention),
-                     convention)
-    sign = SQUARE_SIGN[convention]
-    a2 = params.a ** 2
-    lhs1 = sign * a2 * hh.psi1.values
-    lhs2 = sign * a2 * hh.psi2.values
-    rhs1 = plus.apply(spinor.psi1, second_derivative="d1d1").values
-    rhs2 = minus.apply(spinor.psi2, second_derivative="d1d1").values
-    num = np.sqrt(np.linalg.norm(lhs1 - rhs1) ** 2 + np.linalg.norm(lhs2 - rhs2) ** 2)
-    den = np.sqrt(np.linalg.norm(rhs1) ** 2 + np.linalg.norm(rhs2) ** 2)
-    return float(num / den)
+    dirac = _dirac(params, gauge, grid, convention)
+    scale = SQUARE_SIGN[convention] * params.a ** 2
+    worst = 0.0
+    for v1, v2 in zip(*map(row_blocks, np.atleast_2d(spinor.psi1.values, spinor.psi2.values))):
+        rows = SpinorGF(GridFunction(spinor.grid, v1), GridFunction(spinor.grid, v2))
+        hh = dirac(dirac(rows))
+        rhs1 = plus.apply(rows.psi1, second_derivative="d1d1").values
+        rhs2 = minus.apply(rows.psi2, second_derivative="d1d1").values
+        num = _hypot_rows(row_norms(scale * hh.psi1.values - rhs1),
+                          row_norms(scale * hh.psi2.values - rhs2))
+        worst = max(worst, float(np.max(num / _hypot_rows(row_norms(rhs1), row_norms(rhs2)))))
+    return worst
 
 
 def hermiticity_defect(params: TorusParams, gauge: GaugeField, grid: Grid,
                        pairs, convention: str = "fg") -> float:
-    """max |<f, H g> - <H f, g>| / (|f| |g|) over the supplied spinor pairs (flat measure)."""
-    def inner(f: SpinorGF, g: SpinorGF) -> complex:
-        return grid.h * (np.sum(np.conj(f.psi1.values) * g.psi1.values)
-                         + np.sum(np.conj(f.psi2.values) * g.psi2.values))
+    """max |<f, H g> - <H f, g>| / (|f| |g|) over spinor pairs or stacks of them (flat measure)."""
+    def inner(f: SpinorGF, g: SpinorGF):
+        return grid.h * (np.sum(np.conj(f.psi1.values) * g.psi1.values, axis=-1)
+                         + np.sum(np.conj(f.psi2.values) * g.psi2.values, axis=-1))
 
+    dirac = _dirac(params, gauge, grid, convention)
     worst = 0.0
     for f, g in pairs:
-        hf = apply_dirac(params, gauge, grid, f, convention)
-        hg = apply_dirac(params, gauge, grid, g, convention)
-        d = abs(inner(f, hg) - inner(hf, g)) / (f.norm() * g.norm())
-        worst = max(worst, float(d))
+        hf, hg = dirac(f), dirac(g)
+        # scalar abs: np.abs of a complex array rounds differently
+        gap = np.array([abs(z) for z in np.atleast_1d(inner(f, hg) - inner(hf, g))])
+        worst = max(worst, float(np.max(gap / (np.atleast_1d(f.norm()) * g.norm()))))
     return worst
 
 

@@ -306,6 +306,13 @@ def test_config_loader_keeps_integers_and_strings():
         assert got == want and type(got) is type(want), text
 
 
+def test_config_rejects_malformed_yaml(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("torus: {a: 0.5, c: [2.0\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "geometry"]) == 2
+    assert "not valid YAML" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["geometry", "analytic", "sweep alpha 1.0"])
 def test_config_accepts_explicit_defaults(tmp_path, command):
     # scenario files spell out the grid and the Fermi velocity at their defaults

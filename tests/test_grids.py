@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusdirac.grids import Grid, diff1, diff2, diff2_fourth_order
+from torusdirac.errors import GridMismatch
+from torusdirac.grids import Grid, GridFunction, band_limited, diff1, diff2, diff2_fourth_order
 
 # a band-limited periodic function: Fourier mode -> complex amplitude
 AMPLITUDES = st.dictionaries(
@@ -33,3 +35,43 @@ def test_stencil_convergence_orders_under_refinement(n, amplitudes):
     assert 1.9 <= first <= 2.1
     assert 1.9 <= second <= 2.1
     assert 3.8 <= fourth <= 4.2
+
+
+@pytest.mark.parametrize("grid", [Grid(64), Grid(64, -1.0, 2.0, "dirichlet")],
+                         ids=["periodic", "dirichlet"])
+@pytest.mark.parametrize("stencil", [diff1, diff2, diff2_fourth_order])
+def test_stencils_on_a_stack_equal_the_row_by_row_calls(grid, stencil):
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((5, grid.n)) + 1j * rng.standard_normal((5, grid.n))
+    assert np.array_equal(stencil(stack, grid), np.array([stencil(row, grid) for row in stack]))
+
+
+def test_band_limited_matches_the_per_mode_accumulation():
+    grid, modes = Grid(128), [1, 3, 5, 6]
+    rng = np.random.default_rng(8)
+    x = grid.points
+    oracle = []
+    for _ in range(3):
+        v = np.zeros(grid.n, dtype=complex)
+        for m in modes:
+            c = rng.standard_normal() + 1j * rng.standard_normal()
+            v += c * np.exp(1j * m * x)
+        oracle.append(v)
+    got = band_limited(grid, modes, rng=8, n_functions=3)
+    assert len(got) == 3
+    assert all(np.array_equal(gf.values, want) for gf, want in zip(got, oracle))
+
+
+def test_grid_function_accepts_a_stack_and_guards_its_shape():
+    grid = Grid(32)
+    stack = np.ones((4, grid.n), dtype=complex)
+    gf = GridFunction(grid, stack)
+    assert gf.values.shape == (4, grid.n)
+    assert np.array_equal(gf.norm(), np.full(4, GridFunction(grid, stack[0]).norm()))
+    for bad in (np.ones((4, grid.n + 1)), np.ones((2, 4, grid.n)), np.ones(()),
+                np.ones(grid.n - 1)):
+        with pytest.raises(GridMismatch):
+            GridFunction(grid, bad)
+    stack[2, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        GridFunction(grid, stack)

@@ -183,6 +183,24 @@ def test_factorized_pair_intertwining_exact_and_sensitive():
     assert intertwining_residual(wrong, h, h_partner, phis) > 1e3 * max(base, 1e-15)
 
 
+@pytest.mark.parametrize("grid", [Grid(1024), Grid(1024, -1.2, 1.2, "dirichlet")],
+                         ids=["periodic", "dirichlet"])
+def test_intertwining_residual_on_a_stack_is_the_max_of_the_probes(grid):
+    w = superpotential_case1(TorusParams(a=0.9, c=2.0), grid)
+    h = SampledOp(grid, 1, 0, np.cos(grid.points))
+    h_target = SampledOp(grid, 1, 0.3, np.sin(grid.points))
+    phis = compact_test_functions(grid, [3, 4, 6], rng=5, n_functions=4, margin=0.2)
+    singles = []
+    for phi in phis:
+        lhs = w.apply(h.apply(phi)).values
+        rhs = h_target.apply(w.apply(phi)).values
+        singles.append(float(np.sqrt(grid.h) * np.linalg.norm(lhs - rhs)) / phi.norm())
+        assert intertwining_residual(w, h, h_target, [phi]) == singles[-1]
+    stack = GridFunction(grid, np.stack([phi.values for phi in phis]))
+    assert intertwining_residual(w, h, h_target, [stack]) == max(singles)
+    assert intertwining_residual(w, h, h_target, phis) == max(singles)
+
+
 def test_closed_form_pair_residual_converges_second_order():
     def residual(grid):
         w = superpotential_case1(TorusParams(a=0.9, c=2.0), grid)
