@@ -5,8 +5,8 @@ Builds the trigonometric-polynomial potential on the imaginary-amplitude
 branch (real coefficients, tangent term dropped), expands it around the
 unit circle, transforms to Morse form, and compares three energy routes:
 the tabulated formula, the independently derived closed form, and a
-node-counting shooting solver.  The tabulated formula disagrees; the
-derived form is the one the solver confirms.
+Chebyshev collocation solve on the half-line.  The tabulated formula
+disagrees; the derived form is the one the solver confirms.
 """
 
 import warnings
@@ -20,9 +20,8 @@ from torusdirac.analytic import (
     case1_transform_chain,
     case1_wavefunction,
     morse_energy_exact,
-    morse_shooting_problem,
 )
-from torusdirac.numerics import shoot_bound_state
+from torusdirac.numerics import half_line_levels
 from torusdirac.pseudoherm import MathieuParams, factorization_constants, mathieu_form
 
 warnings.filterwarnings("ignore", message="c <= a")
@@ -39,18 +38,17 @@ print(f"quadratic coefficient of the expansion: {chain.quad_coeff:.5f}")
 print(f"expansion truncation gap over the full circle: {chain.truncation_error:.3f}")
 print("(the expansion step is an approximation; the gap above quantifies it)")
 
-sp = morse_shooting_problem(m, alpha)
+levels = half_line_levels(chain.potential, -4.0, 4.0, 2)
 print("\nenergy routes for the transformed equation:")
-print(f"  {'n':>2} {'tabulated':>12} {'derived':>12} {'shooting':>12}")
+print(f"  {'n':>2} {'tabulated':>12} {'derived':>12} {'collocation':>12}")
 for n in range(3):
     lam, rho, exists = morse_energy_exact(n, m)
     tab = case1_energy(n, alpha, m)[0].real
     if exists:
-        en, _ = shoot_bound_state(sp, n)
-        print(f"  {n:2d} {tab:12.6f} {lam.real:12.6f} {en:12.6f}")
+        print(f"  {n:2d} {tab:12.6f} {lam.real:12.6f} {levels[n]:12.6f}")
     else:
         print(f"  {n:2d} {tab:12.6f} {lam.real:12.6f} {'(above well)':>12}")
-print("(the well supports two bound levels at these constants; the shooting")
+print("(the well supports two bound levels at these constants; the collocation")
 print(" column certifies the derived closed form, not the tabulated one)")
 
 sol = case1_solution(0, alpha, m)

@@ -65,18 +65,16 @@ from .analytic import (
     gauss_2f1,
     laguerre_gen,
     morse_energy_exact,
-    morse_shooting_problem,
 )
 from .numerics import (
     EigResult,
-    ShootingProblem,
     TridiagonalSym,
     discretize_schrodinger,
     eig_sym_tridiag,
-    find_root_bracketed,
+    half_line_levels,
     hill_eigenvalues,
     integrate_simpson,
-    shoot_bound_state,
+    rosen_morse_levels,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,6 @@ from .errors import (
     PoleAtC,
     SingularParameter,
 )
-from .numerics import ShootingProblem
 from .pseudoherm import MathieuParams
 
 
@@ -137,6 +136,14 @@ class MorseChain:
         return (m.B_m + 1j * m.C_m * (w - 1.0)
                 + 0.5 * (m.B_m - 1j * m.C_m - 2.0 * m.D_m) * (w - 1.0) ** 2)
 
+    def potential(self, t):
+        """The real potential -alpha^2 U(t); Im U above 1e-12 (the complex branch)
+        raises SingularParameter."""
+        u = self.u_of_t(t)
+        if np.max(np.abs(u.imag)) > 1e-12:
+            raise SingularParameter("the Morse potential needs the real branch of the chain")
+        return -(self.alpha ** 2) * u.real
+
 
 def case1_transform_chain(mathieu: MathieuParams, alpha: float,
                           n_samples: int = 4096) -> MorseChain:
@@ -206,26 +213,6 @@ def morse_energy_exact(n: int, mathieu: MathieuParams):
     rho = q_coeff / (2.0 * kappa) - n - 0.5
     lam = -(rho ** 2) - m.B_m + 1j * m.C_m - g / 2.0
     return complex(lam), complex(rho), bool(rho.real > 0)
-
-
-def morse_shooting_problem(mathieu: MathieuParams, alpha: float,
-                           t_min: float = -4.0, t_max: float = 30.0,
-                           n: int = 4001) -> ShootingProblem:
-    """Real-branch shooting oracle for the transformed equation.
-
-    Requires B, C, D such that the potential -alpha^2 U(t) is real
-    (imaginary parts below 1e-12 are truncated; larger ones are an error).
-    At alpha = 1 the default window ends where v is within 5e-13 of its limit.
-    """
-    chain = case1_transform_chain(mathieu, alpha)
-
-    def potential(t):
-        u = chain.u_of_t(t)
-        if np.max(np.abs(u.imag)) > 1e-12:
-            raise SingularParameter("shooting needs the real branch of the chain")
-        return -(alpha ** 2) * u.real
-
-    return ShootingProblem(potential=potential, t_min=t_min, t_max=t_max, n=n)
 
 
 @dataclass

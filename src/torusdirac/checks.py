@@ -12,7 +12,7 @@ info    reported without a threshold; the suite asserts only that it is finite
 
 `registry()` lists every check in `verify`'s report order.  `verify` skips
 the checks marked `verify=False`: the Christoffel oracle order and the
-truncated-domain spectrum match would add about 40% to its cost, the
+truncated-domain spectrum match would add about 2/3 to its cost, the
 position-dependent intertwiner has never been part of its report, and the
 periodic spectrum's order against Hill's method is reported by `spectrum`.
 
@@ -263,21 +263,16 @@ def wavefunction_residual() -> float:
     return max(analytic.case2_ode_residual(n, 1.0, 0.0) for n in range(3))
 
 
+def _worst_gap(values, exact) -> float:
+    """Worst gap of values[i] to exact[i], relative to max(1, |exact[i]|)."""
+    return max(abs(v - e) / max(1.0, abs(e)) for v, e in zip(values, exact))
+
+
 def partner_oracle_match() -> float:
-    """Quantized levels n = 1..3 against the regular partner potential's eigensolve."""
-    alpha, c1 = 1.0, 0.0
-    g = Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet")
-    x = g.points
-    worst = 0.0
-    for n in range(1, 4):
-        sol = analytic.case2_quantize(n, alpha, c1)
-        bc = sol.a2
-        e0 = c1 + 0.5 - bc ** 2
-        v1 = e0 + 0.75 * np.tan(x) ** 2 + bc * np.tan(x) + bc ** 2 + 0.5
-        m = numerics.discretize_schrodinger(v1, g)
-        fd = numerics.eig_sym_tridiag(m, n, with_vectors=False).eigenvalues[n - 1]
-        worst = max(worst, abs(fd - sol.epsilon_n ** 2) / max(1.0, sol.epsilon_n ** 2))
-    return worst
+    """Levels n = 1..3 (alpha=1, C1=0): eps_n^2 is level n-1 of 1 + a2 tan x + (3/4) tan^2 x."""
+    sols = [analytic.case2_quantize(n, 1.0, 0.0) for n in range(1, 4)]
+    return _worst_gap([numerics.rosen_morse_levels(1.0, sol.a2, 1.5, sol.n)[-1] for sol in sols],
+                      [sol.epsilon_n ** 2 for sol in sols])
 
 
 def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
@@ -300,6 +295,18 @@ def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
     return rows
 
 
+def critical_pdfv_match() -> float:
+    """`pdfv_levels` n = 0..3 at alpha = 1 against collocation on their Rosen-Morse form.
+
+    There `pseudoherm.rosen_morse_form` is lam^2 - 1/2 + lam tan x - tan^2 x/4
+    with lam = a a2 e = n + 1/2: a wall at the critical s = 1/2.
+    """
+    c0 = [(n + 0.5) ** 2 - 0.5 for n in range(4)]
+    return _worst_gap([numerics.rosen_morse_levels(c, n + 0.5, 0.5, n + 1)[n]
+                       for n, c in enumerate(c0)],
+                      [analytic.case2_quantize(n, 1.0, c).epsilon_n ** 2 for n, c in enumerate(c0)])
+
+
 def truncated_domain_match() -> float:
     """Worst level deviation n = 0..3 with the walls moved in by 1e-3 (8000 points)."""
     g = Grid(8000, -np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, "dirichlet")
@@ -319,15 +326,15 @@ def _morse_params() -> pseudoherm.MathieuParams:
 
 
 def _morse_gap(energies) -> float:
-    """Worst relative gap of energies[n] to the derived Morse levels n = 0, 1."""
-    exact = [analytic.morse_energy_exact(n, _morse_params())[0].real for n in range(2)]
-    return max(abs(e - lam) / abs(lam) for e, lam in zip(energies, exact))
+    """Worst relative gap of energies[n] to the derived Morse levels n = 0, 1 (both above 1)."""
+    return _worst_gap(energies, [analytic.morse_energy_exact(n, _morse_params())[0].real
+                                 for n in range(2)])
 
 
-def morse_shooting_gap() -> float:
-    """Derived Morse energies n = 0, 1 against Numerov shooting, relative to the former."""
-    sp = analytic.morse_shooting_problem(_morse_params(), 1.0)
-    return _morse_gap([numerics.shoot_bound_state(sp, n)[0] for n in range(2)])
+def morse_collocation_gap() -> float:
+    """Derived Morse energies n = 0, 1 against half-line collocation from t = -4 (V > 7000)."""
+    potential = analytic.case1_transform_chain(_morse_params(), 1.0).potential
+    return _morse_gap(numerics.half_line_levels(potential, -4.0, 4.0, 2))
 
 
 def morse_tabulated_gap() -> float:
@@ -456,7 +463,10 @@ def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
               truncated_domain_match, 1e-3, status="known", verify=False,
               note="known discrepancy: the wall coupling is critical, so truncation "
                    "shifts levels by O(1/log(1/delta))"),
-        Check("morse chain: derived closed form vs shooting", 8, morse_shooting_gap, 1e-4),
+        Check("quantization: critical pdfv levels vs collocation", 7, critical_pdfv_match,
+              1e-10),
+        Check("morse chain: derived closed form vs collocation", 8, morse_collocation_gap,
+              1e-4),
         Check("morse chain: tabulated energy formula gap", 8, morse_tabulated_gap, 1e-4,
               status="known",
               note="known discrepancy: tabulated formula is not an eigenvalue here"),

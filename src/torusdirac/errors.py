@@ -45,20 +45,12 @@ class NoRootInBracket(TorusDiracError):
     """Root scan found no sign change in the search interval."""
 
 
-class NoSignChange(TorusDiracError):
-    """Bracketed root finder was called with f(lo)·f(hi) > 0."""
-
-
 class ComplexPotential(TorusDiracError):
     """A real symmetric eigensolve was requested for a complex potential."""
 
 
 class ConvergenceFailure(TorusDiracError):
     """Iterative solver exceeded its iteration budget."""
-
-
-class NotConfining(TorusDiracError):
-    """Shooting window shows no bound state (no sign change in the matching function)."""
 
 
 class EvenSampleCount(TorusDiracError):

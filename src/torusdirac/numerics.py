@@ -1,8 +1,8 @@
-"""Numerical backends: discretization, eigensolvers, shooting, quadrature, roots.
+"""Numerical backends: discretization, eigensolvers, Chebyshev collocation, quadrature.
 
-Real symmetric problems only; complex operators are certified elsewhere
-through residual identities, never through a complex spectral solve.
-Uniform grids only.
+Real potentials only; complex operators are certified elsewhere through
+residual identities, never through a complex spectral solve.  Finite
+differences use uniform grids.
 """
 
 from __future__ import annotations
@@ -12,24 +12,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import eigh, eigh_tridiagonal, eigvals
 
-from .errors import (
-    ComplexPotential,
-    ConvergenceFailure,
-    EvenSampleCount,
-    NoSignChange,
-    NotConfining,
-)
+from .errors import ComplexPotential, ConvergenceFailure, EvenSampleCount
 from .grids import Grid
 
 logger = logging.getLogger(__name__)
-
-# samples per banded solve in a Numerov sweep
-_CHUNK = 256
-# seeds above this are rescaled, leaving 1e200 of headroom inside one chunk
-_RENORM = 1e100
 
 
 @dataclass
@@ -253,132 +241,80 @@ def sturm_count(m: TridiagonalSym, lam: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shooting
+# Chebyshev collocation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShootingProblem:
-    """Confining real potential on [t_min, t_max]; past t_max it stays at its last value."""
-
-    potential: Callable[[np.ndarray], np.ndarray]
-    t_min: float
-    t_max: float
-    n: int = 6001
-
-    def __post_init__(self):
-        if not self.t_min < self.t_max:
-            raise ValueError("need t_min < t_max")
+def _cheb(n: int):
+    """Chebyshev points cos(pi j/n), j = 0..n, and their differentiation matrix (Trefethen)."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.where(np.arange(n + 1) % n == 0, 2.0, 1.0) * (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    return x, d - np.diag(d.sum(axis=1))
 
 
-def _tail_ratio(f: float, h: float) -> float:
-    """Numerov's decaying ratio y_{i+1} / y_i on a constant f >= 0 (1 at f = 0)."""
-    # smaller root of w r^2 - d r + w = 0; d^2 - 4 w^2 as 12 c f (4 + 8 c f) does not cancel
-    cf = h * h * f / 12.0
-    return 2.0 * (1.0 - cf) / (2.0 + 10.0 * cf + np.sqrt(12.0 * cf * (4.0 + 8.0 * cf)))
+def _collocation_levels(assemble, k: int, label: str) -> np.ndarray:
+    """Lowest-k finite real eigenvalues of the pencil (A, B or None) = `assemble(n)`.
 
-
-def _numerov_sweep(f: np.ndarray, h: float, y0: float, y1: float):
-    """Numerov integration of y'' = f(t) y given the first two samples.
-
-    With c = h^2/12 and w = 1 - c f, the recurrence
-    w_{i+1} y_{i+1} - (2 + 10 c f_i) y_i + w_{i-1} y_{i-1} = 0
-    is a lower-triangular system with two subdiagonals.  Each chunk of
-    _CHUNK samples is one LAPACK banded triangular solve, seeded by the two
-    samples before it.  Seeds above _RENORM are scaled back to unit size and
-    the factor kept as a log, so each chunk can grow by 1e200 before it
-    overflows; at the end earlier chunks are brought to the last chunk's
-    scale, where negligible values may underflow to zero.  Returns
-    (y, node count).  Nodes are the sign changes over y[1:-1] and then
-    z = y[-1] - r y[-2] (r = `_tail_ratio`(f[-1], h), both samples on one
-    scale), counted before that final rescale, so underflow cannot hide one.
-    Raises ConvergenceFailure on a singular band (w_i = 0) or an overflow.
+    n doubles from 16, with a log line, until the solves at n and 2 n agree to
+    1e-12 max(1, max |lambda|); the finer one is returned.  No agreement by
+    n = 512 raises ConvergenceFailure.
     """
-    n = f.shape[0]
-    c = h * h / 12.0
-    w = 1.0 - c * f
-    d = 2.0 + 10.0 * c * f
-    # lower band storage, ab[r, j] = A[j + r, j]; column j multiplies y_j
-    band = np.asfortranarray(np.stack([w, -d, w]))
-    y = np.empty(n)
-    y[0], y[1] = y0, y1
-    log_scale = np.zeros(n)  # log of the factor each sample was divided by
-    acc = 0.0
-    for k in range(2, n, _CHUNK):
-        m = min(_CHUNK, n - k)
-        a, b = y[k - 2], y[k - 1]
-        s = max(abs(a), abs(b))
-        if s > _RENORM:
-            a, b = a / s, b / s
-            acc += np.log(s)
-        rhs = np.zeros((m, 1))
-        rhs[0, 0] = d[k - 1] * b - w[k - 2] * a
-        if m > 1:
-            rhs[1, 0] = -w[k - 1] * b
-        x, info = dtbtrs(band[:, k:k + m], rhs, uplo="L")
-        if info != 0:
-            raise ConvergenceFailure(f"Numerov banded solve failed (LAPACK info={info})")
-        y[k:k + m] = x[:, 0]
-        log_scale[k:k + m] = acc
-    if not np.all(np.isfinite(y)):
-        raise ConvergenceFailure("Numerov sweep overflowed")
-    z = y[-1] - _tail_ratio(f[-1], h) * y[-2] * np.exp(log_scale[-2] - acc)
-    sign = np.sign(np.append(y[1:-1], z))
-    sign = sign[sign != 0]
-    nodes = int(np.sum(sign[1:] * sign[:-1] < 0))
-    if acc:
-        y *= np.exp(log_scale - acc)
-    return y, nodes
+    def solve(n):
+        w = eigvals(*assemble(n))
+        w = np.sort(w[np.isfinite(w) & (np.abs(w.imag) <= 1e-8 * np.maximum(1.0, np.abs(w)))].real)
+        return np.append(w[:k], np.full(max(0, k - len(w)), np.nan))  # too few never agree
+
+    n, w = 16, solve(16)
+    while n < 512:
+        finer = solve(2 * n)
+        gap, tol = np.max(np.abs(finer - w)), 1e-12 * max(1.0, np.max(np.abs(finer)))
+        if gap <= tol:
+            return finer
+        logger.info("%s collocation: %d and %d points differ by %.3g > %.3g; widening",
+                    label, n + 1, 2 * n + 1, gap, tol)
+        n, w = 2 * n, finer
+    raise ConvergenceFailure(f"{label} collocation did not converge within {n + 1} points")
 
 
-def shoot_bound_state(p: ShootingProblem, n: int):
-    """n-th bound-state energy (n = 0, 1, ...) by node counting plus bisection.
+def rosen_morse_levels(c0: float, c1: float, s: float, k: int) -> np.ndarray:
+    """Lowest-k levels of -psi'' + (c0 + c1 tan x + s (s-1) tan^2 x) psi on (-pi/2, pi/2).
 
-    Sweeps from zero at t_min count nodes through the end sample z of
-    `_numerov_sweep`, which changes sign where the solution matches the
-    decaying tail of v held at v[-1] (exact on a flat tail); bisection on
-    the count over [min v + 1e-9, min(v[0], v[-1])] closes on the eigenvalue
-    to machine precision.  Returns (energy, (t, profile)) with the profile
-    normalized to unit discrete L2.  Numerov needs w = 1 - h^2 (v - E)/12 > 0
-    at every sample, or the recurrence invents nodes; w is smallest at the
-    floor energy, so a step too coarse there raises ConvergenceFailure.
+    psi = cos^s(x) u cancels the wall: -cos u'' + 2 s sin u' + ((s + c0) cos + c1 sin) u
+    = lambda cos u, collocated with no boundary rows (where cos vanishes the
+    equation is its own boundary condition; the end rows add infinite
+    eigenvalues).  s comes from the potential's structure: a root of a sampled
+    tan^2 coefficient would sit on the branch point s (s-1) = -1/4.
     """
-    t = np.linspace(p.t_min, p.t_max, p.n)
-    h = t[1] - t[0]
-    v = p.potential(t)
-    lo = float(np.min(v)) + 1e-9
-    hi = float(min(v[0], v[-1]))
-    if not lo < hi:
-        raise NotConfining("potential window admits no bound-state energy range")
-    c_max = h * h * float(np.max(v) - lo) / 12.0
-    if not c_max < 1.0:
-        raise ConvergenceFailure(f"Numerov step too coarse: h^2 (v - E)/12 reaches "
-                                 f"{c_max:.3g} at the energy floor and must stay below 1")
+    def assemble(n):
+        xi, d = _cheb(n)
+        d, cos, sin = 2.0 / np.pi * d, np.cos(0.5 * np.pi * xi), np.sin(0.5 * np.pi * xi)
+        cos[[0, -1]] = 0.0
+        a = -cos[:, None] * (d @ d) + 2.0 * s * sin[:, None] * d
+        return a + np.diag((s + c0) * cos + c1 * sin), np.diag(cos)
 
-    def sweep(e: float):
-        return _numerov_sweep(v - e, h, 0.0, 1e-8)
+    return _collocation_levels(assemble, k, "Rosen-Morse")
 
-    if sweep(lo)[1] > n:
-        raise NotConfining(f"window already has more than {n} nodes at its energy floor")
-    if sweep(hi)[1] <= n:
-        raise NotConfining(f"state {n} is not confined below the window walls")
-    # adjacent floats are closer than this bound, so the halving always ends
-    while hi - lo >= max(1e-14, 4e-16 * abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if sweep(mid)[1] <= n:
-            lo = mid
-        else:
-            hi = mid
-    energy = 0.5 * (lo + hi)
-    prof, _ = sweep(energy)
-    peak = np.max(np.abs(prof))
-    if peak > 0:
-        prof = prof / peak  # keeps the norm below from overflowing
-        prof = prof / (np.sqrt(h) * np.linalg.norm(prof))
-    return float(energy), (t, prof)
+
+def half_line_levels(potential: Callable[[np.ndarray], np.ndarray], t_min: float,
+                     length: float, k: int) -> np.ndarray:
+    """Lowest-k levels of -psi'' + V psi on [t_min, inf), psi(t_min) = 0.
+
+    t = t_min + L (1 + xi)/(1 - xi), L = `length`, maps the Chebyshev points; with
+    g = dxi/dt = (1 - xi)^2/(2 L), d^2/dt^2 = g^2 D^2 - g (1 - xi)/L D.  A bound
+    state vanishes at both ends, so the end rows and columns go.
+    """
+    def assemble(n):
+        xi, d = _cheb(n)
+        g = (1.0 - xi) ** 2 / (2.0 * length)
+        d2 = ((g * g)[:, None] * (d @ d) - (g * (1.0 - xi) / length)[:, None] * d)[1:-1, 1:-1]
+        xi = xi[1:-1]
+        return np.diag(potential(t_min + length * (1.0 + xi) / (1.0 - xi))) - d2, None
+
+    return _collocation_levels(assemble, k, "half-line")
 
 
 # ---------------------------------------------------------------------------
-# quadrature and roots
+# quadrature
 # ---------------------------------------------------------------------------
 
 def integrate_simpson(samples: np.ndarray, h: float) -> float:
@@ -391,44 +327,3 @@ def integrate_simpson(samples: np.ndarray, h: float) -> float:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(np.real_if_close(h / 3.0 * np.sum(w * y)))
-
-
-def find_root_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
-                        max_iter: int = 200) -> float:
-    """Root of f in [lo, hi] by the Illinois variant of false position.
-
-    Requires a sign change; stops when |f(root)| < tol or the bracket is
-    machine-tight.  When the same end survives two steps in a row its f is
-    halved, so the bracket closes from both sides even where |f| cannot
-    fall below tol.
-    """
-    fa, fb = f(lo), f(hi)
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if not (np.isfinite(fa) and np.isfinite(fb)) or (fa > 0) == (fb > 0):
-        raise NoSignChange(f"f({lo})={fa} and f({hi})={fb} do not bracket a root")
-    a, b = lo, hi
-    kept = None  # the end that survived the previous step
-    for _ in range(max_iter):
-        # secant candidate, kept only if it lands strictly inside the bracket
-        m = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
-        if not (min(a, b) < m < max(a, b)):
-            m = 0.5 * (a + b)
-            if not (min(a, b) < m < max(a, b)):
-                return m  # no float lies strictly inside the bracket
-        fm = f(m)
-        if abs(fm) < tol or abs(b - a) < 1e-16 * max(1.0, abs(a) + abs(b)):
-            return m
-        if fa < 0 < fm or fm < 0 < fa:  # opposite signs, without overflow
-            b, fb = m, fm
-            if kept == "a":
-                fa *= 0.5
-            kept = "a"
-        else:
-            a, fa = m, fm
-            if kept == "b":
-                fb *= 0.5
-            kept = "b"
-    raise ConvergenceFailure("bracketed root search exceeded max iterations")

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from torusdirac.analytic import (
     case1_energy,
@@ -20,7 +21,6 @@ from torusdirac.analytic import (
     laguerre_gen,
     laguerre_recurrence,
     morse_energy_exact,
-    morse_shooting_problem,
 )
 from torusdirac.errors import (
     DomainSingularity,
@@ -31,7 +31,7 @@ from torusdirac.errors import (
 )
 from torusdirac.geometry import TorusParams
 from torusdirac.grids import Grid, diff2_fourth_order
-from torusdirac.numerics import find_root_bracketed, shoot_bound_state
+from torusdirac.numerics import half_line_levels
 from torusdirac.pseudoherm import MathieuParams, mathieu_form
 
 
@@ -192,22 +192,19 @@ def test_case1_energy_singular_guard_and_increment():
         assert inc == pytest.approx(expected, rel=1e-12)
 
 
-def test_morse_exact_vs_shooting_and_alpha_independence():
+def test_morse_exact_vs_collocation_and_alpha_independence():
     m = real_branch_params()
-    lam0 = morse_energy_exact(0, m)[0].real
-    sp = morse_shooting_problem(m, 1.0, t_min=-4.0, t_max=30.0, n=8001)
-    e0, (t, prof) = shoot_bound_state(sp, 0)
-    assert abs(e0 - lam0) / abs(lam0) < 1e-6
-    # node count inside the classically allowed region certifies the level
-    # (the forbidden-region tail amplifies integration noise exponentially)
-    allowed = sp.potential(t) < e0
-    sign = np.sign(prof[allowed])
-    sign = sign[sign != 0]
-    assert int(np.sum(sign[1:] * sign[:-1] < 0)) == 0
-    # the transformation scale cancels: a different alpha gives the same level
-    sp2 = morse_shooting_problem(m, 0.7, t_min=-4.0 / 0.7, t_max=30.0 / 0.7, n=8001)
-    e0b, _ = shoot_bound_state(sp2, 0)
-    assert abs(e0b / 0.7 ** 2 - lam0) / abs(lam0) < 1e-6
+    lam = np.array([morse_energy_exact(n, m)[0].real for n in range(2)])
+    levels = half_line_levels(case1_transform_chain(m, 1.0).potential, -4.0, 4.0, 2)
+    assert np.max(np.abs(levels - lam) / np.abs(lam)) < 1e-12
+    # the transformation scale cancels: a different alpha gives the same levels
+    scaled = half_line_levels(case1_transform_chain(m, 0.7).potential,
+                              -4.0 / 0.7, 4.0 / 0.7, 2)
+    assert np.max(np.abs(scaled / 0.7 ** 2 - lam) / np.abs(lam)) < 1e-12
+    # off the real branch the potential is complex and has no real level
+    off = MathieuParams(A_m=m.A_m, B_m=m.B_m, C_m=0.3, D_m=m.D_m)
+    with pytest.raises(SingularParameter, match="real branch"):
+        case1_transform_chain(off, 1.0).potential(np.linspace(-1.0, 1.0, 5))
 
 
 def test_tabulated_energy_formula_documented_gap():
@@ -299,7 +296,7 @@ def test_quantize_independent_bisection_pass():
         disc = -1 - 4 * 0.0 + 1.0 + 4 * eps ** 2
         return 0.5 - 0.5 * np.sqrt(disc) + 2
 
-    eps_b = find_root_bracketed(g, 1e-3, 50.0, tol=1e-13)
+    eps_b = brentq(g, 1e-3, 50.0, xtol=1e-13)
     assert eps_b == pytest.approx(sol.epsilon_n, abs=1e-10)
 
 
@@ -326,7 +323,7 @@ def test_quantize_large_c1():
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 20), alpha=st.floats(0.0, 3.0), c1=st.floats(-1.0, 5.0))
-# the bracket closed to adjacent floats without meeting the tightness test
+# once a case where a bracket closed to adjacent floats without meeting its tolerance
 @example(n=17, alpha=0.9396647203632253, c1=2.0)
 def test_quantize_closed_form_matches_bisection(n, alpha, c1):
     x = 1.0 + 4.0 * c1 - alpha ** 2
@@ -349,7 +346,7 @@ def test_quantize_closed_form_matches_bisection(n, alpha, c1):
 
     # g(lo) > 0 because eps_sq > 0, and g(hi) < 0 because disc(hi) >= (2n + 2)^2
     lo, hi = np.sqrt(max(x, 0.0) / 4.0), n + 1.0 + np.sqrt(abs(x))
-    eps_b = find_root_bracketed(g, lo, hi, tol=1e-15)
+    eps_b = brentq(g, lo, hi, xtol=1e-15)
     assert abs(sol.epsilon_n - eps_b) < 1e-10
 
 

@@ -1,30 +1,20 @@
 import logging
-import warnings
 
 import numpy as np
 import pytest
 from scipy.special import mathieu_a, mathieu_b
 
 from torusdirac import analytic, checks, geometry, numerics, pseudoherm
-from torusdirac.errors import (
-    ComplexPotential,
-    ConvergenceFailure,
-    EvenSampleCount,
-    NoSignChange,
-    NotConfining,
-)
+from torusdirac.errors import ComplexPotential, ConvergenceFailure, EvenSampleCount
 from torusdirac.grids import Grid
 from torusdirac.numerics import (
-    ShootingProblem,
-    _numerov_sweep,
-    _tail_ratio,
     TridiagonalSym,
     discretize_schrodinger,
     eig_sym_tridiag,
-    find_root_bracketed,
+    half_line_levels,
     hill_eigenvalues,
     integrate_simpson,
-    shoot_bound_state,
+    rosen_morse_levels,
     sturm_count,
 )
 
@@ -197,188 +187,47 @@ def test_complex_potential_rejected():
         discretize_schrodinger(lambda x: 1j * x, g)
 
 
-def test_shoot_harmonic_levels_and_nodes():
-    sp = ShootingProblem(potential=lambda t: t ** 2, t_min=-10.0, t_max=10.0, n=8001)
-    for n in range(3):
-        e, (t, prof) = shoot_bound_state(sp, n)
-        assert abs(e - (2 * n + 1)) < 1e-6
-        allowed = t ** 2 < e
-        sign = np.sign(prof[allowed])
-        sign = sign[sign != 0]
-        assert int(np.sum(sign[1:] * sign[:-1] < 0)) == n
+def test_rosen_morse_map_gives_box_levels():
+    # s = 1 with c0 = c1 = 0 is the free box (-pi/2, pi/2): psi = cos(x) u vanishes at the walls
+    w = rosen_morse_levels(0.0, 0.0, 1.0, 4)
+    assert np.max(np.abs(w - np.arange(1, 5) ** 2)) < 1e-12
 
 
-def test_shoot_matrix_agreement():
-    g = Grid(6000, -10.0, 10.0, "dirichlet")
-    w = eig_sym_tridiag(discretize_schrodinger(lambda x: x ** 2, g), 2,
-                        with_vectors=False).eigenvalues
-    sp = ShootingProblem(potential=lambda t: t ** 2, t_min=-10.0, t_max=10.0, n=6001)
-    for n in range(2):
-        e, _ = shoot_bound_state(sp, n)
-        assert abs(e - w[n]) / w[n] < 1e-5
+def test_half_line_map_gives_oscillator_levels(caplog):
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        w = half_line_levels(lambda t: t ** 2, -10.0, 10.0, 4)
+    assert np.max(np.abs(w - (2 * np.arange(4) + 1))) < 1e-11
+    # a Gaussian tail under the algebraic map settles only at 257 points
+    widened = [r.getMessage() for r in caplog.records if "widening" in r.getMessage()]
+    assert len(widened) == 4 and widened[-1].startswith("half-line collocation: 129 and 257")
 
 
-def _numerov_reference(f, h, y0, y1):
-    """Per-step Numerov recurrence with the prefix overflow rescale: the oracle."""
-    n = f.shape[0]
-    y = np.empty(n)
-    y[0], y[1] = y0, y1
-    c = h * h / 12.0
-    w = 1.0 - c * f
-    for i in range(1, n - 1):
-        y[i + 1] = ((2.0 + 10.0 * c * f[i]) * y[i] - w[i - 1] * y[i - 1]) / w[i + 1]
-        if abs(y[i + 1]) > 1e250:
-            y[: i + 2] /= abs(y[i + 1])
-    return y
+def test_collocation_raises_on_a_kinked_potential(caplog):
+    # |t| has a kink at t = 0, so the levels converge only algebraically in n
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        with pytest.raises(ConvergenceFailure, match="within 513 points"):
+            half_line_levels(np.abs, -10.0, 10.0, 3)
+    assert len([r for r in caplog.records if "widening" in r.getMessage()]) == 5
 
 
-def _nodes_through_tail(y, f, h):
-    """Sign changes over y[1:-1] and then the virtual sample y[-1] - r y[-2]."""
-    sign = np.sign(np.append(y[1:-1], y[-1] - _tail_ratio(f[-1], h) * y[-2]))
-    sign = sign[sign != 0]
-    return int(np.sum(sign[1:] * sign[:-1] < 0))
+def test_morse_collocation_matches_the_dirichlet_window_at_second_order():
+    # the three-point solve on the truncated window [-4, 30] is an independent
+    # cross-check: its level-0 error falls as h^2, and level 1, bound 0.021
+    # below the continuum, also feels the wall at t = 30
+    potential = analytic.case1_transform_chain(checks._morse_params(), 1.0).potential
+    levels = half_line_levels(potential, -4.0, 4.0, 2)
+    errs = []
+    for n in (2000, 4000):
+        m = discretize_schrodinger(potential, Grid(n, -4.0, 30.0, "dirichlet"))
+        errs.append(np.abs(eig_sym_tridiag(m, 2, with_vectors=False).eigenvalues - levels))
+    assert 1.9 < np.log2(errs[0][0] / errs[1][0]) < 2.1
+    assert np.max(errs[1]) < 1e-4
 
 
-def _morse_verify_problem():
-    """The Morse-chain shooting problem certified by `verify` (the default window)."""
-    return analytic.morse_shooting_problem(checks._morse_params(), 1.0)
-
-
-def test_tail_ratio_is_the_decaying_root_of_the_recurrence():
-    h = 34.0 / 4000  # the step of the default Morse window
-    for fc in (0.021, 1.0, 400.0):
-        r = _tail_ratio(fc, h)
-        assert 0.0 < r < 1.0
-        f = np.full(4001, fc)
-        # one step of the per-step recurrence keeps the ratio, and a generic
-        # seed grows at the other root, 1/r, once r^(2 i) is negligible
-        assert _numerov_reference(f[:3], h, 1.0, r)[2] == pytest.approx(r * r, rel=1e-15)
-        if r ** 8000 < 1e-20:
-            grow = _numerov_reference(f, h, 1.0, 1.0)
-            assert r * grow[-1] / grow[-2] == pytest.approx(1.0, rel=1e-13)
-    assert _tail_ratio(0.0, h) == 1.0
-    # level 1 of the Morse problem is bound 0.021 below its tail.  A sweep
-    # seeded on that tail stays on it up to rounding fed into the growing
-    # mode: 3.2e-9 over 4001 samples, as for the per-step recurrence (3.1e-9)
-    f, r = np.full(4001, 0.021), _tail_ratio(0.021, h)
-    y, _ = _numerov_sweep(f, h, 1.0, r)
-    assert np.max(np.abs(y - r ** np.arange(f.shape[0]))) < 1e-8
-
-
-@pytest.mark.parametrize("problem, between", [
-    (lambda: ShootingProblem(potential=lambda t: t ** 2, t_min=-10.0, t_max=10.0, n=8001),
-     None),
-    # 4.100214 lies between level 1 against the decaying tail (4.1001999) and
-    # level 1 with a Dirichlet wall at t_max (4.1002280), where counts through
-    # the virtual sample and through y[-1] differ
-    (_morse_verify_problem, 4.100214),
-], ids=["oscillator", "morse"])
-def test_banded_sweep_matches_per_step_recurrence(problem, between):
-    sp = problem()
-    t = np.linspace(sp.t_min, sp.t_max, sp.n)
-    h = t[1] - t[0]
-    v = sp.potential(t)
-    for e in np.linspace(np.min(v) + 1e-9, min(v[0], v[-1]), 50):
-        y, nodes = _numerov_sweep(v - e, h, 0.0, 1e-8)
-        ref = _numerov_reference(v - e, h, 0.0, 1e-8)
-        assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
-        assert nodes == _nodes_through_tail(ref, v - e, h)
-    if between is not None:
-        y, nodes = _numerov_sweep(v - between, h, 0.0, 1e-8)
-        ref = _numerov_reference(v - between, h, 0.0, 1e-8)
-        assert nodes == _nodes_through_tail(ref, v - between, h)
-        sign = np.sign(y[1:])
-        assert nodes != int(np.sum(sign[1:] * sign[:-1] < 0))
-
-
-def test_sweep_counts_the_tail_across_a_renormalisation():
-    # a growing solution without nodes; at 259 samples the last chunk holds
-    # one sample, seeded after the seeds were scaled down by more than 1e100
-    for n in (258, 259, 260):
-        y, nodes = _numerov_sweep(np.full(n, 2.0), 1.0, 0.0, 1.0)
-        assert nodes == 0 and np.all(y[1:] > 0)
-
-
-def test_numerov_sweep_failures_raise():
-    # w = 1 - h^2 f / 12 vanishes: the banded matrix is singular
-    with pytest.raises(ConvergenceFailure):
-        _numerov_sweep(np.full(10, 12.0), 1.0, 0.0, 1.0)
-    # w just below zero: growth of ~1e4 per step overflows within one chunk
-    with pytest.raises(ConvergenceFailure):
-        _numerov_sweep(np.full(600, 12.012), 1.0, 0.0, 1.0)
-
-
-def test_shoot_deep_well_keeps_nodes():
-    # the oscillations sit far below the left-wall growth; dropping them to
-    # zero used to lose every node and return one wrong energy for all levels
-    sp = ShootingProblem(potential=lambda t: 400.0 * t ** 2, t_min=-10.0, t_max=10.0,
-                         n=8001)
-    for n in range(3):
-        e, _ = shoot_bound_state(sp, n)
-        exact = 20.0 * (2 * n + 1)
-        assert abs(e - exact) / exact < 1e-6
-
-
-def test_shoot_deep_well_profile_finite_unit_norm():
-    sp = ShootingProblem(potential=lambda t: 100.0 * t ** 2, t_min=-10.0, t_max=10.0,
-                         n=8001)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        e, (t, prof) = shoot_bound_state(sp, 0)
-    assert abs(e - 10.0) < 1e-6
-    assert np.all(np.isfinite(prof))
-    assert abs(np.sqrt(t[1] - t[0]) * np.linalg.norm(prof) - 1.0) < 1e-12
-
-
-def test_shoot_level_is_a_sign_change_of_the_end_value(caplog):
-    # level 1 of the verify Morse problem sits 0.021 below the continuum edge;
-    # the end value is the virtual sample z = y[-1] - r y[-2]
-    sp = _morse_verify_problem()
-    with caplog.at_level(logging.DEBUG, logger="torusdirac"):
-        e, _ = shoot_bound_state(sp, 1)
-    t = np.linspace(sp.t_min, sp.t_max, sp.n)
-    h, v = t[1] - t[0], sp.potential(t)
-
-    def z(energy):
-        y, _ = _numerov_sweep(v - energy, h, 0.0, 1e-8)
-        return y[-1] - _tail_ratio(v[-1] - energy, h) * y[-2]
-
-    below, above = z(e * (1 - 1e-12)), z(e * (1 + 1e-12))
-    assert below < 0 < above or above < 0 < below
-    assert not [r for r in caplog.records if r.name.startswith("torusdirac")]
-
-
-def test_shooting_record_does_not_depend_on_the_window_end():
-    # past t = 30 the Morse potential is flat to about 5e-13, so moving the
-    # end out at the same step moves neither level; a Dirichlet wall at the
-    # end shifted level 1, bound 0.021 below the continuum, by 6.6e-6
-    mf0 = checks._morse_params()
-    for n in range(2):
-        e30, e40 = (shoot_bound_state(analytic.morse_shooting_problem(
-            mf0, 1.0, t_max=t_max, n=samples), n)[0]
-            for t_max, samples in ((30.0, 3401), (40.0, 4401)))
-        assert e40 == pytest.approx(e30, rel=1e-12)
-
-
-def test_morse_shooting_record_is_below_1e9():
-    assert checks.morse_shooting_gap() < 1e-9
-
-
-def test_shoot_rejects_a_step_too_coarse_for_numerov():
-    # on [-6, 50] at 8001 samples h^2 (v - floor)/12 reaches 1.79 at the left
-    # wall; where it exceeds 1 the recurrence flips sign each step and invents
-    # nodes, which used to surface as a NotConfining error naming the window
-    sp = analytic.morse_shooting_problem(checks._morse_params(), 1.0,
-                                         t_min=-6.0, t_max=50.0, n=8001)
-    with pytest.raises(ConvergenceFailure,
-                       match=r"Numerov step too coarse: .* reaches 1\.79 "):
-        shoot_bound_state(sp, 0)
-
-
-def test_shoot_not_confining():
-    sp = ShootingProblem(potential=lambda t: np.zeros_like(t), t_min=0.0, t_max=1.0)
-    with pytest.raises(NotConfining):
-        shoot_bound_state(sp, 0)
+def test_collocation_records_are_below_1e12():
+    assert checks.partner_oracle_match() < 1e-12
+    assert checks.critical_pdfv_match() < 1e-12
+    assert checks.morse_collocation_gap() < 1e-12
 
 
 def test_simpson_values():
@@ -392,18 +241,3 @@ def test_simpson_values():
 
 def test_simpson_fourth_order_slope():
     assert 3.8 < checks.simpson_slope() < 4.2
-
-
-def test_root_finder():
-    assert find_root_bracketed(lambda x: x * x - 2, 1.0, 2.0) == pytest.approx(
-        np.sqrt(2), abs=1e-12)
-    assert find_root_bracketed(np.cos, 1.0, 2.0) == pytest.approx(np.pi / 2, abs=1e-12)
-    with pytest.raises(NoSignChange):
-        find_root_bracketed(lambda x: x * x + 1, -1.0, 1.0)
-
-
-def test_root_finder_returns_a_bracket_of_adjacent_floats():
-    # |f| never falls below tol, so the search ends on two neighbouring floats
-    r = 17.557883060133592
-    root = find_root_bracketed(lambda x: 1.0 if x < r else -1.0, 0.0, 30.0, tol=0.0)
-    assert abs(root - r) <= np.spacing(r)
