@@ -15,6 +15,8 @@ the tabulated (inconsistent) parameter display is retained for inspection.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -298,24 +300,25 @@ class Case2HypParams:
 
 def case2_hyp_params(alpha: float, C1: float, epsilon: complex,
                      branch: int = +1) -> Case2HypParams:
-    """Parameter block of the hypergeometric reduction; both beta branches allowed."""
-    disc = -1.0 - 4.0 * C1 + alpha ** 2 + 4.0 * complex(epsilon) ** 2
-    beta = branch * 0.25 * np.sqrt(complex(disc))
+    """Parameter block of the hypergeometric reduction; both beta branches allowed.
+
+    Computed on Python scalars with `cmath.sqrt`, without numpy's per-scalar
+    dispatch.  That matches `np.sqrt` bit for bit unless a radicand is purely
+    imaginary or has a subnormal part, where the two can differ in the last bit.
+    """
+    eps = complex(epsilon)
+    disc = -1.0 - 4.0 * C1 + alpha ** 2 + 4.0 * eps ** 2
+    beta = branch * 0.25 * cmath.sqrt(disc)
     gamma_h = 1.0 + 2.0 * beta - 0.5j * alpha
-    rad = np.sqrt(complex(
-        5.0 + 16.0 * C1 - 4.0 * alpha ** 2 + 8.0 * beta + 16.0 * beta ** 2
-        - 16.0 * complex(epsilon) ** 2
-    ))
-    a_printed = 0.5 + 2.0 * beta + 0.5 * rad
-    b_printed = 0.5 + 2.0 * beta - 0.5 * rad
-    ab_target = complex(epsilon) ** 2 + (alpha ** 2 - 4.0 * C1) / 4.0 + 2.0 * beta
+    rad = cmath.sqrt(5.0 + 16.0 * C1 - 4.0 * alpha ** 2 + 8.0 * beta + 16.0 * (beta * beta)
+                     - 16.0 * eps ** 2)
+    a_corrected = 0.5 + 2.0 * beta
     return Case2HypParams(
-        alpha=alpha, C1=C1, epsilon=complex(epsilon),
-        beta=complex(beta), gamma_h=complex(gamma_h),
-        a_printed=complex(a_printed), b_printed=complex(b_printed),
-        a_corrected=complex(0.5 + 2.0 * beta),
-        ab_target=complex(ab_target),
-        complex_beta=bool(np.real(disc) < 0),
+        alpha=alpha, C1=C1, epsilon=eps, beta=beta, gamma_h=gamma_h,
+        a_printed=a_corrected + 0.5 * rad, b_printed=a_corrected - 0.5 * rad,
+        a_corrected=a_corrected,
+        ab_target=eps ** 2 + (alpha ** 2 - 4.0 * C1) / 4.0 + 2.0 * beta,
+        complex_beta=bool(disc.real < 0),
     )
 
 
@@ -351,15 +354,15 @@ def case2_quantize(n: int, alpha: float, C1: float) -> Case2Solution:
     eps_sq = ((2 * n + 1) ** 2 + 1.0 + 4.0 * C1 - alpha ** 2) / 4.0
     if not eps_sq >= 0.0:
         raise NoRootInBracket(f"level {n} is unbound: eps^2 = {eps_sq!r} < 0")
-    eps_root = float(np.sqrt(eps_sq))
+    eps_root = math.sqrt(eps_sq)
 
     hp = case2_hyp_params(alpha, C1, eps_root, branch=-1)
-    residual = abs(hp.a_corrected + n)
+    beta = hp.beta.real
     return Case2Solution(
-        n=n, alpha=alpha, C1=C1, epsilon_n=float(eps_root),
-        beta=float(np.real(hp.beta)), a2=float(-2.0 * alpha * np.real(hp.beta)),
+        n=n, alpha=alpha, C1=C1, epsilon_n=eps_root,
+        beta=beta, a2=float(-2.0 * alpha * beta),
         gamma_h=hp.gamma_h, a_h=hp.a_corrected,
-        residual=float(residual),
+        residual=abs(hp.a_corrected + n),
     )
 
 

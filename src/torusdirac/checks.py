@@ -159,10 +159,17 @@ def christoffel_order(torus, xs) -> float:
 
 
 def _spinor_stack(grid, modes, seeds) -> operators.SpinorGF:
-    """One band-limited spinor per seed, as one stack: an operator reads its coefficients once."""
-    draws = [grids.band_limited(grid, modes, rng=s, n_functions=2) for s in seeds]
-    return operators.SpinorGF(*(grids.GridFunction(grid, np.stack([d[i].values for d in draws]))
-                                for i in (0, 1)))
+    """One band-limited spinor per seed, as one stack: an operator reads its coefficients once.
+
+    Each seed draws its coefficients as `grids.band_limited` does (two
+    functions, scalar-draw order), and one `grids.mode_sum` builds every
+    mode's row once for the whole stack, so each spinor has the bits of its
+    own `band_limited` call.
+    """
+    c = np.stack([np.random.default_rng(s).standard_normal((2, len(modes), 2)) for s in seeds],
+                 axis=1)  # (component, seed, mode, re/im)
+    v = grids.mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1])
+    return operators.SpinorGF(*(grids.GridFunction(grid, comp) for comp in v))
 
 
 def squaring_consistency(n: int = 1024, seeds=range(20)) -> float:
@@ -289,7 +296,7 @@ def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
         gauge_n = fields.linear_ring_field(a2=alpha * (n + 0.5) / DEFAULT_TORUS.a)
         ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge_n, fields.cosine_velocity(), grid)
         m = numerics.discretize_schrodinger(np.real(ve.rho), grid)
-        fd = numerics.eig_sym_tridiag(m, n + 1, with_vectors=False).eigenvalues[n]
+        fd = numerics.eig_sym_tridiag(m, n + 1, with_vectors=False, first=n).eigenvalues[0]
         eps_sq = sol.epsilon_n ** 2
         rows.append((n, fd, eps_sq, abs(fd - eps_sq) / max(1.0, eps_sq)))
     return rows

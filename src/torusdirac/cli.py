@@ -22,6 +22,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -237,21 +238,25 @@ def _check_reads(cfg: ScenarioConfig, command: str, negative_control: bool,
 # CSV
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: Path, header, rows, timestamp: bool) -> None:
-    lines = []
-    if timestamp:
-        lines.append(f"# written {time.strftime('%Y-%m-%dT%H:%M:%S')}")
+    """Write `header` and `rows`, every cell through one `%.17g` row template.
+
+    Cells are real numbers: Python and numpy floats, ints and bools.  `%.17g`
+    reads an int as a double, so ints are written exactly up to 2^53 in
+    magnitude, rounded to a double above that, and in exponent form from
+    1e17.  A complex cell raises TypeError (tables split complex values into
+    re/im columns), a numpy one included, whose real cast would drop the
+    imaginary part.
+    """
+    template = ",".join(["%.17g"] * len(header))
+    lines = [f"# written {time.strftime('%Y-%m-%dT%H:%M:%S')}"] if timestamp else []
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            lines.extend(template % tuple(row) for row in rows)
+        except np.exceptions.ComplexWarning as exc:
+            raise TypeError(f"{path.name}: complex cell; write re/im columns") from exc
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -151,15 +151,22 @@ def diff2_fourth_order(values: np.ndarray, grid: Grid) -> np.ndarray:
 # reproducible test functions for oracles and residual checks
 # ---------------------------------------------------------------------------
 
+def mode_sum(grid: Grid, modes, coef: np.ndarray) -> np.ndarray:
+    """sum_j coef[..., j] exp(i modes[j] x) on the grid's points, accumulated in mode order.
+
+    Each mode's row is built once for every leading index of `coef`.
+    """
+    x = grid.points
+    v = np.zeros(coef.shape[:-1] + (grid.n,), dtype=complex)
+    for j, m in enumerate(modes):
+        v += coef[..., j, None] * np.exp(1j * m * x)
+    return v
+
+
 def band_limited(grid: Grid, modes, rng=None, n_functions: int = 1) -> list[GridFunction]:
     """Random smooth periodic functions on the given modes, drawn at once in scalar-draw order."""
     c = np.random.default_rng(rng).standard_normal((n_functions, len(modes), 2))
-    c = c[..., 0] + 1j * c[..., 1]
-    x = grid.points
-    v = np.zeros((n_functions, grid.n), dtype=complex)
-    for j, m in enumerate(modes):
-        v += c[:, j, None] * np.exp(1j * m * x)
-    return [GridFunction(grid, row) for row in v]
+    return [GridFunction(grid, row) for row in mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1])]
 
 
 def bump_window(grid: Grid, lo: float, hi: float) -> np.ndarray:

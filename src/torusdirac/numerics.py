@@ -159,25 +159,32 @@ def _eig_periodic(m: TridiagonalSym, k: int):
 
 
 def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
-                    with_vectors: bool = True) -> EigResult:
-    """Lowest-k eigenpairs.
+                    with_vectors: bool = True, *, first: int = 0) -> EigResult:
+    """Eigenpairs first..k_lowest-1 in ascending order (the lowest k by default).
 
-    Pure tridiagonal problems use LAPACK's Sturm-sequence bisection plus
-    inverse iteration.  A nonzero periodic corner is solved in Fourier
-    space (`_eig_periodic`): a real Galerkin matrix on the modes |m| <= M,
-    M widened until the eigenpairs pass a full-grid residual check, and the
-    mode count kept in `modes`.  That path always computes the vectors, for
-    its check, and drops them when `with_vectors` is false.  Residuals above
-    1e-6 max(1, max |lambda|) raise ConvergenceFailure.
+    Pure tridiagonal problems use LAPACK's Sturm-sequence bisection (`stebz`,
+    by index, so only the requested levels are bisected) plus inverse
+    iteration; `eigenvalues[0]` is then level `first`.  A nonzero periodic
+    corner is solved in Fourier space (`_eig_periodic`): a real Galerkin
+    matrix on the modes |m| <= M, M widened until the eigenpairs pass a
+    full-grid residual check, and the mode count kept in `modes`.  That solve
+    is lowest-k by construction, so it takes no `first`.  It always computes
+    the vectors, for its check, and drops them when `with_vectors` is false.
+    Residuals above 1e-6 max(1, max |lambda|) raise ConvergenceFailure.
     """
     if not 1 <= k_lowest <= m.n:
         raise ValueError("k_lowest out of range")
+    if not 0 <= first < k_lowest:
+        raise ValueError("first out of range")
     modes = None
     if m.corner == 0.0:
-        out = eigh_tridiagonal(m.diag, m.offdiag, select="i", select_range=(0, k_lowest - 1),
+        out = eigh_tridiagonal(m.diag, m.offdiag, select="i",
+                               select_range=(first, k_lowest - 1),
                                eigvals_only=not with_vectors)
         w, vecs = out if with_vectors else (out, None)
         res = None if vecs is None else _residuals(m, w, vecs)
+    elif first:
+        raise ValueError("a periodic solve returns the lowest k levels; first must be 0")
     else:
         w, vecs, res, modes = _eig_periodic(m, k_lowest)
     if res is not None and np.any(res > 1e-6 * max(1.0, np.max(np.abs(w)))):

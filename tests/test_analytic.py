@@ -271,6 +271,44 @@ def test_hyp_params_sum_and_product_identities():
     assert abs(hp.a_printed * hp.b_printed - hp.ab_target) > 1e-2
 
 
+def _hyp_params_on_numpy_scalars(alpha, C1, epsilon, branch):
+    """Reference copy of `case2_hyp_params` computed on numpy scalars (`np.sqrt`)."""
+    disc = -1.0 - 4.0 * C1 + alpha ** 2 + 4.0 * complex(epsilon) ** 2
+    beta = branch * 0.25 * np.sqrt(complex(disc))
+    rad = np.sqrt(complex(
+        5.0 + 16.0 * C1 - 4.0 * alpha ** 2 + 8.0 * beta + 16.0 * beta ** 2
+        - 16.0 * complex(epsilon) ** 2
+    ))
+    return {
+        "epsilon": complex(epsilon), "beta": complex(beta),
+        "gamma_h": complex(1.0 + 2.0 * beta - 0.5j * alpha),
+        "a_printed": complex(0.5 + 2.0 * beta + 0.5 * rad),
+        "b_printed": complex(0.5 + 2.0 * beta - 0.5 * rad),
+        "a_corrected": complex(0.5 + 2.0 * beta),
+        "ab_target": complex(complex(epsilon) ** 2 + (alpha ** 2 - 4.0 * C1) / 4.0 + 2.0 * beta),
+        "complex_beta": bool(np.real(disc) < 0),
+    }
+
+
+def _bits(z):
+    """Bit patterns of the parts of z, so that -0.0, 0.0 and NaN payloads all count."""
+    return np.array([complex(z).real, complex(z).imag]).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(-4.0, 4.0), c1=st.floats(-4.0, 4.0), epsilon=st.floats(0.0, 4.0),
+       branch=st.sampled_from([1, -1]))
+@example(alpha=0.0, c1=1.0, epsilon=0.0, branch=1)    # disc = -5: complex beta
+@example(alpha=0.0, c1=1.0, epsilon=0.0, branch=-1)
+@example(alpha=1.0, c1=0.0, epsilon=-0.0, branch=-1)  # disc = 0: beta on the branch point
+def test_hyp_params_on_python_scalars_are_the_numpy_bits(alpha, c1, epsilon, branch):
+    got = case2_hyp_params(alpha, c1, epsilon, branch=branch)
+    want = _hyp_params_on_numpy_scalars(alpha, c1, epsilon, branch)
+    assert got.complex_beta is want.pop("complex_beta")
+    for name, value in want.items():
+        assert _bits(getattr(got, name)) == _bits(value), name
+
+
 def test_quantize_frozen_levels():
     for n in range(6):
         sol = case2_quantize(n, 1.0, 0.0)
@@ -382,7 +420,7 @@ def test_fd_cross_check_with_partner_oracle():
         e0 = c1 + 0.5 - bc ** 2
         v1 = e0 + 0.75 * np.tan(x) ** 2 + bc * np.tan(x) + bc ** 2 + 0.5
         fd = eig_sym_tridiag(discretize_schrodinger(v1, g), n,
-                             with_vectors=False).eigenvalues[n - 1]
+                             with_vectors=False, first=n - 1).eigenvalues[0]
         assert abs(fd - sol.epsilon_n ** 2) / max(1.0, sol.epsilon_n ** 2) < 1e-3
 
 

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
+
 from torusdirac import checks
+from torusdirac.grids import Grid, band_limited
 
 
 def test_window_record_carries_both_bounds():
@@ -17,3 +20,16 @@ def test_window_record_carries_both_bounds():
     assert lines[3].endswith("value=5.000000e-01 tol=1")
     tolerances = [r["tolerance"] for r in json.loads(rep.to_json())["records"]]
     assert tolerances == [[3.8, 4.2], [3.8, 4.2], 1.0]
+
+
+def test_spinor_stack_rows_have_the_bits_of_their_own_band_limited_draws():
+    # the probes of the squaring and kernel-defect checks: one stack, one row per seed
+    for grid, modes, seeds in ((Grid(1024), [5, 6, 7, 8], range(20)),
+                               (Grid(512), [2, 4], range(90, 96))):
+        stack = checks._spinor_stack(grid, modes, seeds)
+        for row, seed in enumerate(seeds):
+            psi1, psi2 = band_limited(grid, modes, rng=seed, n_functions=2)
+            assert np.array_equal(stack.psi1.values[row].view(np.uint64),
+                                  psi1.values.view(np.uint64))
+            assert np.array_equal(stack.psi2.values[row].view(np.uint64),
+                                  psi2.values.view(np.uint64))

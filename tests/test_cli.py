@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -445,3 +446,42 @@ def test_config_names_an_unknown_key_by_its_path(tmp_path_factory, section, name
         cli.load_config(path)
     where = name if section is None else f"{section}.{name}"
     assert str(exc.value) == f"unknown config key: {where}"
+
+
+def _reference_cell(x) -> str:
+    """A per-cell reference formatter for real cells, which the row template must match."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+SPECIALS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0]
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(allow_nan=True, allow_infinity=True, width=32).map(np.float32),
+    # `%.17g` reads an int as a double: exact up to 2^53
+    st.integers(-2 ** 53, 2 ** 53), st.integers(-2 ** 53, 2 ** 53).map(np.int64),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.sampled_from(SPECIALS).map(np.float64), st.sampled_from(SPECIALS).map(np.float32),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(1, 6), data=st.data())
+def test_csv_row_template_writes_the_bytes_of_the_per_cell_formatter(
+        tmp_path_factory, width, data):
+    rows = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=5))
+    path = tmp_path_factory.getbasetemp() / "template.csv"
+    header = [f"c{i}" for i in range(width)]
+    cli.write_csv(path, header, rows, timestamp=False)
+    want = [",".join(header)] + [",".join(_reference_cell(v) for v in row) for row in rows]
+    assert path.read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("cell", [1 + 2j, np.complex128(1 + 2j), np.complex64(1 - 2j),
+                                  np.complex128(3.0)])
+def test_csv_rejects_a_complex_cell(tmp_path, cell):
+    with pytest.raises(TypeError, match="complex"):
+        cli.write_csv(tmp_path / "t.csv", ["x", "z"], [(0.5, cell)], timestamp=False)
+    assert not (tmp_path / "t.csv").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import mathieu_a, mathieu_b
 
-from torusdirac import analytic, checks, geometry, numerics, pseudoherm
+from torusdirac import analytic, checks, fields, geometry, numerics, pseudoherm
 from torusdirac.errors import ComplexPotential, ConvergenceFailure, EvenSampleCount
 from torusdirac.grids import Grid
 from torusdirac.numerics import (
@@ -179,6 +179,50 @@ def test_periodic_lowest_k_match_full_spectrum(make):
     assert bare.eigenvectors is None and bare.residuals is None
     assert np.all(np.abs(bare.eigenvalues - res.eigenvalues)
                   <= 1e-12 * np.maximum(1.0, np.abs(full)))
+
+
+def _pdfv_matrix():
+    """Dirichlet matrix of `checks.pdfv_levels` for n = 1 at alpha = 1, on 2000 points."""
+    g = Grid(2000, -np.pi / 2, np.pi / 2, "dirichlet")
+    gauge = fields.linear_ring_field(a2=1.5 / checks.DEFAULT_TORUS.a)
+    ve = pseudoherm.veff_case2(checks.DEFAULT_TORUS, gauge, fields.cosine_velocity(), g)
+    return discretize_schrodinger(np.real(ve.rho), g)
+
+
+def _random_tridiag(n):
+    rng = np.random.default_rng(5)
+    return TridiagonalSym(diag=rng.standard_normal(n), offdiag=rng.standard_normal(n - 1))
+
+
+@pytest.mark.parametrize("make", [_pdfv_matrix, lambda: _random_tridiag(60)],
+                         ids=["pdfv2000", "random60"])
+def test_first_solves_one_level_like_the_lowest_k_solve(make):
+    m = make()
+    row_sum = np.abs(m.diag)
+    row_sum[:-1] += np.abs(m.offdiag)
+    row_sum[1:] += np.abs(m.offdiag)
+    # stebz bisects each level to its own tolerance, about eps |T|_inf
+    tol = 4.0 * np.finfo(float).eps * np.max(row_sum)
+    full = eig_sym_tridiag(m, 6)
+    for n in range(6):
+        one = eig_sym_tridiag(m, n + 1, with_vectors=False, first=n)
+        assert one.eigenvalues.shape == (1,) and one.eigenvectors is None
+        assert abs(one.eigenvalues[0] - full.eigenvalues[n]) <= tol
+        pair = eig_sym_tridiag(m, n + 1, first=n)
+        assert pair.eigenvectors.shape == (m.n, 1)
+        assert pair.residuals[0] <= 1e-6 * max(1.0, abs(pair.eigenvalues[0]))
+        assert abs(pair.eigenvectors[:, 0] @ full.eigenvectors[:, n]) == pytest.approx(1.0)
+    tail = eig_sym_tridiag(m, 6, with_vectors=False, first=3).eigenvalues
+    assert np.all(np.abs(tail - full.eigenvalues[3:]) <= tol)
+
+
+def test_first_is_rejected_by_the_periodic_solve_and_out_of_range():
+    with pytest.raises(ValueError, match="periodic"):
+        eig_sym_tridiag(_random_periodic(), 3, first=1)
+    m = _random_tridiag(20)
+    for first in (-1, 3):
+        with pytest.raises(ValueError, match="first"):
+            eig_sym_tridiag(m, 3, first=first)
 
 
 def test_complex_potential_rejected():
