@@ -309,7 +309,9 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
         res = numerics.eig_sym_tridiag(m, min(6, grid.n - 2))
         rows = [(i, res.eigenvalues[i], res.residuals[i]) for i in range(len(res.eigenvalues))]
         worst = float(np.max(res.residuals))
-        rep.add("eigenpair residual max", worst, 1e-8, worst < 1e-8)
+        # past n of about 26000 the rounding of T v alone exceeds 1e-8
+        tol = max(1e-8, 4.0 * np.finfo(float).eps * m.norm_inf())
+        rep.add("eigenpair residual max", worst, tol, worst < tol)
         rep.add_info("periodic eigensolve Fourier modes", res.modes, note=f"of {grid.n}")
         checks.HILL_ORDER.record(rep)
         if "csv" in cfg.outputs:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, eigvals
+from scipy.linalg import eigh, eigh_tridiagonal, eigvals, lapack
 
 from .errors import ComplexPotential, ConvergenceFailure, EvenSampleCount
 from .grids import Grid
@@ -50,6 +50,11 @@ class TridiagonalSym:
             out[0] += self.corner * v[-1]
             out[-1] += self.corner * v[0]
         return out
+
+    def norm_inf(self) -> float:
+        """|T|_inf, the largest absolute row sum, corner entries included."""
+        couplings = np.abs(np.append(self.offdiag, self.corner))
+        return float(np.max(np.abs(self.diag) + couplings + np.roll(couplings, 1)))
 
 
 @dataclass
@@ -132,11 +137,9 @@ def _eig_periodic(m: TridiagonalSym, k: int):
     residuals, mode count).
     """
     n = m.n
-    couplings = np.append(m.offdiag, m.corner)
     dhat = np.fft.fft(m.diag) / n
-    ohat = np.fft.fft(couplings) / n
-    row_sum = np.abs(m.diag) + np.abs(couplings) + np.abs(np.roll(couplings, 1))
-    floor = 4.0 * np.finfo(float).eps * np.max(row_sum)
+    ohat = np.fft.fft(np.append(m.offdiag, m.corner)) / n
+    floor = 4.0 * np.finfo(float).eps * m.norm_inf()
     cut = max(8, k)
     while True:
         modes = np.arange(-cut, cut + 1) if 2 * cut + 1 < n else np.arange(n) - n // 2
@@ -158,19 +161,164 @@ def _eig_periodic(m: TridiagonalSym, k: int):
         cut *= 2
 
 
+def sturm_count(m: TridiagonalSym, sigma: float) -> int:
+    """Number of eigenvalues below sigma: the negative pivots of the LDL^T of T - sigma I.
+
+    Sylvester's law of inertia.  LAPACK `dpttrf` factors private copies in
+    place and stops at a non-positive pivot p; the count then restarts past
+    it with the next diagonal entry d - e^2/p (a zero pivot taken as +1e-300,
+    as in the classical Sturm recurrence).  The last row is done here, since
+    f2py takes no empty off-diagonal.  Requires a pure tridiagonal matrix.
+    """
+    if m.corner != 0.0:
+        raise ValueError("Sturm count is defined for pure tridiagonal matrices")
+    d, e = m.diag - sigma, m.offdiag.copy()
+    count, i = 0, 0
+    while i < m.n - 1:
+        info = lapack.dpttrf(d[i:], e[i:], overwrite_d=1, overwrite_e=1)[2]
+        if info == 0:
+            return count
+        i += info - 1
+        p = float(d[i])
+        count += p < 0.0
+        if i == m.n - 1:
+            return count
+        ei = float(e[i])  # Python floats overflow to inf without a warning
+        d[i + 1] -= ei * ei / (p if p != 0.0 else 1e-300)
+        i += 1
+    return count + bool(d[-1] < 0.0)
+
+
+class _Counts:
+    """Inertia counts of one pure tridiagonal matrix, each shift counted once."""
+
+    def __init__(self, m: TridiagonalSym):
+        self.m, self.seen = m, {}
+
+    def __call__(self, sigma: float) -> int:
+        if sigma not in self.seen:
+            self.seen[sigma] = sturm_count(self.m, sigma)
+        return self.seen[sigma]
+
+    def bracket(self, j: int):
+        """The tightest counted (a, b) with count(a) <= j < count(b); None where none is."""
+        a = max((s for s, c in self.seen.items() if c <= j), default=None)
+        b = min((s for s, c in self.seen.items() if c > j), default=None)
+        return a, b
+
+
+def _isolate(count: _Counts, j: int, floor: float):
+    """[a, b] with count(a) = j and count(b) = j + 1, by counts at +-1, +-2, +-4, ... and bisection.
+
+    Where the counts cannot split a bracket wider than `floor` (a numerically
+    multiple level), the unsplit [a, b] is returned.
+    """
+    for side, step in ((1, 1.0), (0, -1.0)):
+        while count.bracket(j)[side] is None:
+            count(step)
+            step *= 2.0
+    a, b = count.bracket(j)
+    while not (count(a) == j and count(b) == j + 1):
+        mid = 0.5 * (a + b)
+        if b - a <= floor or mid in (a, b):
+            break
+        count(mid)
+        a, b = count.bracket(j)
+    return a, b
+
+
+def _polish(m: TridiagonalSym, count: _Counts, j: int, a: float, b: float,
+            x: np.ndarray, found: np.ndarray, floor: float):
+    """Rayleigh-quotient iteration for the level j alone in [a, b].
+
+    Each step solves (T - mu) y = x (LAPACK `dgtsv`), keeps y orthogonal to
+    the columns of `found` and takes the Rayleigh quotient lambda.  A lambda
+    inside [a, b] is the next shift and, by one count, a new end of the
+    bracket; any other lambda is dropped, the bracket bisected and its middle
+    taken.  Stops once ||T x - lambda x|| <= floor.  Returns (lambda, x,
+    residual).
+    """
+    mu = 0.5 * (a + b)
+    lam, res = mu, np.inf
+    for _ in range(100):  # bisection alone narrows any bracket to the floor in ~60 steps
+        y, info = lapack.dgtsv(m.offdiag.copy(), m.diag - mu, m.offdiag.copy(), x,
+                               overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
+        if info:  # mu is a level to working precision: step off it
+            mu += floor
+            continue
+        y -= found @ (found.T @ y)
+        x = y / np.linalg.norm(y)
+        tx = m.matvec(x)
+        lam = x @ tx
+        res = np.linalg.norm(tx - lam * x)
+        if res <= floor:
+            break
+        inside = a < lam < b
+        sigma = lam if inside else 0.5 * (a + b)
+        if count(sigma) <= j:
+            a = sigma
+        else:
+            b = sigma
+        mu = lam if inside else 0.5 * (a + b)
+    return lam, x, res
+
+
+def _eig_levels(m: TridiagonalSym, first: int, k: int):
+    """Levels first..k-1 of a pure tridiagonal matrix and unit vectors, by inertia counts.
+
+    Each level j is isolated by `_isolate` and polished by `_polish` from one
+    seeded start vector, orthogonal to the levels already found, and kept
+    under the certificate count(lambda - delta) = j, count(lambda + delta) =
+    j + 1, delta = max(residual, 8 eps |T|_inf).  Where the counts leave
+    levels unsplit at that floor (a numerically multiple eigenvalue, as in a
+    split matrix) or the certificate fails, LAPACK (`eigh_tridiagonal`) solves
+    the window's levels by index, and each such fallback is logged.
+    """
+    n = m.n
+    w, vecs = np.empty(k - first), np.zeros((n, k - first))
+    if n == 1:
+        w[0], vecs[0, 0] = m.diag[0], 1.0
+        return w, vecs
+    floor = 8.0 * np.finfo(float).eps * m.norm_inf()
+    count = _Counts(m)
+    start = np.random.default_rng(0).random(n)
+    j = first
+    while j < k:
+        a, b = _isolate(count, j, floor)
+        if count(a) == j and count(b) == j + 1:
+            lam, x, res = _polish(m, count, j, a, b, start, vecs[:, :j - first], floor)
+            delta = max(res, floor)
+            if count(lam - delta) == j and count(lam + delta) == j + 1:
+                w[j - first], vecs[:, j - first] = lam, x
+                j += 1
+                continue
+            a, b = min(a, lam - delta), max(b, lam + delta)
+        top = min(count(b), k) - 1
+        logger.info("tridiagonal eigensolve: inertia counts leave levels %d..%d unsplit in "
+                    "[%.17g, %.17g]; LAPACK solves levels %d..%d",
+                    count(a), count(b) - 1, a, b, j, top)
+        w[j - first:top + 1 - first], vecs[:, j - first:top + 1 - first] = eigh_tridiagonal(
+            m.diag, m.offdiag, select="i", select_range=(j, top))
+        j = top + 1
+    return w, vecs
+
+
 def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
                     with_vectors: bool = True, *, first: int = 0) -> EigResult:
     """Eigenpairs first..k_lowest-1 in ascending order (the lowest k by default).
 
-    Pure tridiagonal problems use LAPACK's Sturm-sequence bisection (`stebz`,
-    by index, so only the requested levels are bisected) plus inverse
-    iteration; `eigenvalues[0]` is then level `first`.  A nonzero periodic
-    corner is solved in Fourier space (`_eig_periodic`): a real Galerkin
-    matrix on the modes |m| <= M, M widened until the eigenpairs pass a
-    full-grid residual check, and the mode count kept in `modes`.  That solve
-    is lowest-k by construction, so it takes no `first`.  It always computes
-    the vectors, for its check, and drops them when `with_vectors` is false.
-    Residuals above 1e-6 max(1, max |lambda|) raise ConvergenceFailure.
+    Pure tridiagonal problems are solved level by level (`_eig_levels`):
+    LDL^T inertia counts (`sturm_count`) isolate each level, Rayleigh-quotient
+    iteration polishes it far inside eps |T|_inf (the rounding of the Rayleigh
+    quotient, 1e-11 on the n=8000 pdfv levels where eps |T|_inf is 5.8e-9),
+    and two more counts certify its index; `eigenvalues[0]` is level `first`.
+    A nonzero periodic corner is solved in Fourier space (`_eig_periodic`): a
+    real Galerkin matrix on the modes |m| <= M, M widened until the
+    eigenpairs pass a full-grid residual check, and the mode count kept in
+    `modes`.  That solve is lowest-k by construction, so it takes no `first`.
+    Both paths compute the vectors, for the residual check, and drop them
+    when `with_vectors` is false.  Residuals above 1e-6 max(1, max |lambda|)
+    raise ConvergenceFailure.
     """
     if not 1 <= k_lowest <= m.n:
         raise ValueError("k_lowest out of range")
@@ -178,16 +326,13 @@ def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
         raise ValueError("first out of range")
     modes = None
     if m.corner == 0.0:
-        out = eigh_tridiagonal(m.diag, m.offdiag, select="i",
-                               select_range=(first, k_lowest - 1),
-                               eigvals_only=not with_vectors)
-        w, vecs = out if with_vectors else (out, None)
-        res = None if vecs is None else _residuals(m, w, vecs)
+        w, vecs = _eig_levels(m, first, k_lowest)
+        res = _residuals(m, w, vecs)
     elif first:
         raise ValueError("a periodic solve returns the lowest k levels; first must be 0")
     else:
         w, vecs, res, modes = _eig_periodic(m, k_lowest)
-    if res is not None and np.any(res > 1e-6 * max(1.0, np.max(np.abs(w)))):
+    if np.any(res > 1e-6 * max(1.0, np.max(np.abs(w)))):
         raise ConvergenceFailure("eigenpair residuals exceed solver tolerance")
     if not with_vectors:
         vecs = res = None
@@ -225,26 +370,6 @@ def hill_eigenvalues(potential: Callable[[np.ndarray], np.ndarray],
                     2 * cut + 1, 4 * cut + 1, gap, tol)
         cut, w = 2 * cut, finer
     raise ConvergenceFailure(f"Hill's method did not converge within {2 * cut + 1} modes")
-
-
-def sturm_count(m: TridiagonalSym, lam: float) -> int:
-    """Number of eigenvalues below lam, by the Sturm sign-agreement count.
-
-    Independent cross-check for the packaged eigensolver; requires a pure
-    tridiagonal matrix.
-    """
-    if m.corner != 0.0:
-        raise ValueError("Sturm count is defined for pure tridiagonal matrices")
-    count = 0
-    d = m.diag[0] - lam
-    if d < 0:
-        count += 1
-    for i in range(1, m.n):
-        denom = d if abs(d) > 1e-300 else np.copysign(1e-300, d if d != 0 else 1.0)
-        d = (m.diag[i] - lam) - m.offdiag[i - 1] ** 2 / denom
-        if d < 0:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

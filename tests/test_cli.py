@@ -90,12 +90,45 @@ def test_verify_passes_and_negative_control_fails(tmp_path):
 
 def test_csv_determinism(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
+    cfg = tmp_path / "pdfv.yaml"
+    cfg.write_text("case: pdfv\nfermi: {kind: cosine}\n")
     for d in (d1, d2):
         d.mkdir()
         r = run_cli("--out", str(d), "--no-timestamp", "analytic")
         assert r.returncode == 0, r.stderr
-    for name in ("case1_spectrum.csv", "case2_spectrum.csv", "case2_wavefunctions.csv"):
+        # the pdfv levels come from Rayleigh-quotient iteration on a seeded start vector
+        assert cli.main(["--config", str(cfg), "--out", str(d), "--no-timestamp",
+                         "spectrum"]) == 0
+    for name in ("case1_spectrum.csv", "case2_spectrum.csv", "case2_wavefunctions.csv",
+                 "spectrum_pdfv.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_spectrum_residual_gate_is_floored_at_the_rounding_of_t_v(tmp_path, capsys):
+    # at n = 32768 the periodic solve stops at its rounding floor, a residual of
+    # 1.55e-8; a fixed 1e-8 gate failed it, the floor 4 eps |T|_inf is 9.7e-8
+    args = ["--out", str(tmp_path), "--no-timestamp", "--grid-n", "32768", "spectrum"]
+    assert cli.main(args) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "eigenpair residual" in s)
+    assert line.startswith("PASS") and "tol=1e-08" not in line
+    assert cli.main(args[:-3] + ["spectrum"]) == 0
+    assert "tol=1e-08" in capsys.readouterr().out  # the default grid keeps 1e-8
+
+
+def test_spectrum_residual_gate_fails_above_the_floor(tmp_path, monkeypatch, capsys):
+    solve = cli.numerics.eig_sym_tridiag
+
+    def above_floor(m, k, *args, **kwargs):
+        res = solve(m, k, *args, **kwargs)
+        if res.residuals is not None:  # the table's solve, not the Hill-order check's
+            row_sum = np.max(np.abs(m.diag)) + 2.0 * abs(m.corner)
+            res.residuals[0] = 1.01 * 4.0 * np.finfo(float).eps * row_sum
+        return res
+
+    monkeypatch.setattr(cli.numerics, "eig_sym_tridiag", above_floor)
+    assert cli.main(["--out", str(tmp_path), "--no-timestamp", "--grid-n", "32768",
+                     "spectrum"]) == 1
+    assert "FAIL eigenpair residual max" in capsys.readouterr().out
 
 
 def test_sweep_tracks_constraint_and_rejects_bad_input(tmp_path):

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import mathieu_a, mathieu_b
 
 from torusdirac import analytic, checks, fields, geometry, numerics, pseudoherm
@@ -45,6 +46,28 @@ def test_identity_eigenvalues():
     assert res.modes is None  # a pure tridiagonal solve keeps no Fourier modes
 
 
+def _sturm_reference(m, lam):
+    """Eigenvalues below lam by the classical Sturm recurrence, one pivot per Python step."""
+    count = 0
+    d = m.diag[0] - lam
+    if d < 0:
+        count += 1
+    for i in range(1, m.n):
+        denom = d if abs(d) > 1e-300 else np.copysign(1e-300, d if d != 0 else 1.0)
+        d = (m.diag[i] - lam) - m.offdiag[i - 1] ** 2 / denom
+        if d < 0:
+            count += 1
+    return count
+
+
+def _row_sum(m):
+    """|T|_inf of a pure tridiagonal matrix, computed here independently of the library."""
+    row = np.abs(m.diag)
+    row[:-1] += np.abs(m.offdiag)
+    row[1:] += np.abs(m.offdiag)
+    return np.max(row)
+
+
 def test_random_tridiag_against_sturm_count():
     rng = np.random.default_rng(7)
     m = TridiagonalSym(diag=rng.standard_normal(50),
@@ -54,6 +77,40 @@ def test_random_tridiag_against_sturm_count():
     for i, lam in enumerate(res.eigenvalues):
         assert sturm_count(m, lam - 1e-10 * scale) == i
         assert sturm_count(m, lam + 1e-10 * scale) == i + 1
+    # the solver isolates and certifies its levels with sturm_count itself
+    assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(_dense(m)), rtol=0.0,
+                       atol=1e-12 * scale)
+
+
+_ENTRY = st.floats(-10.0, 10.0, allow_subnormal=False)
+_COUPLING = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+@st.composite
+def _tridiagonals(draw):
+    n = draw(st.integers(1, 12))
+    return TridiagonalSym(diag=draw(st.lists(_ENTRY, min_size=n, max_size=n)),
+                          offdiag=draw(st.lists(_COUPLING, min_size=n - 1, max_size=n - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tridiagonals())
+@example(TridiagonalSym(diag=[3.0], offdiag=[]))
+@example(TridiagonalSym(diag=[1.0, 1.0], offdiag=[0.0]))
+@example(TridiagonalSym(diag=[0.0, 2.0], offdiag=[1.5]))
+@example(TridiagonalSym(diag=[1.0, 2.0, 1.0], offdiag=[1.0, 1.0]))
+def test_sturm_count_matches_the_reference_recurrence(m):
+    w = np.linalg.eigvalsh(_dense(m))
+    tol = 1e-12 * max(1.0, _row_sum(m))
+    for sigma in np.concatenate([w, w - 1e-9, w + 1e-9, m.diag]):
+        count, reference = sturm_count(m, sigma), _sturm_reference(m, sigma)
+        if np.min(np.abs(w - sigma)) > tol:
+            assert count == reference
+        else:
+            # on an eigenvalue the sign of a pivot is rounding, and dpttrf rounds
+            # e^2/p as (e/p) e: each count may fall on either side of it
+            below, upto = np.sum(w < sigma - tol), np.sum(w <= sigma + tol)
+            assert below <= count <= upto and below <= reference <= upto
 
 
 def test_eigenvector_residuals_reported():
@@ -198,11 +255,9 @@ def _random_tridiag(n):
                          ids=["pdfv2000", "random60"])
 def test_first_solves_one_level_like_the_lowest_k_solve(make):
     m = make()
-    row_sum = np.abs(m.diag)
-    row_sum[:-1] += np.abs(m.offdiag)
-    row_sum[1:] += np.abs(m.offdiag)
-    # stebz bisects each level to its own tolerance, about eps |T|_inf
-    tol = 4.0 * np.finfo(float).eps * np.max(row_sum)
+    # each level is certified by counts to within 8 eps |T|_inf, and polished to
+    # far better: a lone level and the same level of a lowest-k solve agree here
+    tol = 4.0 * np.finfo(float).eps * _row_sum(m)
     full = eig_sym_tridiag(m, 6)
     for n in range(6):
         one = eig_sym_tridiag(m, n + 1, with_vectors=False, first=n)
@@ -223,6 +278,67 @@ def test_first_is_rejected_by_the_periodic_solve_and_out_of_range():
     for first in (-1, 3):
         with pytest.raises(ValueError, match="first"):
             eig_sym_tridiag(m, 3, first=first)
+
+
+def test_box_levels_match_the_closed_form_fd_levels():
+    # the three-point box on [0, pi] has the levels (4/h^2) sin^2(k pi/(2(n+1)));
+    # LAPACK's stebz, bisecting to eps |T|_inf, missed them by up to 5.9e-10 relative
+    n = 4000
+    g = Grid(n, 0.0, np.pi, "dirichlet")
+    w = eig_sym_tridiag(discretize_schrodinger(lambda x: np.zeros_like(x), g), 4,
+                        with_vectors=False).eigenvalues
+    exact = 4.0 / g.h ** 2 * np.sin(np.arange(1, 5) * np.pi / (2 * (n + 1))) ** 2
+    assert np.max(np.abs(w - exact) / exact) < 1e-12
+
+
+def test_split_matrix_multiple_level_is_solved_by_lapack_once(caplog):
+    # two decoupled blocks share the level 1, which no count can split: LAPACK
+    # solves that window, logged once, and the simple level 3 is polished as usual
+    m = TridiagonalSym(diag=[2.0, 2.0, 1.0], offdiag=[-1.0, 0.0])
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        res = eig_sym_tridiag(m, 3)
+    assert np.allclose(res.eigenvalues, [1.0, 1.0, 3.0], rtol=0.0, atol=1e-14)
+    assert np.max(np.abs(res.eigenvectors.T @ res.eigenvectors - np.eye(3))) < 1e-14
+    logged = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(logged) == 1 and "levels 0..1 unsplit" in logged[0]
+
+
+def test_a_shift_on_a_level_steps_off_it():
+    # the first shift, the middle of the bracket [-1, 1], is level 0 itself, so
+    # T - mu is exactly singular and dgtsv refuses it
+    res = eig_sym_tridiag(TridiagonalSym(diag=[0.0, 5.0], offdiag=[0.0]), 2)
+    assert np.allclose(res.eigenvalues, [0.0, 5.0], rtol=0.0, atol=1e-14)
+    assert np.max(res.residuals) < 1e-14
+
+
+def test_near_degenerate_double_well_pair_comes_out_in_order(caplog):
+    # V = 2.5 (x^2 - 4)^2: the two lowest levels split by 6.4e-6, above the count floor
+    g = Grid(4000, -6.0, 6.0, "dirichlet")
+    m = discretize_schrodinger(lambda x: 2.5 * (x ** 2 - 4.0) ** 2, g)
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        res = eig_sym_tridiag(m, 2)
+    assert not caplog.records  # no window fallback
+    w = res.eigenvalues
+    assert 6e-6 < w[1] - w[0] < 7e-6
+    delta = np.maximum(res.residuals, 8.0 * np.finfo(float).eps * _row_sum(m))
+    for j in range(2):
+        assert _sturm_reference(m, w[j] - delta[j]) == j
+        assert _sturm_reference(m, w[j] + delta[j]) == j + 1
+    assert abs(res.eigenvectors[:, 0] @ res.eigenvectors[:, 1]) < 1e-12
+
+
+def test_vectors_are_unit_and_pass_the_residual_gate():
+    m = _pdfv_matrix()
+    res = eig_sym_tridiag(m, 4)
+    v, w = res.eigenvectors, res.eigenvalues
+    assert np.max(np.abs(np.linalg.norm(v, axis=0) - 1.0)) < 1e-14
+    tv = m.diag[:, None] * v
+    tv[:-1] += m.offdiag[:, None] * v[1:]
+    tv[1:] += m.offdiag[:, None] * v[:-1]
+    residuals = np.linalg.norm(tv - v * w, axis=0)
+    assert np.allclose(res.residuals, residuals, rtol=1e-6, atol=0.0)
+    # the iteration stops at 8 eps |T|_inf, far inside the 1e-6 gate
+    assert np.max(residuals) <= 8.0 * np.finfo(float).eps * _row_sum(m)
 
 
 def test_complex_potential_rejected():
