@@ -366,6 +366,24 @@ def case2_quantize(n: int, alpha: float, C1: float) -> Case2Solution:
     )
 
 
+def case2_quantize_array(n: int, alpha, C1):
+    """`case2_quantize`'s (eps_n, residual) for arrays of (alpha, C1); NaN where unbound.
+
+    Each cell has the scalar's bits: the same float operations in the same order,
+    alpha^2 as libm `pow` (Python's `float ** 2`), eps^2 as eps * eps (the real part
+    of the scalar's complex `** 2`), and where disc rounds below 0 (|C1| past about
+    1e16) the residual |1/2 + n + 2 beta| of an imaginary beta by `hypot`, as `abs`.
+    """
+    alpha_sq = np.float_power(alpha, 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        eps_sq = ((2 * n + 1) ** 2 + 1.0 + 4.0 * C1 - alpha_sq) / 4.0
+        eps = np.sqrt(np.where(eps_sq >= 0.0, eps_sq, np.nan))
+        disc = -1.0 - 4.0 * C1 + alpha_sq + 4.0 * (eps * eps)
+        beta = -0.25 * np.sqrt(np.abs(disc))
+        return eps, np.where(disc >= 0.0, np.abs(0.5 + 2.0 * beta + n),
+                             np.hypot(0.5 + n, 2.0 * beta))
+
+
 def case2_wavefunction(n: int, alpha: float, C1: float, x,
                        pole_margin: float = 1e-3):
     """Quantized Rosen-Morse-II bound state at x (scalar or array).

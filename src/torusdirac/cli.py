@@ -23,7 +23,8 @@ import re
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+# only the benchmark tracer (tdbench/spans.py) reads this; ROADMAP item 1 removes it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -359,21 +360,6 @@ def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
             name: float(value)}
 
 
-def _sweep_row(value: float, point: dict):
-    a, e = point["a"], point["e"]
-    row = [value]
-    for n in range(4):
-        try:
-            sol = analytic.case2_quantize(n, point["alpha"], point["C1"])
-            row.extend([sol.epsilon_n, sol.residual])
-        except TorusDiracError:
-            row.extend([float("nan"), float("nan")])
-    c2_constraint, c_constraint = pseudoherm.factorization_constants(a, e)
-    row.extend([c2_constraint.real, c2_constraint.imag,
-                c_constraint.real if a < 1 else float("nan")])
-    return tuple(row)
-
-
 def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
               parameter: str, values) -> RunReport:
     if parameter not in SWEEPABLE:
@@ -383,16 +369,21 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
         raise ConfigError("sweep: empty value list")
     points = [_sweep_point(cfg, parameter, v) for v in values]
     rep = RunReport(f"sweep over {parameter}")
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(_sweep_row, values, points))
-    header = [parameter]
-    for n in range(4):
-        header += [f"eps{n}", f"resid{n}"]
+    alpha, c1 = (np.array([p[key] for p in points]) for key in ("alpha", "C1"))
+    # eps0, resid0, ..., eps3, resid3 as columns, each in one pass
+    levels = [col for n in range(4) for col in analytic.case2_quantize_array(n, alpha, c1)]
+    # the constraint constants depend on (a, e) alone: one scalar call per distinct pair
+    constants = {}
+    for a, e in dict.fromkeys((p["a"], p["e"]) for p in points):
+        c2, c = pseudoherm.factorization_constants(a, e)
+        constants[a, e] = (c2.real, c2.imag, c.real if a < 1 else float("nan"))
+    rows = [(value, *cells, *constants[p["a"], p["e"]])
+            for value, p, *cells in zip(values, points, *levels)]
+    header = [parameter] + [f"{col}{n}" for n in range(4) for col in ("eps", "resid")]
     header += ["C2_constraint_re", "C2_constraint_im", "c_constraint"]
     write_csv(out / f"sweep_{parameter}.csv", header, rows, timestamp)
     rep.add_info("rows written", len(rows))
-    rep.add_info("unbound cells (NaN)",
-                 sum(math.isnan(row[1 + 2 * n]) for row in rows for n in range(4)),
+    rep.add_info("unbound cells (NaN)", int(sum(np.isnan(eps).sum() for eps in levels[::2])),
                  note="levels that do not quantize are written as NaN")
     return rep
 

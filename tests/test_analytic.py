@@ -15,6 +15,7 @@ from torusdirac.analytic import (
     case2_hyp_params,
     case2_ode_residual,
     case2_quantize,
+    case2_quantize_array,
     case2_wavefunction,
     fit_energy_display,
     gauss_2f1,
@@ -357,6 +358,27 @@ def test_quantize_large_c1():
     # the residual recomputes disc = 1 as a difference of terms near 4e7, so
     # its floor is a few ulps of 4e7 (one ulp is 7.5e-9)
     assert sol.residual < 1e-15 * 4e7
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 20), alpha=st.floats(0.0, 3.0), c1=st.floats(-1.0, 1e7))
+@example(n=0, alpha=1.0, c1=1e7)  # the large-C1 residual, the rounding of eps
+@example(n=0, alpha=2.0, c1=0.5)  # eps^2 = 0 exactly
+# alpha * alpha and pow(alpha, 2) round apart here, and eps with them
+@example(n=0, alpha=0.7183150505516521, c1=1.5739561336007801)
+# disc rounds below 0: beta is imaginary and the residual a modulus
+@example(n=1, alpha=1.0, c1=3.6068034017008504e+16)
+def test_quantize_array_has_the_scalar_bits(n, alpha, c1):
+    eps, resid = case2_quantize_array(n, np.array([alpha]), np.array([c1]))
+    try:
+        sol = case2_quantize(n, alpha, c1)
+    except NoRootInBracket:
+        assert np.isnan(eps[0]) and np.isnan(resid[0])
+        return
+    assert eps[0] == sol.epsilon_n
+    assert resid[0] == sol.residual
+    if (n, alpha, c1) == (0, 1.0, 1e7):
+        assert resid[0] == 1.862645149230957e-09
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,8 +10,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from torusdirac import cli, geometry
-from torusdirac.errors import ConfigError
+from torusdirac import analytic, cli, geometry, pseudoherm
+from torusdirac.errors import ConfigError, TorusDiracError
 
 BASE = [sys.executable, "-m", "torusdirac.cli"]
 
@@ -131,9 +131,9 @@ def test_spectrum_residual_gate_fails_above_the_floor(tmp_path, monkeypatch, cap
     assert "FAIL eigenpair residual max" in capsys.readouterr().out
 
 
-def test_sweep_tracks_constraint_and_rejects_bad_input(tmp_path):
-    r = run_cli("--out", str(tmp_path), "--no-timestamp", "sweep", "a", "0.1:0.9:5")
-    assert r.returncode == 0, r.stderr
+def test_sweep_tracks_constraint_and_rejects_bad_input(tmp_path, capsys):
+    code = cli.main(["--out", str(tmp_path), "--no-timestamp", "sweep", "a", "0.1:0.9:5"])
+    assert code == 0, capsys.readouterr().err
     lines = (tmp_path / "sweep_a.csv").read_text().splitlines()
     assert len(lines) == 6
     header = lines[0].split(",")
@@ -145,15 +145,12 @@ def test_sweep_tracks_constraint_and_rejects_bad_input(tmp_path):
         a = vals[0]
         assert vals[icon] == pytest.approx(0.5 * a ** 2 / np.sqrt(1 - a), rel=1e-12)
         assert vals[ic2] == pytest.approx(np.sqrt(1 - a) / a ** 4, rel=1e-12)
-    r_empty = run_cli("--out", str(tmp_path), "sweep", "a", "")
-    assert r_empty.returncode == 2
-    r_badcount = run_cli("--out", str(tmp_path), "sweep", "a", "0.1:0.9:0")
-    assert r_badcount.returncode == 2
+    assert cli.main(["--out", str(tmp_path), "sweep", "a", ""]) == 2
+    assert cli.main(["--out", str(tmp_path), "sweep", "a", "0.1:0.9:0"]) == 2
 
 
 def test_sweep_single_point_consistent_with_analytic(tmp_path):
-    r = run_cli("--out", str(tmp_path), "--no-timestamp", "sweep", "alpha", "1.0")
-    assert r.returncode == 0
+    assert cli.main(["--out", str(tmp_path), "--no-timestamp", "sweep", "alpha", "1.0"]) == 0
     row = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1].split(",")
     # eps columns at alpha=1, C1=0 are n + 1/2
     assert float(row[1]) == pytest.approx(0.5, abs=1e-10)
@@ -254,6 +251,44 @@ def test_sweep_keeps_list_order_and_counts_unbound_cells(tmp_path):
     # level 0 is unbound above alpha = sqrt(2): NaN at alpha = 2 and 1.5
     unbound = {r.name: r.value for r in rep.records}["unbound cells (NaN)"]
     assert unbound == 2
+
+
+def _reference_sweep_row(value, point):
+    """A sweep row the way it was once built: scalar calls for each level and each row."""
+    a, e = point["a"], point["e"]
+    row = [value]
+    for n in range(4):
+        try:
+            sol = analytic.case2_quantize(n, point["alpha"], point["C1"])
+            row.extend([sol.epsilon_n, sol.residual])
+        except TorusDiracError:
+            row.extend([float("nan"), float("nan")])
+    c2_constraint, c_constraint = pseudoherm.factorization_constants(a, e)
+    row.extend([c2_constraint.real, c2_constraint.imag,
+                c_constraint.real if a < 1 else float("nan")])
+    return tuple(row)
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("alpha", "0.5:2.5:200"),
+    ("a", "0.1:1.9:37"),  # crosses a = 1, where c diverges and C2 turns real
+    ("e", "-2,-1,0.5,2"),
+    ("C1", "-3,0,5,1e7,-0.25,1e-300"),
+    # disc rounds below 0 (an imaginary beta), then eps^2 overflows to inf
+    ("C1", "1e16,3.6068034017008504e16,1e17,1e300,1e308"),
+])
+def test_sweep_csv_matches_the_per_row_reference(tmp_path, parameter, values):
+    cfg = cli.load_config(None)
+    values = cli._parse_range(values)
+    rep = cli.cmd_sweep(cfg, tmp_path, False, parameter, values)
+    rows = [_reference_sweep_row(v, cli._sweep_point(cfg, parameter, v)) for v in values]
+    header = ([parameter] + [f"{col}{n}" for n in range(4) for col in ("eps", "resid")]
+              + ["C2_constraint_re", "C2_constraint_im", "c_constraint"])
+    cli.write_csv(tmp_path / "reference.csv", header, rows, False)
+    assert ((tmp_path / f"sweep_{parameter}.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    unbound = {r.name: r.value for r in rep.records}["unbound cells (NaN)"]
+    assert unbound == sum(np.isnan(row[1 + 2 * n]) for row in rows for n in range(4))
 
 
 @pytest.mark.parametrize("parameter, values", [
