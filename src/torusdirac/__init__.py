@@ -10,7 +10,6 @@ from .geometry import (
     metric_at,
     radius_profile,
     spin_connection_derived,
-    spin_connection_fd_oracle,
     spin_connection_tabulated,
     vierbein_at,
 )
@@ -22,7 +21,6 @@ from .fields import (
     cosine_velocity,
     eval_fermi_velocity,
     eval_gauge,
-    hermitizing_field,
     hermitizing_quadratic_field,
     linear_ring_field,
     quadratic_ring_field,
@@ -39,14 +37,12 @@ from .operators import (
 )
 from .pseudoherm import (
     MathieuParams,
-    eta1_case1,
     eta2_case1,
     eta2_case2,
     hermitian_counterpart_case1,
     intertwining_residual,
     mathieu_form,
     partner_potentials_case1,
-    prefactor_case2,
     rosen_morse_form,
     superpotential_case1,
     veff_case2,

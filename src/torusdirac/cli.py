@@ -170,7 +170,8 @@ def _build_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"analytic.n_max: expected a nonnegative integer, got {n_max}")
     return ScenarioConfig(
         torus=torus, gauge=gauge, grid=grid,
-        case=case, alpha=real("analytic", "alpha"), C1=real("analytic", "C1"),
+        case=case, alpha=real("analytic", "alpha"),
+        C1=_level_c1(real("analytic", "C1"), "analytic.C1"),
         n_max=n_max, outputs=list(outputs), raw=raw,
     )
 
@@ -348,6 +349,13 @@ def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
     return rep
 
 
+def _level_c1(c1: float, where: str) -> float:
+    """c1, or ConfigError where it overflows eps_n^2 = ((2n+1)^2 + 1 + 4 C1 - alpha^2)/4 to inf."""
+    if 4.0 * c1 == math.inf:
+        raise ConfigError(f"{where}={c1!r}: 4 C1 overflows, so eps_n^2 would be inf")
+    return c1
+
+
 def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
     """Row inputs a, e, alpha, C1 with `name` set to `value`; ConfigError if no row can use it."""
     if not math.isfinite(value):
@@ -356,6 +364,8 @@ def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
         raise ConfigError(f"sweep a={value!r}: the tube radius must be positive")
     if name == "e" and value == 0:
         raise ConfigError("sweep e=0: the C2 constraint divides by the charge")
+    if name == "C1":
+        _level_c1(value, "sweep C1")
     return {"a": cfg.torus.a, "e": cfg.gauge.e, "alpha": cfg.alpha, "C1": cfg.C1,
             name: float(value)}
 

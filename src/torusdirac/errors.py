@@ -42,7 +42,7 @@ class SingularParameter(TorusDiracError):
 
 
 class NoRootInBracket(TorusDiracError):
-    """Root scan found no sign change in the search interval."""
+    """A level has no root to find: it is unbound (eps_n^2 < 0)."""
 
 
 class ComplexPotential(TorusDiracError):

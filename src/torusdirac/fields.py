@@ -18,7 +18,6 @@ from .geometry import TorusParams, radius_derivative, radius_profile
 
 GAUGE_KINDS = (
     "zero",
-    "hermitizing_ax",
     "quadratic_au",
     "linear_au",
     "hermitizing_quadratic",  # hermitizing A_x composed with the quadratic A_u
@@ -36,10 +35,10 @@ class GaugeField:
     k-dependence of the reduced operator through their constant -k/(a e).
 
     kind='zero'            A_x = A_u = 0
-    kind='hermitizing_ax'  A_x = -i a^2 sin(x) / (2e), A_u = 0
     kind='quadratic_au'    A_u = C2 R(x)^2 - k/(a e)
     kind='linear_au'       A_u = a2 R(x) - k/(a e)
-    kind='hermitizing_quadratic'  the hermitizing A_x with the quadratic A_u
+    kind='hermitizing_quadratic'  the quadratic A_u with the hermitizing
+                           A_x = -i a^2 sin(x) / (2e), which cancels W1
     kind='real_cos_ax'     A_x = cos(x), A_u = 0 (a real gauge of unit scale)
     """
 
@@ -62,10 +61,6 @@ def zero_field() -> GaugeField:
     return GaugeField(kind="zero")
 
 
-def hermitizing_field(e: float = 1.0) -> GaugeField:
-    return GaugeField(kind="hermitizing_ax", e=e)
-
-
 def quadratic_ring_field(C2: complex, e: float = 1.0, k: int = 1) -> GaugeField:
     return GaugeField(kind="quadratic_au", C2=C2, e=e, k=k)
 
@@ -83,7 +78,7 @@ def eval_gauge(gauge: GaugeField, params: TorusParams, x):
     """Evaluate (A_x, A_u, A_x', A_u') at x, scalar or array, as four separate arrays."""
     x = np.asarray(x, dtype=float)
     ax, au, axp, aup = (np.zeros_like(x, dtype=complex) for _ in range(4))
-    if gauge.kind in ("hermitizing_ax", "hermitizing_quadratic"):
+    if gauge.kind == "hermitizing_quadratic":
         ax = -1j * params.a ** 2 * np.sin(x) / (2.0 * gauge.e)
         axp = -1j * params.a ** 2 * np.cos(x) / (2.0 * gauge.e)
     elif gauge.kind == "real_cos_ax":

@@ -149,7 +149,7 @@ def spin_connection_derived(params: TorusParams, x):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracles
+# finite-difference oracle
 # ---------------------------------------------------------------------------
 
 def christoffel_fd_oracle(params: TorusParams, x, h: float = 1e-4) -> ChristoffelSet:
@@ -173,9 +173,3 @@ def christoffel_fd_oracle(params: TorusParams, x, h: float = 1e-4) -> Christoffe
     return ChristoffelSet(gamma_2_12=gamma[..., 2, 1, 2][()],
                           gamma_1_22=gamma[..., 1, 2, 2][()])
 
-
-def spin_connection_fd_oracle(params: TorusParams, x, h: float = 1e-3):
-    """Frame-formula evaluation with finite-difference Christoffels, Richardson-extrapolated."""
-    v1 = _frame_formula(params, x, christoffel_fd_oracle(params, x, h))
-    v2 = _frame_formula(params, x, christoffel_fd_oracle(params, x, h / 2.0))
-    return (4.0 * v2 - v1) / 3.0

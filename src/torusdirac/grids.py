@@ -49,10 +49,6 @@ class Grid:
             return self.x_min + self.h * np.arange(self.n)
         return self.x_min + self.h * (1.0 + np.arange(self.n))
 
-    def refined(self, factor: int = 2) -> "Grid":
-        """Same interval with factor-times as many points."""
-        return Grid(self.n * factor, self.x_min, self.x_max, self.boundary)
-
 
 @dataclass
 class GridFunction:

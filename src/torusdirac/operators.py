@@ -8,11 +8,10 @@ coefficients
     W1(x) = (a/2) sin x - (i e / a) A_x(x)
     Q(x)  = (k + e a A_u(x)) / R(x)      (the reduced angular + gauge term)
 
-Two assembly conventions exist because the source system is printed with an
-ambiguous second row.  'matrix_literal' uses -(1/a) d/dx in both rows;
-'fg' (default) negates the second row, which is the reading whose square
-reproduces the decoupled equations with a positive eigenvalue scale.  The
-decoupled coefficients themselves are identical either way.
+The source system prints its second row ambiguously.  The kernel takes the
+reading whose square reproduces the decoupled equations with a positive
+eigenvalue scale, which criterion 2 certifies; the literal reading, with
+-(1/a) d/dx in both rows, is that second row negated.
 
 Every sampled operator of the package, from the decoupled second-order
 problems to the first-order and multiplicative intertwiners, is one
@@ -29,9 +28,6 @@ from .errors import DegenerateGeometry, GridMismatch, VelocityZero
 from .fields import FermiVelocity, GaugeField, eval_fermi_velocity, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
 from .grids import Grid, GridFunction, diff1, diff2, row_blocks, row_norms, same_grid
-
-# sign that maps a^2 H^2 onto the decoupled operators, per assembly convention
-SQUARE_SIGN = {"fg": +1, "matrix_literal": -1}
 
 
 @dataclass
@@ -144,15 +140,13 @@ def _coefficients(params: TorusParams, gauge: GaugeField, x: np.ndarray):
 
 
 def apply_dirac(params: TorusParams, gauge: GaugeField, grid: Grid,
-                spinor: SpinorGF, convention: str = "fg") -> SpinorGF:
+                spinor: SpinorGF) -> SpinorGF:
     """Apply the reduced Dirac operator to a spinor (or a stack) on a periodic grid."""
-    return _dirac(params, gauge, grid, convention)(spinor)
+    return _dirac(params, gauge, grid)(spinor)
 
 
-def _dirac(params: TorusParams, gauge: GaugeField, grid: Grid, convention: str):
+def _dirac(params: TorusParams, gauge: GaugeField, grid: Grid):
     """The reduced Dirac operator as a map of spinors, its coefficients evaluated once."""
-    if convention not in SQUARE_SIGN:
-        raise ValueError(f"unknown convention {convention!r}")
     if grid.boundary != "periodic":
         raise GridMismatch("the Dirac kernel is applied on periodic grids")
     w1, q, _, _ = _coefficients(params, gauge, grid.points)
@@ -164,9 +158,7 @@ def _dirac(params: TorusParams, gauge: GaugeField, grid: Grid, convention: str):
         d1 = diff1(spinor.psi1.values, grid)
         d2 = diff1(spinor.psi2.values, grid)
         out1 = -inv_a * d2 + (w1 - q) * spinor.psi2.values
-        out2 = -inv_a * d1 + (w1 + q) * spinor.psi1.values
-        if convention == "fg":
-            out2 = -out2
+        out2 = inv_a * d1 - (w1 + q) * spinor.psi1.values
         return SpinorGF(GridFunction(grid, out1), GridFunction(grid, out2))
     return apply
 
@@ -226,18 +218,17 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, vf: FermiVelocity, gri
 # ---------------------------------------------------------------------------
 
 def squaring_discrepancy(params: TorusParams, gauge: GaugeField, grid: Grid,
-                         spinor: SpinorGF, convention: str = "fg") -> float:
+                         spinor: SpinorGF) -> float:
     """Relative mismatch between a^2 * H(H psi) and the decoupled operators.
 
     The decoupled problems are applied with the composed first-derivative
     stencil ('d1d1') so the comparison isolates the coefficient algebra from
-    the choice of Laplacian stencil.  The 'matrix_literal' assembly squares
-    to the negative of the decoupled operators; the sign is accounted for.
-    A stacked spinor gives the worst of its probes, each as it would alone.
+    the choice of Laplacian stencil.  A stacked spinor gives the worst of its
+    probes, each as it would alone.
     """
     plus, minus = decouple_constant_vf(params, gauge, grid)
-    dirac = _dirac(params, gauge, grid, convention)
-    scale = SQUARE_SIGN[convention] * params.a ** 2
+    dirac = _dirac(params, gauge, grid)
+    scale = params.a ** 2
     worst = 0.0
     for v1, v2 in zip(*map(row_blocks, np.atleast_2d(spinor.psi1.values, spinor.psi2.values))):
         rows = SpinorGF(GridFunction(spinor.grid, v1), GridFunction(spinor.grid, v2))
@@ -250,14 +241,13 @@ def squaring_discrepancy(params: TorusParams, gauge: GaugeField, grid: Grid,
     return worst
 
 
-def hermiticity_defect(params: TorusParams, gauge: GaugeField, grid: Grid,
-                       pairs, convention: str = "fg") -> float:
+def hermiticity_defect(params: TorusParams, gauge: GaugeField, grid: Grid, pairs) -> float:
     """max |<f, H g> - <H f, g>| / (|f| |g|) over spinor pairs or stacks of them (flat measure)."""
     def inner(f: SpinorGF, g: SpinorGF):
         return grid.h * (np.sum(np.conj(f.psi1.values) * g.psi1.values, axis=-1)
                          + np.sum(np.conj(f.psi2.values) * g.psi2.values, axis=-1))
 
-    dirac = _dirac(params, gauge, grid, convention)
+    dirac = _dirac(params, gauge, grid)
     worst = 0.0
     for f, g in pairs:
         hf, hg = dirac(f), dirac(g)

@@ -19,9 +19,8 @@ import numpy as np
 from .errors import DomainSingularity, FamilyMismatch, GridMismatch
 from .fields import FermiVelocity, GaugeField, eval_fermi_velocity, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
-from .grids import (Grid, GridFunction, compact_test_functions, diff2, row_blocks, row_norms,
-                    same_grid)
-from .operators import SampledOp, decouple_pdfv
+from .grids import Grid, GridFunction, row_blocks, row_norms, same_grid
+from .operators import SampledOp
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +164,6 @@ def partner_potentials_case1(params: TorusParams, grid: Grid):
             SampledOp(grid, 1, 0, base - 1j * s / a * np.cos(x)))
 
 
-def eta1_case1(params: TorusParams, grid: Grid) -> SampledOp:
-    """Multiplicative similarity factor i(2-a)/(2a) + (i sqrt(a-1)/a) sin x."""
-    a = params.a
-    s = sqrt_am1(a)
-    return SampledOp(grid, 0, 0, 1j * (2.0 - a) / (2.0 * a) + 1j * s / a * np.sin(grid.points))
-
-
 # ---------------------------------------------------------------------------
 # position-dependent-velocity chain
 # ---------------------------------------------------------------------------
@@ -186,84 +178,6 @@ def eta2_case2(params: TorusParams, C2: float, grid: Grid) -> SampledOp:
     x = grid.points
     coeff = a4 / 16.0 + C2 + 0.75 * params.a ** 2 * np.sin(x) - a4 / 32.0 * np.sin(2.0 * x)
     return SampledOp(grid, 0, 1, coeff, meta={"secular": False, "C2": C2})
-
-
-def prefactor_case2(params: TorusParams, gauge: GaugeField, grid: Grid,
-                    sign: float = 1.0) -> GridFunction:
-    """Gauge prefactor exp[(1/2) integral (sign (2 i e A_x - a^2 sin x) + tan x) dx].
-
-    sign = +1 is the tabulated reading; sign = -1 gives h'/h = (sigma - V'/V)/2
-    with sigma = a^2 sin x - 2 i e A_x, the reading that removes the
-    first-derivative term (the mapping report quantifies both).  The tan x
-    piece is -V'/V of the cosine velocity in both readings.  Every piece
-    uses its closed-form antiderivative anchored at x = 0, so the prefactor
-    equals 1 there.
-    """
-    x = grid.points
-    if np.min(np.abs(np.cos(x))) < 1e-6:
-        raise DomainSingularity("grid touches a tangent pole")
-
-    a2 = params.a ** 2
-    half_int = 0.5 * (sign * a2 * (np.cos(x) - 1.0) - np.log(np.abs(np.cos(x))))
-
-    if gauge.kind in ("hermitizing_ax", "hermitizing_quadratic"):
-        # 2 i e A_x = a^2 sin x exactly; its antiderivative from 0 is a^2 (1 - cos x)
-        half_int = half_int + 0.5 * sign * a2 * (1.0 - np.cos(x))
-    elif gauge.kind == "real_cos_ax":
-        # 2 i e A_x = 2 i e cos x; its antiderivative from 0 is 2 i e sin x
-        half_int = half_int + 1j * sign * gauge.e * np.sin(x)
-    # remaining closed-form families have A_x = 0
-
-    return GridFunction(grid, np.exp(half_int))
-
-
-def case2_mapping_report(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,
-                         grid: Grid, rng=11) -> dict:
-    """Measure how each prefactor reading maps the coupled problem to potential form.
-
-    For each reading h, the conjugated operator (1/h) SL (h .) is probed on
-    compactly supported test functions against -phi'' + V_num phi where
-    V_num := (1/h) SL(h); a surviving first-derivative term shows up as a
-    nonzero residual.  The winning potential is also compared against the
-    Rosen-Morse-II form with the coefficient rescaling a2 -> a * a2 that the
-    ring bookkeeping produces.
-    """
-    _, minus = decouple_pdfv(params, gauge, vf, grid)
-    x = grid.points
-    phis = compact_test_functions(grid, modes=[2, 3, 5], rng=rng, n_functions=3,
-                                  margin=0.2 * (grid.x_max - grid.x_min))
-    report = {}
-    for name, sign in (("as-printed", 1.0), ("sigma-half", -1.0)):
-        h = prefactor_case2(params, gauge, grid, sign).values
-        v_num = minus.apply(GridFunction(grid, h)).values / h
-        worst = 0.0
-        for phi in phis:
-            lhs = minus.apply(GridFunction(grid, h * phi.values)).values / h
-            resid = lhs + diff2(phi.values, grid) - v_num * phi.values
-            worst = max(worst, float(np.max(np.abs(resid[10:-10]))
-                                     / np.max(np.abs(phi.values))))
-        report[name] = {"first_derivative_residual": worst}
-        report[name]["potential"] = v_num
-    if gauge.kind == "linear_au":
-        # closed form of the transformed potential: with T = V'/V and
-        # q = a (k + a e A_u)/R (constant for the linear ring field),
-        # V_trans = T^2/4 + T'/2 + q^2 - q' - q T, which is the
-        # Rosen-Morse-II form with the rescaled coefficient a * a2.
-        k, e = gauge.k, gauge.e
-        _, au, _, _ = eval_gauge(gauge, params, x)
-        q = params.a * (k + e * params.a * au) / radius_profile(params, x)
-        v, vp, vpp = eval_fermi_velocity(vf, params, x)
-        t_log = vp / v
-        t_log_p = vpp / v - t_log ** 2
-        v_trans = t_log ** 2 / 4.0 + t_log_p / 2.0 + q ** 2 - q * t_log
-        lam_rescaled = params.a ** 2 * gauge.a2 * e
-        rm = (lam_rescaled ** 2 - 0.5 + lam_rescaled * np.tan(x)
-              - 0.25 * np.tan(x) ** 2)
-        report["rescaled_rosen_morse_gap"] = float(np.max(np.abs(v_trans - rm)))
-        report["transform_vs_extracted"] = float(np.max(np.abs(
-            (v_trans - report["sigma-half"]["potential"])[20:-20])))
-        report["a2_rescaling"] = "a2_effective = a * a2"
-    return report
 
 
 def veff_case2(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,

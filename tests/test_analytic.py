@@ -103,12 +103,16 @@ def test_terminating_2f1_against_mpmath(n, b, c, s):
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 20), alpha=_complexes((-0.5, 2.0), (-0.3, 0.3)),
        x=_sample_array(_complexes((0.0, 1.5), (-0.3, 0.3))))
+@example(n=1, alpha=0j, x=1 + 0j)  # an exact zero, L_1^0(1) = 0
 def test_laguerre_against_mpmath(n, alpha, x):
     got = laguerre_gen(n, alpha, x)
     assert np.shape(got) == np.shape(x)
     for xk, gk in zip(np.atleast_1d(x), np.atleast_1d(got)):
+        # mpmath's series cannot reach a relative accuracy on an exact zero and
+        # raises unless told which magnitude counts as zero; 2^-200 is far below
+        # the 1e-13 asserted here
         with mpmath.workdps(40):
-            ref = complex(mpmath.laguerre(n, alpha, complex(xk)))
+            ref = complex(mpmath.laguerre(n, alpha, complex(xk), zeroprec=200))
         assert abs(gk - ref) <= 1e-13 * max(1.0, abs(ref))
         assert abs(laguerre_gen(n, alpha, complex(xk)) - ref) <= 1e-13 * max(1.0, abs(ref))
 

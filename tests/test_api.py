@@ -1,0 +1,60 @@
+"""Every public function of the package has a caller outside the tests.
+
+A public module-level function of `torusdirac.*` must be named in `src/`
+outside its own `def`, or in `demos/`.  An import does not count as a use,
+so a re-export from `__init__` alone does not keep a function.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import torusdirac
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# public API without an internal caller, each with its reason
+EXEMPT = {
+    "apply_dirac": "the reduced Dirac operator the paper studies, applied to a spinor",
+    "constant_velocity": "the case-1 Fermi velocity, the counterpart of cosine_velocity",
+}
+
+
+def _public_functions():
+    """(module name, function name) of every public module-level function."""
+    for info in pkgutil.iter_modules(torusdirac.__path__):
+        module = importlib.import_module(f"torusdirac.{info.name}")
+        for name, obj in inspect.getmembers(module, inspect.isfunction):
+            if not name.startswith("_") and obj.__module__ == module.__name__:
+                yield module.__name__, name
+
+
+def _names_used(tree: ast.AST, skip_def: bool) -> set:
+    """Names loaded or read as attributes in `tree`; with skip_def, not inside a def of that name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and skip_def:
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    used = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        used |= _names_used(ast.parse(path.read_text()), skip_def=True)
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        used |= _names_used(ast.parse(path.read_text()), skip_def=False)
+    orphans = sorted(f"{module}.{name}" for module, name in _public_functions()
+                     if name not in used and name not in EXEMPT)
+    assert not orphans, f"public functions that only tests call: {orphans}"

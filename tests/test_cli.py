@@ -274,8 +274,8 @@ def _reference_sweep_row(value, point):
     ("a", "0.1:1.9:37"),  # crosses a = 1, where c diverges and C2 turns real
     ("e", "-2,-1,0.5,2"),
     ("C1", "-3,0,5,1e7,-0.25,1e-300"),
-    # disc rounds below 0 (an imaginary beta), then eps^2 overflows to inf
-    ("C1", "1e16,3.6068034017008504e16,1e17,1e300,1e308"),
+    # disc rounds below 0 (an imaginary beta)
+    ("C1", "1e16,3.6068034017008504e16,1e17,1e300"),
 ])
 def test_sweep_csv_matches_the_per_row_reference(tmp_path, parameter, values):
     cfg = cli.load_config(None)
@@ -293,10 +293,11 @@ def test_sweep_csv_matches_the_per_row_reference(tmp_path, parameter, values):
 
 @pytest.mark.parametrize("parameter, values", [
     ("a", "0,0.5"), ("e", "0,1"), ("a", "nan"), ("alpha", "nan"), ("alpha", "abc"),
+    ("C1", "1e300,1e308"),
 ])
 def test_sweep_rejects_values_no_row_can_use(tmp_path, capsys, parameter, values):
-    # a = 0, e = 0 and non-finite or unreadable values cannot build a row;
-    # no row may be written either
+    # a = 0, e = 0, a C1 whose 4 C1 overflows eps_n^2 to inf, and non-finite or
+    # unreadable values cannot build a row; no row may be written either
     assert cli.main(["--out", str(tmp_path), "sweep", parameter, values]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / f"sweep_{parameter}.csv").exists()
@@ -334,13 +335,16 @@ def test_pdfv_spectrum_rejects_field_and_grid_it_ignores(tmp_path, capsys, text,
     # a quoted number stays a string
     ("quantum: {e: '1e7'}\n", "analytic"),
     ("analytic: {C1: '1.0e+7'}\n", "analytic"),
+    # 4 C1 overflows: eps_n^2 was written as inf, then 2F1 raised ValueError on NaN
+    ("analytic: {C1: 1.0e+308}\n", "analytic"),
+    ("analytic: {C1: 1.0e+308}\n", "sweep alpha 1.0"),
 ], ids=["e-abc", "alpha-abc", "n-abc", "C2-abc", "v_f-negative", "k-1.5", "n_max-2.7",
         "n_max-negative", "a-nan", "a-inf", "e-inf", "a-1.5-analytic", "e-quoted",
-        "C1-quoted"])
+        "C1-quoted", "C1-overflow-analytic", "C1-overflow-sweep"])
 def test_config_rejects_values_of_the_wrong_kind(tmp_path, capsys, text, command):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), command]) == 2
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), *command.split()]) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 

@@ -10,7 +10,6 @@ from torusdirac.fields import (
     cosine_velocity,
     eval_fermi_velocity,
     eval_gauge,
-    hermitizing_field,
     hermitizing_quadratic_field,
     linear_ring_field,
     quadratic_ring_field,
@@ -22,9 +21,9 @@ P = TorusParams(a=0.5, c=2.0)
 
 
 def test_hermitizing_ax_values():
-    f = hermitizing_field(e=1.0)
-    ax, au, _, _ = eval_gauge(f, P, 0.0)
-    assert ax == 0.0 and au == 0.0
+    f = hermitizing_quadratic_field(C2=0.3, e=1.0)
+    ax, _, _, _ = eval_gauge(f, P, 0.0)
+    assert ax == 0.0
     ax, _, _, _ = eval_gauge(f, P, np.pi / 2)
     assert ax == pytest.approx(-0.125j, abs=1e-15)  # -i a^2 / (2e)
     assert ax.real == 0.0
@@ -43,7 +42,7 @@ def test_linear_au_value():
 
 
 def test_charge_zero_rejected():
-    for kind in ("hermitizing_ax", "quadratic_au", "linear_au", "hermitizing_quadratic"):
+    for kind in ("quadratic_au", "linear_au", "hermitizing_quadratic"):
         with pytest.raises(ChargeZero):
             GaugeField(kind=kind, e=0.0)
 
@@ -57,7 +56,7 @@ def test_unknown_kinds_rejected():
 
 def test_periodicity_of_builtin_families():
     x = np.linspace(0, 2 * np.pi, 50)
-    for f in (zero_field(), hermitizing_field(), quadratic_ring_field(0.7, k=2),
+    for f in (zero_field(), quadratic_ring_field(0.7, k=2),
               linear_ring_field(0.3, k=1), hermitizing_quadratic_field(0.2),
               GaugeField(kind="real_cos_ax")):
         ax1, au1, _, _ = eval_gauge(f, P, x)
@@ -89,7 +88,7 @@ def test_fermi_velocity_families():
 
 def test_gauge_derivatives_match_finite_differences():
     fields = {f.kind: f for f in (
-        zero_field(), hermitizing_field(), quadratic_ring_field(0.4, k=2),
+        zero_field(), quadratic_ring_field(0.4, k=2),
         linear_ring_field(0.2), hermitizing_quadratic_field(0.3 + 0.1j, e=1.5, k=2),
         GaugeField(kind="real_cos_ax"),
     )}

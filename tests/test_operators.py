@@ -10,7 +10,6 @@ from torusdirac.fields import (
     constant_velocity,
     cosine_velocity,
     eval_gauge,
-    hermitizing_field,
     hermitizing_quadratic_field,
     linear_ring_field,
     quadratic_ring_field,
@@ -48,7 +47,8 @@ def test_offdiag_zero_field_values():
 
 def test_offdiag_hermitizing_cancels_w1():
     # the imaginary gauge term exactly cancels the geometric sine term
-    w1, _, _, _ = _coefficients(P, hermitizing_field(e=1.0), np.array([0.3, np.pi / 2, 2.5]))
+    w1, _, _, _ = _coefficients(P, hermitizing_quadratic_field(C2=0.3, e=1.0),
+                                np.array([0.3, np.pi / 2, 2.5]))
     assert np.max(np.abs(w1)) < 1e-15
 
 
@@ -62,12 +62,12 @@ def test_apply_dirac_offdiagonal_structure():
 
 
 def test_apply_dirac_constant_spinor_literal_convention():
+    # the kernel's second row is the literal reading of the printed row, negated
     const = GridFunction(G, np.ones(G.n))
-    out = apply_dirac(P, GaugeField(kind="zero", k=0), G, SpinorGF(const, const),
-                      convention="matrix_literal")
+    out = apply_dirac(P, GaugeField(kind="zero", k=0), G, SpinorGF(const, const))
     w1 = 0.5 * P.a * np.sin(G.points)
     assert np.max(np.abs(out.psi1.values - w1)) < 1e-14
-    assert np.max(np.abs(out.psi2.values - w1)) < 1e-14
+    assert np.max(np.abs(out.psi2.values + w1)) < 1e-14
 
 
 def test_apply_dirac_grid_guards():
@@ -115,14 +115,6 @@ def test_squaring_oracle_and_refinement():
     # second-order convergence of the criterion-2 measurement
     d1, d2 = (squaring_consistency(n, seeds=[0]) for n in (1024, 2048))
     assert np.log2(d1 / d2) > 1.9
-
-
-def test_squaring_both_conventions_agree():
-    f = quadratic_ring_field(C2=0.3, e=1.0, k=1)
-    sp = spinor(G, [3, 4], 5)
-    d_fg = squaring_discrepancy(P, f, G, sp, "fg")
-    d_lit = squaring_discrepancy(P, f, G, sp, "matrix_literal")
-    assert d_fg == pytest.approx(d_lit, rel=1e-12)
 
 
 def _stack(spinors):

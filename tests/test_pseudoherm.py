@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from torusdirac.errors import DomainSingularity, FamilyMismatch
+from torusdirac.errors import FamilyMismatch
 from torusdirac.fields import (
     GaugeField,
     constant_velocity,
     cosine_velocity,
-    hermitizing_field,
     hermitizing_quadratic_field,
     linear_ring_field,
     quadratic_ring_field,
@@ -18,15 +17,12 @@ from torusdirac.operators import SampledOp, decouple_constant_vf
 from torusdirac.pseudoherm import (
     AdjointOf,
     ComposedOp,
-    case2_mapping_report,
-    eta1_case1,
     eta2_case1,
     eta2_case2,
     hermitian_counterpart_case1,
     intertwining_residual,
     mathieu_form,
     partner_potentials_case1,
-    prefactor_case2,
     rosen_morse_form,
     sqrt_am1,
     superpotential_case1,
@@ -36,6 +32,13 @@ from torusdirac.pseudoherm import (
 P = TorusParams(a=0.5, c=2.0)
 # two periods, n odd: x and x + 2 pi are both grid points (index shift 256)
 TWO_PERIODS = Grid(511, 0.0, 4 * np.pi, "dirichlet")
+
+
+def _eta1_case1(params, grid):
+    """Multiplicative similarity factor i(2-a)/(2a) + (i sqrt(a-1)/a) sin x."""
+    a = params.a
+    s = sqrt_am1(a)
+    return SampledOp(grid, 0, 0, 1j * (2.0 - a) / (2.0 * a) + 1j * s / a * np.sin(grid.points))
 
 
 def period_gap(values):
@@ -145,9 +148,9 @@ def test_partner_difference_closed_form():
 
 def test_eta1_values():
     g = Grid(64)
-    op2 = eta1_case1(TorusParams(a=2.0, c=5.0), g)
+    op2 = _eta1_case1(TorusParams(a=2.0, c=5.0), g)
     assert np.max(np.abs(op2.rho - 0.5j * np.sin(g.points))) < 1e-15
-    op = eta1_case1(P, g)
+    op = _eta1_case1(P, g)
     assert op.rho[0] == pytest.approx(1j * (2 - P.a) / (2 * P.a), abs=1e-15)
 
 
@@ -259,7 +262,7 @@ def test_eta1_similarity_defect_measured_with_exclusion_zone():
     # (it would need a constant factor); measure the defect on test functions
     # supported away from the zeros of the factor
     g = Grid(1024)
-    eta1 = eta1_case1(P, g)
+    eta1 = _eta1_case1(P, g)
     v, v1 = partner_potentials_case1(P, g)
     h_s = SampledOp(g, 1, 0, v.rho)
     h_1 = SampledOp(g, 1, 0, v1.rho)
@@ -278,40 +281,6 @@ def test_eta2_case2_values_and_periodicity():
     assert op.meta["secular"] is False
     tiny = eta2_case2(TorusParams(a=1e-6, c=2.0), 0.0, g)
     assert np.max(np.abs(tiny.rho)) < 1e-12
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["as-printed", "sigma-half"])
-def test_prefactor_limits_and_anchor(sign):
-    n = 1001
-    g = Grid(n, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
-    tiny = TorusParams(a=1e-8, c=2.0)
-    pref = prefactor_case2(tiny, zero_field(), g, sign)
-    assert np.max(np.abs(pref.values - np.abs(np.cos(g.points)) ** -0.5)) < 1e-16 + 1e-8
-    # anchored antiderivatives: closed-form value reproduced everywhere
-    pref5 = prefactor_case2(P, zero_field(), g, sign)
-    x = g.points
-    expected = np.exp(0.5 * sign * P.a ** 2 * (np.cos(x) - 1.0)) / np.sqrt(np.abs(np.cos(x)))
-    assert np.max(np.abs(pref5.values - expected)) < 1e-13
-    idx = np.argmin(np.abs(x))
-    assert abs(pref5.values[idx] - 1.0) < 1e-3  # equals 1 at x = 0 by anchoring
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["as-printed", "sigma-half"])
-def test_prefactor_real_cos_gauge_closed_form(sign):
-    # A_x = cos x enters through its antiderivative sin x, anchored at x = 0
-    g = Grid(1001, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
-    e = 1.3
-    pref = prefactor_case2(P, GaugeField(kind="real_cos_ax", e=e), g, sign)
-    x = g.points
-    expected = np.exp(0.5 * (sign * P.a ** 2 * (np.cos(x) - 1.0) - np.log(np.abs(np.cos(x))))
-                      + 1j * sign * e * np.sin(x))
-    assert np.max(np.abs(pref.values - expected)) < 1e-13
-
-
-def test_prefactor_pole_guard():
-    g = Grid(63, np.pi / 2 - 1e-7 - 0.5, np.pi / 2 - 1e-7 + 0.5, "dirichlet")
-    with pytest.raises(DomainSingularity):
-        prefactor_case2(P, zero_field(), g)
 
 
 def test_veff_values_and_guards():
@@ -336,23 +305,3 @@ def test_veff_equals_rosen_morse_closed_form():
     f = linear_ring_field(a2=0.2, e=1.0, k=1)
     v = veff_case2(P, f, cosine_velocity(), g)
     assert np.max(np.abs(v.rho - rosen_morse_form(P, 0.2, 1.0, g.points))) < 1e-10
-
-
-def test_mapping_report_calibration():
-    g = Grid(2000, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
-    f = linear_ring_field(a2=0.2, e=1.0, k=1)
-    rep = case2_mapping_report(P, f, cosine_velocity(), g)
-    assert rep["as-printed"]["first_derivative_residual"] > 1e-1
-    assert rep["sigma-half"]["first_derivative_residual"] < 1e-4
-    assert rep["rescaled_rosen_morse_gap"] < 1e-12
-    rep2 = case2_mapping_report(P, f, cosine_velocity(), g.refined())
-    order = np.log2(rep["sigma-half"]["first_derivative_residual"]
-                    / rep2["sigma-half"]["first_derivative_residual"])
-    assert order > 1.8
-
-
-def test_calibrated_prefactor_has_hermitizing_branch():
-    g = Grid(301, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
-    pref = prefactor_case2(P, hermitizing_field(), g, sign=-1.0)
-    # with the hermitizing gauge the sine parts cancel, leaving |cos|^(-1/2)
-    assert np.max(np.abs(pref.values - np.abs(np.cos(g.points)) ** -0.5)) < 1e-12
