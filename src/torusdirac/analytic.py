@@ -374,8 +374,8 @@ def case2_quantize_array(n: int, alpha, C1):
     of the scalar's complex `** 2`), and where disc rounds below 0 (|C1| past about
     1e16) the residual |1/2 + n + 2 beta| of an imaginary beta by `hypot`, as `abs`.
     """
-    alpha_sq = np.float_power(alpha, 2)
     with np.errstate(invalid="ignore", over="ignore"):
+        alpha_sq = np.float_power(alpha, 2)
         eps_sq = ((2 * n + 1) ** 2 + 1.0 + 4.0 * C1 - alpha_sq) / 4.0
         eps = np.sqrt(np.where(eps_sq >= 0.0, eps_sq, np.nan))
         disc = -1.0 - 4.0 * C1 + alpha_sq + 4.0 * (eps * eps)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import math
 import re
 import sys
@@ -170,7 +171,7 @@ def _build_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"analytic.n_max: expected a nonnegative integer, got {n_max}")
     return ScenarioConfig(
         torus=torus, gauge=gauge, grid=grid,
-        case=case, alpha=real("analytic", "alpha"),
+        case=case, alpha=_level_alpha(real("analytic", "alpha")),
         C1=_level_c1(real("analytic", "C1"), "analytic.C1"),
         n_max=n_max, outputs=list(outputs), raw=raw,
     )
@@ -274,8 +275,9 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     ch = geometry.christoffel_at(p, xs)
     tabulated = geometry.spin_connection_tabulated(p, xs)
     derived = geometry.spin_connection_derived(p, xs)
-    rows = zip(xs, geometry.radius_profile(p, xs), ch.gamma_2_12, ch.gamma_1_22,
-               tabulated, derived)
+    # rows of Python floats: `%.17g` formats them without numpy's scalar path
+    rows = zip(*(col.tolist() for col in (xs, geometry.radius_profile(p, xs), ch.gamma_2_12,
+                                          ch.gamma_1_22, tabulated, derived)))
     for check in checks.registry(p, xs):
         if check.criterion == 1:
             check.record(rep)
@@ -356,6 +358,14 @@ def _level_c1(c1: float, where: str) -> float:
     return c1
 
 
+def _level_alpha(alpha: float) -> float:
+    """alpha, or ConfigError where alpha^2 in eps_n^2 overflows: every level would be -inf."""
+    if alpha * alpha == math.inf:  # Python's `alpha ** 2` raises OverflowError instead
+        raise ConfigError(f"analytic.alpha={alpha!r}: alpha^2 overflows, "
+                          f"so eps_n^2 would be -inf")
+    return alpha
+
+
 def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
     """Row inputs a, e, alpha, C1 with `name` set to `value`; ConfigError if no row can use it."""
     if not math.isfinite(value):
@@ -388,7 +398,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
         c2, c = pseudoherm.factorization_constants(a, e)
         constants[a, e] = (c2.real, c2.imag, c.real if a < 1 else float("nan"))
     rows = [(value, *cells, *constants[p["a"], p["e"]])
-            for value, p, *cells in zip(values, points, *levels)]
+            for value, p, *cells in zip(values, points, *(col.tolist() for col in levels))]
     header = [parameter] + [f"{col}{n}" for n in range(4) for col in ("eps", "resid")]
     header += ["C2_constraint_re", "C2_constraint_im", "c_constraint"]
     write_csv(out / f"sweep_{parameter}.csv", header, rows, timestamp)
@@ -425,7 +435,8 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     write_csv(out / "case2_wavefunctions.csv",
               ["x"] + [f"re_phi{n}" for n in range(len(wf_rows))]
               + [f"im_phi{n}" for n in range(len(wf_rows))],
-              zip(xg, *(w.real for w in wf_rows), *(w.imag for w in wf_rows)),
+              zip(*(col.tolist() for col in (xg, *(w.real for w in wf_rows),
+                                             *(w.imag for w in wf_rows)))),
               timestamp)
 
     # Morse-chain spectrum with the factorization-branch C2 at c = 2; this is
@@ -457,13 +468,15 @@ def _parse_range(text: str):
             count = int(count)
             if count <= 0:
                 raise ConfigError("sweep: range count must be positive")
-            return list(np.linspace(float(lo), float(hi), count))
+            return np.linspace(float(lo), float(hi), count).tolist()
         return [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"sweep: cannot read values {text!r}: {exc}") from exc
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call of a process and reused."""
     parser = argparse.ArgumentParser(
         prog="torusdirac",
         description="Torus Dirac operator: tables, spectra, and certification runs",
@@ -483,8 +496,11 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep")
     p_sweep.add_argument("parameter", choices=SWEEPABLE)
     p_sweep.add_argument("values", help="lo:hi:count or comma-separated list")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     timestamp = not args.no_timestamp

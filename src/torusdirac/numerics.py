@@ -233,10 +233,11 @@ def _polish(m: TridiagonalSym, count: _Counts, j: int, a: float, b: float,
 
     Each step solves (T - mu) y = x (LAPACK `dgtsv`), keeps y orthogonal to
     the columns of `found` and takes the Rayleigh quotient lambda.  A lambda
-    inside [a, b] is the next shift and, by one count, a new end of the
-    bracket; any other lambda is dropped, the bracket bisected and its middle
-    taken.  Stops once ||T x - lambda x|| <= floor.  Returns (lambda, x,
-    residual).
+    inside [a, b] is the next shift, with no count: the closing certificate
+    of `_eig_levels` counts the level once it has converged.  A lambda
+    outside [a, b] is dropped; one count at the middle of the bracket halves
+    it, and the new middle is the next shift.  Stops once ||T x - lambda x||
+    <= floor.  Returns (lambda, x, residual).
     """
     mu = 0.5 * (a + b)
     lam, res = mu, np.inf
@@ -253,13 +254,15 @@ def _polish(m: TridiagonalSym, count: _Counts, j: int, a: float, b: float,
         res = np.linalg.norm(tx - lam * x)
         if res <= floor:
             break
-        inside = a < lam < b
-        sigma = lam if inside else 0.5 * (a + b)
-        if count(sigma) <= j:
-            a = sigma
+        if a < lam < b:
+            mu = lam
+            continue
+        mid = 0.5 * (a + b)
+        if count(mid) <= j:
+            a = mid
         else:
-            b = sigma
-        mu = lam if inside else 0.5 * (a + b)
+            b = mid
+        mu = 0.5 * (a + b)
     return lam, x, res
 
 
@@ -311,7 +314,8 @@ def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
     LDL^T inertia counts (`sturm_count`) isolate each level, Rayleigh-quotient
     iteration polishes it far inside eps |T|_inf (the rounding of the Rayleigh
     quotient, 1e-11 on the n=8000 pdfv levels where eps |T|_inf is 5.8e-9),
-    and two more counts certify its index; `eigenvalues[0]` is level `first`.
+    counting only where a Rayleigh quotient leaves the level's bracket, and
+    two more counts certify its index; `eigenvalues[0]` is level `first`.
     A nonzero periodic corner is solved in Fourier space (`_eig_periodic`): a
     real Galerkin matrix on the modes |m| <= M, M widened until the
     eigenpairs pass a full-grid residual check, and the mode count kept in

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainSingularity, FamilyMismatch, GridMismatch
-from .fields import FermiVelocity, GaugeField, eval_fermi_velocity, eval_gauge
+from .fields import FermiVelocity, GaugeField, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
 from .grids import Grid, GridFunction, row_blocks, row_norms, same_grid
 from .operators import SampledOp
@@ -189,7 +189,11 @@ def veff_case2(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,
 
     With the cosine velocity and the linear ring field this collapses to the
     trigonometric Rosen-Morse-II form; see `rosen_morse_form`.  k and e are
-    read from the gauge field.
+    read from the gauge field.  Both families are real, so the samples are
+    built in real arithmetic from one evaluation of cos x and sin x; each
+    factor repeats the floating-point operations of `radius_profile`,
+    `radius_derivative`, `eval_gauge` or `eval_fermi_velocity`, so it has the
+    bits of that helper's real part.
     """
     if gauge.kind != "linear_au":
         raise FamilyMismatch("the effective potential needs the linear A_u family")
@@ -197,20 +201,21 @@ def veff_case2(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,
         raise FamilyMismatch("the effective potential needs the cosine velocity profile")
 
     x = grid.points
-    if np.min(np.abs(np.cos(x))) < 1e-9:
+    cos, sin = np.cos(x), np.sin(x)
+    if np.min(np.abs(cos)) < 1e-9:
         raise DomainSingularity("grid touches a velocity zero")
     a, k, e = params.a, gauge.k, gauge.e
-    r = radius_profile(params, x)
-    rp = radius_derivative(params, x)
-    _, au, _, aup = eval_gauge(gauge, params, x)
-    v, vp, vpp = eval_fermi_velocity(vf, params, x)
+    v, vp, vpp = a * cos, -a * sin, -a * cos
+    r, rp = params.c + v, vp
+    au, aup = gauge.a2 * r - k / (a * e), gauge.a2 * rp
+    r2, rv = r ** 2, r * v
     return SampledOp(grid, 1, 0, -(vp ** 2) / (4.0 * v ** 2)
                      + vpp / (2.0 * v)
-                     + (au * a * e + k) ** 2 / r ** 2
+                     + (au * a * e + k) ** 2 / r2
                      - a * e * aup / r
-                     + (k + a * e * au) * rp / r ** 2
-                     - k * vp / (r * v)
-                     - a * e * au * vp / (r * v))
+                     + (k + a * e * au) * rp / r2
+                     - k * vp / rv
+                     - a * e * au * vp / rv)
 
 
 def rosen_morse_form(params: TorusParams, a2: float, e: float, x):

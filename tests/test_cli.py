@@ -557,3 +557,63 @@ def test_csv_rejects_a_complex_cell(tmp_path, cell):
     with pytest.raises(TypeError, match="complex"):
         cli.write_csv(tmp_path / "t.csv", ["x", "z"], [(0.5, cell)], timestamp=False)
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("section, command", [
+    ("analytic:\n  alpha: 1.0e+200\n", "analytic"),
+    ("case: pdfv\nfermi:\n  kind: cosine\nanalytic:\n  alpha: -1.0e+200\n", "spectrum"),
+    ("analytic:\n  alpha: 1.0e+200\n", "sweep a 0.5"),
+    ("analytic:\n  alpha: 1.0e+160\n", "sweep C1 0"),
+])
+def test_config_rejects_an_alpha_whose_square_overflows(tmp_path, capsys, section, command):
+    cfg = tmp_path / "alpha.yaml"
+    cfg.write_text(section)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), *command.split()]) == 2
+    assert "analytic.alpha" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_sweep_over_an_alpha_whose_square_overflows_writes_unbound_rows(tmp_path, capsys):
+    # eps_n^2 = -inf: no level is bound, and each row says so
+    assert cli.main(["--out", str(tmp_path), "--no-timestamp", "sweep", "alpha",
+                     "1.0,1e200"]) == 0
+    row = [float(cell) for cell in
+           (tmp_path / "sweep_alpha.csv").read_text().splitlines()[2].split(",")]
+    assert row[0] == 1e200 and np.all(np.isnan(row[1:9]))
+    assert "value=4" in capsys.readouterr().out  # the four unbound cells
+
+
+def _run_and_capture(run, capsys):
+    """(exit code, stdout, stderr) of one in-process run; argparse exits by SystemExit."""
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_in_one_process_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # the argument parser is built once per process; runs after the first,
+    # a rejected one and --help included, still behave as in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    runs = [["--out", "out", "--no-timestamp", "sweep", "alpha", "0.5:2.5:7"],
+            ["--out", "out", "--no-timestamp", "geometry"],
+            ["--out", "out", "sweep", "k", "1,2"],
+            ["--help"]]
+    (tmp_path / "once").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "once")
+    once = [_run_and_capture(lambda: cli.main(argv), capsys) for argv in runs]
+    parser = cli._parser()
+    fresh = []
+    for argv in runs:
+        r = run_cli(*argv, cwd=tmp_path / "fresh")
+        fresh.append((r.returncode, r.stdout, r.stderr))
+    assert once == fresh
+    assert [code for code, _, _ in once] == [0, 0, 2, 0]
+    assert cli._parser() is parser
+    for name in ("sweep_alpha.csv", "geometry.csv"):
+        assert ((tmp_path / "once" / "out" / name).read_bytes()
+                == (tmp_path / "fresh" / "out" / name).read_bytes())

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import mathieu_a, mathieu_b
 
 from torusdirac import analytic, checks, fields, geometry, numerics, pseudoherm
@@ -339,6 +340,65 @@ def test_vectors_are_unit_and_pass_the_residual_gate():
     assert np.allclose(res.residuals, residuals, rtol=1e-6, atol=0.0)
     # the iteration stops at 8 eps |T|_inf, far inside the 1e-6 gate
     assert np.max(residuals) <= 8.0 * np.finfo(float).eps * _row_sum(m)
+
+
+def _passes_per_solve(monkeypatch):
+    """(inertia counts, dgtsv solves) of each `eig_sym_tridiag` call, as they are made."""
+    passes, now = [], {}
+    count, solve, eig = numerics.sturm_count, numerics.lapack.dgtsv, numerics.eig_sym_tridiag
+
+    def counted(*args, **kwargs):
+        now["counts"] += 1
+        return count(*args, **kwargs)
+
+    def solved(*args, **kwargs):
+        now["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def tallied(*args, **kwargs):
+        now.update(counts=0, solves=0)
+        out = eig(*args, **kwargs)
+        passes.append((now["counts"], now["solves"]))
+        return out
+
+    monkeypatch.setattr(numerics, "sturm_count", counted)
+    monkeypatch.setattr(numerics.lapack, "dgtsv", solved)
+    monkeypatch.setattr(numerics, "eig_sym_tridiag", tallied)
+    return passes
+
+
+def test_dirichlet_levels_keep_their_pass_budget(monkeypatch):
+    # Rayleigh steps inside the bracket take no count; the counts left are the
+    # isolation, the bisections and the two-count certificate of each level
+    passes = _passes_per_solve(monkeypatch)
+    checks.pdfv_levels(1.0, 3, Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
+    counts, solves = zip(*passes)
+    assert all(c <= limit for c, limit in zip(counts, (4, 6, 7, 10))), counts
+    assert solves == (3, 4, 4, 4)
+    passes.clear()
+    checks.box_benchmark()
+    checks.oscillator_benchmark()
+    assert passes[0][0] <= 24 and passes[1][0] <= 15, passes
+
+
+def test_a_rayleigh_quotient_outside_the_bracket_bisects_it():
+    # started on level j + 1, the first Rayleigh quotient lies above the bracket
+    # of level j; counts at the bracket's middle halve it until inverse
+    # iteration turns to level j
+    m = _random_tridiag(60)
+    w, v = eigh_tridiagonal(m.diag, m.offdiag)
+    j = 2
+    a, b = 0.5 * (w[j - 1] + w[j]), 0.5 * (w[j] + w[j + 1])
+    start = v[:, j + 1] + 1e-3 * v[:, j]
+    start /= np.linalg.norm(start)
+    assert not a < start @ m.matvec(start) < b
+    count = numerics._Counts(m)
+    floor = 8.0 * np.finfo(float).eps * _row_sum(m)
+    lam, x, res = numerics._polish(m, count, j, a, b, start, np.zeros((m.n, 0)), floor)
+    assert count.seen  # only the out-of-bracket branch counts
+    assert abs(lam - w[j]) <= 1e-12 * abs(w[j])
+    delta = max(res, floor)
+    assert sturm_count(m, lam - delta) == j and sturm_count(m, lam + delta) == j + 1
 
 
 def test_complex_potential_rejected():

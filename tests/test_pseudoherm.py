@@ -6,12 +6,14 @@ from torusdirac.fields import (
     GaugeField,
     constant_velocity,
     cosine_velocity,
+    eval_fermi_velocity,
+    eval_gauge,
     hermitizing_quadratic_field,
     linear_ring_field,
     quadratic_ring_field,
     zero_field,
 )
-from torusdirac.geometry import TorusParams
+from torusdirac.geometry import TorusParams, radius_derivative, radius_profile
 from torusdirac.grids import Grid, GridFunction, compact_test_functions
 from torusdirac.operators import SampledOp, decouple_constant_vf
 from torusdirac.pseudoherm import (
@@ -305,3 +307,31 @@ def test_veff_equals_rosen_morse_closed_form():
     f = linear_ring_field(a2=0.2, e=1.0, k=1)
     v = veff_case2(P, f, cosine_velocity(), g)
     assert np.max(np.abs(v.rho - rosen_morse_form(P, 0.2, 1.0, g.points))) < 1e-10
+
+
+def _veff_from_helpers(params, gauge, vf, x, part=np.real):
+    """V_eff by the field helpers: `part` of the gauge and the complex arithmetic
+    the effective potential once used (np.asarray), or their real parts (np.real)."""
+    a, k, e = params.a, gauge.k, gauge.e
+    r, rp = radius_profile(params, x), radius_derivative(params, x)
+    _, au, _, aup = (part(c) for c in eval_gauge(gauge, params, x))
+    v, vp, vpp = eval_fermi_velocity(vf, params, x)
+    return (-(vp ** 2) / (4.0 * v ** 2) + vpp / (2.0 * v) + (au * a * e + k) ** 2 / r ** 2
+            - a * e * aup / r + (k + a * e * au) * rp / r ** 2 - k * vp / (r * v)
+            - a * e * au * vp / (r * v))
+
+
+@pytest.mark.parametrize("n", [8000, 2000])
+@pytest.mark.parametrize("a2", [0.2, 1.0, 3.0, 7.0])
+@pytest.mark.parametrize("e, k", [(1.0, 1), (0.7, 2), (-1.3, -1)])
+def test_veff_is_the_real_evaluation_of_the_field_helpers(n, a2, e, k):
+    g = Grid(n, -np.pi / 2, np.pi / 2, "dirichlet")
+    f, vf = linear_ring_field(a2=a2, e=e, k=k), cosine_velocity()
+    rho = veff_case2(P, f, vf, g).rho
+    assert np.all(rho.imag == 0.0)
+    real = _veff_from_helpers(P, f, vf, g.points)
+    assert np.array_equal(rho.real, real)
+    # complex division multiplies by the reciprocal, one rounding more per quotient
+    old = _veff_from_helpers(P, f, vf, g.points, part=np.asarray)
+    bound = 8.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(real)))
+    assert np.max(np.abs(old - real)) <= bound
