@@ -43,7 +43,7 @@ print("\nenergy routes for the transformed equation:")
 print(f"  {'n':>2} {'tabulated':>12} {'derived':>12} {'collocation':>12}")
 for n in range(3):
     lam, rho, exists = morse_energy_exact(n, m)
-    tab = case1_energy(n, alpha, m)[0].real
+    tab = case1_energy(n, alpha, m).real
     if exists:
         print(f"  {n:2d} {tab:12.6f} {lam.real:12.6f} {levels[n]:12.6f}")
     else:

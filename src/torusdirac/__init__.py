@@ -54,7 +54,7 @@ from .analytic import (
     case1_solution,
     case1_transform_chain,
     case1_wavefunction,
-    case2_hyp_params,
+    case2_levels,
     case2_ode_residual,
     case2_quantize,
     case2_wavefunction,

@@ -9,14 +9,14 @@ side because they do not agree.
 Case 2 (cosine velocity): the Rosen-Morse-II problem reduces to the Gauss
 hypergeometric equation.  The termination condition is solvable only on the
 negative branch of the exponent beta, where the two upper parameters
-coincide at -n; that branch is used for quantization and wavefunctions, and
-the tabulated (inconsistent) parameter display is retained for inspection.
+coincide at -n; that branch is used for quantization (`case2_levels`, one
+closed form for scalars and arrays) and wavefunctions.  The tabulated
+parameter display misses the product the equation pins; the registry check
+`checks.printed_display_gap` measures by how much.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,12 +168,11 @@ def case1_transform_chain(mathieu: MathieuParams, alpha: float,
     )
 
 
-def case1_energy(n: int, alpha: float, mathieu: MathieuParams):
+def case1_energy(n: int, alpha: float, mathieu: MathieuParams) -> complex:
     """Tabulated eigenvalue formula for the Morse chain, evaluated verbatim.
 
-    Returns (energy_sq, info).  energy_sq is
-    -(alpha^2/4) (2n+1 - alpha (2D - B - 2C)/sqrt(D - (B+C)/2))^2; info
-    records the branch data and whether the value came out real.  Use
+    Returns the complex energy_sq =
+    -(alpha^2/4) (2n+1 - alpha (2D - B - 2C)/sqrt(D - (B+C)/2))^2.  Use
     `morse_energy_exact` for the independently derived spectrum of the same
     transformed equation.
     """
@@ -183,13 +182,7 @@ def case1_energy(n: int, alpha: float, mathieu: MathieuParams):
         raise SingularParameter("D - (B+C)/2 vanishes; the tabulated formula is singular")
     root = np.sqrt(complex(h))
     bracket = (2 * n + 1) - alpha * (2.0 * m.D_m - m.B_m - 2.0 * m.C_m) / root
-    val = -(alpha ** 2) / 4.0 * bracket ** 2
-    info = {
-        "is_real": abs(val.imag) < 1e-10 * max(1.0, abs(val)),
-        "delta": m.A_m,
-        "sqrt_argument": h,
-    }
-    return complex(val), info
+    return complex(-(alpha ** 2) / 4.0 * bracket ** 2)
 
 
 def morse_energy_exact(n: int, mathieu: MathieuParams):
@@ -222,8 +215,7 @@ class Case1Solution:
     """Bound-state data of the Morse chain at level n.
 
     `mu` is the calibrated wavefunction exponent rho_n / 2 (the reading that
-    satisfies the transformed equation); `mu_display` keeps the tabulated
-    +-i sqrt(E)/(2 alpha) for reference.  s(t) = alpha sqrt(D - (B+C)/2) e^{-alpha t}.
+    satisfies the transformed equation).  s(t) = alpha sqrt(D - (B+C)/2) e^{-alpha t}.
     """
 
     n: int
@@ -232,7 +224,6 @@ class Case1Solution:
     energy_sq: complex            # tabulated formula value
     morse_energy: complex         # exact transformed-equation eigenvalue
     mu: complex
-    mu_display: complex
     laguerre_order: complex
     s_scale: complex
     bounded: bool
@@ -242,16 +233,13 @@ class Case1Solution:
 
 
 def case1_solution(n: int, alpha: float, mathieu: MathieuParams) -> Case1Solution:
-    energy_sq, _ = case1_energy(n, alpha, mathieu)
     lam, rho, exists = morse_energy_exact(n, mathieu)
     h = mathieu.D_m - (mathieu.B_m + mathieu.C_m) / 2.0
     mu = rho / 2.0
-    e_for_display = np.sqrt(complex(energy_sq))
     return Case1Solution(
         n=n, alpha=alpha, mathieu=mathieu,
-        energy_sq=complex(energy_sq), morse_energy=lam,
-        mu=complex(mu), mu_display=1j * np.sqrt(e_for_display) / (2.0 * alpha),
-        laguerre_order=complex(4.0 * mu), s_scale=alpha * np.sqrt(complex(h)),
+        energy_sq=case1_energy(n, alpha, mathieu), morse_energy=lam,
+        mu=complex(mu), laguerre_order=complex(4.0 * mu), s_scale=alpha * np.sqrt(complex(h)),
         bounded=exists,
     )
 
@@ -277,49 +265,29 @@ def case1_wavefunction(sol: Case1Solution, t):
 # Case 2: Rosen-Morse-II quantization through the hypergeometric equation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Case2HypParams:
-    """Hypergeometric matching data at (alpha, C1, epsilon) on a chosen beta branch.
+def case2_levels(n: int, alpha, C1):
+    """Level n of the Rosen-Morse-II problem in closed form: (eps_n, beta, residual).
 
-    `a_printed`/`b_printed` follow the tabulated display; `a_corrected`
-    (= b_corrected) follows from matching the derivative-free coefficient,
-    which forces a double root (1 + 4 beta)/2 + ... = 1/2 + 2 beta.
+    The series-termination condition closes only on the negative beta branch,
+    where the two upper hypergeometric parameters coincide at 1/2 + 2 beta with
+    beta = -sqrt(disc)/4 and disc = -1 - 4 C1 + alpha^2 + 4 eps^2.  Setting
+    that to -n gives disc = (2n+1)^2, so the level is the closed form
+
+        eps_n^2 = ((2n+1)^2 + 1 + 4 C1 - alpha^2) / 4,
+
+    and eps_n is NaN where that is negative (level n is unbound).  beta is
+    recomputed from eps_n and is complex: where disc rounds below 0 (|C1|
+    past about 1e16) it is imaginary.  The residual is the termination gap
+    |1/2 + 2 beta + n|, a modulus.  alpha and C1 are scalars or arrays of
+    one shape; alpha^2 is libm `pow`, as Python's `float ** 2`.
     """
-
-    alpha: float
-    C1: float
-    epsilon: complex
-    beta: complex
-    gamma_h: complex
-    a_printed: complex
-    b_printed: complex
-    a_corrected: complex
-    ab_target: complex
-    complex_beta: bool
-
-
-def case2_hyp_params(alpha: float, C1: float, epsilon: complex,
-                     branch: int = +1) -> Case2HypParams:
-    """Parameter block of the hypergeometric reduction; both beta branches allowed.
-
-    Computed on Python scalars with `cmath.sqrt`, without numpy's per-scalar
-    dispatch.  That matches `np.sqrt` bit for bit unless a radicand is purely
-    imaginary or has a subnormal part, where the two can differ in the last bit.
-    """
-    eps = complex(epsilon)
-    disc = -1.0 - 4.0 * C1 + alpha ** 2 + 4.0 * eps ** 2
-    beta = branch * 0.25 * cmath.sqrt(disc)
-    gamma_h = 1.0 + 2.0 * beta - 0.5j * alpha
-    rad = cmath.sqrt(5.0 + 16.0 * C1 - 4.0 * alpha ** 2 + 8.0 * beta + 16.0 * (beta * beta)
-                     - 16.0 * eps ** 2)
-    a_corrected = 0.5 + 2.0 * beta
-    return Case2HypParams(
-        alpha=alpha, C1=C1, epsilon=eps, beta=beta, gamma_h=gamma_h,
-        a_printed=a_corrected + 0.5 * rad, b_printed=a_corrected - 0.5 * rad,
-        a_corrected=a_corrected,
-        ab_target=eps ** 2 + (alpha ** 2 - 4.0 * C1) / 4.0 + 2.0 * beta,
-        complex_beta=bool(disc.real < 0),
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        alpha_sq = np.float_power(alpha, 2)
+        eps_sq = ((2 * n + 1) ** 2 + 1.0 + 4.0 * C1 - alpha_sq) / 4.0
+        eps = np.sqrt(np.where(eps_sq >= 0.0, eps_sq, np.nan))
+        disc = -1.0 - 4.0 * C1 + alpha_sq + 4.0 * (eps * eps)
+        beta = -0.25 * np.sqrt(disc + 0j)
+        return eps, beta, np.hypot(0.5 + 2.0 * beta.real + n, 2.0 * beta.imag)
 
 
 @dataclass(frozen=True)
@@ -333,55 +301,27 @@ class Case2Solution:
     beta: float
     a2: float          # tangent-coefficient tie, charge e = 1 convention
     gamma_h: complex
-    a_h: complex  # the two upper 2F1 parameters coincide here
     residual: float
 
 
 def case2_quantize(n: int, alpha: float, C1: float) -> Case2Solution:
-    """Solve the series-termination condition a(eps) = -n for eps >= 0.
+    """`case2_levels` at one (alpha, C1), with the 2F1 lower parameter gamma_h.
 
-    The condition closes only on the negative beta branch, where the two
-    upper hypergeometric parameters coincide at 1/2 + 2 beta with
-    beta = -sqrt(disc)/4 and disc = -1 - 4 C1 + alpha^2 + 4 eps^2.  Setting
-    that to -n gives disc = (2n+1)^2, so the level is the closed form
-
-        eps_n^2 = ((2n+1)^2 + 1 + 4 C1 - alpha^2) / 4.
-
-    Raises NoRootInBracket when eps_n^2 is negative (level n is unbound).
+    beta keeps its real part.  Raises NoRootInBracket when eps_n^2 is
+    negative (level n is unbound).
     """
     if n < 0:
         raise ValueError("level index must be nonnegative")
-    eps_sq = ((2 * n + 1) ** 2 + 1.0 + 4.0 * C1 - alpha ** 2) / 4.0
-    if not eps_sq >= 0.0:
-        raise NoRootInBracket(f"level {n} is unbound: eps^2 = {eps_sq!r} < 0")
-    eps_root = math.sqrt(eps_sq)
-
-    hp = case2_hyp_params(alpha, C1, eps_root, branch=-1)
-    beta = hp.beta.real
+    eps, beta, residual = case2_levels(n, alpha, C1)
+    if np.isnan(eps):
+        raise NoRootInBracket(f"level {n} is unbound at alpha={alpha!r}, C1={C1!r}: eps^2 < 0")
+    beta = complex(beta)
     return Case2Solution(
-        n=n, alpha=alpha, C1=C1, epsilon_n=eps_root,
-        beta=beta, a2=float(-2.0 * alpha * beta),
-        gamma_h=hp.gamma_h, a_h=hp.a_corrected,
-        residual=abs(hp.a_corrected + n),
+        n=n, alpha=alpha, C1=C1, epsilon_n=float(eps),
+        beta=beta.real, a2=float(-2.0 * alpha * beta.real),
+        gamma_h=1.0 + 2.0 * beta - 0.5j * alpha,
+        residual=float(residual),
     )
-
-
-def case2_quantize_array(n: int, alpha, C1):
-    """`case2_quantize`'s (eps_n, residual) for arrays of (alpha, C1); NaN where unbound.
-
-    Each cell has the scalar's bits: the same float operations in the same order,
-    alpha^2 as libm `pow` (Python's `float ** 2`), eps^2 as eps * eps (the real part
-    of the scalar's complex `** 2`), and where disc rounds below 0 (|C1| past about
-    1e16) the residual |1/2 + n + 2 beta| of an imaginary beta by `hypot`, as `abs`.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        alpha_sq = np.float_power(alpha, 2)
-        eps_sq = ((2 * n + 1) ** 2 + 1.0 + 4.0 * C1 - alpha_sq) / 4.0
-        eps = np.sqrt(np.where(eps_sq >= 0.0, eps_sq, np.nan))
-        disc = -1.0 - 4.0 * C1 + alpha_sq + 4.0 * (eps * eps)
-        beta = -0.25 * np.sqrt(np.abs(disc))
-        return eps, np.where(disc >= 0.0, np.abs(0.5 + 2.0 * beta + n),
-                             np.hypot(0.5 + n, 2.0 * beta))
 
 
 def case2_wavefunction(n: int, alpha: float, C1: float, x,

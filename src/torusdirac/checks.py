@@ -15,8 +15,9 @@ the checks marked `verify=False`:
 
 - the Christoffel oracle order and the truncated-domain spectrum match,
   which would add about 2/3 to its cost;
-- the position-dependent intertwiner and the two readings of the case-2
-  gauge prefactor, which have never been part of its report;
+- the position-dependent intertwiner, the two readings of the case-2
+  gauge prefactor and the printed 2F1 parameters, which have never been
+  part of its report;
 - the periodic spectrum's order against Hill's method, which `spectrum`
   reports.
 
@@ -305,6 +306,24 @@ def _worst_gap(values, exact) -> float:
     return max(abs(v - e) / max(1.0, abs(e)) for v, e in zip(values, exact))
 
 
+def printed_display_gap() -> float:
+    """|a_p b_p - ab| of the printed 2F1 parameters at the level n = 0 (alpha=1, C1=0).
+
+    The derivative-free coefficient of the hypergeometric reduction pins the
+    product of the upper parameters to ab = eps^2 + (alpha^2 - 4 C1)/4 + 2 beta,
+    which the double root 1/2 + 2 beta meets.  The printed display
+    a_p, b_p = 1/2 + 2 beta +- sqrt(5 + 16 C1 - 4 alpha^2 + 8 beta + 16 beta^2
+    - 16 eps^2)/2 gives +-i here, where ab = 0: the gap is exactly 1.
+    """
+    alpha, c1 = 1.0, 0.0
+    sol = analytic.case2_quantize(0, alpha, c1)
+    eps, beta = sol.epsilon_n, sol.beta
+    half_rad = 0.5 * np.sqrt(complex(5.0 + 16.0 * c1 - 4.0 * alpha ** 2 + 8.0 * beta
+                                     + 16.0 * beta ** 2 - 16.0 * eps ** 2))
+    a_p, b_p = 0.5 + 2.0 * beta + half_rad, 0.5 + 2.0 * beta - half_rad
+    return float(abs(a_p * b_p - (eps ** 2 + (alpha ** 2 - 4.0 * c1) / 4.0 + 2.0 * beta)))
+
+
 def partner_oracle_match() -> float:
     """Levels n = 1..3 (alpha=1, C1=0): eps_n^2 is level n-1 of 1 + a2 tan x + (3/4) tan^2 x."""
     sols = [analytic.case2_quantize(n, 1.0, 0.0) for n in range(1, 4)]
@@ -326,7 +345,7 @@ def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
         gauge_n = fields.linear_ring_field(a2=alpha * (n + 0.5) / DEFAULT_TORUS.a)
         ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge_n, fields.cosine_velocity(), grid)
         m = numerics.discretize_schrodinger(np.real(ve.rho), grid)
-        fd = numerics.eig_sym_tridiag(m, n + 1, with_vectors=False, first=n).eigenvalues[0]
+        fd = numerics.eig_sym_tridiag(m, n + 1, first=n).eigenvalues[0]
         eps_sq = sol.epsilon_n ** 2
         rows.append((n, fd, eps_sq, abs(fd - eps_sq) / max(1.0, eps_sq)))
     return rows
@@ -376,7 +395,7 @@ def morse_collocation_gap() -> float:
 
 def morse_tabulated_gap() -> float:
     """Tabulated Morse energies n = 0, 1 against the derived ones, relative to the latter."""
-    return _morse_gap([analytic.case1_energy(n, 1.0, _morse_params())[0] for n in range(2)])
+    return _morse_gap([analytic.case1_energy(n, 1.0, _morse_params()) for n in range(2)])
 
 
 def morse_truncation_gap() -> float:
@@ -412,7 +431,7 @@ def box_benchmark() -> float:
     """Particle in a box [0, pi], 4000 points: worst relative error of levels 1..4."""
     g = Grid(4000, 0.0, np.pi, "dirichlet")
     m = numerics.discretize_schrodinger(lambda x: np.zeros_like(x), g)
-    w = numerics.eig_sym_tridiag(m, 4, with_vectors=False).eigenvalues
+    w = numerics.eig_sym_tridiag(m, 4).eigenvalues
     return max(abs(w[i] - (i + 1) ** 2) / (i + 1) ** 2 for i in range(4))
 
 
@@ -420,7 +439,7 @@ def oscillator_benchmark() -> float:
     """Harmonic oscillator on [-10, 10], 6000 points: worst relative error of 3 levels."""
     g = Grid(6000, -10.0, 10.0, "dirichlet")
     m = numerics.discretize_schrodinger(lambda x: x ** 2, g)
-    w = numerics.eig_sym_tridiag(m, 3, with_vectors=False).eigenvalues
+    w = numerics.eig_sym_tridiag(m, 3).eigenvalues
     return max(abs(w[i] - (2 * i + 1)) / (2 * i + 1) for i in range(3))
 
 
@@ -435,8 +454,7 @@ def hill_order() -> float:
     errs = []
     for n in (512, 1024, 2048):
         m = numerics.discretize_schrodinger(potential, Grid(n))
-        errs.append(np.abs(numerics.eig_sym_tridiag(m, 6, with_vectors=False).eigenvalues
-                           - exact))
+        errs.append(np.abs(numerics.eig_sym_tridiag(m, 6).eigenvalues - exact))
     return float(np.mean([np.log2(errs[i] / errs[i + 1]) for i in range(2)]))
 
 
@@ -501,6 +519,9 @@ def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
               note="the printed reading leaves a first-derivative term"),
         Check("quantization: wavefunction equation residual", 7, wavefunction_residual, 1e-6),
         Check("quantization: partner-oracle spectrum match", 7, partner_oracle_match, 1e-3),
+        Check("quantization: printed 2F1 parameter product gap", 7, printed_display_gap,
+              1e-2, "above", verify=False,
+              note="the printed parameters miss the product the equation pins"),
         Check("quantization: truncated-domain spectrum match @8000", 7,
               truncated_domain_match, 1e-3, status="known", verify=False,
               note="known discrepancy: the wall coupling is critical, so truncation "

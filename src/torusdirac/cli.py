@@ -327,6 +327,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
             write_csv(out / "sl_coefficients_plus.csv", header, crows, timestamp)
     else:
         g = Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet")
+        _check_pdfv_levels(cfg, g)
         rows = checks.pdfv_levels(cfg.alpha, cfg.n_max, g)
         rep.add_info("pdfv analytic-vs-fd max rel deviation", max(row[3] for row in rows),
                      note="wall-singular oracle; see verify for the convergent one")
@@ -335,6 +336,25 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                       ["n", "lambda_fd", "epsilon_sq_analytic", "rel_deviation"],
                       rows, timestamp)
     return rep
+
+
+def _check_pdfv_levels(cfg: ScenarioConfig, grid: Grid) -> None:
+    """ConfigError where `checks.pdfv_levels` cannot solve the levels 0..n_max on `grid`.
+
+    The grid's rows hold grid.n levels.  Level n's effective potential holds
+    the square of the ring field's a e A_u + k = alpha (n + 1/2) R, and the
+    radius R reaches c + a on the default torus; where that square overflows,
+    the potential's samples are inf.
+    """
+    if cfg.n_max >= grid.n:
+        raise ConfigError(f"analytic.n_max={cfg.n_max}: the pdfv levels are solved on "
+                          f"{grid.n} grid rows, so n_max must be below {grid.n}")
+    torus = checks.DEFAULT_TORUS
+    peak = abs(cfg.alpha) * (cfg.n_max + 0.5) * (torus.c + torus.a)
+    if peak * peak == math.inf:
+        raise ConfigError(f"analytic.alpha={cfg.alpha!r}: level {cfg.n_max}'s effective "
+                          f"potential squares alpha (n + 1/2) (c + a) = {peak:.3g}, "
+                          f"which overflows")
 
 
 def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
@@ -390,8 +410,8 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
     points = [_sweep_point(cfg, parameter, v) for v in values]
     rep = RunReport(f"sweep over {parameter}")
     alpha, c1 = (np.array([p[key] for p in points]) for key in ("alpha", "C1"))
-    # eps0, resid0, ..., eps3, resid3 as columns, each in one pass
-    levels = [col for n in range(4) for col in analytic.case2_quantize_array(n, alpha, c1)]
+    # eps0, resid0, ..., eps3, resid3 as columns, each level in one pass
+    levels = [col for n in range(4) for col in analytic.case2_levels(n, alpha, c1)[::2]]
     # the constraint constants depend on (a, e) alone: one scalar call per distinct pair
     constants = {}
     for a, e in dict.fromkeys((p["a"], p["e"]) for p in points):
@@ -446,7 +466,7 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     mf0 = pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
     rows1 = []
     for n in range(cfg.n_max + 1):
-        tab, _ = analytic.case1_energy(n, alpha, mf0)
+        tab = analytic.case1_energy(n, alpha, mf0)
         lam, rho, exists = analytic.morse_energy_exact(n, mf0)
         rows1.append((n, tab.real, tab.imag, lam.real, lam.imag, int(exists)))
     write_csv(out / "case1_spectrum.csv",

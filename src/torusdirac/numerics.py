@@ -59,15 +59,15 @@ class TridiagonalSym:
 
 @dataclass
 class EigResult:
-    """Ascending eigenvalues, optional eigenvectors (columns), and residual norms.
+    """Ascending eigenvalues, their eigenvectors (columns), and residual norms.
 
     `modes` is the number of Fourier modes a periodic solve kept (None for a
     pure tridiagonal one).
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray] = field(default=None, repr=False)
-    residuals: Optional[np.ndarray] = None
+    eigenvectors: np.ndarray = field(repr=False)
+    residuals: np.ndarray
     modes: Optional[int] = None
 
 
@@ -306,8 +306,7 @@ def _eig_levels(m: TridiagonalSym, first: int, k: int):
     return w, vecs
 
 
-def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
-                    with_vectors: bool = True, *, first: int = 0) -> EigResult:
+def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int, *, first: int = 0) -> EigResult:
     """Eigenpairs first..k_lowest-1 in ascending order (the lowest k by default).
 
     Pure tridiagonal problems are solved level by level (`_eig_levels`):
@@ -320,9 +319,9 @@ def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
     real Galerkin matrix on the modes |m| <= M, M widened until the
     eigenpairs pass a full-grid residual check, and the mode count kept in
     `modes`.  That solve is lowest-k by construction, so it takes no `first`.
-    Both paths compute the vectors, for the residual check, and drop them
-    when `with_vectors` is false.  Residuals above 1e-6 max(1, max |lambda|)
-    raise ConvergenceFailure.
+    Both paths compute the vectors, for the residual check, and return them
+    with the residuals.  Residuals above 1e-6 max(1, max |lambda|) raise
+    ConvergenceFailure.
     """
     if not 1 <= k_lowest <= m.n:
         raise ValueError("k_lowest out of range")
@@ -338,8 +337,6 @@ def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int,
         w, vecs, res, modes = _eig_periodic(m, k_lowest)
     if np.any(res > 1e-6 * max(1.0, np.max(np.abs(w)))):
         raise ConvergenceFailure("eigenpair residuals exceed solver tolerance")
-    if not with_vectors:
-        vecs = res = None
     return EigResult(eigenvalues=w, eigenvectors=vecs, residuals=res, modes=modes)
 
 

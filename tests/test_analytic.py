@@ -1,3 +1,5 @@
+import cmath
+import math
 import subprocess
 import sys
 
@@ -12,10 +14,9 @@ from torusdirac.analytic import (
     case1_solution,
     case1_transform_chain,
     case1_wavefunction,
-    case2_hyp_params,
+    case2_levels,
     case2_ode_residual,
     case2_quantize,
-    case2_quantize_array,
     case2_wavefunction,
     fit_energy_display,
     gauss_2f1,
@@ -179,9 +180,7 @@ def test_transform_chain_truncation_grows_along_ray():
 
 def test_case1_energy_frozen_example():
     m = MathieuParams(A_m=0.0, B_m=0.0, C_m=0.0, D_m=-1.0)
-    val, info = case1_energy(0, 1.0, m)
-    assert val == pytest.approx((3 + 4j) / 4, rel=1e-14)
-    assert not info["is_real"]
+    assert case1_energy(0, 1.0, m) == pytest.approx((3 + 4j) / 4, rel=1e-14)
 
 
 def test_case1_energy_singular_guard_and_increment():
@@ -192,7 +191,7 @@ def test_case1_energy_singular_guard_and_increment():
     h = m.D_m - (m.B_m + m.C_m) / 2
     theta = alpha * (2 * m.D_m - m.B_m - 2 * m.C_m) / np.sqrt(complex(h))
     for n in range(3):
-        inc = case1_energy(n + 1, alpha, m)[0] - case1_energy(n, alpha, m)[0]
+        inc = case1_energy(n + 1, alpha, m) - case1_energy(n, alpha, m)
         expected = -(alpha ** 2) / 4 * ((2 * n + 3 - theta) ** 2 - (2 * n + 1 - theta) ** 2)
         assert inc == pytest.approx(expected, rel=1e-12)
 
@@ -218,7 +217,7 @@ def test_tabulated_energy_formula_documented_gap():
     # the derived closed form is the certified one
     m = real_branch_params()
     lam0 = morse_energy_exact(0, m)[0].real
-    tab = case1_energy(0, 1.0, m)[0].real
+    tab = case1_energy(0, 1.0, m).real
     assert abs(tab - lam0) / abs(lam0) > 0.5
 
 
@@ -250,77 +249,13 @@ def test_case1_wavefunction_shape_and_ode_residual():
 # Rosen-Morse quantization (position-dependent velocity)
 # ---------------------------------------------------------------------------
 
-def test_hyp_params_trivial_point():
-    hp = case2_hyp_params(0.0, -0.25, 0.0)
-    assert hp.beta == 0.0
-    assert hp.gamma_h == 1.0
-    assert hp.a_printed == pytest.approx(1.0)
-    assert hp.b_printed == pytest.approx(0.0)
-    assert not hp.complex_beta
-
-
-def test_hyp_params_sum_and_product_identities():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        alpha = rng.uniform(0, 2)
-        c1 = rng.uniform(-1, 2)
-        eps = rng.uniform(0, 3)
-        for branch in (+1, -1):
-            hp = case2_hyp_params(alpha, c1, eps, branch=branch)
-            assert hp.a_printed + hp.b_printed == pytest.approx(1 + 4 * hp.beta, rel=1e-12)
-            # the derivative-free coefficient pins the product; the corrected
-            # (double-root) parameter satisfies it identically ...
-            assert hp.a_corrected ** 2 == pytest.approx(hp.ab_target, rel=1e-10)
-    # ... while the printed radical generally does not
-    hp = case2_hyp_params(1.0, 0.0, 1.0)
-    assert abs(hp.a_printed * hp.b_printed - hp.ab_target) > 1e-2
-
-
-def _hyp_params_on_numpy_scalars(alpha, C1, epsilon, branch):
-    """Reference copy of `case2_hyp_params` computed on numpy scalars (`np.sqrt`)."""
-    disc = -1.0 - 4.0 * C1 + alpha ** 2 + 4.0 * complex(epsilon) ** 2
-    beta = branch * 0.25 * np.sqrt(complex(disc))
-    rad = np.sqrt(complex(
-        5.0 + 16.0 * C1 - 4.0 * alpha ** 2 + 8.0 * beta + 16.0 * beta ** 2
-        - 16.0 * complex(epsilon) ** 2
-    ))
-    return {
-        "epsilon": complex(epsilon), "beta": complex(beta),
-        "gamma_h": complex(1.0 + 2.0 * beta - 0.5j * alpha),
-        "a_printed": complex(0.5 + 2.0 * beta + 0.5 * rad),
-        "b_printed": complex(0.5 + 2.0 * beta - 0.5 * rad),
-        "a_corrected": complex(0.5 + 2.0 * beta),
-        "ab_target": complex(complex(epsilon) ** 2 + (alpha ** 2 - 4.0 * C1) / 4.0 + 2.0 * beta),
-        "complex_beta": bool(np.real(disc) < 0),
-    }
-
-
-def _bits(z):
-    """Bit patterns of the parts of z, so that -0.0, 0.0 and NaN payloads all count."""
-    return np.array([complex(z).real, complex(z).imag]).view(np.uint64).tolist()
-
-
-@settings(max_examples=300, deadline=None)
-@given(alpha=st.floats(-4.0, 4.0), c1=st.floats(-4.0, 4.0), epsilon=st.floats(0.0, 4.0),
-       branch=st.sampled_from([1, -1]))
-@example(alpha=0.0, c1=1.0, epsilon=0.0, branch=1)    # disc = -5: complex beta
-@example(alpha=0.0, c1=1.0, epsilon=0.0, branch=-1)
-@example(alpha=1.0, c1=0.0, epsilon=-0.0, branch=-1)  # disc = 0: beta on the branch point
-def test_hyp_params_on_python_scalars_are_the_numpy_bits(alpha, c1, epsilon, branch):
-    got = case2_hyp_params(alpha, c1, epsilon, branch=branch)
-    want = _hyp_params_on_numpy_scalars(alpha, c1, epsilon, branch)
-    assert got.complex_beta is want.pop("complex_beta")
-    for name, value in want.items():
-        assert _bits(getattr(got, name)) == _bits(value), name
-
-
 def test_quantize_frozen_levels():
     for n in range(6):
         sol = case2_quantize(n, 1.0, 0.0)
         assert sol.epsilon_n == pytest.approx(n + 0.5, abs=1e-12)
         assert sol.residual < 1e-12
         assert sol.beta == pytest.approx(-(2 * n + 1) / 4, abs=1e-12)
-        assert sol.a_h == pytest.approx(-n, abs=1e-11)
+        assert 0.5 + 2.0 * sol.beta == pytest.approx(-n, abs=1e-11)
 
 
 def test_quantize_monotone_and_selfconsistent():
@@ -360,29 +295,60 @@ def test_quantize_large_c1():
     sol = case2_quantize(0, 1.0, 1e7)
     assert sol.epsilon_n ** 2 == pytest.approx((1 + 1 + 4e7 - 1) / 4, rel=1e-15)
     # the residual recomputes disc = 1 as a difference of terms near 4e7, so
-    # its floor is a few ulps of 4e7 (one ulp is 7.5e-9)
+    # its floor is a few ulps of 4e7 (one ulp is 7.5e-9); this is its value
     assert sol.residual < 1e-15 * 4e7
+    assert sol.residual == 1.862645149230957e-09
+
+
+def _bits(z):
+    """Bit patterns of the parts of z, so that -0.0, 0.0 and NaN payloads all count."""
+    return np.array([complex(z).real, complex(z).imag]).view(np.uint64).tolist()
+
+
+def _case2_level_reference(n, alpha, c1):
+    """The case-2 closed form on Python floats: (eps_n, beta, residual), None where unbound.
+
+    beta = -sqrt(disc)/4 is written out branch by branch with the signs of
+    zero that a complex square root and product give it; abs of a complex
+    is libm `hypot`.
+    """
+    eps_sq = ((2 * n + 1) ** 2 + 1.0 + 4.0 * c1 - alpha ** 2) / 4.0
+    if not eps_sq >= 0.0:
+        return None
+    eps = math.sqrt(eps_sq)
+    disc = -1.0 - 4.0 * c1 + alpha ** 2 + 4.0 * (eps * eps)
+    root = math.sqrt(abs(disc))
+    beta = complex(-0.25 * root, 0.0) if disc >= 0.0 else complex(-0.0, -0.25 * root)
+    return eps, beta, abs(complex(0.5 + 2.0 * beta.real + n, 2.0 * beta.imag))
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(0, 20), alpha=st.floats(0.0, 3.0), c1=st.floats(-1.0, 1e7))
+@given(n=st.integers(0, 20), alpha=st.floats(0.0, 3.0), c1=st.floats(-1.0, 1e17))
 @example(n=0, alpha=1.0, c1=1e7)  # the large-C1 residual, the rounding of eps
 @example(n=0, alpha=2.0, c1=0.5)  # eps^2 = 0 exactly
+@example(n=0, alpha=1.0, c1=0.0)  # disc = 1 - 0: beta real, the residual 0
 # alpha * alpha and pow(alpha, 2) round apart here, and eps with them
 @example(n=0, alpha=0.7183150505516521, c1=1.5739561336007801)
 # disc rounds below 0: beta is imaginary and the residual a modulus
 @example(n=1, alpha=1.0, c1=3.6068034017008504e+16)
-def test_quantize_array_has_the_scalar_bits(n, alpha, c1):
-    eps, resid = case2_quantize_array(n, np.array([alpha]), np.array([c1]))
-    try:
-        sol = case2_quantize(n, alpha, c1)
-    except NoRootInBracket:
-        assert np.isnan(eps[0]) and np.isnan(resid[0])
+# numpy's modulus of the complex 1/2 + 2 beta + n is one ulp above hypot of its parts
+@example(n=0, alpha=1.0, c1=3.75e+16)
+def test_case2_levels_have_the_bits_of_the_plain_python_closed_form(n, alpha, c1):
+    want = _case2_level_reference(n, alpha, c1)
+    cells = case2_levels(n, np.array([alpha]), np.array([c1]))
+    scalars = case2_levels(n, alpha, c1)
+    if want is None:
+        assert all(np.isnan(v[0]) for v in cells) and all(np.isnan(v) for v in scalars)
+        with pytest.raises(NoRootInBracket):
+            case2_quantize(n, alpha, c1)
         return
-    assert eps[0] == sol.epsilon_n
-    assert resid[0] == sol.residual
-    if (n, alpha, c1) == (0, 1.0, 1e7):
-        assert resid[0] == 1.862645149230957e-09
+    for got in ([v[0] for v in cells], scalars):
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+    sol = case2_quantize(n, alpha, c1)
+    eps, beta, residual = want
+    assert [_bits(v) for v in (sol.epsilon_n, sol.beta, sol.residual)] == [
+        _bits(v) for v in (eps, beta.real, residual)]
+    assert _bits(sol.gamma_h) == _bits(1.0 + 2.0 * beta - 0.5j * alpha)
 
 
 @settings(max_examples=300, deadline=None)
@@ -397,7 +363,6 @@ def test_quantize_closed_form_matches_bisection(n, alpha, c1):
             case2_quantize(n, alpha, c1)
         return
     sol = case2_quantize(n, alpha, c1)
-    assert abs(sol.a_h + n) < 1e-10
     assert abs(0.5 + 2.0 * sol.beta + n) < 1e-10
     if eps_sq < 1e-6:
         # the termination function is flat in eps at eps = 0, so bisection
@@ -445,8 +410,7 @@ def test_fd_cross_check_with_partner_oracle():
         bc = sol.a2
         e0 = c1 + 0.5 - bc ** 2
         v1 = e0 + 0.75 * np.tan(x) ** 2 + bc * np.tan(x) + bc ** 2 + 0.5
-        fd = eig_sym_tridiag(discretize_schrodinger(v1, g), n,
-                             with_vectors=False, first=n - 1).eigenvalues[0]
+        fd = eig_sym_tridiag(discretize_schrodinger(v1, g), n, first=n - 1).eigenvalues[0]
         assert abs(fd - sol.epsilon_n ** 2) / max(1.0, sol.epsilon_n ** 2) < 1e-3
 
 

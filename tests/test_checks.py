@@ -39,3 +39,11 @@ def test_sigma_half_prefactor_residual_is_second_order():
     # the sigma-half reading leaves only the stencil error: 3.67e-5 -> 9.18e-6 (order 1.999)
     r1, r2 = (checks.prefactor_residual(-1.0, n) for n in (2000, 4000))
     assert np.log2(r1 / r2) > 1.8
+
+
+def test_printed_display_misses_the_product_by_exactly_one():
+    # at n = 0, alpha = 1, C1 = 0: a_p, b_p = +-i while the equation pins a b = 0
+    assert checks.printed_display_gap() == 1.0
+    check = next(c for c in checks.registry() if c.measure is checks.printed_display_gap)
+    assert (check.criterion, check.direction, check.tolerance, check.verify) == (7, "above",
+                                                                                1e-2, False)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from torusdirac import analytic, cli, geometry, pseudoherm
-from torusdirac.errors import ConfigError, TorusDiracError
+from test_analytic import _case2_level_reference
+from torusdirac import cli, geometry, pseudoherm
+from torusdirac.errors import ConfigError
 
 BASE = [sys.executable, "-m", "torusdirac.cli"]
 
@@ -120,7 +122,7 @@ def test_spectrum_residual_gate_fails_above_the_floor(tmp_path, monkeypatch, cap
 
     def above_floor(m, k, *args, **kwargs):
         res = solve(m, k, *args, **kwargs)
-        if res.residuals is not None:  # the table's solve, not the Hill-order check's
+        if m.n == 32768:  # the table's solve, not the Hill-order check's (n <= 2048)
             row_sum = np.max(np.abs(m.diag)) + 2.0 * abs(m.corner)
             res.residuals[0] = 1.01 * 4.0 * np.finfo(float).eps * row_sum
         return res
@@ -254,15 +256,12 @@ def test_sweep_keeps_list_order_and_counts_unbound_cells(tmp_path):
 
 
 def _reference_sweep_row(value, point):
-    """A sweep row the way it was once built: scalar calls for each level and each row."""
+    """A sweep row built cell by cell: the plain-Python closed form for each level."""
     a, e = point["a"], point["e"]
     row = [value]
     for n in range(4):
-        try:
-            sol = analytic.case2_quantize(n, point["alpha"], point["C1"])
-            row.extend([sol.epsilon_n, sol.residual])
-        except TorusDiracError:
-            row.extend([float("nan"), float("nan")])
+        level = _case2_level_reference(n, point["alpha"], point["C1"])
+        row.extend([float("nan")] * 2 if level is None else [level[0], level[2]])
     c2_constraint, c_constraint = pseudoherm.factorization_constants(a, e)
     row.extend([c2_constraint.real, c2_constraint.imag,
                 c_constraint.real if a < 1 else float("nan")])
@@ -291,6 +290,31 @@ def test_sweep_csv_matches_the_per_row_reference(tmp_path, parameter, values):
     assert unbound == sum(np.isnan(row[1 + 2 * n]) for row in rows for n in range(4))
 
 
+# sha256 of the case-2 tables with the default config, pinned when the sweep and the
+# scalar quantizer became one closed form; any change to these bytes must be deliberate
+CASE2_TABLE_DIGESTS = {
+    "analytic": {
+        "case2_spectrum.csv": "f22fd91b69ac49b2ffbd7c8a7dd3e852dfbabd49604733468d616da088ec6a98",
+        "case2_wavefunctions.csv":
+            "dcdb409ee776634620750c1b7b7a790e180a5225e276b165586f683d214cbf32",
+    },
+    "sweep alpha 0.5:2.5:200": {
+        "sweep_alpha.csv": "756336bdd9112eeed4b0134491dd42ffe3fd2280151820ffc04304a436274d47",
+    },
+    # crosses C1 of about 1e16, past which disc rounds below 0
+    "sweep C1 -- -1:1e17:41": {
+        "sweep_C1.csv": "ba2256151416025b85280a774d745801525239d78ebc4076305afa119ad84706",
+    },
+}
+
+
+@pytest.mark.parametrize("command", CASE2_TABLE_DIGESTS)
+def test_case2_tables_keep_their_bytes(tmp_path, command):
+    assert cli.main(["--out", str(tmp_path), "--no-timestamp", *command.split()]) == 0
+    for name, digest in CASE2_TABLE_DIGESTS[command].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("parameter, values", [
     ("a", "0,0.5"), ("e", "0,1"), ("a", "nan"), ("alpha", "nan"), ("alpha", "abc"),
     ("C1", "1e300,1e308"),
@@ -313,6 +337,21 @@ def test_pdfv_spectrum_rejects_field_and_grid_it_ignores(tmp_path, capsys, text,
     cfg.write_text("case: pdfv\nfermi: {kind: cosine}\n" + text)
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), *flags, "spectrum"]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum_pdfv.csv").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    # level 3's effective potential squares alpha (n + 1/2) (c + a) = 8.75e154: inf samples
+    ("analytic: {alpha: 1.0e+154}\n", "analytic.alpha"),
+    # the 8000 grid rows hold the levels 0..7999; level 8000 was asked for last
+    ("analytic: {n_max: 8000}\n", "analytic.n_max"),
+], ids=["alpha", "n_max"])
+def test_pdfv_spectrum_rejects_levels_it_cannot_solve(tmp_path, capsys, text, key):
+    cfg = tmp_path / "pdfv.yaml"
+    cfg.write_text("case: pdfv\nfermi: {kind: cosine}\n" + text)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}=")
     assert not (tmp_path / "spectrum_pdfv.csv").exists()
 
 

@@ -134,7 +134,7 @@ def test_periodic_path_is_fourier_and_correct():
     g = Grid(400)
     m = discretize_schrodinger(lambda x: np.zeros_like(x), g)
     assert m.corner != 0.0
-    res = eig_sym_tridiag(m, 3, with_vectors=False)
+    res = eig_sym_tridiag(m, 3)
     w = res.eigenvalues
     # free periodic modes: 0, 1, 1 up to discretization
     assert abs(w[0]) < 1e-10
@@ -200,8 +200,8 @@ def test_hill_widens_for_slow_coefficients_and_raises_when_they_never_settle(cap
         w = hill_eigenvalues(lambda x: 1.0 / (1.2 - np.cos(x)), 4)
     assert [r for r in caplog.records if "Hill's method" in r.getMessage()]
     g = Grid(2048)
-    fd = eig_sym_tridiag(discretize_schrodinger(lambda x: 1.0 / (1.2 - np.cos(x)), g), 4,
-                         with_vectors=False).eigenvalues
+    fd = eig_sym_tridiag(discretize_schrodinger(lambda x: 1.0 / (1.2 - np.cos(x)), g),
+                         4).eigenvalues
     assert np.max(np.abs(fd - w)) < 1e-4
     # |sin x| has a kink: its coefficients fall as 1/m^2 and the levels keep moving
     with pytest.raises(ConvergenceFailure, match="513 modes"):
@@ -233,10 +233,6 @@ def test_periodic_lowest_k_match_full_spectrum(make):
     assert res.eigenvectors.shape == (m.n, 6)
     assert np.all(np.abs(res.eigenvalues - full) <= 1e-9 * np.maximum(1.0, np.abs(full)))
     assert np.max(res.residuals) < 1e-8
-    bare = eig_sym_tridiag(m, 6, with_vectors=False)
-    assert bare.eigenvectors is None and bare.residuals is None
-    assert np.all(np.abs(bare.eigenvalues - res.eigenvalues)
-                  <= 1e-12 * np.maximum(1.0, np.abs(full)))
 
 
 def _pdfv_matrix():
@@ -261,14 +257,12 @@ def test_first_solves_one_level_like_the_lowest_k_solve(make):
     tol = 4.0 * np.finfo(float).eps * _row_sum(m)
     full = eig_sym_tridiag(m, 6)
     for n in range(6):
-        one = eig_sym_tridiag(m, n + 1, with_vectors=False, first=n)
-        assert one.eigenvalues.shape == (1,) and one.eigenvectors is None
+        one = eig_sym_tridiag(m, n + 1, first=n)
+        assert one.eigenvalues.shape == (1,) and one.eigenvectors.shape == (m.n, 1)
         assert abs(one.eigenvalues[0] - full.eigenvalues[n]) <= tol
-        pair = eig_sym_tridiag(m, n + 1, first=n)
-        assert pair.eigenvectors.shape == (m.n, 1)
-        assert pair.residuals[0] <= 1e-6 * max(1.0, abs(pair.eigenvalues[0]))
-        assert abs(pair.eigenvectors[:, 0] @ full.eigenvectors[:, n]) == pytest.approx(1.0)
-    tail = eig_sym_tridiag(m, 6, with_vectors=False, first=3).eigenvalues
+        assert one.residuals[0] <= 1e-6 * max(1.0, abs(one.eigenvalues[0]))
+        assert abs(one.eigenvectors[:, 0] @ full.eigenvectors[:, n]) == pytest.approx(1.0)
+    tail = eig_sym_tridiag(m, 6, first=3).eigenvalues
     assert np.all(np.abs(tail - full.eigenvalues[3:]) <= tol)
 
 
@@ -286,8 +280,7 @@ def test_box_levels_match_the_closed_form_fd_levels():
     # LAPACK's stebz, bisecting to eps |T|_inf, missed them by up to 5.9e-10 relative
     n = 4000
     g = Grid(n, 0.0, np.pi, "dirichlet")
-    w = eig_sym_tridiag(discretize_schrodinger(lambda x: np.zeros_like(x), g), 4,
-                        with_vectors=False).eigenvalues
+    w = eig_sym_tridiag(discretize_schrodinger(lambda x: np.zeros_like(x), g), 4).eigenvalues
     exact = 4.0 / g.h ** 2 * np.sin(np.arange(1, 5) * np.pi / (2 * (n + 1))) ** 2
     assert np.max(np.abs(w - exact) / exact) < 1e-12
 
@@ -439,7 +432,7 @@ def test_morse_collocation_matches_the_dirichlet_window_at_second_order():
     errs = []
     for n in (2000, 4000):
         m = discretize_schrodinger(potential, Grid(n, -4.0, 30.0, "dirichlet"))
-        errs.append(np.abs(eig_sym_tridiag(m, 2, with_vectors=False).eigenvalues - levels))
+        errs.append(np.abs(eig_sym_tridiag(m, 2).eigenvalues - levels))
     assert 1.9 < np.log2(errs[0][0] / errs[1][0]) < 2.1
     assert np.max(errs[1]) < 1e-4
 
