@@ -335,20 +335,54 @@ def _case2_level_reference(n, alpha, c1):
 @example(n=0, alpha=1.0, c1=3.75e+16)
 def test_case2_levels_have_the_bits_of_the_plain_python_closed_form(n, alpha, c1):
     want = _case2_level_reference(n, alpha, c1)
-    cells = case2_levels(n, np.array([alpha]), np.array([c1]))
     scalars = case2_levels(n, alpha, c1)
     if want is None:
-        assert all(np.isnan(v[0]) for v in cells) and all(np.isnan(v) for v in scalars)
+        assert all(np.isnan(v) for v in scalars)
         with pytest.raises(NoRootInBracket):
             case2_quantize(n, alpha, c1)
         return
-    for got in ([v[0] for v in cells], scalars):
-        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+    assert [_bits(v) for v in scalars] == [_bits(v) for v in want]
     sol = case2_quantize(n, alpha, c1)
     eps, beta, residual = want
     assert [_bits(v) for v in (sol.epsilon_n, sol.beta, sol.residual)] == [
         _bits(v) for v in (eps, beta.real, residual)]
     assert _bits(sol.gamma_h) == _bits(1.0 + 2.0 * beta - 0.5j * alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 20), alpha=st.floats(0.0, 3.0), c1=st.floats(-1.0, 1e17))
+@example(n=0, alpha=1.0, c1=1e7)  # the large-C1 residual, the rounding of eps
+@example(n=0, alpha=2.0, c1=0.5)  # eps^2 = 0 exactly
+# alpha * alpha and pow(alpha, 2) round apart here, and eps with them
+@example(n=0, alpha=0.7183150505516521, c1=1.5739561336007801)
+# disc rounds below 0: beta is imaginary and the residual a modulus
+@example(n=1, alpha=1.0, c1=3.6068034017008504e+16)
+def test_quantize_array_has_the_scalar_bits(n, alpha, c1):
+    # the sweep reads case2_levels on array columns; each cell has the bits of
+    # the scalar solve at its (alpha, C1)
+    eps, beta, resid = case2_levels(n, np.array([alpha]), np.array([c1]))
+    try:
+        sol = case2_quantize(n, alpha, c1)
+    except NoRootInBracket:
+        assert np.isnan(eps[0]) and np.isnan(beta[0]) and np.isnan(resid[0])
+        return
+    assert _bits(eps[0]) == _bits(sol.epsilon_n)
+    assert _bits(beta[0].real) == _bits(sol.beta)
+    assert _bits(resid[0]) == _bits(sol.residual)
+    if (n, alpha, c1) == (0, 1.0, 1e7):
+        assert resid[0] == 1.862645149230957e-09
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 20), alpha=st.floats(-4.0, 4.0), c1=st.floats(-4.0, 4.0))
+@example(n=0, alpha=0.0, c1=-0.5)    # eps^2 = 0 exactly
+@example(n=0, alpha=1.0, c1=0.0)     # disc = 1: beta real, the residual 0
+@example(n=0, alpha=3.0, c1=0.0)     # eps^2 < 0: level 0 unbound
+def test_hyp_params_on_python_scalars_are_the_numpy_bits(n, alpha, c1):
+    # Python floats, numpy float64 scalars and 0-d arrays take one path
+    want = [_bits(v) for v in case2_levels(n, alpha, c1)]
+    for a, c in ((np.float64(alpha), np.float64(c1)), (np.array(alpha), np.array(c1))):
+        assert [_bits(v) for v in case2_levels(n, a, c)] == want
 
 
 @settings(max_examples=300, deadline=None)
