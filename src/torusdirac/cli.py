@@ -514,6 +514,9 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("geometry", "spectrum", "verify", "analytic"):
         sub.add_parser(name)
     p_sweep = sub.add_parser("sweep")
+    # argparse reads a value list such as "-1:1e17:41", "-2,-1" or "-inf" as an
+    # unknown option; no sweep option looks like a number, so these are values
+    p_sweep._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     p_sweep.add_argument("parameter", choices=SWEEPABLE)
     p_sweep.add_argument("values", help="lo:hi:count or comma-separated list")
     return parser

@@ -95,12 +95,27 @@ def same_grid(*gfs: GridFunction) -> Grid:
 # second-order central stencils
 # ---------------------------------------------------------------------------
 
+def _wrap(v: np.ndarray, k: int) -> np.ndarray:
+    """v along the last axis with k periodic ghost samples at each end.
+
+    One copy, written by slice assignment.  An interior stencil on it is the
+    periodic stencil with the same operations per sample, so its values have
+    the bits of the shifted-copy (`np.roll`) form.
+    """
+    out = np.empty(v.shape[:-1] + (v.shape[-1] + 2 * k,), dtype=v.dtype)
+    out[..., k:-k] = v
+    out[..., :k] = v[..., -k:]
+    out[..., -k:] = v[..., :k]
+    return out
+
+
 def diff1(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Central first derivative on the last axis; periodic wraparound or zero-padded Dirichlet."""
     v = np.asarray(values)
     h2 = 2.0 * grid.h
     if grid.boundary == "periodic":
-        return (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / h2
+        p = _wrap(v, 1)
+        return (p[..., 2:] - p[..., :-2]) / h2
     out = np.empty_like(v)
     out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / h2
     out[..., 0] = v[..., 1] / h2          # ghost value 0 at x_min
@@ -113,7 +128,8 @@ def diff2(values: np.ndarray, grid: Grid) -> np.ndarray:
     v = np.asarray(values)
     hh = grid.h * grid.h
     if grid.boundary == "periodic":
-        return (np.roll(v, -1, axis=-1) - 2.0 * v + np.roll(v, 1, axis=-1)) / hh
+        p = _wrap(v, 1)
+        return (p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / hh
     out = np.empty_like(v)
     out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / hh
     out[..., 0] = (v[..., 1] - 2.0 * v[..., 0]) / hh
@@ -129,14 +145,14 @@ def diff2_fourth_order(values: np.ndarray, grid: Grid) -> np.ndarray:
     """
     v = np.asarray(values)
     hh = 12.0 * grid.h * grid.h
-    if grid.boundary == "periodic":
-        return (
-            -np.roll(v, -2, axis=-1) + 16.0 * np.roll(v, -1, axis=-1) - 30.0 * v
-            + 16.0 * np.roll(v, 1, axis=-1) - np.roll(v, 2, axis=-1)
-        ) / hh
+    periodic = grid.boundary == "periodic"
+    p = _wrap(v, 2) if periodic else v
+    inner = (-p[..., 4:] + 16.0 * p[..., 3:-1] - 30.0 * p[..., 2:-2]
+             + 16.0 * p[..., 1:-3] - p[..., :-4]) / hh
+    if periodic:
+        return inner
     out = np.empty_like(v)
-    out[..., 2:-2] = (-v[..., 4:] + 16.0 * v[..., 3:-1] - 30.0 * v[..., 2:-2]
-                      + 16.0 * v[..., 1:-3] - v[..., :-4]) / hh
+    out[..., 2:-2] = inner
     three = diff2(v, grid)
     out[..., :2] = three[..., :2]
     out[..., -2:] = three[..., -2:]

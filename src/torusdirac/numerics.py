@@ -3,6 +3,11 @@
 Real potentials only; complex operators are certified elsewhere through
 residual identities, never through a complex spectral solve.  Finite
 differences use uniform grids.
+
+`scipy.linalg` loads at the first eigensolve: each function that calls it
+imports it on entry, outside its loops.  Importing this module loads no
+scipy, so runs that solve nothing (`geometry`, `analytic`, `sweep`) never
+pay for it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, eigvals, lapack
 
 from .errors import ComplexPotential, ConvergenceFailure, EvenSampleCount
 from .grids import Grid
@@ -136,6 +140,8 @@ def _eig_periodic(m: TridiagonalSym, k: int):
     returned as it is.  Returns (eigenvalues, real orthonormal eigenvectors,
     residuals, mode count).
     """
+    from scipy.linalg import eigh
+
     n = m.n
     dhat = np.fft.fft(m.diag) / n
     ohat = np.fft.fft(np.append(m.offdiag, m.corner)) / n
@@ -170,6 +176,8 @@ def sturm_count(m: TridiagonalSym, sigma: float) -> int:
     as in the classical Sturm recurrence).  The last row is done here, since
     f2py takes no empty off-diagonal.  Requires a pure tridiagonal matrix.
     """
+    from scipy.linalg import lapack
+
     if m.corner != 0.0:
         raise ValueError("Sturm count is defined for pure tridiagonal matrices")
     d, e = m.diag - sigma, m.offdiag.copy()
@@ -239,6 +247,8 @@ def _polish(m: TridiagonalSym, count: _Counts, j: int, a: float, b: float,
     it, and the new middle is the next shift.  Stops once ||T x - lambda x||
     <= floor.  Returns (lambda, x, residual).
     """
+    from scipy.linalg import lapack
+
     mu = 0.5 * (a + b)
     lam, res = mu, np.inf
     for _ in range(100):  # bisection alone narrows any bracket to the floor in ~60 steps
@@ -277,6 +287,8 @@ def _eig_levels(m: TridiagonalSym, first: int, k: int):
     split matrix) or the certificate fails, LAPACK (`eigh_tridiagonal`) solves
     the window's levels by index, and each such fallback is logged.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = m.n
     w, vecs = np.empty(k - first), np.zeros((n, k - first))
     if n == 1:
@@ -351,6 +363,8 @@ def hill_eigenvalues(potential: Callable[[np.ndarray], np.ndarray],
     the solves at M and 2 M agree to 1e-11 max(1, max |lambda|); the finer
     one is returned.  No agreement by M = 256 raises ConvergenceFailure.
     """
+    from scipy.linalg import eigh
+
     def solve(cut):
         v = _real_samples(potential, Grid(8 * cut))
         modes = np.arange(-cut, cut + 1)
@@ -392,6 +406,8 @@ def _collocation_levels(assemble, k: int, label: str) -> np.ndarray:
     1e-12 max(1, max |lambda|); the finer one is returned.  No agreement by
     n = 512 raises ConvergenceFailure.
     """
+    from scipy.linalg import eigvals
+
     def solve(n):
         w = eigvals(*assemble(n))
         w = np.sort(w[np.isfinite(w) & (np.abs(w.imag) <= 1e-8 * np.maximum(1.0, np.abs(w)))].real)

@@ -456,6 +456,28 @@ def test_fit_energy_display_reports():
     assert np.isfinite(fit["rms"])
 
 
+@pytest.mark.parametrize("alpha, c1, n_max", [(1.0, 0.0, 3), (1.3, 2.0, 2), (0.7, 0.3, 5)])
+def test_fit_energy_display_finds_the_bounded_minimizer(alpha, c1, n_max):
+    from scipy.optimize import minimize_scalar
+
+    sols = [case2_quantize(n, alpha, c1) for n in range(n_max + 1)]
+    ns = np.array([s.n for s in sols], dtype=float)
+    e2 = np.array([s.epsilon_n ** 2 for s in sols])
+
+    def nu_rms(mu):
+        base = (ns + mu + 1.0) ** 2
+        w = -0.5 / base
+        nu = np.dot(w, e2 - base / 2.0) / np.dot(w, w)
+        return nu, np.sqrt(np.mean((base / 2.0 + w * nu - e2) ** 2))
+
+    oracle = minimize_scalar(lambda mu: nu_rms(mu)[1], bounds=(-0.95, 6.0), method="bounded",
+                             options={"xatol": 1e-12})
+    fit = fit_energy_display(sols)
+    assert abs(fit["mu"] - oracle.x) < 1e-7
+    assert fit["nu"] == pytest.approx(nu_rms(oracle.x)[0], rel=1e-6)
+    assert fit["rms"] == pytest.approx(oracle.fun, rel=1e-10)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # only fit_energy_display needs scipy.optimize; importing it costs ~0.25 s
     code = "import sys, torusdirac; print('scipy.optimize' in sys.modules)"

@@ -22,35 +22,71 @@ def run_cli(*args, cwd=None):
     return subprocess.run(BASE + list(args), capture_output=True, text=True, cwd=cwd)
 
 
-def test_geometry_default_passes(tmp_path):
-    r = run_cli("--out", str(tmp_path), "--no-timestamp", "geometry")
-    assert r.returncode == 0, r.stderr
-    assert "frame identity" in r.stdout
+def test_geometry_default_passes(tmp_path, capsys):
+    code = cli.main(["--out", str(tmp_path), "--no-timestamp", "geometry"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "frame identity" in out
     assert (tmp_path / "geometry.csv").exists()
 
 
-def test_config_rejects_equal_radii(tmp_path):
+def test_config_rejects_equal_radii(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("torus:\n  a: 2.0\n  c: 2.0\n")
-    r = run_cli("--config", str(cfg), "geometry")
-    assert r.returncode == 2
-    assert "c != a" in r.stderr
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "geometry"]) == 2
+    assert "c != a" in capsys.readouterr().err
 
 
-def test_config_rejects_unknown_key(tmp_path):
+def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("taurus:\n  a: 0.5\n")
-    r = run_cli("--config", str(cfg), "geometry")
-    assert r.returncode == 2
-    assert "unknown config key" in r.stderr
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "geometry"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
-def test_config_rejects_empty_outputs(tmp_path):
+def test_config_rejects_empty_outputs(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("outputs: []\n")
-    r = run_cli("--config", str(cfg), "spectrum")
-    assert r.returncode == 2
-    assert "outputs" in r.stderr
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == 2
+    assert "outputs" in capsys.readouterr().err
+
+
+def test_analytic_reports_the_display_fit(tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path), "--no-timestamp", "analytic"]) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "display-form fit" in s)
+    assert "value=7.592187e-01" in line and "[mu=0.8274 nu=12.3654 (post-hoc fit)]" in line
+
+
+def _scipy_modules(code, cwd, *args):
+    """Run `code` in a fresh interpreter; its lines that start with "scipy:" as lists."""
+    r = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                       cwd=cwd)
+    assert r.returncode == 0, r.stderr
+    return [line.split(":", 1)[1].split() for line in r.stdout.splitlines()
+            if line.startswith("scipy:")]
+
+
+def test_import_and_config_load_no_scipy(tmp_path):
+    # scipy.linalg is most of a cold start's import time; only a solve may load it
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(cli.DEFAULT_CONFIG, sort_keys=True))
+    code = ("import sys, torusdirac\n"
+            "from torusdirac import cli\n"
+            "cli.load_config(sys.argv[1])\n"
+            "print('scipy:', *(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    assert _scipy_modules(code, tmp_path, str(scenario)) == [[]]
+
+
+def test_runs_that_solve_nothing_leave_scipy_linalg_unloaded(tmp_path):
+    code = ("import sys\n"
+            "from torusdirac import cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules]\n"
+            "for argv in (['geometry'], ['analytic'], ['sweep', 'alpha', '0.5:2.5:20'],\n"
+            "             ['spectrum']):\n"
+            "    assert cli.main(['--out', 'out', '--no-timestamp', *argv]) == 0, argv\n"
+            "    print('scipy:', *loaded())\n")
+    assert _scipy_modules(code, tmp_path) == [[], [], [], ["scipy.linalg"]]
 
 
 def test_spectrum_writes_table_and_complex_hint(tmp_path):
@@ -316,8 +352,22 @@ def test_case2_tables_keep_their_bytes(tmp_path, command):
 
 
 @pytest.mark.parametrize("parameter, values", [
+    ("C1", "-1:1e17:41"), ("e", "-2,-1,0.5,2"), ("alpha", "-.5:2:3"),
+])
+def test_sweep_reads_a_value_list_that_starts_with_a_minus_sign(tmp_path, capsys, parameter,
+                                                                values):
+    # argparse took such a list for an unknown option: "the following arguments
+    # are required: values", exit 2; `--` before it still works and gives the same table
+    for where, args in (("plain", [values]), ("dashes", ["--", values])):
+        assert cli.main(["--out", str(tmp_path / where), "--no-timestamp", "sweep",
+                         parameter, *args]) == 0, capsys.readouterr().err
+    name = f"sweep_{parameter}.csv"
+    assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "dashes" / name).read_bytes()
+
+
+@pytest.mark.parametrize("parameter, values", [
     ("a", "0,0.5"), ("e", "0,1"), ("a", "nan"), ("alpha", "nan"), ("alpha", "abc"),
-    ("C1", "1e300,1e308"),
+    ("C1", "1e300,1e308"), ("alpha", "-inf"), ("e", "-NaN,1"),
 ])
 def test_sweep_rejects_values_no_row_can_use(tmp_path, capsys, parameter, values):
     # a = 0, e = 0, a C1 whose 4 C1 overflows eps_n^2 to inf, and non-finite or

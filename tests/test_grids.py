@@ -46,6 +46,31 @@ def test_stencils_on_a_stack_equal_the_row_by_row_calls(grid, stencil):
     assert np.array_equal(stencil(stack, grid), np.array([stencil(row, grid) for row in stack]))
 
 
+# the periodic stencils as they were written with np.roll, one shifted copy per term
+ROLL_STENCILS = {
+    diff1: lambda v, h: (np.roll(v, -1, axis=-1) - np.roll(v, 1, axis=-1)) / (2.0 * h),
+    diff2: lambda v, h: (np.roll(v, -1, axis=-1) - 2.0 * v + np.roll(v, 1, axis=-1)) / (h * h),
+    diff2_fourth_order: lambda v, h: (
+        -np.roll(v, -2, axis=-1) + 16.0 * np.roll(v, -1, axis=-1) - 30.0 * v
+        + 16.0 * np.roll(v, 1, axis=-1) - np.roll(v, 2, axis=-1)) / (12.0 * h * h),
+}
+
+
+@pytest.mark.parametrize("shape", [(64,), (5, 64)], ids=["1-D", "stack"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("stencil", list(ROLL_STENCILS), ids=lambda f: f.__name__)
+def test_periodic_stencils_have_the_bits_of_the_roll_formulas(stencil, dtype, shape):
+    grid = Grid(shape[-1])
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        v += 1j * rng.standard_normal(shape)
+    v[..., 3] = -0.0  # signed zeros keep their sign too
+    got, want = stencil(v, grid), ROLL_STENCILS[stencil](v, grid.h)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_band_limited_matches_the_per_mode_accumulation():
     grid, modes = Grid(128), [1, 3, 5, 6]
     rng = np.random.default_rng(8)

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 from scipy.special import mathieu_a, mathieu_b
 
 from torusdirac import analytic, checks, fields, geometry, numerics, pseudoherm
@@ -338,7 +338,8 @@ def test_vectors_are_unit_and_pass_the_residual_gate():
 def _passes_per_solve(monkeypatch):
     """(inertia counts, dgtsv solves) of each `eig_sym_tridiag` call, as they are made."""
     passes, now = [], {}
-    count, solve, eig = numerics.sturm_count, numerics.lapack.dgtsv, numerics.eig_sym_tridiag
+    # `_polish` imports scipy.linalg.lapack on entry, so patching the module patches its solves
+    count, solve, eig = numerics.sturm_count, lapack.dgtsv, numerics.eig_sym_tridiag
 
     def counted(*args, **kwargs):
         now["counts"] += 1
@@ -355,7 +356,7 @@ def _passes_per_solve(monkeypatch):
         return out
 
     monkeypatch.setattr(numerics, "sturm_count", counted)
-    monkeypatch.setattr(numerics.lapack, "dgtsv", solved)
+    monkeypatch.setattr(lapack, "dgtsv", solved)
     monkeypatch.setattr(numerics, "eig_sym_tridiag", tallied)
     return passes
 
