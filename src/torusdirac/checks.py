@@ -14,7 +14,7 @@ info    reported without a threshold; the suite asserts only that it is finite
 the checks marked `verify=False`:
 
 - the Christoffel oracle order and the truncated-domain spectrum match,
-  which would add about 2/3 to its cost;
+  which would add about a quarter to its cost;
 - the position-dependent intertwiner, the two readings of the case-2
   gauge prefactor and the printed 2F1 parameters, which have never been
   part of its report;

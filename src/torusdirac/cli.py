@@ -17,7 +17,6 @@ byte-identical CSV output, modulo an optional timestamp comment that
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import math
 import re
@@ -26,7 +25,7 @@ import time
 import warnings
 # only the benchmark tracer (tdbench/spans.py) reads this; ROADMAP item 1 removes it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,33 +45,42 @@ OUTPUTS = ("report", "csv", "coefficients", "box_selftest")
 # configuration
 # ---------------------------------------------------------------------------
 
-DEFAULT_CONFIG = {
-    "torus": {"a": 0.5, "c": 2.0},
-    "field": {"kind": "quadratic_au", "C2": 0.2, "C3": "auto", "a2": 0.2},
-    "fermi": {"kind": "constant", "v_f": 1.0},
-    "quantum": {"k": 1, "e": 1.0, "Delta": 0.0},
-    "grid": {"n": 1024, "boundary": "periodic"},
-    "analytic": {"alpha": 1.0, "C1": 0.0, "n_max": 3},
-    "case": "constant_vf",
-    "outputs": ["report", "csv"],
+_SPECTRUM, _PDFV = "spectrum constant_vf", "spectrum pdfv"
+# Every setting by dotted key: (default, kind, the runs that read it).  A kind is
+# "real", "integer", "complex" or the tuple of allowed values; no run reads a key
+# of kind None.  No output of a run depends on a key it does not read, so `main`
+# rejects a value other than the default there; a sweep does not read the key
+# that its parameter replaces.  Each `outputs` entry is a boolean of its own,
+# true when listed; `--grid-n` sets grid.n.
+SCHEMA = {
+    "torus.a": (0.5, "real", ("geometry", _SPECTRUM, "analytic", "sweep")),
+    "torus.c": (2.0, "real", ("geometry", _SPECTRUM)),
+    # the Mathieu form of the constant_vf spectrum needs the quadratic ring field
+    "field.kind": ("quadratic_au", ("quadratic_au", "hermitizing_quadratic"), (_SPECTRUM,)),
+    "field.C2": (0.2, "complex", (_SPECTRUM,)),
+    "field.C3": ("auto", None, ()),
+    "field.a2": (0.2, None, ()),
+    # the position-dependent case is solved for the cosine profile only
+    "fermi.kind": ("constant", ("constant", "cosine"), (_PDFV,)),
+    "fermi.v_f": (1.0, None, ()),
+    "quantum.k": (1, "integer", (_SPECTRUM,)),
+    "quantum.e": (1.0, "real", (_SPECTRUM, "sweep")),
+    "quantum.Delta": (0.0, None, ()),
+    "grid.n": (1024, "integer", (_SPECTRUM,)),
+    "grid.boundary": ("periodic", None, ()),
+    # the pdfv levels set their own ring field and grid (see checks.pdfv_levels); the
+    # Morse chain of `analytic` fixes c = 2, and the charge cancels in its coefficients
+    "analytic.alpha": (1.0, "real", (_PDFV, "analytic", "sweep")),
+    "analytic.C1": (0.0, "real", ("analytic", "sweep")),
+    "analytic.n_max": (3, "integer", (_PDFV, "analytic")),
+    "case": ("constant_vf", ("constant_vf", "pdfv"), (_SPECTRUM, _PDFV)),
+    "outputs.report": (True, (False, True), ("verify",)),
+    "outputs.csv": (True, (False, True), ("geometry", _SPECTRUM, _PDFV)),
+    "outputs.coefficients": (False, (False, True), (_SPECTRUM,)),
+    "outputs.box_selftest": (False, (False, True), (_SPECTRUM, _PDFV)),
+    "--negative-control": (False, (False, True), ("verify",)),
 }
-
-# The config keys and flags each run reads.  No output of a run depends on any
-# other key, so `main` rejects a value other than its default.  `--grid-n` sets grid.n.
-READS = {
-    "geometry": ("torus.a", "torus.c", "outputs.csv"),
-    "spectrum constant_vf": ("torus.a", "torus.c", "field.kind", "field.C2", "quantum.k",
-                             "quantum.e", "grid.n", "case", "outputs.csv",
-                             "outputs.coefficients", "outputs.box_selftest"),
-    # the levels set their own ring field and grid; see checks.pdfv_levels
-    "spectrum pdfv": ("case", "fermi.kind", "analytic.alpha", "analytic.n_max", "outputs.csv",
-                      "outputs.box_selftest"),
-    "verify": ("outputs.report", "--negative-control"),
-    # the Morse chain fixes c = 2, and the charge cancels in its coefficients
-    "analytic": ("torus.a", "analytic.alpha", "analytic.C1", "analytic.n_max"),
-    # less the swept key, whose value each row replaces
-    "sweep": tuple(SWEEPABLE.values()),
-}
+_SECTIONS = {key.partition(".")[0] for key in SCHEMA if "." in key}
 
 
 @dataclass
@@ -85,95 +93,71 @@ class ScenarioConfig:
     C1: float
     n_max: int
     outputs: list
-    raw: dict = dc_field(default_factory=dict)
+    settings: dict  # every file setting by dotted key, as read
 
 
-def _merge(base: dict, extra: dict, path="") -> dict:
-    out = dict(base)
-    for key, val in extra.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{where}: expected a mapping")
-            out[key] = _merge(base[key], val, where)
-        else:
-            out[key] = val
-    return out
-
-
-def _build_config(raw: dict) -> ScenarioConfig:
-    def real(section, key):
-        """raw[section][key] as a finite float; YAML strings and booleans are rejected."""
-        val = raw[section][key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise ConfigError(f"{section}.{key}: expected a finite number, got {val!r}")
-        return float(val)
-
-    def integer(section, key):
-        val = real(section, key)
-        if not val.is_integer():
-            raise ConfigError(f"{section}.{key}: expected an integer, got {raw[section][key]!r}")
-        return int(val)
-
-    def cplx(section, key):
-        val = raw[section][key]
+def _value(settings: dict, key: str):
+    """settings[key] as its SCHEMA kind; YAML strings and booleans are not numbers."""
+    val, kind = settings[key], SCHEMA[key][1]
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise ConfigError(f"{key}: expected {' or '.join(map(str, kind))}, got {val!r}")
+        return val
+    if kind == "complex":
         try:
             out = complex(val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             out = None
         if isinstance(val, bool) or out is None or not np.isfinite(out):
-            raise ConfigError(f"{section}.{key}: expected a finite complex number, got {val!r}")
+            raise ConfigError(f"{key}: expected a finite complex number, got {val!r}")
         return out
-
     try:
-        torus = geometry.TorusParams(a=real("torus", "a"), c=real("torus", "c"))
+        num = float(val) if isinstance(val, (int, float)) and not isinstance(val, bool) else None
+    except OverflowError:  # an integer beyond the largest double
+        num = None
+    if num is None or not math.isfinite(num):
+        raise ConfigError(f"{key}: expected a finite number, got {val!r}")
+    if kind == "integer":
+        if not num.is_integer():
+            raise ConfigError(f"{key}: expected an integer, got {val!r}")
+        return int(num)
+    return num
+
+
+def _build_config(settings: dict) -> ScenarioConfig:
+    try:
+        torus = geometry.TorusParams(a=_value(settings, "torus.a"),
+                                     c=_value(settings, "torus.c"))
     except ValueError as exc:
         raise ConfigError(f"torus: {exc}") from exc
 
-    k, e = integer("quantum", "k"), real("quantum", "e")
-
-    # the Mathieu form of the constant_vf spectrum needs the quadratic ring field
-    kind = raw["field"]["kind"]
-    if kind not in ("quadratic_au", "hermitizing_quadratic"):
-        raise ConfigError(f"field.kind: expected quadratic_au or hermitizing_quadratic, "
-                          f"got {kind!r}")
-    build = (fields.quadratic_ring_field if kind == "quadratic_au"
+    k, e = _value(settings, "quantum.k"), _value(settings, "quantum.e")
+    build = (fields.quadratic_ring_field if _value(settings, "field.kind") == "quadratic_au"
              else fields.hermitizing_quadratic_field)
     try:
-        gauge = build(cplx("field", "C2"), e=e, k=k)
+        gauge = build(_value(settings, "field.C2"), e=e, k=k)
     except TorusDiracError as exc:
         raise ConfigError(f"field: {exc}") from exc
 
-    case = raw["case"]
-    if case not in ("constant_vf", "pdfv"):
-        raise ConfigError(f"case: expected constant_vf or pdfv, got {case!r}")
-    if case == "pdfv" and raw["fermi"]["kind"] != "cosine":
-        # the position-dependent case is solved for the cosine profile only
+    case = _value(settings, "case")
+    if case == "pdfv" and settings["fermi.kind"] != "cosine":
         raise ConfigError(f"case: pdfv requires fermi.kind: cosine, "
-                          f"got {raw['fermi']['kind']!r}")
+                          f"got {settings['fermi.kind']!r}")
 
     try:
-        grid = Grid(integer("grid", "n"))
+        grid = Grid(_value(settings, "grid.n"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    outputs = raw["outputs"]
-    if not isinstance(outputs, list) or not outputs:
-        raise ConfigError("outputs: expected a non-empty list")
-    unknown = [o for o in outputs if o not in OUTPUTS]
-    if unknown:
-        raise ConfigError(f"outputs: unknown entries {unknown}; choose from {OUTPUTS}")
-
-    n_max = integer("analytic", "n_max")
+    n_max = _value(settings, "analytic.n_max")
     if n_max < 0:
         raise ConfigError(f"analytic.n_max: expected a nonnegative integer, got {n_max}")
     return ScenarioConfig(
         torus=torus, gauge=gauge, grid=grid,
-        case=case, alpha=_level_alpha(real("analytic", "alpha")),
-        C1=_level_c1(real("analytic", "C1"), "analytic.C1"),
-        n_max=n_max, outputs=list(outputs), raw=raw,
+        case=case, alpha=_level_alpha(_value(settings, "analytic.alpha")),
+        C1=_level_c1(_value(settings, "analytic.C1"), "analytic.C1"), n_max=n_max,
+        outputs=[entry for entry in OUTPUTS if settings[f"outputs.{entry}"]],
+        settings=settings,
     )
 
 
@@ -187,53 +171,60 @@ _ConfigLoader.add_implicit_resolver(
     list("-+0123456789."))
 
 
+def _settings(doc: dict) -> dict:
+    """The scenario document's values over SCHEMA's defaults, by dotted key."""
+    settings = {key: row[0] for key, row in SCHEMA.items() if not key.startswith("--")}
+    for name, val in doc.items():
+        if name == "outputs":
+            if not isinstance(val, list) or not val:
+                raise ConfigError("outputs: expected a non-empty list")
+            unknown = [o for o in val if o not in OUTPUTS]
+            if unknown:
+                raise ConfigError(f"outputs: unknown entries {unknown}; choose from {OUTPUTS}")
+            settings.update({f"outputs.{entry}": entry in val for entry in OUTPUTS})
+        elif name in _SECTIONS:
+            if not isinstance(val, dict):
+                raise ConfigError(f"{name}: expected a mapping")
+            for leaf, leaf_val in val.items():
+                if f"{name}.{leaf}" not in settings:
+                    raise ConfigError(f"unknown config key: {name}.{leaf}")
+                settings[f"{name}.{leaf}"] = leaf_val
+        elif name == "case":
+            settings[name] = val
+        else:
+            raise ConfigError(f"unknown config key: {name}")
+    return settings
+
+
 def load_config(path=None, grid_n=None) -> ScenarioConfig:
-    raw = DEFAULT_CONFIG
+    doc = {}
     if path is not None:
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            user = yaml.load(text, Loader=_ConfigLoader) or {}
+            doc = yaml.load(text, Loader=_ConfigLoader) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-        if not isinstance(user, dict):
+        if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        raw = _merge(DEFAULT_CONFIG, user)
-    # a private copy: the defaults' nested sections must never be shared
-    raw = copy.deepcopy(raw)
+    settings = _settings(doc)
     if grid_n is not None:
-        raw["grid"]["n"] = grid_n
-    return _build_config(raw)
-
-
-def _leaves(default: dict, raw: dict, prefix=""):
-    """(dotted key, default, value) for every leaf of the config tree.
-
-    Each `outputs` entry is a leaf of its own: `outputs.<entry>`, true when listed.
-    """
-    for key, dflt in default.items():
-        if isinstance(dflt, dict):
-            yield from _leaves(dflt, raw[key], f"{prefix}{key}.")
-        elif key == "outputs":
-            for entry in OUTPUTS:
-                yield f"outputs.{entry}", entry in dflt, entry in raw[key]
-        else:
-            yield prefix + key, dflt, raw[key]
+        settings["grid.n"] = grid_n
+    return _build_config(settings)
 
 
 def _check_reads(cfg: ScenarioConfig, command: str, negative_control: bool,
                  swept=None) -> None:
-    """ConfigError for a setting off its default that the run does not read (`READS`)."""
+    """ConfigError for a setting off its default that the run does not read (`SCHEMA`)."""
     run = f"{command} {cfg.case}" if command == "spectrum" else command
-    reads = set(READS[run]) - {SWEEPABLE.get(swept)}
-    settings = [*_leaves(DEFAULT_CONFIG, cfg.raw),
-                ("--negative-control", False, negative_control)]
-    for key, default, value in settings:
+    settings = {**cfg.settings, "--negative-control": negative_control}
+    for key, (default, _, readers) in SCHEMA.items():
+        value = settings[key]
         # YAML's `true` equals 1 in Python
         same = isinstance(value, bool) == isinstance(default, bool) and value == default
-        if key not in reads and not same:
+        if (run not in readers or key == SWEEPABLE.get(swept)) and not same:
             raise ConfigError(f"{run} does not read {key}; leave it at {default!r}")
 
 
@@ -270,6 +261,8 @@ def write_csv(path: Path, header, rows, timestamp: bool) -> None:
 def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     rep = RunReport("geometry identities")
     p = cfg.torus
+    if p.a * p.a == math.inf:  # Python's `a ** 2` in the metric raises OverflowError instead
+        raise ConfigError(f"torus.a={p.a!r}: a^2 in the metric overflows")
     xs = np.linspace(0.0, 2.0 * np.pi, 181)
 
     ch = geometry.christoffel_at(p, xs)
@@ -303,7 +296,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     if cfg.case == "constant_vf":
         # symmetrized branch: real trigonometric-polynomial potential
         grid = cfg.grid
-        pot = pseudoherm.mathieu_form(p, cfg.gauge.e, cfg.gauge.C2).potential(grid.points)
+        pot = _mathieu_potential(cfg, grid)
         try:
             m = numerics.discretize_schrodinger(pot, grid)
         except ComplexPotential as exc:
@@ -336,6 +329,29 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                       ["n", "lambda_fd", "epsilon_sq_analytic", "rel_deviation"],
                       rows, timestamp)
     return rep
+
+
+def _mathieu_potential(cfg: ScenarioConfig, grid: Grid) -> np.ndarray:
+    """The constant_vf potential's samples on `grid`; ConfigError where they overflow.
+
+    The Mathieu form's a^6, c^2 and e^2 raise OverflowError past the largest
+    double, and its products overflow to inf.  The periodic eigensolve takes
+    the DFT of the samples, whose coefficients reach the sum of their
+    magnitudes, so that sum must be finite too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            mf = pseudoherm.mathieu_form(cfg.torus, cfg.gauge.e, cfg.gauge.C2)
+            pot = mf.potential(grid.points)
+            if np.isfinite(np.sum(np.abs(pot))):
+                return pot
+        except OverflowError:
+            pass
+    changed = ", ".join(f"{key}={cfg.settings[key]!r}"
+                        for key in ("torus.a", "torus.c", "quantum.e", "field.C2")
+                        if cfg.settings[key] != SCHEMA[key][0])
+    raise ConfigError(f"{changed}: the constant_vf potential a^4 (a^2 + c^2) C2^2 e^2 + ... "
+                      f"overflows, or the sum of its {grid.n} samples' magnitudes does")
 
 
 def _check_pdfv_levels(cfg: ScenarioConfig, grid: Grid) -> None:
@@ -386,6 +402,21 @@ def _level_alpha(alpha: float) -> float:
     return alpha
 
 
+def _constraint_constants(a: float, e: float, a_key: str, e_key: str | None = None):
+    """`pseudoherm.factorization_constants(a, e)`; ConfigError where Python cannot form them.
+
+    C2 = sqrt(a-1)/(a^4 e): `a ** 4` raises OverflowError past a of about
+    1.16e77, and an a^4 e that rounds to 0 raises ZeroDivisionError.  The
+    error names a and e by the settings `a_key` and `e_key` that gave them.
+    """
+    try:
+        return pseudoherm.factorization_constants(a, e)
+    except (OverflowError, ZeroDivisionError) as exc:
+        keys = f"{a_key}={a!r}" + (f", {e_key}={e!r}" if e_key else "")
+        what = ("a^4 overflows" if isinstance(exc, OverflowError) else "a^4 e rounds to 0")
+        raise ConfigError(f"{keys}: {what} in the C2 constraint sqrt(a-1)/(a^4 e)") from exc
+
+
 def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
     """Row inputs a, e, alpha, C1 with `name` set to `value`; ConfigError if no row can use it."""
     if not math.isfinite(value):
@@ -414,8 +445,10 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
     levels = [col for n in range(4) for col in analytic.case2_levels(n, alpha, c1)[::2]]
     # the constraint constants depend on (a, e) alone: one scalar call per distinct pair
     constants = {}
+    keys = ("sweep a" if parameter == "a" else "torus.a",
+            "sweep e" if parameter == "e" else "quantum.e")
     for a, e in dict.fromkeys((p["a"], p["e"]) for p in points):
-        c2, c = pseudoherm.factorization_constants(a, e)
+        c2, c = _constraint_constants(a, e, *keys)
         constants[a, e] = (c2.real, c2.imag, c.real if a < 1 else float("nan"))
     rows = [(value, *cells, *constants[p["a"], p["e"]])
             for value, p, *cells in zip(values, points, *(col.tolist() for col in levels))]
@@ -433,6 +466,8 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     alpha, c1, a = cfg.alpha, cfg.C1, cfg.torus.a
     if a >= 1:
         raise ConfigError(f"analytic: the Morse chain needs torus.a < 1, got {a!r}")
+    # the Morse chain's factorization-branch C2 at c = 2, formed before any table is written
+    c2_rot, _ = _constraint_constants(a, 1.0, "torus.a")
 
     rows = []
     sols = []
@@ -444,7 +479,8 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
               rows, timestamp)
     fit = analytic.fit_energy_display(sols)
     rep.add_info("display-form fit rms", fit["rms"],
-                 note=f"mu={fit['mu']:.4f} nu={fit['nu']:.4f} (post-hoc fit)")
+                 note=f"mu={fit['mu']:.4f} nu={fit['nu']:.4f} (post-hoc fit)" if len(sols) > 1
+                 else "one level does not determine mu and nu")
 
     margin = 0.05
     xg = np.linspace(-np.pi / 2 + margin, np.pi / 2 - margin, 801)
@@ -461,7 +497,6 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
 
     # Morse-chain spectrum with the factorization-branch C2 at c = 2; this is
     # not the constrained-radius point that `verify` certifies (checks._morse_params)
-    c2_rot, _ = pseudoherm.factorization_constants(a)
     mf = pseudoherm.mathieu_form(geometry.TorusParams(a=a, c=2.0), 1.0, c2_rot)
     mf0 = pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
     rows1 = []

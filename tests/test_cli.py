@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,6 +21,23 @@ BASE = [sys.executable, "-m", "torusdirac.cli"]
 
 def run_cli(*args, cwd=None):
     return subprocess.run(BASE + list(args), capture_output=True, text=True, cwd=cwd)
+
+
+def _default_document():
+    """The scenario document that spells out every default of `cli.SCHEMA`."""
+    doc = {}
+    for key, (default, _, _) in cli.SCHEMA.items():
+        section, _, leaf = key.rpartition(".")
+        if section == "outputs":
+            doc.setdefault("outputs", []).extend([leaf] if default else [])
+        elif section:
+            doc.setdefault(section, {})[leaf] = default
+        elif not key.startswith("--"):
+            doc[key] = default
+    return doc
+
+
+DEFAULTS = _default_document()
 
 
 def test_geometry_default_passes(tmp_path, capsys):
@@ -44,6 +62,20 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, path", [
+    ('"--negative-control": true\n', "--negative-control"),
+    ('"torus.a": 0.7\n', "torus.a"),
+    ('"outputs.csv": true\n', "outputs.csv"),
+])
+def test_config_reads_settings_only_at_their_yaml_paths(tmp_path, text, path):
+    # the flag and the dotted keys of cli.SCHEMA are not YAML keys themselves
+    cfg = tmp_path / "flat.yaml"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        cli.load_config(cfg)
+    assert str(exc.value) == f"unknown config key: {path}"
+
+
 def test_config_rejects_empty_outputs(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("outputs: []\n")
@@ -55,6 +87,16 @@ def test_analytic_reports_the_display_fit(tmp_path, capsys):
     assert cli.main(["--out", str(tmp_path), "--no-timestamp", "analytic"]) == 0
     line = next(s for s in capsys.readouterr().out.splitlines() if "display-form fit" in s)
     assert "value=7.592187e-01" in line and "[mu=0.8274 nu=12.3654 (post-hoc fit)]" in line
+
+
+def test_analytic_with_one_level_reports_no_display_fit(tmp_path, capsys):
+    # a single level fits every mu exactly, so a printed mu and nu would mean nothing
+    cfg = tmp_path / "one.yaml"
+    cfg.write_text("analytic: {n_max: 0}\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "--no-timestamp",
+                     "analytic"]) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "display-form fit" in s)
+    assert "mu=" not in line and "one level does not determine mu and nu" in line
 
 
 def _scipy_modules(code, cwd, *args):
@@ -69,7 +111,7 @@ def _scipy_modules(code, cwd, *args):
 def test_import_and_config_load_no_scipy(tmp_path):
     # scipy.linalg is most of a cold start's import time; only a solve may load it
     scenario = tmp_path / "scenario.yaml"
-    scenario.write_text(yaml.safe_dump(cli.DEFAULT_CONFIG, sort_keys=True))
+    scenario.write_text(yaml.safe_dump(DEFAULTS, sort_keys=True))
     code = ("import sys, torusdirac\n"
             "from torusdirac import cli\n"
             "cli.load_config(sys.argv[1])\n"
@@ -89,17 +131,17 @@ def test_runs_that_solve_nothing_leave_scipy_linalg_unloaded(tmp_path):
     assert _scipy_modules(code, tmp_path) == [[], [], [], ["scipy.linalg"]]
 
 
-def test_spectrum_writes_table_and_complex_hint(tmp_path):
-    r = run_cli("--out", str(tmp_path), "--no-timestamp", "spectrum")
-    assert r.returncode == 0, r.stderr
+def test_spectrum_writes_table_and_complex_hint(tmp_path, capsys):
+    code = cli.main(["--out", str(tmp_path), "--no-timestamp", "spectrum"])
+    err = capsys.readouterr().err
+    assert code == 0, err
     table = (tmp_path / "spectrum_constant_vf.csv").read_text().splitlines()
     assert table[0] == "n,lambda,residual"
     assert len(table) == 7
     cfg = tmp_path / "complex.yaml"
     cfg.write_text('field:\n  C2: "0.2j"\n')
-    r2 = run_cli("--config", str(cfg), "--out", str(tmp_path), "spectrum")
-    assert r2.returncode == 1
-    assert "verify" in r2.stderr
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == 1
+    assert "verify" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs for 2 BLAS threads")
@@ -115,25 +157,26 @@ def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
     assert tables[0] == tables[1]
 
 
-def test_verify_passes_and_negative_control_fails(tmp_path):
-    r = run_cli("--out", str(tmp_path), "--no-timestamp", "verify")
-    assert r.returncode == 0, r.stdout + r.stderr
-    assert "overall: PASS" in r.stdout
+def test_verify_passes_and_negative_control_fails(tmp_path, capsys):
+    code = cli.main(["--out", str(tmp_path), "--no-timestamp", "verify"])
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
+    assert "overall: PASS" in out
     report = (tmp_path / "verify_report.txt").read_text()
     assert "known discrepancy" in report
-    rn = run_cli("--out", str(tmp_path), "--no-timestamp", "--negative-control", "verify")
-    assert rn.returncode == 1
-    assert "FAIL" in rn.stdout
+    code = cli.main(["--out", str(tmp_path), "--no-timestamp", "--negative-control", "verify"])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
-def test_csv_determinism(tmp_path):
+def test_csv_determinism(tmp_path, capsys):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     cfg = tmp_path / "pdfv.yaml"
     cfg.write_text("case: pdfv\nfermi: {kind: cosine}\n")
     for d in (d1, d2):
         d.mkdir()
-        r = run_cli("--out", str(d), "--no-timestamp", "analytic")
-        assert r.returncode == 0, r.stderr
+        code = cli.main(["--out", str(d), "--no-timestamp", "analytic"])
+        assert code == 0, capsys.readouterr().err
         # the pdfv levels come from Rayleigh-quotient iteration on a seeded start vector
         assert cli.main(["--config", str(cfg), "--out", str(d), "--no-timestamp",
                          "spectrum"]) == 0
@@ -195,12 +238,12 @@ def test_sweep_single_point_consistent_with_analytic(tmp_path):
     assert float(row[3]) == pytest.approx(1.5, abs=1e-10)
 
 
-def test_spectrum_coefficient_export(tmp_path):
+def test_spectrum_coefficient_export(tmp_path, capsys):
     cfg = tmp_path / "coef.yaml"
     cfg.write_text("outputs: [report, csv, coefficients]\n")
-    r = run_cli("--config", str(cfg), "--out", str(tmp_path), "--no-timestamp",
-                "spectrum")
-    assert r.returncode == 0, r.stderr
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path), "--no-timestamp",
+                     "spectrum"])
+    assert code == 0, capsys.readouterr().err
     lines = (tmp_path / "sl_coefficients_plus.csv").read_text().splitlines()
     assert lines[0] == "x,re_sigma,im_sigma,re_rho,im_rho"
     assert len(lines) == 1025
@@ -209,8 +252,8 @@ def test_spectrum_coefficient_export(tmp_path):
 def test_timestamp_toggle(tmp_path):
     d1, d2 = tmp_path / "ts", tmp_path / "nots"
     d1.mkdir(), d2.mkdir()
-    assert run_cli("--out", str(d1), "geometry").returncode == 0
-    assert run_cli("--out", str(d2), "--no-timestamp", "geometry").returncode == 0
+    assert cli.main(["--out", str(d1), "geometry"]) == 0
+    assert cli.main(["--out", str(d2), "--no-timestamp", "geometry"]) == 0
     assert (d1 / "geometry.csv").read_text().startswith("# written ")
     assert (d2 / "geometry.csv").read_text().startswith("x,")
 
@@ -225,22 +268,26 @@ def test_verify_leaves_warning_filters_alone(tmp_path):
                for w in caught)
 
 
-def test_load_config_does_not_share_default_state(tmp_path, monkeypatch):
-    pristine = copy.deepcopy(cli.DEFAULT_CONFIG)
-    monkeypatch.setattr(cli, "DEFAULT_CONFIG", copy.deepcopy(pristine))
+def test_load_config_does_not_share_default_state(tmp_path):
+    pristine = copy.deepcopy(cli.SCHEMA)
+    defaults = {key: default for key, (default, _, _) in pristine.items()
+                if not key.startswith("--")}
     cfg = cli.load_config(None)
-    cfg.raw["torus"]["a"] = 0.9
-    cfg.raw["analytic"]["alpha"] = 7.0
+    cfg.settings["torus.a"] = 0.9
+    cfg.settings["analytic.alpha"] = 7.0
+    cfg.outputs.append("coefficients")
     user = tmp_path / "user.yaml"
     user.write_text("torus:\n  c: 3.0\n")
     cfg_yaml = cli.load_config(user)
-    # sections the YAML did not touch must not alias the defaults either
-    cfg_yaml.raw["analytic"]["C1"] = 5.0
-    cfg_yaml.raw["grid"]["n"] = 16
+    # settings the YAML did not touch must not alias the defaults either
+    cfg_yaml.settings["analytic.C1"] = 5.0
+    cfg_yaml.settings["grid.n"] = 16
+    cfg_yaml.outputs.append("box_selftest")
     fresh = cli.load_config(None)
-    assert fresh.raw == pristine
-    assert cli.DEFAULT_CONFIG == pristine
+    assert fresh.settings == defaults
+    assert cli.SCHEMA == pristine
     assert fresh.torus.a == 0.5 and fresh.alpha == 1.0 and fresh.C1 == 0.0
+    assert fresh.outputs == ["report", "csv"]
 
 
 @pytest.mark.parametrize("text, command", [
@@ -368,10 +415,12 @@ def test_sweep_reads_a_value_list_that_starts_with_a_minus_sign(tmp_path, capsys
 @pytest.mark.parametrize("parameter, values", [
     ("a", "0,0.5"), ("e", "0,1"), ("a", "nan"), ("alpha", "nan"), ("alpha", "abc"),
     ("C1", "1e300,1e308"), ("alpha", "-inf"), ("e", "-NaN,1"),
+    ("a", "0.5,1e200"), ("a", "1e-100"), ("e", "5e-324"),
 ])
 def test_sweep_rejects_values_no_row_can_use(tmp_path, capsys, parameter, values):
-    # a = 0, e = 0, a C1 whose 4 C1 overflows eps_n^2 to inf, and non-finite or
-    # unreadable values cannot build a row; no row may be written either
+    # a = 0, e = 0, a C1 whose 4 C1 overflows eps_n^2 to inf, an a whose a^4 overflows,
+    # an a^4 e that rounds to 0 in the C2 constraint sqrt(a-1)/(a^4 e), and non-finite
+    # or unreadable values cannot build a row; no row may be written either
     assert cli.main(["--out", str(tmp_path), "sweep", parameter, values]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / f"sweep_{parameter}.csv").exists()
@@ -405,6 +454,39 @@ def test_pdfv_spectrum_rejects_levels_it_cannot_solve(tmp_path, capsys, text, ke
     assert not (tmp_path / "spectrum_pdfv.csv").exists()
 
 
+# Inputs whose arithmetic overflows (or underflows to a zero divisor) in the run, with
+# the key that the config error must name
+OVERFLOWS = [
+    # a^2 in the metric
+    ("torus: {a: 1.0e+300}\n", "geometry", "torus.a"),
+    # a^6, c^2 and e^2 in the Mathieu form; C2^2 in its coefficients
+    ("torus: {a: 1.0e+300}\n", "spectrum", "torus.a"),
+    ("torus: {c: 1.0e+300}\n", "spectrum", "torus.c"),
+    ("quantum: {e: 1.0e+300}\n", "spectrum", "quantum.e"),
+    ("field: {C2: 1.0e+200}\n", "spectrum", "field.C2"),
+    # finite samples whose sum, which the periodic eigensolve's DFT reaches, overflows
+    ("field: {C2: 1.0e+153}\n", "spectrum", "field.C2"),
+    # a^4 in the C2 constraint sqrt(a-1)/(a^4 e), and a^4 rounding to 0
+    ("torus: {a: 1.0e+300}\n", "sweep alpha 1.0", "torus.a"),
+    ("torus: {a: 1.0e-100}\n", "sweep alpha 1.0", "torus.a"),
+    ("torus: {a: 1.0e-100}\n", "analytic", "torus.a"),
+    # an integer beyond the largest double
+    (f"quantum: {{k: {10 ** 400}}}\n", "spectrum", "quantum.k"),
+]
+OVERFLOW_IDS = ["a-geometry", "a-spectrum", "c-spectrum", "e-spectrum", "C2-spectrum",
+                "C2-dft-spectrum", "a-sweep", "a-underflow-sweep", "a-underflow-analytic",
+                "k-beyond-double"]
+
+
+@pytest.mark.parametrize("text, command, key", OVERFLOWS, ids=OVERFLOW_IDS)
+def test_config_error_names_the_key_that_overflows(tmp_path, capsys, text, command, key):
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), *command.split()]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("text, command", [
     ("quantum: {e: abc}\n", "analytic"),
     ("analytic: {alpha: abc}\n", "analytic"),
@@ -427,9 +509,11 @@ def test_pdfv_spectrum_rejects_levels_it_cannot_solve(tmp_path, capsys, text, ke
     # 4 C1 overflows: eps_n^2 was written as inf, then 2F1 raised ValueError on NaN
     ("analytic: {C1: 1.0e+308}\n", "analytic"),
     ("analytic: {C1: 1.0e+308}\n", "sweep alpha 1.0"),
+    *[(text, command) for text, command, _ in OVERFLOWS],
 ], ids=["e-abc", "alpha-abc", "n-abc", "C2-abc", "v_f-negative", "k-1.5", "n_max-2.7",
         "n_max-negative", "a-nan", "a-inf", "e-inf", "a-1.5-analytic", "e-quoted",
-        "C1-quoted", "C1-overflow-analytic", "C1-overflow-sweep"])
+        "C1-quoted", "C1-overflow-analytic", "C1-overflow-sweep",
+        *(f"{name}-overflow" for name in OVERFLOW_IDS)])
 def test_config_rejects_values_of_the_wrong_kind(tmp_path, capsys, text, command):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
@@ -466,6 +550,21 @@ def test_config_loader_keeps_integers_and_strings():
     for text, want in docs.items():
         got = yaml.load(f"v: {text}", Loader=cli._ConfigLoader)["v"]
         assert got == want and type(got) is type(want), text
+
+
+def test_readme_config_docs_match_the_schema():
+    # README's scenario block and run table, against the defaults and readers of SCHEMA
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Scenario file\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.load(block, Loader=cli._ConfigLoader) == DEFAULTS
+    table = {run: set(re.findall(r"`([^`]+)`", cells))
+             for run, cells in re.findall(r"^\| `([^`]+)` \| (.+) \|$", section, re.M)}
+    reads = {}
+    for key, (_, _, readers) in cli.SCHEMA.items():
+        for run in readers:
+            reads.setdefault(run, set()).add(key)
+    assert table == reads
 
 
 def test_config_rejects_malformed_yaml(tmp_path, capsys):
@@ -527,7 +626,7 @@ def _run_with(tmp_path, capsys, run, key=None):
     elif key is not None:
         settings[key] = CHANGED[key]
     scenario, flags = {}, []
-    outputs = {entry: entry in cli.DEFAULT_CONFIG["outputs"] for entry in cli.OUTPUTS}
+    outputs = {entry: entry in DEFAULTS["outputs"] for entry in cli.OUTPUTS}
     for name, value in settings.items():
         if name.startswith("--"):
             flags += [name] + ([] if value is True else [str(value)])
@@ -569,7 +668,7 @@ def test_each_run_reads_its_keys_and_rejects_the_rest(tmp_path, capsys, run):
             assert not [name for name in files if name.endswith(".csv")]
 
 
-LEAVES = [(section, key) for section, body in cli.DEFAULT_CONFIG.items()
+LEAVES = [(section, key) for section, body in DEFAULTS.items()
           for key in (body if isinstance(body, dict) else [None])]
 NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6)
 
@@ -579,7 +678,7 @@ NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6)
 def test_config_spelling_out_defaults_changes_nothing(tmp_path_factory, chosen):
     scenario = {}
     for section, key in chosen:
-        default = cli.DEFAULT_CONFIG[section]
+        default = DEFAULTS[section]
         if key is None:
             scenario[section] = default
         else:
@@ -590,11 +689,11 @@ def test_config_spelling_out_defaults_changes_nothing(tmp_path_factory, chosen):
 
 
 @settings(max_examples=60, deadline=None)
-@given(section=st.sampled_from([None] + [s for s, b in cli.DEFAULT_CONFIG.items()
+@given(section=st.sampled_from([None] + [s for s, b in DEFAULTS.items()
                                          if isinstance(b, dict)]),
        name=NAMES, below=st.lists(NAMES, max_size=2))
 def test_config_names_an_unknown_key_by_its_path(tmp_path_factory, section, name, below):
-    known = cli.DEFAULT_CONFIG if section is None else cli.DEFAULT_CONFIG[section]
+    known = DEFAULTS if section is None else DEFAULTS[section]
     if name in known:
         name += "_x"
     value = 1
