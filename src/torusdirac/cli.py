@@ -129,7 +129,8 @@ def _build_config(settings: dict) -> ScenarioConfig:
         torus = geometry.TorusParams(a=_value(settings, "torus.a"),
                                      c=_value(settings, "torus.c"))
     except ValueError as exc:
-        raise ConfigError(f"torus: {exc}") from exc
+        raise ConfigError(f"torus.a={settings['torus.a']!r}, torus.c={settings['torus.c']!r}: "
+                          f"{exc}") from exc
 
     k, e = _value(settings, "quantum.k"), _value(settings, "quantum.e")
     build = (fields.quadratic_ring_field if _value(settings, "field.kind") == "quadratic_au"
@@ -147,7 +148,7 @@ def _build_config(settings: dict) -> ScenarioConfig:
     try:
         grid = Grid(_value(settings, "grid.n"))
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        raise ConfigError(f"grid.n: {exc}") from exc
 
     n_max = _value(settings, "analytic.n_max")
     if n_max < 0:
@@ -216,16 +217,25 @@ def load_config(path=None, grid_n=None) -> ScenarioConfig:
 
 
 def _check_reads(cfg: ScenarioConfig, command: str, negative_control: bool,
-                 swept=None) -> None:
-    """ConfigError for a setting off its default that the run does not read (`SCHEMA`)."""
+                 swept=None) -> list[str]:
+    """ConfigError for a setting off its default that the run does not read (`SCHEMA`).
+
+    Returns "key=value" for each number setting off its default that the run
+    reads: the inputs that `main` names when the run's arithmetic fails.
+    """
     run = f"{command} {cfg.case}" if command == "spectrum" else command
     settings = {**cfg.settings, "--negative-control": negative_control}
-    for key, (default, _, readers) in SCHEMA.items():
+    numbers = []
+    for key, (default, kind, readers) in SCHEMA.items():
         value = settings[key]
         # YAML's `true` equals 1 in Python
-        same = isinstance(value, bool) == isinstance(default, bool) and value == default
-        if (run not in readers or key == SWEEPABLE.get(swept)) and not same:
+        if isinstance(value, bool) == isinstance(default, bool) and value == default:
+            continue
+        if run not in readers or key == SWEEPABLE.get(swept):
             raise ConfigError(f"{run} does not read {key}; leave it at {default!r}")
+        if kind in ("real", "integer", "complex"):
+            numbers.append(f"{key}={value!r}")
+    return numbers
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +271,6 @@ def write_csv(path: Path, header, rows, timestamp: bool) -> None:
 def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     rep = RunReport("geometry identities")
     p = cfg.torus
-    if p.a * p.a == math.inf:  # Python's `a ** 2` in the metric raises OverflowError instead
-        raise ConfigError(f"torus.a={p.a!r}: a^2 in the metric overflows")
     xs = np.linspace(0.0, 2.0 * np.pi, 181)
 
     ch = geometry.christoffel_at(p, xs)
@@ -296,7 +304,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     if cfg.case == "constant_vf":
         # symmetrized branch: real trigonometric-polynomial potential
         grid = cfg.grid
-        pot = _mathieu_potential(cfg, grid)
+        pot = pseudoherm.mathieu_form(p, cfg.gauge.e, cfg.gauge.C2).potential(grid.points)
         try:
             m = numerics.discretize_schrodinger(pot, grid)
         except ComplexPotential as exc:
@@ -307,7 +315,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
         rows = [(i, res.eigenvalues[i], res.residuals[i]) for i in range(len(res.eigenvalues))]
         worst = float(np.max(res.residuals))
         # past n of about 26000 the rounding of T v alone exceeds 1e-8
-        tol = max(1e-8, 4.0 * np.finfo(float).eps * m.norm_inf())
+        tol = max(numerics.RESIDUAL_TOL, 4.0 * np.finfo(float).eps * m.norm_inf())
         rep.add("eigenpair residual max", worst, tol, worst < tol)
         rep.add_info("periodic eigensolve Fourier modes", res.modes, note=f"of {grid.n}")
         checks.HILL_ORDER.record(rep)
@@ -320,7 +328,9 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
             write_csv(out / "sl_coefficients_plus.csv", header, crows, timestamp)
     else:
         g = Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet")
-        _check_pdfv_levels(cfg, g)
+        if cfg.n_max >= g.n:  # the grid's rows hold g.n levels
+            raise ConfigError(f"analytic.n_max={cfg.n_max}: the pdfv levels are solved on "
+                              f"{g.n} grid rows, so n_max must be below {g.n}")
         rows = checks.pdfv_levels(cfg.alpha, cfg.n_max, g)
         rep.add_info("pdfv analytic-vs-fd max rel deviation", max(row[3] for row in rows),
                      note="wall-singular oracle; see verify for the convergent one")
@@ -329,48 +339,6 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                       ["n", "lambda_fd", "epsilon_sq_analytic", "rel_deviation"],
                       rows, timestamp)
     return rep
-
-
-def _mathieu_potential(cfg: ScenarioConfig, grid: Grid) -> np.ndarray:
-    """The constant_vf potential's samples on `grid`; ConfigError where they overflow.
-
-    The Mathieu form's a^6, c^2 and e^2 raise OverflowError past the largest
-    double, and its products overflow to inf.  The periodic eigensolve takes
-    the DFT of the samples, whose coefficients reach the sum of their
-    magnitudes, so that sum must be finite too.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            mf = pseudoherm.mathieu_form(cfg.torus, cfg.gauge.e, cfg.gauge.C2)
-            pot = mf.potential(grid.points)
-            if np.isfinite(np.sum(np.abs(pot))):
-                return pot
-        except OverflowError:
-            pass
-    changed = ", ".join(f"{key}={cfg.settings[key]!r}"
-                        for key in ("torus.a", "torus.c", "quantum.e", "field.C2")
-                        if cfg.settings[key] != SCHEMA[key][0])
-    raise ConfigError(f"{changed}: the constant_vf potential a^4 (a^2 + c^2) C2^2 e^2 + ... "
-                      f"overflows, or the sum of its {grid.n} samples' magnitudes does")
-
-
-def _check_pdfv_levels(cfg: ScenarioConfig, grid: Grid) -> None:
-    """ConfigError where `checks.pdfv_levels` cannot solve the levels 0..n_max on `grid`.
-
-    The grid's rows hold grid.n levels.  Level n's effective potential holds
-    the square of the ring field's a e A_u + k = alpha (n + 1/2) R, and the
-    radius R reaches c + a on the default torus; where that square overflows,
-    the potential's samples are inf.
-    """
-    if cfg.n_max >= grid.n:
-        raise ConfigError(f"analytic.n_max={cfg.n_max}: the pdfv levels are solved on "
-                          f"{grid.n} grid rows, so n_max must be below {grid.n}")
-    torus = checks.DEFAULT_TORUS
-    peak = abs(cfg.alpha) * (cfg.n_max + 0.5) * (torus.c + torus.a)
-    if peak * peak == math.inf:
-        raise ConfigError(f"analytic.alpha={cfg.alpha!r}: level {cfg.n_max}'s effective "
-                          f"potential squares alpha (n + 1/2) (c + a) = {peak:.3g}, "
-                          f"which overflows")
 
 
 def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
@@ -402,29 +370,12 @@ def _level_alpha(alpha: float) -> float:
     return alpha
 
 
-def _constraint_constants(a: float, e: float, a_key: str, e_key: str | None = None):
-    """`pseudoherm.factorization_constants(a, e)`; ConfigError where Python cannot form them.
-
-    C2 = sqrt(a-1)/(a^4 e): `a ** 4` raises OverflowError past a of about
-    1.16e77, and an a^4 e that rounds to 0 raises ZeroDivisionError.  The
-    error names a and e by the settings `a_key` and `e_key` that gave them.
-    """
-    try:
-        return pseudoherm.factorization_constants(a, e)
-    except (OverflowError, ZeroDivisionError) as exc:
-        keys = f"{a_key}={a!r}" + (f", {e_key}={e!r}" if e_key else "")
-        what = ("a^4 overflows" if isinstance(exc, OverflowError) else "a^4 e rounds to 0")
-        raise ConfigError(f"{keys}: {what} in the C2 constraint sqrt(a-1)/(a^4 e)") from exc
-
-
 def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
     """Row inputs a, e, alpha, C1 with `name` set to `value`; ConfigError if no row can use it."""
     if not math.isfinite(value):
         raise ConfigError(f"sweep {name}={value!r}: values must be finite")
     if name == "a" and not value > 0:
         raise ConfigError(f"sweep a={value!r}: the tube radius must be positive")
-    if name == "e" and value == 0:
-        raise ConfigError("sweep e=0: the C2 constraint divides by the charge")
     if name == "C1":
         _level_c1(value, "sweep C1")
     return {"a": cfg.torus.a, "e": cfg.gauge.e, "alpha": cfg.alpha, "C1": cfg.C1,
@@ -445,10 +396,8 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
     levels = [col for n in range(4) for col in analytic.case2_levels(n, alpha, c1)[::2]]
     # the constraint constants depend on (a, e) alone: one scalar call per distinct pair
     constants = {}
-    keys = ("sweep a" if parameter == "a" else "torus.a",
-            "sweep e" if parameter == "e" else "quantum.e")
     for a, e in dict.fromkeys((p["a"], p["e"]) for p in points):
-        c2, c = _constraint_constants(a, e, *keys)
+        c2, c = pseudoherm.factorization_constants(a, e)
         constants[a, e] = (c2.real, c2.imag, c.real if a < 1 else float("nan"))
     rows = [(value, *cells, *constants[p["a"], p["e"]])
             for value, p, *cells in zip(values, points, *(col.tolist() for col in levels))]
@@ -466,17 +415,9 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     alpha, c1, a = cfg.alpha, cfg.C1, cfg.torus.a
     if a >= 1:
         raise ConfigError(f"analytic: the Morse chain needs torus.a < 1, got {a!r}")
-    # the Morse chain's factorization-branch C2 at c = 2, formed before any table is written
-    c2_rot, _ = _constraint_constants(a, 1.0, "torus.a")
 
-    rows = []
-    sols = []
-    for n in range(cfg.n_max + 1):
-        sol = analytic.case2_quantize(n, alpha, c1)
-        sols.append(sol)
-        rows.append((n, sol.epsilon_n, 0.0, sol.residual))
-    write_csv(out / "case2_spectrum.csv", ["n", "re_eps", "im_eps", "residual"],
-              rows, timestamp)
+    sols = [analytic.case2_quantize(n, alpha, c1) for n in range(cfg.n_max + 1)]
+    rows = [(n, sol.epsilon_n, 0.0, sol.residual) for n, sol in enumerate(sols)]
     fit = analytic.fit_energy_display(sols)
     rep.add_info("display-form fit rms", fit["rms"],
                  note=f"mu={fit['mu']:.4f} nu={fit['nu']:.4f} (post-hoc fit)" if len(sols) > 1
@@ -484,19 +425,12 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
 
     margin = 0.05
     xg = np.linspace(-np.pi / 2 + margin, np.pi / 2 - margin, 801)
-    wf_rows = []
-    for n in range(min(cfg.n_max, 2) + 1):
-        phi = analytic.case2_wavefunction(n, alpha, c1, xg)
-        wf_rows.append(phi)
-    write_csv(out / "case2_wavefunctions.csv",
-              ["x"] + [f"re_phi{n}" for n in range(len(wf_rows))]
-              + [f"im_phi{n}" for n in range(len(wf_rows))],
-              zip(*(col.tolist() for col in (xg, *(w.real for w in wf_rows),
-                                             *(w.imag for w in wf_rows)))),
-              timestamp)
+    wf_rows = [analytic.case2_wavefunction(n, alpha, c1, xg)
+               for n in range(min(cfg.n_max, 2) + 1)]
 
     # Morse-chain spectrum with the factorization-branch C2 at c = 2; this is
     # not the constrained-radius point that `verify` certifies (checks._morse_params)
+    c2_rot, _ = pseudoherm.factorization_constants(a)
     mf = pseudoherm.mathieu_form(geometry.TorusParams(a=a, c=2.0), 1.0, c2_rot)
     mf0 = pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
     rows1 = []
@@ -504,6 +438,16 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
         tab = analytic.case1_energy(n, alpha, mf0)
         lam, rho, exists = analytic.morse_energy_exact(n, mf0)
         rows1.append((n, tab.real, tab.imag, lam.real, lam.imag, int(exists)))
+
+    # every table is built before the first is written: a run that fails writes none
+    write_csv(out / "case2_spectrum.csv", ["n", "re_eps", "im_eps", "residual"],
+              rows, timestamp)
+    write_csv(out / "case2_wavefunctions.csv",
+              ["x"] + [f"re_phi{n}" for n in range(len(wf_rows))]
+              + [f"im_phi{n}" for n in range(len(wf_rows))],
+              zip(*(col.tolist() for col in (xg, *(w.real for w in wf_rows),
+                                             *(w.imag for w in wf_rows)))),
+              timestamp)
     write_csv(out / "case1_spectrum.csv",
               ["n", "re_tabulated", "im_tabulated", "re_derived", "im_derived", "bound"],
               rows1, timestamp)
@@ -565,20 +509,30 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, grid_n=args.grid_n)
-        _check_reads(cfg, args.command, args.negative_control,
-                     getattr(args, "parameter", None))
-        if args.command == "geometry":
-            rep = cmd_geometry(cfg, out, timestamp)
-        elif args.command == "spectrum":
-            rep = cmd_spectrum(cfg, out, timestamp)
-        elif args.command == "verify":
-            rep = cmd_verify(cfg, out, timestamp,
-                             negative_control=args.negative_control)
-        elif args.command == "analytic":
-            rep = cmd_analytic(cfg, out, timestamp)
-        else:
-            rep = cmd_sweep(cfg, out, timestamp, args.parameter,
-                            _parse_range(args.values))
+        inputs = _check_reads(cfg, args.command, args.negative_control,
+                              getattr(args, "parameter", None))
+        if args.command == "sweep":
+            inputs.append(f"sweep {args.parameter}={args.values}")
+        # one overflow rule for every run: numpy overflow raises, and any arithmetic
+        # error (Python's float `**` and a division by a product that rounds to 0
+        # raise too) is a config error that names the run's inputs
+        try:
+            with np.errstate(over="raise"):
+                if args.command == "geometry":
+                    rep = cmd_geometry(cfg, out, timestamp)
+                elif args.command == "spectrum":
+                    rep = cmd_spectrum(cfg, out, timestamp)
+                elif args.command == "verify":
+                    rep = cmd_verify(cfg, out, timestamp,
+                                     negative_control=args.negative_control)
+                elif args.command == "analytic":
+                    rep = cmd_analytic(cfg, out, timestamp)
+                else:
+                    rep = cmd_sweep(cfg, out, timestamp, args.parameter,
+                                    _parse_range(args.values))
+        except ArithmeticError as exc:
+            raise ConfigError(f"{', '.join(inputs)}: arithmetic in {args.command} fails "
+                              f"({type(exc).__name__}: {exc})") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from .errors import ComplexPotential, ConvergenceFailure, EvenSampleCount
 from .grids import Grid
 
 logger = logging.getLogger(__name__)
+RESIDUAL_TOL = 1e-8  # `spectrum`'s residual gate, and the cap on the periodic solve's target
 
 
 @dataclass
@@ -78,6 +79,8 @@ class EigResult:
 def _real_samples(potential, grid: Grid) -> np.ndarray:
     """Real samples of a callable of x (or of given samples) on the grid's points."""
     v = potential(grid.points) if callable(potential) else np.asarray(potential)
+    if not np.all(np.isfinite(v)):  # Python's float and complex `*` overflow without raising
+        raise FloatingPointError("potential samples are not finite")
     if np.max(np.abs(np.imag(v))) > 1e-12:
         raise ComplexPotential("real eigensolves only; potential has an imaginary part")
     v = np.real(v).astype(float)
@@ -133,12 +136,12 @@ def _eig_periodic(m: TridiagonalSym, k: int):
     """Lowest-k eigenpairs of a periodic matrix by Galerkin on the modes |m| <= M.
 
     M starts at 8 (or k) and doubles, with a log line, until every full-grid
-    residual is at most 1e-9 max(1, max |lambda|), or 4 eps |T|_inf where
-    that is larger: the rounding of T v alone leaves about 0.6 eps |T|_inf,
-    which grows as n^2 and would otherwise widen a large grid's solve to all
-    n modes.  With all n modes the solve is the exact similarity and is
-    returned as it is.  Returns (eigenvalues, real orthonormal eigenvectors,
-    residuals, mode count).
+    residual is at most min(RESIDUAL_TOL, 1e-9 max(1, max |lambda|)), never
+    looser than `spectrum`'s gate, or 4 eps |T|_inf where that is larger: the
+    rounding of T v alone leaves about 0.6 eps |T|_inf, which grows as n^2 and
+    would otherwise widen a large grid's solve to all n modes.  With all n
+    modes the solve is the exact similarity and is returned as it is.
+    Returns (eigenvalues, real orthonormal eigenvectors, residuals, mode count).
     """
     from scipy.linalg import eigh
 
@@ -155,7 +158,7 @@ def _eig_periodic(m: TridiagonalSym, k: int):
         f = np.fft.fft(coef, axis=0)
         vecs = (f.real - f.imag) / np.sqrt(n)
         res = _residuals(m, w, vecs)
-        target = 1e-9 * max(1.0, np.max(np.abs(w)))
+        target = min(RESIDUAL_TOL, 1e-9 * max(1.0, np.max(np.abs(w))))
         tol = max(target, floor)
         if len(modes) == n or np.all(res <= tol):
             if floor > target:
@@ -359,32 +362,39 @@ def hill_eigenvalues(potential: Callable[[np.ndarray], np.ndarray],
     The Galerkin matrix of the periodic eigensolver with the continuum
     symbol m^2 in place of the difference operator, on the modes |m| <= M,
     with V's Fourier coefficients taken from 8 M samples of the callable
-    `potential`.  M starts at 8 (or k) and doubles, with a log line, until
-    the solves at M and 2 M agree to 1e-11 max(1, max |lambda|); the finer
-    one is returned.  No agreement by M = 256 raises ConvergenceFailure.
+    `potential`.  M starts at 8 (or k) and doubles until the solves at M and
+    2 M agree to 1e-11 (`_refined`), up to M = 256.
     """
     from scipy.linalg import eigh
 
-    def solve(cut):
-        v = _real_samples(potential, Grid(8 * cut))
-        modes = np.arange(-cut, cut + 1)
+    def solve(size):
+        v = _real_samples(potential, Grid(8 * (size // 2)))
+        modes = np.arange(size) - size // 2
         g = _fourier_galerkin(np.fft.fft(v) / v.shape[0], np.zeros(v.shape[0]), modes)
         g[np.diag_indices_from(g)] += modes ** 2.0
         return eigh(g, subset_by_index=(0, k_lowest - 1), eigvals_only=True)
 
     if k_lowest < 1:
         raise ValueError("k_lowest out of range")
-    cut = max(8, k_lowest)
-    w = solve(cut)
-    while cut < 256:
-        finer = solve(2 * cut)
-        gap, tol = np.max(np.abs(finer - w)), 1e-11 * max(1.0, np.max(np.abs(finer)))
+    return _refined(solve, 2 * max(8, k_lowest) + 1, 1e-11, "Hill's method", "modes")
+
+
+def _refined(solve, size: int, rtol: float, name: str, unit: str) -> np.ndarray:
+    """solve(2 s - 1) at the first s = size, 2 size - 1, ... where it agrees with solve(s).
+
+    Agreement is to rtol max(1, max |lambda|); s counts `unit` (modes or points).
+    Each widening is logged, and no agreement by s = 513 raises ConvergenceFailure.
+    """
+    w = solve(size)
+    while size < 513:
+        finer = solve(2 * size - 1)
+        gap, tol = np.max(np.abs(finer - w)), rtol * max(1.0, np.max(np.abs(finer)))
         if gap <= tol:
             return finer
-        logger.info("Hill's method: %d and %d modes differ by %.3g > %.3g; widening",
-                    2 * cut + 1, 4 * cut + 1, gap, tol)
-        cut, w = 2 * cut, finer
-    raise ConvergenceFailure(f"Hill's method did not converge within {2 * cut + 1} modes")
+        logger.info("%s: %d and %d %s differ by %.3g > %.3g; widening",
+                    name, size, 2 * size - 1, unit, gap, tol)
+        size, w = 2 * size - 1, finer
+    raise ConvergenceFailure(f"{name} did not converge within {size} {unit}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +412,17 @@ def _cheb(n: int):
 def _collocation_levels(assemble, k: int, label: str) -> np.ndarray:
     """Lowest-k finite real eigenvalues of the pencil (A, B or None) = `assemble(n)`.
 
-    n doubles from 16, with a log line, until the solves at n and 2 n agree to
-    1e-12 max(1, max |lambda|); the finer one is returned.  No agreement by
-    n = 512 raises ConvergenceFailure.
+    n doubles from 16 until the solves at n and 2 n agree to 1e-12 (`_refined`),
+    up to n = 512.
     """
     from scipy.linalg import eigvals
 
-    def solve(n):
-        w = eigvals(*assemble(n))
+    def solve(points):
+        w = eigvals(*assemble(points - 1))
         w = np.sort(w[np.isfinite(w) & (np.abs(w.imag) <= 1e-8 * np.maximum(1.0, np.abs(w)))].real)
         return np.append(w[:k], np.full(max(0, k - len(w)), np.nan))  # too few never agree
 
-    n, w = 16, solve(16)
-    while n < 512:
-        finer = solve(2 * n)
-        gap, tol = np.max(np.abs(finer - w)), 1e-12 * max(1.0, np.max(np.abs(finer)))
-        if gap <= tol:
-            return finer
-        logger.info("%s collocation: %d and %d points differ by %.3g > %.3g; widening",
-                    label, n + 1, 2 * n + 1, gap, tol)
-        n, w = 2 * n, finer
-    raise ConvergenceFailure(f"{label} collocation did not converge within {n + 1} points")
+    return _refined(solve, 17, 1e-12, f"{label} collocation", "points")
 
 
 def rosen_morse_levels(c0: float, c1: float, s: float, k: int) -> np.ndarray:

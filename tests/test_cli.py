@@ -196,6 +196,18 @@ def test_spectrum_residual_gate_is_floored_at_the_rounding_of_t_v(tmp_path, caps
     assert "tol=1e-08" in capsys.readouterr().out  # the default grid keeps 1e-8
 
 
+@pytest.mark.parametrize("text", ["field: {C2: 1194.0}\n", "torus: {c: 955.0}\n"],
+                         ids=["C2", "c"])
+def test_spectrum_solves_large_levels_to_the_gate(tmp_path, capsys, text):
+    # the solve stopped at 1e-9 max(1, max |lambda|), looser than the gate's 1e-8 once
+    # the levels pass 10: a converged solve was reported "FAIL eigenpair residual max"
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "--no-timestamp",
+                     "spectrum"]) == 0
+    assert "PASS eigenpair residual max" in capsys.readouterr().out
+
+
 def test_spectrum_residual_gate_fails_above_the_floor(tmp_path, monkeypatch, capsys):
     solve = cli.numerics.eig_sym_tridiag
 
@@ -472,10 +484,19 @@ OVERFLOWS = [
     ("torus: {a: 1.0e-100}\n", "analytic", "torus.a"),
     # an integer beyond the largest double
     (f"quantum: {{k: {10 ** 400}}}\n", "spectrum", "quantum.k"),
+    # R(x)^2 in the metric: the frame identity measured inf - inf
+    ("torus: {c: 1.0e+155}\n", "geometry", "torus.c"),
+    # finite samples whose eigenpair residuals' squared norms overflow
+    ("field: {C2: 1.0e+100}\n", "spectrum", "field.C2"),
+    ("quantum: {e: 1.0e+140}\n", "spectrum", "quantum.e"),
+    ("torus: {a: 1.0e+40}\n", "spectrum", "torus.a"),
+    # the display fit squares the level misfits; the first table was already written
+    ("analytic: {C1: 1.0e+200}\n", "analytic", "analytic.C1"),
 ]
 OVERFLOW_IDS = ["a-geometry", "a-spectrum", "c-spectrum", "e-spectrum", "C2-spectrum",
                 "C2-dft-spectrum", "a-sweep", "a-underflow-sweep", "a-underflow-analytic",
-                "k-beyond-double"]
+                "k-beyond-double", "c-geometry", "C2-residual-spectrum",
+                "e-residual-spectrum", "a-residual-spectrum", "C1-fit-analytic"]
 
 
 @pytest.mark.parametrize("text, command, key", OVERFLOWS, ids=OVERFLOW_IDS)
@@ -485,6 +506,57 @@ def test_config_error_names_the_key_that_overflows(tmp_path, capsys, text, comma
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path), *command.split()]) == 2
     assert key in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# Each run with the scenario it starts from, under the name by which SCHEMA lists its reads
+SCAN_RUNS = [
+    ("geometry", "geometry", {}),
+    (cli._SPECTRUM, "spectrum", {}),
+    (cli._PDFV, "spectrum", {"case": "pdfv", "fermi": {"kind": "cosine"}}),
+    ("analytic", "analytic", {}),
+    *[("sweep", f"sweep {parameter} 0.5", {}) for parameter in cli.SWEEPABLE],
+]
+SCAN_VALUES = [sign * 10.0 ** exponent for exponent in (-300, -100, 200, 300) for sign in (1, -1)]
+# these count grid rows and levels: a huge count asks for that much work, not for
+# arithmetic that overflows, so their large positive values are left out
+SIZE_KEYS = {"grid.n", "analytic.n_max"}
+
+
+def test_every_number_a_run_reads_is_used_or_rejected_by_name(tmp_path, capsys):
+    problems = []
+    for reader, command, scenario in SCAN_RUNS:
+        words = command.split()
+        swept = cli.SWEEPABLE.get(words[1]) if words[0] == "sweep" else None
+        keys = [key for key, (_, kind, readers) in cli.SCHEMA.items()
+                if kind in ("real", "integer", "complex") and reader in readers
+                and key != swept]
+        for key in keys + ([f"sweep {words[1]}"] if swept else []):
+            for value in SCAN_VALUES:
+                if key in SIZE_KEYS and value > 1e4:
+                    continue
+                out = tmp_path / f"{command}-{key}-{value!r}".replace(" ", "_")
+                out.mkdir()
+                doc, args = copy.deepcopy(scenario), list(words)
+                if swept and key.startswith("sweep"):
+                    args[-1] = repr(value)
+                else:
+                    section, leaf = key.split(".")
+                    doc.setdefault(section, {})[leaf] = value
+                cfg = tmp_path / "scan.yaml"
+                cfg.write_text(yaml.safe_dump(doc))
+                run = f"{command} with {key}={value!r}"
+                try:
+                    code = cli.main(["--config", str(cfg), "--out", str(out),
+                                     "--no-timestamp", *args])
+                except Exception as exc:
+                    problems.append(f"{run}: {type(exc).__name__}: {exc}")
+                    continue
+                err = capsys.readouterr().err
+                if code == 2 and key not in err:
+                    problems.append(f"{run}: the error does not name the key: {err}")
+                if code == 2 and list(out.iterdir()):
+                    problems.append(f"{run}: a rejected run wrote files")
+    assert not problems, "\n".join(problems)
 
 
 @pytest.mark.parametrize("text, command", [
