@@ -9,28 +9,20 @@ Chebyshev collocation solve on the half-line.  The tabulated formula
 disagrees; the derived form is the one the solver confirms.
 """
 
-import warnings
-
 import numpy as np
 
-from torusdirac import TorusParams
 from torusdirac.analytic import (
     case1_energy,
-    case1_solution,
     case1_transform_chain,
     case1_wavefunction,
     morse_energy_exact,
 )
 from torusdirac.numerics import half_line_levels
-from torusdirac.pseudoherm import MathieuParams, factorization_constants, mathieu_form
+from torusdirac.pseudoherm import constrained_torus, real_morse_branch
 
-warnings.filterwarnings("ignore", message="c <= a")
-
-a, e, alpha = 0.5, 1.0, 1.0
-c2, c = factorization_constants(a, e)  # imaginary-amplitude branch, real radius
-p = TorusParams(a=a, c=c.real)
-mf = mathieu_form(p, e, c2)
-m = MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)  # real branch
+alpha = 1.0
+# imaginary-amplitude branch with its real radius, tangent term dropped
+m = real_morse_branch(constrained_torus(0.5))
 print(f"trig-polynomial coefficients: B={m.B_m.real:.5f}, D={m.D_m.real:.5f}")
 
 chain = case1_transform_chain(m, alpha)
@@ -51,8 +43,8 @@ for n in range(3):
 print("(the well supports two bound levels at these constants; the collocation")
 print(" column certifies the derived closed form, not the tabulated one)")
 
-sol = case1_solution(0, alpha, m)
 t = np.linspace(-1.0, 8.0, 7)
 print("\nground-state profile samples (max-modulus normalized):")
-print("  " + "  ".join(f"{v.real:+.4f}" for v in case1_wavefunction(sol, t)))
-print(f"decay exponent mu = {sol.mu.real:.4f} (twice the Laguerre order /4)")
+print("  " + "  ".join(f"{v.real:+.4f}" for v in case1_wavefunction(0, alpha, m, t)))
+print(f"decay exponent mu = {morse_energy_exact(0, m)[1].real / 2:.4f} "
+      f"(twice the Laguerre order /4)")

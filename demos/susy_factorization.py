@@ -9,8 +9,6 @@ the factorization identities pointwise, and runs the intertwining
 certifier on the factorized pair.
 """
 
-import warnings
-
 import numpy as np
 
 from torusdirac import TorusParams
@@ -19,28 +17,25 @@ from torusdirac.grids import Grid, compact_test_functions
 from torusdirac.pseudoherm import (
     AdjointOf,
     ComposedOp,
+    constrained_torus,
+    factorization_constants,
     hermitian_counterpart_case1,
     intertwining_residual,
     mathieu_form,
     partner_potentials_case1,
-    sqrt_am1,
+    superpotential,
     superpotential_case1,
 )
 
-warnings.filterwarnings("ignore", message="c <= a")
-
 for a in (0.5, 0.9):
-    g = Grid(4096)
-    w = superpotential_case1(TorusParams(a=a, c=2.0), g)
-    print(f"a = {a}: branch {w.meta['branch']}, "
-          f"c = {np.real(w.meta['c']):.6f}, C2 = {w.meta['C2']:.6f}")
+    c2, c = factorization_constants(a)
+    print(f"a = {a}: branch {'real-c' if a < 1 else 'real-C2'}, "
+          f"c = {c.real:.6f}, C2 = {c2:.6f}")
 
 a = 0.9
 g = Grid(10000)
 x = g.points
-s = sqrt_am1(a)
-w_vals = -1j * s / a * np.sin(x) + 1j * (a - 2) / (2 * a)
-w_prime = -1j * s / a * np.cos(x)
+w_vals, w_prime = superpotential(a, x)
 v, v1 = partner_potentials_case1(TorusParams(a=a, c=2.0), g)
 print(f"\nfactorization identities on {g.n} points:")
 print(f"  |W^2 - W' - V |_max = {np.max(np.abs(w_vals**2 - w_prime - v.rho)):.3e}")
@@ -48,15 +43,14 @@ print(f"  |W^2 + W' - V1|_max = {np.max(np.abs(w_vals**2 + w_prime - v1.rho)):.3
 
 # under the constrained radius the ring-field potential equals the
 # factorized one exactly
-w_op = superpotential_case1(TorusParams(a=a, c=2.0), g)
-c_con = float(np.real(w_op.meta["c"]))
-p_con = TorusParams(a=a, c=c_con)
-field = hermitizing_quadratic_field(C2=w_op.meta["C2"], e=1.0, k=2)
+c2, _ = factorization_constants(a)
+p_con = constrained_torus(a)
+field = hermitizing_quadratic_field(C2=c2, e=1.0, k=2)
 counter = hermitian_counterpart_case1(p_con, field, g)
 v_con, _ = partner_potentials_case1(p_con, g)
-print(f"\nconstrained ring (c = {c_con:.4f}):")
+print(f"\nconstrained ring (c = {p_con.c:.4f}):")
 print(f"  |counterpart - factorized V|_max = {np.max(np.abs(counter.rho - v_con.rho)):.3e}")
-poly = mathieu_form(p_con, 1.0, w_op.meta["C2"]).potential(x)
+poly = mathieu_form(p_con, 1.0, c2).potential(x)
 print(f"  |counterpart - trig polynomial|_max = {np.max(np.abs(counter.rho - poly)):.3e}")
 
 g2 = Grid(2048)

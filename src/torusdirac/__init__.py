@@ -48,10 +48,8 @@ from .pseudoherm import (
     veff_case2,
 )
 from .analytic import (
-    Case1Solution,
     Case2Solution,
     case1_energy,
-    case1_solution,
     case1_transform_chain,
     case1_wavefunction,
     case2_levels,

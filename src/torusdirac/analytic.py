@@ -148,13 +148,12 @@ class MorseChain:
         return -(self.alpha ** 2) * u.real
 
 
-def case1_transform_chain(mathieu: MathieuParams, alpha: float,
-                          n_samples: int = 4096) -> MorseChain:
-    """Build the Morse chain and quantify the quadratic-expansion gap."""
+def case1_transform_chain(mathieu: MathieuParams, alpha: float) -> MorseChain:
+    """Build the Morse chain and quantify the quadratic-expansion gap on 4096 angles."""
     if alpha == 0:
         raise ValueError("transformation scale alpha must be nonzero")
     m = mathieu
-    x = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+    x = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     z = np.exp(1j * x)
     exact = (m.D_m / 2.0 + (m.B_m - 1j * m.C_m) / 2.0 * z
              + (m.B_m + 1j * m.C_m) / (2.0 * z)
@@ -211,51 +210,20 @@ def morse_energy_exact(n: int, mathieu: MathieuParams):
     return complex(lam), complex(rho), bool(rho.real > 0)
 
 
-@dataclass
-class Case1Solution:
-    """Bound-state data of the Morse chain at level n.
-
-    `mu` is the calibrated wavefunction exponent rho_n / 2 (the reading that
-    satisfies the transformed equation).  s(t) = alpha sqrt(D - (B+C)/2) e^{-alpha t}.
-    """
-
-    n: int
-    alpha: float
-    mathieu: MathieuParams
-    energy_sq: complex            # tabulated formula value
-    morse_energy: complex         # exact transformed-equation eigenvalue
-    mu: complex
-    laguerre_order: complex
-    s_scale: complex
-    bounded: bool
-
-    def s_of_t(self, t):
-        return self.s_scale * np.exp(-self.alpha * np.asarray(t, dtype=float))
-
-
-def case1_solution(n: int, alpha: float, mathieu: MathieuParams) -> Case1Solution:
-    lam, rho, exists = morse_energy_exact(n, mathieu)
-    h = mathieu.D_m - (mathieu.B_m + mathieu.C_m) / 2.0
-    mu = rho / 2.0
-    return Case1Solution(
-        n=n, alpha=alpha, mathieu=mathieu,
-        energy_sq=case1_energy(n, alpha, mathieu), morse_energy=lam,
-        mu=complex(mu), laguerre_order=complex(4.0 * mu), s_scale=alpha * np.sqrt(complex(h)),
-        bounded=exists,
-    )
-
-
-def case1_wavefunction(sol: Case1Solution, t):
-    """Evaluate the Morse-chain bound state at t (scalar or array).
+def case1_wavefunction(n: int, alpha: float, mathieu: MathieuParams, t):
+    """Morse-chain bound state of level n at t (scalar or array).
 
     Calibrated reading: psi = s^{2 mu} exp(-s/alpha) L_n^{4 mu}(2 s / alpha)
-    with s = s_of_t(t).  Array input is normalized to unit max modulus on
-    the evaluation window.
+    with the exponent mu = rho_n / 2 of `morse_energy_exact` and
+    s(t) = alpha sqrt(D - (B+C)/2) e^{-alpha t}.  Array input is normalized
+    to unit max modulus on the evaluation window.
     """
+    mu = complex(morse_energy_exact(n, mathieu)[1] / 2.0)
+    h = mathieu.D_m - (mathieu.B_m + mathieu.C_m) / 2.0
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    s = sol.s_of_t(t_arr)
-    vals = (s ** (2.0 * sol.mu) * np.exp(-s / sol.alpha)
-            * laguerre_gen(sol.n, sol.laguerre_order, 2.0 * s / sol.alpha))
+    s = alpha * np.sqrt(complex(h)) * np.exp(-alpha * t_arr)
+    vals = (s ** (2.0 * mu) * np.exp(-s / alpha)
+            * laguerre_gen(n, complex(4.0 * mu), 2.0 * s / alpha))
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return vals[0]
     peak = np.max(np.abs(vals))
@@ -325,17 +293,17 @@ def case2_quantize(n: int, alpha: float, C1: float) -> Case2Solution:
     )
 
 
-def case2_wavefunction(n: int, alpha: float, C1: float, x,
-                       pole_margin: float = 1e-3):
+def case2_wavefunction(n: int, alpha: float, C1: float, x):
     """Quantized Rosen-Morse-II bound state at x (scalar or array).
 
     phi = N exp(-alpha x/2) (1 + tan^2 x)^beta 2F1(a, b; gamma; (1 - i tan x)/2)
     with a = b = -n on the quantization branch.  Array input is normalized
-    to unit discrete L2 norm; scalar input is returned unnormalized.
+    to unit discrete L2 norm; scalar input is returned unnormalized.  A point
+    within 1e-3 of a tangent pole raises DomainSingularity.
     """
     sol = case2_quantize(n, alpha, C1)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(np.abs(x_arr) - np.pi / 2.0) < pole_margin):
+    if np.any(np.abs(np.abs(x_arr) - np.pi / 2.0) < 1e-3):
         raise DomainSingularity("evaluation point too close to a tangent pole")
     tan = np.tan(x_arr)
     s = (1.0 - 1j * tan) / 2.0
@@ -348,17 +316,16 @@ def case2_wavefunction(n: int, alpha: float, C1: float, x,
     return vals / nrm if nrm > 0 else vals
 
 
-def case2_ode_residual(n: int, alpha: float, C1: float,
-                       n_grid: int = 4000, margin: float = 0.15) -> float:
+def case2_ode_residual(n: int, alpha: float, C1: float) -> float:
     """Relative max-norm residual of the quantized state in its own equation.
 
-    Uses an O(h^4) interior stencil on (-pi/2 + margin, pi/2 - margin) so the
-    measurement is limited by the identity, not the Laplacian stencil.
+    Uses an O(h^4) interior stencil on 4000 points of (-pi/2 + 0.15, pi/2 - 0.15)
+    so the measurement is limited by the identity, not the Laplacian stencil.
     """
     from .grids import Grid, diff2_fourth_order
 
     sol = case2_quantize(n, alpha, C1)
-    grid = Grid(n_grid, -np.pi / 2.0 + margin, np.pi / 2.0 - margin, "dirichlet")
+    grid = Grid(4000, -np.pi / 2.0 + 0.15, np.pi / 2.0 - 0.15, "dirichlet")
     x = grid.points
     phi = case2_wavefunction(n, alpha, C1, x)
     v = C1 + sol.a2 * np.tan(x) - 0.25 * np.tan(x) ** 2

@@ -33,7 +33,7 @@ import yaml
 
 from . import analytic, checks, fields, geometry, numerics, operators, pseudoherm
 from .checks import RunReport
-from .errors import ComplexPotential, ConfigError, TorusDiracError, UnknownParameter
+from .errors import ComplexPotential, ConfigError, TorusDiracError
 from .grids import Grid
 
 # sweep parameter -> the config key its values replace
@@ -145,14 +145,21 @@ def _build_config(settings: dict) -> ScenarioConfig:
         raise ConfigError(f"case: pdfv requires fermi.kind: cosine, "
                           f"got {settings['fermi.kind']!r}")
 
+    # above 2**19 points the residual gate's rounding floor 4 eps |T|_inf passes
+    # the periodic solve's 1e-6 cap
+    n = _value(settings, "grid.n")
+    if n > 2 ** 19:
+        raise ConfigError(f"grid.n={settings['grid.n']!r}: expected at most {2 ** 19} points")
     try:
-        grid = Grid(_value(settings, "grid.n"))
+        grid = Grid(n)
     except ValueError as exc:
         raise ConfigError(f"grid.n: {exc}") from exc
 
+    # the pdfv levels are solved on 8000 grid rows, which hold the levels 0..7999
     n_max = _value(settings, "analytic.n_max")
-    if n_max < 0:
-        raise ConfigError(f"analytic.n_max: expected a nonnegative integer, got {n_max}")
+    if not 0 <= n_max < 8000:
+        raise ConfigError(f"analytic.n_max={settings['analytic.n_max']!r}: "
+                          f"expected an integer from 0 to 7999")
     return ScenarioConfig(
         torus=torus, gauge=gauge, grid=grid,
         case=case, alpha=_level_alpha(_value(settings, "analytic.alpha")),
@@ -327,11 +334,8 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
             header, crows = operators.sl_coefficient_table(plus)
             write_csv(out / "sl_coefficients_plus.csv", header, crows, timestamp)
     else:
-        g = Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet")
-        if cfg.n_max >= g.n:  # the grid's rows hold g.n levels
-            raise ConfigError(f"analytic.n_max={cfg.n_max}: the pdfv levels are solved on "
-                              f"{g.n} grid rows, so n_max must be below {g.n}")
-        rows = checks.pdfv_levels(cfg.alpha, cfg.n_max, g)
+        rows = checks.pdfv_levels(cfg.alpha, cfg.n_max,
+                                  Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
         rep.add_info("pdfv analytic-vs-fd max rel deviation", max(row[3] for row in rows),
                      note="wall-singular oracle; see verify for the convergent one")
         if "csv" in cfg.outputs:
@@ -384,8 +388,6 @@ def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
 
 def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
               parameter: str, values) -> RunReport:
-    if parameter not in SWEEPABLE:
-        raise UnknownParameter(f"cannot sweep {parameter!r}; choose from {tuple(SWEEPABLE)}")
     values = list(values)
     if not values:
         raise ConfigError("sweep: empty value list")
@@ -428,11 +430,9 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     wf_rows = [analytic.case2_wavefunction(n, alpha, c1, xg)
                for n in range(min(cfg.n_max, 2) + 1)]
 
-    # Morse-chain spectrum with the factorization-branch C2 at c = 2; this is
-    # not the constrained-radius point that `verify` certifies (checks._morse_params)
-    c2_rot, _ = pseudoherm.factorization_constants(a)
-    mf = pseudoherm.mathieu_form(geometry.TorusParams(a=a, c=2.0), 1.0, c2_rot)
-    mf0 = pseudoherm.MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
+    # Morse-chain spectrum on the real branch at c = 2; this is not the
+    # constrained-radius point that `verify` certifies (checks._morse_params)
+    mf0 = pseudoherm.real_morse_branch(geometry.TorusParams(a=a, c=2.0))
     rows1 = []
     for n in range(cfg.n_max + 1):
         tab = analytic.case1_energy(n, alpha, mf0)

@@ -57,9 +57,5 @@ class EvenSampleCount(TorusDiracError):
     """Composite Simpson needs an odd number of samples."""
 
 
-class UnknownParameter(TorusDiracError):
-    """Sweep requested over a parameter name that is not sweepable."""
-
-
 class ConfigError(TorusDiracError):
     """Scenario configuration failed validation; message carries the field path."""

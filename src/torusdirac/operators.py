@@ -64,15 +64,13 @@ class SampledOp:
     scalar sigma or rho is broadcast over the grid, and the samples over a
     stack of probes; a sigma that is zero everywhere skips the first-derivative
     stencil.  The decouplers document how their eigenvalue relates to the
-    energy; `meta` holds what a constructor exposes (F and G for
-    position-dependent velocity, the branch constants of the superpotential).
+    energy.
     """
 
     grid: Grid
     p: float
     sigma: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.p = float(self.p)
@@ -199,7 +197,6 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, vf: FermiVelocity, gri
         -psi'' + (sigma - V'/V) psi' + (F + G V'/V) psi = (a^2 E^2 / V_F^2) psi
 
     with F identical to the constant-velocity rho and G = a (W1 +- Q).
-    F and G are recorded in the problem metadata for inspection.
     """
     x = grid.points
     v, vp, _ = eval_fermi_velocity(vf, params, x)
@@ -207,10 +204,8 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, vf: FermiVelocity, gri
         raise VelocityZero("V_F vanishes on an interior grid point; choose a grid avoiding it")
     sigma, (f_plus, f_minus), (g_plus, g_minus) = _squared_terms(params, gauge, x)
     t = vp / v
-    return (SampledOp(grid, 1, sigma - t, f_plus + g_plus * t,
-                      meta={"F": f_plus, "G": g_plus}),
-            SampledOp(grid, 1, sigma - t, f_minus + g_minus * t,
-                      meta={"F": f_minus, "G": g_minus}))
+    return (SampledOp(grid, 1, sigma - t, f_plus + g_plus * t),
+            SampledOp(grid, 1, sigma - t, f_minus + g_minus * t))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ which the residual reports rather than hides.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +79,12 @@ def eta2_case1(params: TorusParams, C1: float, grid: Grid) -> SampledOp:
 
     A(x) = C1 + a^4 x / 4 - (a^2/2) sin x - (a^4/8) sin 2x.  The x/4 term is
     secular (not periodic), so residual tests must use compactly supported
-    test functions; the flag is recorded in metadata.
+    test functions.
     """
     a4 = params.a ** 4
     x = grid.points
     coeff = C1 + a4 * x / 4.0 - 0.5 * params.a ** 2 * np.sin(x) - a4 / 8.0 * np.sin(2.0 * x)
-    return SampledOp(grid, 0, 1, coeff, meta={"secular": True, "C1": C1})
+    return SampledOp(grid, 0, 1, coeff)
 
 
 def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
@@ -140,18 +141,37 @@ def factorization_constants(a: float, e: float = 1.0) -> tuple[complex, complex]
     return s / (a ** 4 * e), c
 
 
-def superpotential_case1(params: TorusParams, grid: Grid, e: float = 1.0) -> SampledOp:
-    """Superpotential operator d/dx + W with W = -(i sqrt(a-1)/a) sin x + i(a-2)/(2a).
+def constrained_torus(a: float) -> TorusParams:
+    """The torus of tube radius a < 1 whose center radius is the constraint's real c."""
+    with warnings.catch_warnings():
+        # below a = 2 sqrt(2) - 2 the constraint puts the center radius below the tube radius
+        warnings.filterwarnings("ignore", message="c <= a")
+        return TorusParams(a=a, c=factorization_constants(a)[1].real)
 
-    The companion constants of `factorization_constants` are recorded in
-    metadata, with the branch on which the ring radius c is real ('real-c',
-    a < 1) or C2 is ('real-C2').
+
+def real_morse_branch(params: TorusParams) -> MathieuParams:
+    """`mathieu_form` at the factorization C2 (e = 1) with C_m set to 0.
+
+    For a < 1 that C2 is imaginary, which makes A_m, B_m and D_m real and C_m,
+    the tangent term, imaginary: dropping it leaves the real branch that the
+    Morse chain transforms.
     """
-    a = params.a
-    w = -1j * sqrt_am1(a) / a * np.sin(grid.points) + 1j * (a - 2.0) / (2.0 * a)
-    c2, c_val = factorization_constants(a, e)
-    return SampledOp(grid, 0, 1, w, meta={"C2": c2, "c": c_val, "e": e,
-                                          "branch": "real-c" if a < 1.0 else "real-C2"})
+    mf = mathieu_form(params, 1.0, factorization_constants(params.a)[0])
+    return MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
+
+
+def superpotential(a: float, x):
+    """(W, W') on the samples x, W = -(i sqrt(a-1)/a) sin x + i(a-2)/(2a)."""
+    s = sqrt_am1(a)
+    return -1j * s / a * np.sin(x) + 1j * (a - 2.0) / (2.0 * a), -1j * s / a * np.cos(x)
+
+
+def superpotential_case1(params: TorusParams, grid: Grid) -> SampledOp:
+    """Superpotential operator d/dx + W, with W of `superpotential`.
+
+    Its branch constants are `factorization_constants(params.a)`.
+    """
+    return SampledOp(grid, 0, 1, superpotential(params.a, grid.points)[0])
 
 
 def partner_potentials_case1(params: TorusParams, grid: Grid):
@@ -177,7 +197,7 @@ def eta2_case2(params: TorusParams, C2: float, grid: Grid) -> SampledOp:
     a4 = params.a ** 4
     x = grid.points
     coeff = a4 / 16.0 + C2 + 0.75 * params.a ** 2 * np.sin(x) - a4 / 32.0 * np.sin(2.0 * x)
-    return SampledOp(grid, 0, 1, coeff, meta={"secular": False, "C2": C2})
+    return SampledOp(grid, 0, 1, coeff)
 
 
 def veff_case2(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,

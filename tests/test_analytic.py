@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 
 from torusdirac.analytic import (
     case1_energy,
-    case1_solution,
     case1_transform_chain,
     case1_wavefunction,
     case2_levels,
@@ -31,10 +30,9 @@ from torusdirac.errors import (
     PoleAtC,
     SingularParameter,
 )
-from torusdirac.geometry import TorusParams
 from torusdirac.grids import Grid, diff2_fourth_order
 from torusdirac.numerics import half_line_levels
-from torusdirac.pseudoherm import MathieuParams, mathieu_form
+from torusdirac.pseudoherm import MathieuParams, constrained_torus, real_morse_branch
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +139,8 @@ def test_2f1_domain_errors():
 # Morse chain (constant velocity)
 # ---------------------------------------------------------------------------
 
-def real_branch_params(a=0.5, e=1.0):
-    c = 0.5 * a ** 2 / np.sqrt(1 - a)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = TorusParams(a=a, c=c)
-    c2 = 1j * np.sqrt(1 - a) / (a ** 4 * e)
-    mf = mathieu_form(p, e, c2)
-    return MathieuParams(A_m=mf.A_m, B_m=mf.B_m, C_m=0.0, D_m=mf.D_m)
+# the Morse chain's real branch on the constrained ring, as `verify` certifies it
+REAL_BRANCH = real_morse_branch(constrained_torus(0.5))
 
 
 def test_transform_chain_exact_when_constant():
@@ -197,7 +188,7 @@ def test_case1_energy_singular_guard_and_increment():
 
 
 def test_morse_exact_vs_collocation_and_alpha_independence():
-    m = real_branch_params()
+    m = REAL_BRANCH
     lam = np.array([morse_energy_exact(n, m)[0].real for n in range(2)])
     levels = half_line_levels(case1_transform_chain(m, 1.0).potential, -4.0, 4.0, 2)
     assert np.max(np.abs(levels - lam) / np.abs(lam)) < 1e-12
@@ -215,34 +206,34 @@ def test_tabulated_energy_formula_documented_gap():
     # the tabulated eigenvalue display does not solve the transformed
     # equation (its value is even alpha-dependent while the spectrum is not);
     # the derived closed form is the certified one
-    m = real_branch_params()
+    m = REAL_BRANCH
     lam0 = morse_energy_exact(0, m)[0].real
     tab = case1_energy(0, 1.0, m).real
     assert abs(tab - lam0) / abs(lam0) > 0.5
 
 
 def test_case1_wavefunction_shape_and_ode_residual():
-    m = real_branch_params()
-    sol0 = case1_solution(0, 1.0, m)
+    m = REAL_BRANCH
+    alpha = 1.0
     t = np.linspace(-2.0, 12.0, 2001)
-    psi = case1_wavefunction(sol0, t)
-    s = sol0.s_of_t(t)
-    shape = s ** (2 * sol0.mu) * np.exp(-s / sol0.alpha)
+    psi = case1_wavefunction(0, alpha, m, t)
+    s = alpha * np.sqrt(complex(m.D_m - (m.B_m + m.C_m) / 2.0)) * np.exp(-alpha * t)
+    mu = morse_energy_exact(0, m)[1] / 2.0
+    shape = s ** (2 * mu) * np.exp(-s / alpha)
     shape /= np.max(np.abs(shape))
     assert np.max(np.abs(psi - shape)) < 1e-12  # Laguerre factor is 1 at n = 0
     assert abs(psi[-1]) < 1e-5  # decay at large t
-    chain = case1_transform_chain(m, 1.0)
+    chain = case1_transform_chain(m, alpha)
     for n in (0, 1):
-        sol = case1_solution(n, 1.0, m)
+        lam, _, bounded = morse_energy_exact(n, m)
         g = Grid(8000, -2.0, 14.0, "dirichlet")
         ts = g.points
-        vals = case1_wavefunction(sol, ts)
-        res = diff2_fourth_order(vals, g) + (sol.alpha ** 2) * (
-            sol.morse_energy + chain.u_of_t(ts)) * vals
+        vals = case1_wavefunction(n, alpha, m, ts)
+        res = diff2_fourth_order(vals, g) + (alpha ** 2) * (lam + chain.u_of_t(ts)) * vals
         core = slice(10, -10)
         rel = np.max(np.abs(res[core])) / np.max(np.abs(vals[core]))
         assert rel < 1e-6
-        assert sol.bounded
+        assert bounded
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Every public function of the package has a caller outside the tests.
+"""Every public function of the package has a caller outside the tests, and
+every defaulted parameter of one is passed by some call.
 
 A public module-level function of `torusdirac.*` must be named in `src/`
 outside its own `def`, or in `demos/`.  An import does not count as a use,
-so a re-export from `__init__` alone does not keep a function.
+so a re-export from `__init__` alone does not keep a function.  A default
+that no call in `src/`, `demos/` or `tests/` overrides is a constant, not
+a parameter.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from collections import defaultdict
 from pathlib import Path
 
 import torusdirac
@@ -23,12 +27,12 @@ EXEMPT = {
 
 
 def _public_functions():
-    """(module name, function name) of every public module-level function."""
+    """(module name, function name, function) of every public module-level function."""
     for info in pkgutil.iter_modules(torusdirac.__path__):
         module = importlib.import_module(f"torusdirac.{info.name}")
         for name, obj in inspect.getmembers(module, inspect.isfunction):
             if not name.startswith("_") and obj.__module__ == module.__name__:
-                yield module.__name__, name
+                yield module.__name__, name, obj
 
 
 def _names_used(tree: ast.AST, skip_def: bool) -> set:
@@ -55,6 +59,41 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         used |= _names_used(ast.parse(path.read_text()), skip_def=True)
     for path in sorted((ROOT / "demos").glob("*.py")):
         used |= _names_used(ast.parse(path.read_text()), skip_def=False)
-    orphans = sorted(f"{module}.{name}" for module, name in _public_functions()
+    orphans = sorted(f"{module}.{name}" for module, name, _ in _public_functions()
                      if name not in used and name not in EXEMPT)
     assert not orphans, f"public functions that only tests call: {orphans}"
+
+
+def _arguments_passed(tree: ast.AST, passed: dict) -> None:
+    """Add to passed[callee name] the positions and keywords of each call in `tree`.
+
+    `partial(f, ...)` counts as a call of f; a starred argument adds "*"
+    (every position) and a `**` mapping adds "**" (every keyword).
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "partial" and args:
+            name, args = getattr(args[0], "id", getattr(args[0], "attr", None)), args[1:]
+        passed[name].update("*" if isinstance(arg, ast.Starred) else i
+                            for i, arg in enumerate(args))
+        passed[name].update(kw.arg or "**" for kw in node.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    passed = defaultdict(set)
+    for folder in ("src", "demos", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            _arguments_passed(ast.parse(path.read_text()), passed)
+    knobs = []
+    for module, name, func in _public_functions():
+        calls = passed[name]
+        for i, param in enumerate(inspect.signature(func).parameters.values()):
+            if param.default is param.empty:
+                continue
+            by_position = param.kind != param.KEYWORD_ONLY and (i in calls or "*" in calls)
+            if not (by_position or param.name in calls or "**" in calls):
+                knobs.append(f"{module}.{name}({param.name}=)")
+    assert not knobs, f"defaults that no call overrides: {knobs}"

@@ -466,6 +466,34 @@ def test_pdfv_spectrum_rejects_levels_it_cannot_solve(tmp_path, capsys, text, ke
     assert not (tmp_path / "spectrum_pdfv.csv").exists()
 
 
+@pytest.mark.parametrize("text, flags, command, key", [
+    # int(1e300) points: numpy cannot allocate the grid
+    ("grid: {n: 1.0e+300}\n", [], "spectrum", "grid.n"),
+    # 2**20 points: the rounding floor 4 eps |T|_inf of the residual gate passes 1e-6
+    ("", ["--grid-n", "1048576"], "spectrum", "grid.n"),
+    # 20001 levels in each table: the bound holds for every run that reads n_max
+    ("analytic: {n_max: 20000}\n", [], "analytic", "analytic.n_max"),
+], ids=["grid-n-huge", "grid-n-flag", "n_max-analytic"])
+def test_config_bounds_the_size_keys(tmp_path, capsys, text, flags, command, key):
+    cfg = tmp_path / "size.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), *flags, command]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}=")
+    assert not list(out.iterdir())
+
+
+def test_config_size_bounds_sit_at_their_limits():
+    assert cli.load_config(grid_n=2 ** 19).grid.n == 2 ** 19
+    with pytest.raises(ConfigError, match="grid.n"):
+        cli.load_config(grid_n=2 ** 19 + 1)
+    settings = cli._settings({"analytic": {"n_max": 7999}})
+    assert cli._build_config(settings).n_max == 7999
+    settings["analytic.n_max"] = 8000
+    with pytest.raises(ConfigError, match="analytic.n_max"):
+        cli._build_config(settings)
+
+
 # Inputs whose arithmetic overflows (or underflows to a zero divisor) in the run, with
 # the key that the config error must name
 OVERFLOWS = [
@@ -517,9 +545,6 @@ SCAN_RUNS = [
     *[("sweep", f"sweep {parameter} 0.5", {}) for parameter in cli.SWEEPABLE],
 ]
 SCAN_VALUES = [sign * 10.0 ** exponent for exponent in (-300, -100, 200, 300) for sign in (1, -1)]
-# these count grid rows and levels: a huge count asks for that much work, not for
-# arithmetic that overflows, so their large positive values are left out
-SIZE_KEYS = {"grid.n", "analytic.n_max"}
 
 
 def test_every_number_a_run_reads_is_used_or_rejected_by_name(tmp_path, capsys):
@@ -532,8 +557,6 @@ def test_every_number_a_run_reads_is_used_or_rejected_by_name(tmp_path, capsys):
                 and key != swept]
         for key in keys + ([f"sweep {words[1]}"] if swept else []):
             for value in SCAN_VALUES:
-                if key in SIZE_KEYS and value > 1e4:
-                    continue
                 out = tmp_path / f"{command}-{key}-{value!r}".replace(" ", "_")
                 out.mkdir()
                 doc, args = copy.deepcopy(scenario), list(words)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,14 +21,18 @@ from torusdirac.operators import SampledOp, decouple_constant_vf
 from torusdirac.pseudoherm import (
     AdjointOf,
     ComposedOp,
+    constrained_torus,
     eta2_case1,
     eta2_case2,
+    factorization_constants,
     hermitian_counterpart_case1,
     intertwining_residual,
     mathieu_form,
     partner_potentials_case1,
+    real_morse_branch,
     rosen_morse_form,
     sqrt_am1,
+    superpotential,
     superpotential_case1,
     veff_case2,
 )
@@ -60,7 +66,8 @@ def test_eta2_case1_coefficient():
     a4 = P.a ** 4
     expected = a4 * x / 4 - P.a ** 2 / 2 * np.sin(x) - a4 / 8 * np.sin(2 * x)
     assert np.max(np.abs(op.rho - expected)) < 1e-15
-    assert op.meta["secular"] is True
+    # secular: the a^4 x/4 term grows by pi a^4/2 over a period
+    assert period_gap(eta2_case1(P, 0.0, TWO_PERIODS).rho) == pytest.approx(np.pi * P.a ** 4 / 2)
     assert abs(op.rho[0]) < 1e-15  # value at x = 0 with C1 = 0
     tiny = eta2_case1(TorusParams(a=1e-6, c=2.0), 0.0, g)
     assert np.max(np.abs(tiny.rho)) < 1e-12
@@ -113,12 +120,25 @@ def test_mathieu_real_branch():
 def test_superpotential_constraint_branch():
     g = Grid(64)
     w = superpotential_case1(P, g)
-    assert w.meta["branch"] == "real-c"
-    assert np.real(w.meta["c"]) == pytest.approx(0.25 / (2 * np.sqrt(0.5)), abs=1e-12)
+    # a < 1: the branch on which the ring radius c is real and C2 imaginary
+    c2, c = factorization_constants(P.a)
+    assert np.imag(c) == 0.0 and np.real(c2) == 0.0
+    assert np.real(c) == pytest.approx(0.25 / (2 * np.sqrt(0.5)), abs=1e-12)
     assert w.rho[0] == pytest.approx(-1.5j, abs=1e-15)  # x = 0 value at a = 1/2
-    big = superpotential_case1(TorusParams(a=1.5, c=3.0), g)
-    assert big.meta["branch"] == "real-C2"
-    assert abs(np.imag(big.meta["C2"])) < 1e-14
+    # a > 1: the branch on which C2 is real
+    big_c2, big_c = factorization_constants(1.5)
+    assert abs(np.imag(big_c2)) < 1e-14
+    assert np.real(big_c) == 0.0
+
+
+def test_real_morse_branch_on_the_constrained_ring():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        torus = constrained_torus(0.5)  # c < a, and the warning stays inside
+    assert torus.c == np.real(factorization_constants(0.5)[1]) < torus.a
+    m = real_morse_branch(torus)
+    assert m.C_m == 0.0
+    assert max(abs(np.imag(v)) for v in (m.A_m, m.B_m, m.D_m)) < 1e-13
 
 
 def test_factorization_identities_pointwise():
@@ -128,6 +148,7 @@ def test_factorization_identities_pointwise():
     s = sqrt_am1(a)
     w = -1j * s / a * np.sin(x) + 1j * (a - 2) / (2 * a)
     wp = -1j * s / a * np.cos(x)
+    assert np.array_equal(superpotential(a, x), (w, wp))
     v, v1 = partner_potentials_case1(P, g)
     assert np.max(np.abs(w ** 2 - wp - v.rho)) < 1e-12
     assert np.max(np.abs(w ** 2 + wp - v1.rho)) < 1e-12
@@ -280,7 +301,6 @@ def test_eta2_case2_values_and_periodicity():
     op = eta2_case2(P, 0.0, g)
     assert op.rho[0] == pytest.approx(0.00390625, abs=1e-15)
     assert period_gap(eta2_case2(P, 0.0, TWO_PERIODS).rho) < 1e-13
-    assert op.meta["secular"] is False
     tiny = eta2_case2(TorusParams(a=1e-6, c=2.0), 0.0, g)
     assert np.max(np.abs(tiny.rho)) < 1e-12
 
