@@ -29,9 +29,9 @@ from .fields import (
 from .operators import (
     SampledOp,
     SpinorGF,
-    apply_dirac,
     decouple_constant_vf,
     decouple_pdfv,
+    dirac_operator,
     hermiticity_defect,
     squaring_discrepancy,
 )

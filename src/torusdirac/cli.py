@@ -38,7 +38,7 @@ from .grids import Grid
 
 # sweep parameter -> the config key its values replace
 SWEEPABLE = {"a": "torus.a", "e": "quantum.e", "alpha": "analytic.alpha", "C1": "analytic.C1"}
-OUTPUTS = ("report", "csv", "coefficients", "box_selftest")
+OUTPUTS = ("report", "csv", "coefficients")
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,7 @@ OUTPUTS = ("report", "csv", "coefficients", "box_selftest")
 # ---------------------------------------------------------------------------
 
 _SPECTRUM, _PDFV = "spectrum constant_vf", "spectrum pdfv"
+_COEFFICIENTS = f"{_SPECTRUM} coefficients"  # the run with `coefficients` in its outputs
 # Every setting by dotted key: (default, kind, the runs that read it).  A kind is
 # "real", "integer", "complex" or the tuple of allowed values; no run reads a key
 # of kind None.  No output of a run depends on a key it does not read, so `main`
@@ -55,15 +56,18 @@ _SPECTRUM, _PDFV = "spectrum constant_vf", "spectrum pdfv"
 SCHEMA = {
     "torus.a": (0.5, "real", ("geometry", _SPECTRUM, "analytic", "sweep")),
     "torus.c": (2.0, "real", ("geometry", _SPECTRUM)),
-    # the Mathieu form of the constant_vf spectrum needs the quadratic ring field
-    "field.kind": ("quadratic_au", ("quadratic_au", "hermitizing_quadratic"), (_SPECTRUM,)),
+    # the Mathieu form of the constant_vf spectrum needs the quadratic ring field, and
+    # it ignores A_x: the kind changes only the coefficient table
+    "field.kind": ("quadratic_au", ("quadratic_au", "hermitizing_quadratic"),
+                   (_COEFFICIENTS,)),
     "field.C2": (0.2, "complex", (_SPECTRUM,)),
     "field.C3": ("auto", None, ()),
     "field.a2": (0.2, None, ()),
     # the position-dependent case is solved for the cosine profile only
     "fermi.kind": ("constant", ("constant", "cosine"), (_PDFV,)),
     "fermi.v_f": (1.0, None, ()),
-    "quantum.k": (1, "integer", (_SPECTRUM,)),
+    # both ring fields cancel k through their constant -k/(a e)
+    "quantum.k": (1, None, ()),
     "quantum.e": (1.0, "real", (_SPECTRUM, "sweep")),
     "quantum.Delta": (0.0, None, ()),
     "grid.n": (1024, "integer", (_SPECTRUM,)),
@@ -77,7 +81,6 @@ SCHEMA = {
     "outputs.report": (True, (False, True), ("verify",)),
     "outputs.csv": (True, (False, True), ("geometry", _SPECTRUM, _PDFV)),
     "outputs.coefficients": (False, (False, True), (_SPECTRUM,)),
-    "outputs.box_selftest": (False, (False, True), (_SPECTRUM, _PDFV)),
     "--negative-control": (False, (False, True), ("verify",)),
 }
 _SECTIONS = {key.partition(".")[0] for key in SCHEMA if "." in key}
@@ -86,7 +89,7 @@ _SECTIONS = {key.partition(".")[0] for key in SCHEMA if "." in key}
 @dataclass
 class ScenarioConfig:
     torus: geometry.TorusParams
-    gauge: fields.GaugeField  # carries quantum.k and quantum.e
+    gauge: fields.GaugeField  # carries quantum.e; k is 1, which the ring fields cancel
     grid: Grid
     case: str
     alpha: float
@@ -132,11 +135,11 @@ def _build_config(settings: dict) -> ScenarioConfig:
         raise ConfigError(f"torus.a={settings['torus.a']!r}, torus.c={settings['torus.c']!r}: "
                           f"{exc}") from exc
 
-    k, e = _value(settings, "quantum.k"), _value(settings, "quantum.e")
     build = (fields.quadratic_ring_field if _value(settings, "field.kind") == "quadratic_au"
              else fields.hermitizing_quadratic_field)
+    c2, e = _value(settings, "field.C2"), _value(settings, "quantum.e")
     try:
-        gauge = build(_value(settings, "field.C2"), e=e, k=k)
+        gauge = build(c2, e=e)
     except TorusDiracError as exc:
         raise ConfigError(f"field: {exc}") from exc
 
@@ -227,10 +230,13 @@ def _check_reads(cfg: ScenarioConfig, command: str, negative_control: bool,
                  swept=None) -> list[str]:
     """ConfigError for a setting off its default that the run does not read (`SCHEMA`).
 
-    Returns "key=value" for each number setting off its default that the run
-    reads: the inputs that `main` names when the run's arithmetic fails.
+    A key listed for a run followed by an `outputs` entry is read only when
+    that entry is listed.  Returns "key=value" for each number setting off
+    its default that the run reads: the inputs that `main` names when the
+    run's arithmetic fails.
     """
     run = f"{command} {cfg.case}" if command == "spectrum" else command
+    runs = {run, *(f"{run} {entry}" for entry in cfg.outputs)}
     settings = {**cfg.settings, "--negative-control": negative_control}
     numbers = []
     for key, (default, kind, readers) in SCHEMA.items():
@@ -238,7 +244,7 @@ def _check_reads(cfg: ScenarioConfig, command: str, negative_control: bool,
         # YAML's `true` equals 1 in Python
         if isinstance(value, bool) == isinstance(default, bool) and value == default:
             continue
-        if run not in readers or key == SWEEPABLE.get(swept):
+        if runs.isdisjoint(readers) or key == SWEEPABLE.get(swept):
             raise ConfigError(f"{run} does not read {key}; leave it at {default!r}")
         if kind in ("real", "integer", "complex"):
             numbers.append(f"{key}={value!r}")
@@ -305,9 +311,6 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
 def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     rep = RunReport("spectrum")
     p = cfg.torus
-    if "box_selftest" in cfg.outputs:
-        checks.BOX_BENCHMARK.record(rep)
-
     if cfg.case == "constant_vf":
         # symmetrized branch: real trigonometric-polynomial potential
         grid = cfg.grid
@@ -331,8 +334,10 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                       rows, timestamp)
         if "coefficients" in cfg.outputs:
             plus, _ = operators.decouple_constant_vf(p, cfg.gauge, grid)
-            header, crows = operators.sl_coefficient_table(plus)
-            write_csv(out / "sl_coefficients_plus.csv", header, crows, timestamp)
+            write_csv(out / "sl_coefficients_plus.csv",
+                      ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"],
+                      zip(grid.points, plus.sigma.real, plus.sigma.imag,
+                          plus.rho.real, plus.rho.imag), timestamp)
     else:
         rows = checks.pdfv_levels(cfg.alpha, cfg.n_max,
                                   Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))

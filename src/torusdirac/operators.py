@@ -83,27 +83,18 @@ class SampledOp:
                 and np.all(np.isfinite(self.rho))):
             raise ValueError("non-finite coefficient samples")
 
-    def apply(self, gf: GridFunction, second_derivative: str = "d2") -> GridFunction:
-        """Apply -p d2 + sigma d1 + rho with the chosen second-derivative stencil.
-
-        'd1d1' composes the central first-derivative stencil with itself,
-        which is the discrete operator a squared first-order system actually
-        produces; 'd2' is the standard three-point Laplacian.
-        """
+    def apply(self, gf: GridFunction) -> GridFunction:
+        """Apply -p d2 + sigma d1 + rho, d2 the three-point Laplacian."""
         if gf.grid != self.grid:
             raise GridMismatch("operand grid differs from operator grid")
         v = gf.values
         out = self.sigma * diff1(v, self.grid) if np.any(self.sigma) else 0.0
         if self.p:
-            if second_derivative == "d1d1":
-                dd = diff1(diff1(v, self.grid), self.grid)
-            else:
-                dd = diff2(v, self.grid)
-            out = -self.p * dd + out
+            out = -self.p * diff2(v, self.grid) + out
         return GridFunction(self.grid, out + self.rho * v)
 
     def apply_adjoint(self, gf: GridFunction) -> GridFunction:
-        """Conjugate transpose of the 'd2' matrix: -p d2 v - d1(conj(sigma) v) + conj(rho) v.
+        """Conjugate transpose of `apply`'s matrix: -p d2 v - d1(conj(sigma) v) + conj(rho) v.
 
         Exact on both grid kinds: the d2 stencil is symmetric and the
         (wrapped or zero-padded) d1 stencil antisymmetric.
@@ -117,17 +108,12 @@ class SampledOp:
         return GridFunction(self.grid, out + np.conj(self.rho) * v)
 
 
-def _check_ring(params: TorusParams, x: np.ndarray) -> np.ndarray:
-    r = radius_profile(params, x)
-    if np.min(np.abs(r)) < 1e-12:
-        raise DegenerateGeometry("ring radius vanishes on the grid")
-    return r
-
-
 def _coefficients(params: TorusParams, gauge: GaugeField, x: np.ndarray):
     """Return (W1, Q, W1', Q') sampled on x."""
     k, e = gauge.k, gauge.e
-    r = _check_ring(params, x)
+    r = radius_profile(params, x)
+    if np.min(np.abs(r)) < 1e-12:
+        raise DegenerateGeometry("ring radius vanishes on the grid")
     rp = radius_derivative(params, x)
     ax, au, axp, aup = eval_gauge(gauge, params, x)
     w1 = 0.5 * params.a * np.sin(x) - 1j * e / params.a * ax
@@ -137,14 +123,11 @@ def _coefficients(params: TorusParams, gauge: GaugeField, x: np.ndarray):
     return w1, q, w1p, qp
 
 
-def apply_dirac(params: TorusParams, gauge: GaugeField, grid: Grid,
-                spinor: SpinorGF) -> SpinorGF:
-    """Apply the reduced Dirac operator to a spinor (or a stack) on a periodic grid."""
-    return _dirac(params, gauge, grid)(spinor)
+def dirac_operator(params: TorusParams, gauge: GaugeField, grid: Grid):
+    """The reduced Dirac operator on a periodic grid, as a map of spinors (or stacks).
 
-
-def _dirac(params: TorusParams, gauge: GaugeField, grid: Grid):
-    """The reduced Dirac operator as a map of spinors, its coefficients evaluated once."""
+    Its coefficients are evaluated once, when the map is made.
+    """
     if grid.boundary != "periodic":
         raise GridMismatch("the Dirac kernel is applied on periodic grids")
     w1, q, _, _ = _coefficients(params, gauge, grid.points)
@@ -216,20 +199,25 @@ def squaring_discrepancy(params: TorusParams, gauge: GaugeField, grid: Grid,
                          spinor: SpinorGF) -> float:
     """Relative mismatch between a^2 * H(H psi) and the decoupled operators.
 
-    The decoupled problems are applied with the composed first-derivative
-    stencil ('d1d1') so the comparison isolates the coefficient algebra from
-    the choice of Laplacian stencil.  A stacked spinor gives the worst of its
-    probes, each as it would alone.
+    The decoupled problems are applied with the central first-derivative
+    stencil composed with itself in place of the Laplacian: that is the
+    discrete operator the squared first-order system produces, so the
+    comparison isolates the coefficient algebra from the choice of stencil.
+    A stacked spinor gives the worst of its probes, each as it would alone.
     """
     plus, minus = decouple_constant_vf(params, gauge, grid)
-    dirac = _dirac(params, gauge, grid)
+    dirac = dirac_operator(params, gauge, grid)
     scale = params.a ** 2
+
+    def squared(op: SampledOp, v: np.ndarray) -> np.ndarray:
+        d1 = diff1(v, grid)
+        return -op.p * diff1(d1, grid) + op.sigma * d1 + op.rho * v
+
     worst = 0.0
     for v1, v2 in zip(*map(row_blocks, np.atleast_2d(spinor.psi1.values, spinor.psi2.values))):
         rows = SpinorGF(GridFunction(spinor.grid, v1), GridFunction(spinor.grid, v2))
         hh = dirac(dirac(rows))
-        rhs1 = plus.apply(rows.psi1, second_derivative="d1d1").values
-        rhs2 = minus.apply(rows.psi2, second_derivative="d1d1").values
+        rhs1, rhs2 = squared(plus, v1), squared(minus, v2)
         num = _hypot_rows(row_norms(scale * hh.psi1.values - rhs1),
                           row_norms(scale * hh.psi2.values - rhs2))
         worst = max(worst, float(np.max(num / _hypot_rows(row_norms(rhs1), row_norms(rhs2)))))
@@ -242,7 +230,7 @@ def hermiticity_defect(params: TorusParams, gauge: GaugeField, grid: Grid, pairs
         return grid.h * (np.sum(np.conj(f.psi1.values) * g.psi1.values, axis=-1)
                          + np.sum(np.conj(f.psi2.values) * g.psi2.values, axis=-1))
 
-    dirac = _dirac(params, gauge, grid)
+    dirac = dirac_operator(params, gauge, grid)
     worst = 0.0
     for f, g in pairs:
         hf, hg = dirac(f), dirac(g)
@@ -250,11 +238,3 @@ def hermiticity_defect(params: TorusParams, gauge: GaugeField, grid: Grid, pairs
         gap = np.array([abs(z) for z in np.atleast_1d(inner(f, hg) - inner(hf, g))])
         worst = max(worst, float(np.max(gap / (np.atleast_1d(f.norm()) * g.norm()))))
     return worst
-
-
-def sl_coefficient_table(problem: SampledOp):
-    """(header, rows) for CSV export of the sampled coefficients."""
-    header = ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"]
-    rows = list(zip(problem.grid.points, problem.sigma.real, problem.sigma.imag,
-                    problem.rho.real, problem.rho.imag))
-    return header, rows

@@ -24,37 +24,6 @@ from .grids import Grid, GridFunction, row_blocks, row_norms, same_grid
 from .operators import SampledOp
 
 
-# ---------------------------------------------------------------------------
-# operator combinators (the operators themselves are `SampledOp`s)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AdjointOf:
-    """Discrete adjoint wrapper: applies the conjugate transpose of op's matrix."""
-
-    op: object
-
-    def apply(self, gf: GridFunction) -> GridFunction:
-        return self.op.apply_adjoint(gf)
-
-
-@dataclass
-class ComposedOp:
-    """Right-to-left composition of operators (last entry applied first).
-
-    Useful for building factorized Hamiltonians L1 L2 whose intertwining by
-    L1 or L2 is exact at the discrete level by associativity; the empty
-    composition is the identity.
-    """
-
-    ops: tuple
-
-    def apply(self, gf: GridFunction) -> GridFunction:
-        for op in reversed(self.ops):
-            gf = op.apply(gf)
-        return gf
-
-
 @dataclass(frozen=True)
 class MathieuParams:
     """Scalars of the model -psi'' + (A + B cos x + C sin x + D sin^2 x) psi = 0."""
@@ -252,17 +221,20 @@ def rosen_morse_form(params: TorusParams, a2: float, e: float, x):
 def intertwining_residual(eta, h_op, h_target, testset) -> float:
     """max over the test set of ||(eta H - H_target eta) phi|| / ||phi||.
 
-    `eta`, `h_op`, `h_target` are anything with .apply(GridFunction);
-    discrete compositions throughout, so an exact continuum relation leaves
-    only the stencil error, which vanishes at second order under refinement.
-    The test set (functions or stacks) is applied as one stack, in row blocks.
+    `eta`, `h_op` and `h_target` are maps of `GridFunction`s, such as a
+    `SampledOp`'s `apply` or `apply_adjoint`, or a composition of them.
+    Discrete compositions throughout, so an exact continuum relation leaves
+    only the stencil error, which vanishes at second order under refinement;
+    a factorized pair A^H A, A A^H is intertwined by A exactly, by
+    associativity.  The test set (functions or stacks) is applied as one
+    stack, in row blocks.
     """
     testset = list(testset)
     worst = 0.0
     for rows in row_blocks(np.vstack([p.values for p in testset])):
         phi = GridFunction(same_grid(*testset), rows)
-        lhs = eta.apply(h_op.apply(phi))
-        rhs = h_target.apply(eta.apply(phi))
+        lhs = eta(h_op(phi))
+        rhs = h_target(eta(phi))
         if lhs.grid != rhs.grid:
             raise GridMismatch("composition grids diverged")
         worst = max(worst, *np.sqrt(lhs.grid.h) * row_norms(lhs.values - rhs.values) / phi.norm())

@@ -1,11 +1,11 @@
-"""Every public function of the package has a caller outside the tests, and
-every defaulted parameter of one is passed by some call.
+"""Every public function and class of the package has a user outside the
+tests, and every defaulted parameter of a function is passed by some call.
 
-A public module-level function of `torusdirac.*` must be named in `src/`
-outside its own `def`, or in `demos/`.  An import does not count as a use,
-so a re-export from `__init__` alone does not keep a function.  A default
-that no call in `src/`, `demos/` or `tests/` overrides is a constant, not
-a parameter.
+A public module-level function or class of `torusdirac.*` must be named in
+`src/` outside its own `def` or `class`, or in `demos/`.  An import does not
+count as a use, so a re-export from `__init__` alone does not keep one.  A
+default that no call in `src/`, `demos/` or `tests/` overrides is a
+constant, not a parameter.
 """
 
 import ast
@@ -21,26 +21,26 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public API without an internal caller, each with its reason
 EXEMPT = {
-    "apply_dirac": "the reduced Dirac operator the paper studies, applied to a spinor",
     "constant_velocity": "the case-1 Fermi velocity, the counterpart of cosine_velocity",
 }
 
 
-def _public_functions():
-    """(module name, function name, function) of every public module-level function."""
+def _public_members(predicate=inspect.isfunction):
+    """(module name, name, object) of every public module-level function, or class."""
     for info in pkgutil.iter_modules(torusdirac.__path__):
         module = importlib.import_module(f"torusdirac.{info.name}")
-        for name, obj in inspect.getmembers(module, inspect.isfunction):
+        for name, obj in inspect.getmembers(module, predicate):
             if not name.startswith("_") and obj.__module__ == module.__name__:
                 yield module.__name__, name, obj
 
 
 def _names_used(tree: ast.AST, skip_def: bool) -> set:
-    """Names loaded or read as attributes in `tree`; with skip_def, not inside a def of that name."""
+    """Names loaded or read as attributes in `tree`; with skip_def, not inside a def or
+    class of that name."""
     used = set()
 
     def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and skip_def:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and skip_def:
             inside = inside | {node.name}
         if isinstance(node, ast.Name) and node.id not in inside:
             used.add(node.id)
@@ -53,15 +53,27 @@ def _names_used(tree: ast.AST, skip_def: bool) -> set:
     return used
 
 
-def test_every_public_function_has_a_caller_outside_the_tests():
+def _names_used_outside_the_tests() -> set:
     used = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         used |= _names_used(ast.parse(path.read_text()), skip_def=True)
     for path in sorted((ROOT / "demos").glob("*.py")):
         used |= _names_used(ast.parse(path.read_text()), skip_def=False)
-    orphans = sorted(f"{module}.{name}" for module, name, _ in _public_functions()
+    return used
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    used = _names_used_outside_the_tests()
+    orphans = sorted(f"{module}.{name}" for module, name, _ in _public_members()
                      if name not in used and name not in EXEMPT)
     assert not orphans, f"public functions that only tests call: {orphans}"
+
+
+def test_every_public_class_has_a_user_outside_the_tests():
+    used = _names_used_outside_the_tests()
+    orphans = sorted(f"{module}.{name}" for module, name, _ in _public_members(inspect.isclass)
+                     if name not in used and name not in EXEMPT)
+    assert not orphans, f"public classes that only tests use: {orphans}"
 
 
 def _arguments_passed(tree: ast.AST, passed: dict) -> None:
@@ -88,7 +100,7 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         for path in sorted((ROOT / folder).rglob("*.py")):
             _arguments_passed(ast.parse(path.read_text()), passed)
     knobs = []
-    for module, name, func in _public_functions():
+    for module, name, func in _public_members():
         calls = passed[name]
         for i, param in enumerate(inspect.signature(func).parameters.values()):
             if param.default is param.empty:

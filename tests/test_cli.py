@@ -83,6 +83,14 @@ def test_config_rejects_empty_outputs(tmp_path, capsys):
     assert "outputs" in capsys.readouterr().err
 
 
+def test_config_error_names_a_field_key_once(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("field: {C2: [1, 2]}\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "spectrum"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: field.C2: expected a finite complex number, got [1, 2]")
+
+
 def test_analytic_reports_the_display_fit(tmp_path, capsys):
     assert cli.main(["--out", str(tmp_path), "--no-timestamp", "analytic"]) == 0
     line = next(s for s in capsys.readouterr().out.splitlines() if "display-form fit" in s)
@@ -294,7 +302,7 @@ def test_load_config_does_not_share_default_state(tmp_path):
     # settings the YAML did not touch must not alias the defaults either
     cfg_yaml.settings["analytic.C1"] = 5.0
     cfg_yaml.settings["grid.n"] = 16
-    cfg_yaml.outputs.append("box_selftest")
+    cfg_yaml.outputs.append("coefficients")
     fresh = cli.load_config(None)
     assert fresh.settings == defaults
     assert cli.SCHEMA == pristine
@@ -318,6 +326,8 @@ def test_load_config_does_not_share_default_state(tmp_path):
     *[(text, flags + command)
       for command in ("geometry", "verify", "analytic", "sweep alpha 1.0")
       for text, flags in (("grid: {n: 64}\n", ""), ("", "--grid-n 64 "))],
+    # the box benchmark is a `verify` check; `spectrum` has no such output
+    ("outputs: [csv, box_selftest]\n", "spectrum"),
 ])
 def test_config_rejects_inputs_that_do_nothing(tmp_path, capsys, text, command):
     cfg = tmp_path / "noop.yaml"
@@ -510,7 +520,7 @@ OVERFLOWS = [
     ("torus: {a: 1.0e+300}\n", "sweep alpha 1.0", "torus.a"),
     ("torus: {a: 1.0e-100}\n", "sweep alpha 1.0", "torus.a"),
     ("torus: {a: 1.0e-100}\n", "analytic", "torus.a"),
-    # an integer beyond the largest double
+    # an integer beyond the largest double, in a key that no run reads
     (f"quantum: {{k: {10 ** 400}}}\n", "spectrum", "quantum.k"),
     # R(x)^2 in the metric: the frame identity measured inf - inf
     ("torus: {c: 1.0e+155}\n", "geometry", "torus.c"),
@@ -685,21 +695,23 @@ CHANGED = {
     "quantum.k": 2, "quantum.e": 1.5, "quantum.Delta": 3.0, "grid.n": 256,
     "grid.boundary": "dirichlet", "analytic.alpha": 1.2, "analytic.C1": 0.5,
     "analytic.n_max": 2, "case": "pdfv", "outputs.report": False, "outputs.csv": False,
-    "outputs.coefficients": True, "outputs.box_selftest": True,
+    "outputs.coefficients": True,
     "--grid-n": 256, "--negative-control": True,
 }
 SWEPT = {"torus.a", "quantum.e", "analytic.alpha", "analytic.C1"}
 # run -> (arguments, settings it starts from, the keys and flags whose value it reads)
 RUNS = {
     "geometry": ("geometry", {}, {"torus.a", "torus.c", "outputs.csv"}),
-    # field.kind and quantum.k change only the coefficient table
+    # field.kind changes only the coefficient table; both ring fields cancel quantum.k
     "spectrum": ("spectrum", {"outputs.coefficients": True},
-                 {"torus.a", "torus.c", "field.kind", "field.C2", "quantum.k", "quantum.e",
-                  "grid.n", "--grid-n", "case", "outputs.csv", "outputs.coefficients",
-                  "outputs.box_selftest"}),
+                 {"torus.a", "torus.c", "field.kind", "field.C2", "quantum.e", "grid.n",
+                  "--grid-n", "case", "outputs.csv", "outputs.coefficients"}),
+    "spectrum csv": ("spectrum", {},
+                     {"torus.a", "torus.c", "field.C2", "quantum.e", "grid.n", "--grid-n",
+                      "case", "outputs.csv", "outputs.coefficients"}),
     "spectrum pdfv": ("spectrum", {"case": "pdfv", "fermi.kind": "cosine"},
-                      {"case", "fermi.kind", "analytic.alpha", "analytic.n_max", "outputs.csv",
-                       "outputs.box_selftest"}),
+                      {"case", "fermi.kind", "analytic.alpha", "analytic.n_max",
+                       "outputs.csv"}),
     "verify": ("verify", {}, {"outputs.report", "--negative-control"}),
     "analytic": ("analytic", {}, {"torus.a", "analytic.alpha", "analytic.C1", "analytic.n_max"}),
     "sweep a": ("sweep a 0.5", {}, SWEPT - {"torus.a"}),

@@ -19,16 +19,15 @@ from torusdirac.fields import (
 )
 from torusdirac.geometry import TorusParams, radius_profile
 from torusdirac import operators
-from torusdirac.grids import Grid, GridFunction, band_limited, diff2
+from torusdirac.grids import Grid, GridFunction, band_limited, diff1, diff2
 from torusdirac.operators import (
     SampledOp,
     SpinorGF,
     _coefficients,
-    apply_dirac,
     decouple_constant_vf,
     decouple_pdfv,
+    dirac_operator,
     hermiticity_defect,
-    sl_coefficient_table,
     squaring_discrepancy,
 )
 
@@ -56,7 +55,7 @@ def test_offdiag_hermitizing_cancels_w1():
 def test_apply_dirac_offdiagonal_structure():
     psi1 = band_limited(G, [2, 3], rng=0)[0]
     zero = GridFunction(G, np.zeros(G.n))
-    out = apply_dirac(P, zero_field(), G, SpinorGF(psi1, zero))
+    out = dirac_operator(P, zero_field(), G)(SpinorGF(psi1, zero))
     # first output component only sees the second input component
     assert np.max(np.abs(out.psi1.values)) == 0.0
     assert np.max(np.abs(out.psi2.values)) > 0.0
@@ -65,7 +64,7 @@ def test_apply_dirac_offdiagonal_structure():
 def test_apply_dirac_constant_spinor_literal_convention():
     # the kernel's second row is the literal reading of the printed row, negated
     const = GridFunction(G, np.ones(G.n))
-    out = apply_dirac(P, GaugeField(kind="zero", k=0), G, SpinorGF(const, const))
+    out = dirac_operator(P, GaugeField(kind="zero", k=0), G)(SpinorGF(const, const))
     w1 = 0.5 * P.a * np.sin(G.points)
     assert np.max(np.abs(out.psi1.values - w1)) < 1e-14
     assert np.max(np.abs(out.psi2.values + w1)) < 1e-14
@@ -74,10 +73,9 @@ def test_apply_dirac_constant_spinor_literal_convention():
 def test_apply_dirac_grid_guards():
     other = Grid(512)
     with pytest.raises(GridMismatch):
-        apply_dirac(P, zero_field(), other, spinor(G, [1], 0))
-    bad = Grid(256, 0.1, 1.0, "dirichlet")
+        dirac_operator(P, zero_field(), other)(spinor(G, [1], 0))
     with pytest.raises(GridMismatch):
-        apply_dirac(P, zero_field(), bad, spinor(bad, [1], 0))
+        dirac_operator(P, zero_field(), Grid(256, 0.1, 1.0, "dirichlet"))
 
 
 def test_decouple_zero_field_closed_forms():
@@ -126,12 +124,17 @@ def _stack(spinors):
 
 
 def _scalar_squaring(gauge, g, sp):
-    """The squaring discrepancy of one probe, written with scalar norms and squares."""
+    """The squaring discrepancy of one probe, written with scalar norms and squares.
+
+    The decoupled problems take the first-derivative stencil twice, d1(d1 v),
+    in place of the Laplacian.
+    """
     plus, minus = decouple_constant_vf(P, gauge, g)
-    hh = apply_dirac(P, gauge, g, apply_dirac(P, gauge, g, sp))
+    dirac = dirac_operator(P, gauge, g)
+    hh = dirac(dirac(sp))
     lhs1, lhs2 = P.a ** 2 * hh.psi1.values, P.a ** 2 * hh.psi2.values
-    rhs1 = plus.apply(sp.psi1, second_derivative="d1d1").values
-    rhs2 = minus.apply(sp.psi2, second_derivative="d1d1").values
+    rhs1, rhs2 = (-diff1(diff1(v, g), g) + op.sigma * diff1(v, g) + op.rho * v
+                  for op, v in ((plus, sp.psi1.values), (minus, sp.psi2.values)))
     num = np.sqrt(np.linalg.norm(lhs1 - rhs1) ** 2 + np.linalg.norm(lhs2 - rhs2) ** 2)
     den = np.sqrt(np.linalg.norm(rhs1) ** 2 + np.linalg.norm(rhs2) ** 2)
     return float(num / den)
@@ -139,7 +142,7 @@ def _scalar_squaring(gauge, g, sp):
 
 def _scalar_defect(gauge, g, f, h):
     """The flat self-adjointness defect of one pair, written with scalar abs and squares."""
-    hf, hh = apply_dirac(P, gauge, g, f), apply_dirac(P, gauge, g, h)
+    hf, hh = dirac_operator(P, gauge, g)(f), dirac_operator(P, gauge, g)(h)
     inner = [g.h * (np.sum(np.conj(u.psi1.values) * v.psi1.values)
                     + np.sum(np.conj(u.psi2.values) * v.psi2.values))
              for u, v in ((f, hh), (hf, h))]
@@ -277,13 +280,6 @@ def test_pdfv_velocity_zero_guard():
     assert np.min(np.abs(g.points - np.pi / 2)) < 1e-15
     with pytest.raises(VelocityZero):
         decouple_pdfv(P, zero_field(), cosine_velocity(), g)
-
-
-def test_sl_coefficient_table_layout():
-    plus, _ = decouple_constant_vf(P, zero_field(), G)
-    header, rows = sl_coefficient_table(plus)
-    assert header == ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"]
-    assert len(rows) == G.n and len(rows[0]) == 5
 
 
 PERIODIC, DIRICHLET = Grid(256), Grid(300, -1.3, 1.3, "dirichlet")

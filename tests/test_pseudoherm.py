@@ -19,8 +19,6 @@ from torusdirac.geometry import TorusParams, radius_derivative, radius_profile
 from torusdirac.grids import Grid, GridFunction, compact_test_functions
 from torusdirac.operators import SampledOp, decouple_constant_vf
 from torusdirac.pseudoherm import (
-    AdjointOf,
-    ComposedOp,
     constrained_torus,
     eta2_case1,
     eta2_case2,
@@ -194,19 +192,19 @@ def test_identity_intertwiner_is_exact():
     g = Grid(256)
     h = SampledOp(g, 1, 0, np.cos(g.points))
     phis = compact_test_functions(g, [2, 3], rng=1, n_functions=2)
-    assert intertwining_residual(ComposedOp(()), h, h, phis) == 0.0
+    assert intertwining_residual(lambda f: f, h.apply, h.apply, phis) == 0.0
 
 
 def test_factorized_pair_intertwining_exact_and_sensitive():
     g = Grid(2048)
     w = superpotential_case1(TorusParams(a=0.9, c=2.0), g)
-    h = ComposedOp((AdjointOf(w), w))
-    h_partner = ComposedOp((w, AdjointOf(w)))
+    a, a_h = w.apply, w.apply_adjoint
+    h, h_partner = (lambda f: a_h(a(f))), (lambda f: a(a_h(f)))
     phis = compact_test_functions(g, [3, 4, 6], rng=5, n_functions=3)
-    base = intertwining_residual(w, h, h_partner, phis)
+    base = intertwining_residual(a, h, h_partner, phis)
     assert base < 1e-12
     wrong = SampledOp(g, 0, 1, 1.01 * w.rho)
-    assert intertwining_residual(wrong, h, h_partner, phis) > 1e3 * max(base, 1e-15)
+    assert intertwining_residual(wrong.apply, h, h_partner, phis) > 1e3 * max(base, 1e-15)
 
 
 @pytest.mark.parametrize("grid", [Grid(1024), Grid(1024, -1.2, 1.2, "dirichlet")],
@@ -221,10 +219,10 @@ def test_intertwining_residual_on_a_stack_is_the_max_of_the_probes(grid):
         lhs = w.apply(h.apply(phi)).values
         rhs = h_target.apply(w.apply(phi)).values
         singles.append(float(np.sqrt(grid.h) * np.linalg.norm(lhs - rhs)) / phi.norm())
-        assert intertwining_residual(w, h, h_target, [phi]) == singles[-1]
+        assert intertwining_residual(w.apply, h.apply, h_target.apply, [phi]) == singles[-1]
     stack = GridFunction(grid, np.stack([phi.values for phi in phis]))
-    assert intertwining_residual(w, h, h_target, [stack]) == max(singles)
-    assert intertwining_residual(w, h, h_target, phis) == max(singles)
+    assert intertwining_residual(w.apply, h.apply, h_target.apply, [stack]) == max(singles)
+    assert intertwining_residual(w.apply, h.apply, h_target.apply, phis) == max(singles)
 
 
 def test_closed_form_pair_residual_converges_second_order():
@@ -235,8 +233,8 @@ def test_closed_form_pair_residual_converges_second_order():
         wv = -1j * s / 0.9 * np.sin(x) + 1j * (0.9 - 2) / (2 * 0.9)
         wp = -1j * s / 0.9 * np.cos(x)
         phis = compact_test_functions(grid, [3, 4], rng=2, n_functions=2)
-        return intertwining_residual(
-            w, SampledOp(grid, 1, 0, wv ** 2 - wp), SampledOp(grid, 1, 0, wv ** 2 + wp), phis)
+        return intertwining_residual(w.apply, SampledOp(grid, 1, 0, wv ** 2 - wp).apply,
+                                     SampledOp(grid, 1, 0, wv ** 2 + wp).apply, phis)
 
     r1, r2 = residual(Grid(1024)), residual(Grid(2048))
     assert np.log2(r1 / r2) > 1.9
@@ -248,12 +246,12 @@ def test_multiplicative_symmetrizer_is_exact_intertwiner():
     plus, _ = decouple_constant_vf(P, GaugeField(kind="zero", k=0), g)
     mu = SampledOp(g, 0, 0, np.exp(P.a ** 2 * np.cos(g.points)))  # exp(-int sigma)
     phis = compact_test_functions(g, [2, 4], rng=3, n_functions=2)
-    r1 = intertwining_residual(mu, plus, AdjointOf(plus), phis)
+    r1 = intertwining_residual(mu.apply, plus.apply, plus.apply_adjoint, phis)
     g2 = Grid(4096)
     plus2, _ = decouple_constant_vf(P, GaugeField(kind="zero", k=0), g2)
     mu2 = SampledOp(g2, 0, 0, np.exp(P.a ** 2 * np.cos(g2.points)))
     phis2 = compact_test_functions(g2, [2, 4], rng=3, n_functions=2)
-    r2 = intertwining_residual(mu2, plus2, AdjointOf(plus2), phis2)
+    r2 = intertwining_residual(mu2.apply, plus2.apply, plus2.apply_adjoint, phis2)
     assert np.log2(r1 / r2) > 1.8  # discretization error only
 
 
@@ -268,11 +266,11 @@ def test_tabulated_intertwiner_obstruction_is_reported_not_hidden():
     h_s = SampledOp(g, 1, 0, plus.rho)
     eta2 = eta2_case1(P, 0.0, g)
     phis = compact_test_functions(g, [3, 4, 6], rng=5, n_functions=3)
-    res = intertwining_residual(eta2, h_s, AdjointOf(h_s), phis)
+    res = intertwining_residual(eta2.apply, h_s.apply, h_s.apply_adjoint, phis)
     assert res > 1e-2
     # a constant shift of the coefficient leaves the obstruction unchanged
     eta2_shifted = eta2_case1(P, 0.35, g)
-    res_shifted = intertwining_residual(eta2_shifted, h_s, AdjointOf(h_s), phis)
+    res_shifted = intertwining_residual(eta2_shifted.apply, h_s.apply, h_s.apply_adjoint, phis)
     assert res_shifted == pytest.approx(res, rel=1e-10)
 
 
@@ -292,7 +290,7 @@ def test_eta1_similarity_defect_measured_with_exclusion_zone():
     mask = np.abs(eta1.rho) > 1e-6
     phis = [gf for gf in compact_test_functions(g, [3, 5], rng=9, n_functions=3)]
     phis = [GridFunction(g, gf.values * mask) for gf in phis]
-    res = intertwining_residual(eta1, h_1, h_s, phis)
+    res = intertwining_residual(eta1.apply, h_1.apply, h_s.apply, phis)
     assert np.isfinite(res) and res > 1e-2  # documented obstruction
 
 
