@@ -118,7 +118,7 @@ def gauss_2f1(a: complex, b: complex, c: complex, s):
 # Case 1: Morse-form chain for the constant-velocity potential
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MorseChain:
     """Coefficients of the transformed equation psi'' + alpha^2 [lam + U(t)] psi = 0.
 

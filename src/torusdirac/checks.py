@@ -14,8 +14,8 @@ info    reported without a threshold; the suite asserts only that it is finite
 the checks marked `verify=False`:
 
 - the Christoffel oracle order and the truncated-domain spectrum match,
-  which would add about a quarter to its cost (0.42 ms and 9.6 ms against
-  36.8 ms for the 20 checks it runs: medians of 7 in-process runs after a
+  which would add about a third to its cost (0.49 ms and 10.6 ms against
+  30.8 ms for the 20 checks it runs: medians of 7 in-process runs after a
   warm-up pass, on a 2-CPU Intel Xeon container with OpenBLAS at 1 thread;
   README gives the spread between runs);
 - the position-dependent intertwiner, the two readings of the case-2
@@ -24,15 +24,18 @@ the checks marked `verify=False`:
 - the periodic spectrum's order against Hill's method, which `spectrum`
   reports.
 
-Library functions are called through their module attributes
-(`geometry.metric_at`), so wrappers installed on those modules see them.
+The seeded probes that several checks share (the spinor stacks, the test
+functions of criterion 5, the Morse parameters and chain) are built once,
+on first use, and kept read-only.  Library functions are called through
+their module attributes (`geometry.metric_at`), so wrappers installed on
+those modules see them, and see each probe's first build.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -165,27 +168,46 @@ def christoffel_order(torus, xs) -> float:
     return float(np.log2(errs[0] / errs[1]))
 
 
+def _read_only(*functions: grids.GridFunction) -> tuple:
+    """The functions, their samples made read-only: a cached probe serves every later check."""
+    for f in functions:
+        f.values.setflags(write=False)
+    return functions
+
+
 def _spinor_stack(grid, modes, seeds) -> operators.SpinorGF:
     """One band-limited spinor per seed, as one stack: an operator reads its coefficients once.
 
     Each seed draws its coefficients as `grids.band_limited` does (two
     functions, scalar-draw order), and one `grids.mode_sum` builds every
     mode's row once for the whole stack, so each spinor has the bits of its
-    own `band_limited` call.
+    own `band_limited` call.  The samples are read-only.
     """
     c = np.stack([np.random.default_rng(s).standard_normal((2, len(modes), 2)) for s in seeds],
                  axis=1)  # (component, seed, mode, re/im)
     v = grids.mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1])
-    return operators.SpinorGF(*(grids.GridFunction(grid, comp) for comp in v))
+    return operators.SpinorGF(*_read_only(*(grids.GridFunction(grid, comp) for comp in v)))
+
+
+@cache
+def _squaring_probe(n: int, seeds: tuple):
+    """The grid and spinor stack of `squaring_consistency`."""
+    g = Grid(n)
+    return g, _spinor_stack(g, [5, 6, 7, 8], seeds)
 
 
 def squaring_consistency(n: int = 1024, seeds=range(20)) -> float:
     """Worst squared-kernel vs decoupled-operator mismatch on a gentle ring (a=0.25)."""
     torus = geometry.TorusParams(a=0.25, c=2.0)
     gauge = fields.quadratic_ring_field(0.2, e=1.0, k=1)
-    g = Grid(n)
-    return operators.squaring_discrepancy(torus, gauge, g,
-                                          _spinor_stack(g, [5, 6, 7, 8], seeds))
+    return operators.squaring_discrepancy(torus, gauge, *_squaring_probe(n, tuple(seeds)))
+
+
+@cache
+def _kernel_probe():
+    """The 512-point grid and the six fixed pairs of band-limited spinors of `kernel_defect`."""
+    g = Grid(512)
+    return g, ((_spinor_stack(g, [1, 2, 3], range(6)), _spinor_stack(g, [2, 4], range(90, 96))),)
 
 
 def kernel_defect(gauge: fields.GaugeField) -> float:
@@ -193,9 +215,7 @@ def kernel_defect(gauge: fields.GaugeField) -> float:
 
     Six fixed pairs of band-limited spinors probe the defect.
     """
-    g = Grid(512)
-    pairs = [(_spinor_stack(g, [1, 2, 3], range(6)), _spinor_stack(g, [2, 4], range(90, 96)))]
-    return operators.hermiticity_defect(DEFAULT_TORUS, gauge, g, pairs)
+    return operators.hermiticity_defect(DEFAULT_TORUS, gauge, *_kernel_probe())
 
 
 def factorization_defect(scale: float = 1.0) -> float:
@@ -211,10 +231,11 @@ def factorization_defect(scale: float = 1.0) -> float:
                float(np.max(np.abs(w ** 2 + wp - v1.rho))))
 
 
+@cache
 def _intertwining_probe():
     """The 2048-point grid and the compact test functions of criterion 5."""
     g = Grid(2048)
-    return g, grids.compact_test_functions(g, modes=[3, 4, 6], rng=5, n_functions=4)
+    return g, _read_only(*grids.compact_test_functions(g, modes=[3, 4, 6], rng=5, n_functions=4))
 
 
 def factorization_pair_residual() -> float:
@@ -364,9 +385,16 @@ def truncated_domain_match() -> float:
     return max(row[3] for row in rows)
 
 
+@cache
 def _morse_params() -> pseudoherm.MathieuParams:
     """The real Morse branch on the constrained ring at a = 0.5."""
     return pseudoherm.real_morse_branch(pseudoherm.constrained_torus(0.5))
+
+
+@cache
+def _morse_chain() -> analytic.MorseChain:
+    """The Morse chain of `_morse_params` at the transformation scale 1."""
+    return analytic.case1_transform_chain(_morse_params(), 1.0)
 
 
 def _morse_gap(energies) -> float:
@@ -377,8 +405,7 @@ def _morse_gap(energies) -> float:
 
 def morse_collocation_gap() -> float:
     """Derived Morse energies n = 0, 1 against half-line collocation from t = -4 (V > 7000)."""
-    potential = analytic.case1_transform_chain(_morse_params(), 1.0).potential
-    return _morse_gap(numerics.half_line_levels(potential, -4.0, 4.0, 2))
+    return _morse_gap(numerics.half_line_levels(_morse_chain().potential, -4.0, 4.0, 2))
 
 
 def morse_tabulated_gap() -> float:
@@ -388,7 +415,7 @@ def morse_tabulated_gap() -> float:
 
 def morse_truncation_gap() -> float:
     """Truncation gap of the Morse chain's quadratic expansion."""
-    return analytic.case1_transform_chain(_morse_params(), 1.0).truncation_error
+    return _morse_chain().truncation_error
 
 
 def special_function_gap() -> float:

@@ -33,7 +33,7 @@ import yaml
 
 from . import analytic, checks, fields, geometry, numerics, operators, pseudoherm
 from .checks import RunReport
-from .errors import ComplexPotential, ConfigError, TorusDiracError
+from .errors import ChargeZero, ComplexPotential, ConfigError, TorusDiracError
 from .grids import Grid
 
 # sweep parameter -> the config key its values replace
@@ -140,8 +140,8 @@ def _build_config(settings: dict) -> ScenarioConfig:
     c2, e = _value(settings, "field.C2"), _value(settings, "quantum.e")
     try:
         gauge = build(c2, e=e)
-    except TorusDiracError as exc:
-        raise ConfigError(f"field: {exc}") from exc
+    except ChargeZero as exc:
+        raise ConfigError(f"quantum.e={settings['quantum.e']!r}: {exc}") from exc
 
     case = _value(settings, "case")
     if case == "pdfv" and settings["fermi.kind"] != "cosine":
@@ -208,6 +208,11 @@ def _settings(doc: dict) -> dict:
 
 
 def load_config(path=None, grid_n=None) -> ScenarioConfig:
+    return _build_config(_read_settings(path, grid_n))
+
+
+def _read_settings(path, grid_n) -> dict:
+    """The settings of the scenario file at `path` (None: the defaults), with `--grid-n`."""
     doc = {}
     if path is not None:
         try:
@@ -223,21 +228,22 @@ def load_config(path=None, grid_n=None) -> ScenarioConfig:
     settings = _settings(doc)
     if grid_n is not None:
         settings["grid.n"] = grid_n
-    return _build_config(settings)
+    return settings
 
 
-def _check_reads(cfg: ScenarioConfig, command: str, negative_control: bool,
+def _check_reads(settings: dict, command: str, negative_control: bool,
                  swept=None) -> list[str]:
     """ConfigError for a setting off its default that the run does not read (`SCHEMA`).
 
-    A key listed for a run followed by an `outputs` entry is read only when
-    that entry is listed.  Returns "key=value" for each number setting off
-    its default that the run reads: the inputs that `main` names when the
-    run's arithmetic fails.
+    It runs before `_build_config` judges any value, so an unread setting is
+    named as such, whatever its value.  A key listed for a run followed by an
+    `outputs` entry is read only when that entry is listed.  Returns
+    "key=value" for each number setting off its default that the run reads:
+    the inputs that `main` names when the run's arithmetic fails.
     """
-    run = f"{command} {cfg.case}" if command == "spectrum" else command
-    runs = {run, *(f"{run} {entry}" for entry in cfg.outputs)}
-    settings = {**cfg.settings, "--negative-control": negative_control}
+    run = f"{command} {_value(settings, 'case')}" if command == "spectrum" else command
+    runs = {run, *(f"{run} {entry}" for entry in OUTPUTS if settings[f"outputs.{entry}"])}
+    settings = {**settings, "--negative-control": negative_control}
     numbers = []
     for key, (default, kind, readers) in SCHEMA.items():
         value = settings[key]
@@ -513,9 +519,10 @@ def main(argv=None) -> int:
     timestamp = not args.no_timestamp
 
     try:
-        cfg = load_config(args.config, grid_n=args.grid_n)
-        inputs = _check_reads(cfg, args.command, args.negative_control,
+        settings = _read_settings(args.config, args.grid_n)
+        inputs = _check_reads(settings, args.command, args.negative_control,
                               getattr(args, "parameter", None))
+        cfg = _build_config(settings)
         if args.command == "sweep":
             inputs.append(f"sweep {args.parameter}={args.values}")
         # one overflow rule for every run: numpy overflow raises, and any arithmetic

@@ -12,6 +12,7 @@ pay for it.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -362,8 +363,9 @@ def hill_eigenvalues(potential: Callable[[np.ndarray], np.ndarray],
     The Galerkin matrix of the periodic eigensolver with the continuum
     symbol m^2 in place of the difference operator, on the modes |m| <= M,
     with V's Fourier coefficients taken from 8 M samples of the callable
-    `potential`.  M starts at 8 (or k) and doubles until the solves at M and
-    2 M agree to 1e-11 (`_refined`), up to M = 256.
+    `potential`.  The solve on 2 M + 1 modes is confirmed against the one on
+    2 M + 17 to 1e-11 (`_refined`), M starting at 8 (or k) and doubling on
+    disagreement, with no solve above 513 modes.
     """
     from scipy.linalg import eigh
 
@@ -380,40 +382,58 @@ def hill_eigenvalues(potential: Callable[[np.ndarray], np.ndarray],
 
 
 def _refined(solve, size: int, rtol: float, name: str, unit: str) -> np.ndarray:
-    """solve(2 s - 1) at the first s = size, 2 size - 1, ... where it agrees with solve(s).
+    """solve(s + 16) at the first s = size, 2 size - 1, ... where it agrees with solve(s).
 
     Agreement is to rtol max(1, max |lambda|); s counts `unit` (modes or points).
-    Each widening is logged, and no agreement by s = 513 raises ConvergenceFailure.
+    s doubles (to 2 s - 1) only where s and s + 16 disagree, and stops at 497,
+    so that no solve is above 513.  Each widening is logged, and no agreement
+    by s + 16 = 513 raises ConvergenceFailure.
     """
     w = solve(size)
-    while size < 513:
-        finer = solve(2 * size - 1)
+    while size + 16 <= 513:
+        finer = solve(size + 16)
         gap, tol = np.max(np.abs(finer - w)), rtol * max(1.0, np.max(np.abs(finer)))
         if gap <= tol:
             return finer
+        if size + 16 == 513:
+            break
         logger.info("%s: %d and %d %s differ by %.3g > %.3g; widening",
-                    name, size, 2 * size - 1, unit, gap, tol)
-        size, w = 2 * size - 1, finer
-    raise ConvergenceFailure(f"{name} did not converge within {size} {unit}")
+                    name, size, size + 16, unit, gap, tol)
+        wider = min(2 * size - 1, 497)
+        size, w = wider, finer if wider == size + 16 else solve(wider)
+    raise ConvergenceFailure(f"{name} did not converge within 513 {unit}")
 
 
 # ---------------------------------------------------------------------------
 # Chebyshev collocation
 # ---------------------------------------------------------------------------
 
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: a cached table is shared by every later caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.cache
 def _cheb(n: int):
-    """Chebyshev points cos(pi j/n), j = 0..n, and their differentiation matrix (Trefethen)."""
+    """Chebyshev points cos(pi j/n), j = 0..n, their differentiation matrix D (Trefethen), D @ D.
+
+    Built once per n, read-only.
+    """
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.where(np.arange(n + 1) % n == 0, 2.0, 1.0) * (-1.0) ** np.arange(n + 1)
     d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
-    return x, d - np.diag(d.sum(axis=1))
+    d = d - np.diag(d.sum(axis=1))
+    return _frozen(x, d, d @ d)
 
 
 def _collocation_levels(assemble, k: int, label: str) -> np.ndarray:
     """Lowest-k finite real eigenvalues of the pencil (A, B or None) = `assemble(n)`.
 
-    n doubles from 16 until the solves at n and 2 n agree to 1e-12 (`_refined`),
-    up to n = 512.
+    The solve on n + 1 points is confirmed against the one on n + 17 to 1e-12
+    (`_refined`), n starting at 16 and doubling on disagreement, with no solve
+    above 513 points.
     """
     from scipy.linalg import eigvals
 
@@ -423,6 +443,15 @@ def _collocation_levels(assemble, k: int, label: str) -> np.ndarray:
         return np.append(w[:k], np.full(max(0, k - len(w)), np.nan))  # too few never agree
 
     return _refined(solve, 17, 1e-12, f"{label} collocation", "points")
+
+
+@functools.cache
+def _rosen_morse_table(n: int):
+    """D and D @ D on (-pi/2, pi/2), and cos (zero at the walls) and sin there; read-only."""
+    xi, d, _ = _cheb(n)
+    d, cos, sin = 2.0 / np.pi * d, np.cos(0.5 * np.pi * xi), np.sin(0.5 * np.pi * xi)
+    cos[[0, -1]] = 0.0
+    return _frozen(d, d @ d, cos, sin)
 
 
 def rosen_morse_levels(c0: float, c1: float, s: float, k: int) -> np.ndarray:
@@ -435,10 +464,8 @@ def rosen_morse_levels(c0: float, c1: float, s: float, k: int) -> np.ndarray:
     tan^2 coefficient would sit on the branch point s (s-1) = -1/4.
     """
     def assemble(n):
-        xi, d = _cheb(n)
-        d, cos, sin = 2.0 / np.pi * d, np.cos(0.5 * np.pi * xi), np.sin(0.5 * np.pi * xi)
-        cos[[0, -1]] = 0.0
-        a = -cos[:, None] * (d @ d) + 2.0 * s * sin[:, None] * d
+        d, dd, cos, sin = _rosen_morse_table(n)
+        a = -cos[:, None] * dd + 2.0 * s * sin[:, None] * d
         return a + np.diag((s + c0) * cos + c1 * sin), np.diag(cos)
 
     return _collocation_levels(assemble, k, "Rosen-Morse")
@@ -453,9 +480,9 @@ def half_line_levels(potential: Callable[[np.ndarray], np.ndarray], t_min: float
     state vanishes at both ends, so the end rows and columns go.
     """
     def assemble(n):
-        xi, d = _cheb(n)
+        xi, d, dd = _cheb(n)
         g = (1.0 - xi) ** 2 / (2.0 * length)
-        d2 = ((g * g)[:, None] * (d @ d) - (g * (1.0 - xi) / length)[:, None] * d)[1:-1, 1:-1]
+        d2 = ((g * g)[:, None] * dd - (g * (1.0 - xi) / length)[:, None] * d)[1:-1, 1:-1]
         xi = xi[1:-1]
         return np.diag(potential(t_min + length * (1.0 + xi) / (1.0 - xi))) - d2, None
 

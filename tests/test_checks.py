@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
-from torusdirac import checks
+from torusdirac import checks, numerics
 from torusdirac.grids import Grid, band_limited
 
 
@@ -47,3 +49,43 @@ def test_printed_display_misses_the_product_by_exactly_one():
     check = next(c for c in checks.registry() if c.measure is checks.printed_display_gap)
     assert (check.criterion, check.direction, check.tolerance, check.verify) == (7, "above",
                                                                                 1e-2, False)
+
+
+def _arrays(obj):
+    """Every numpy array reachable from obj through tuples and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def test_cached_tables_and_probes_are_read_only_and_keep_every_record():
+    caches = [obj for module in (numerics, checks) for obj in vars(module).values()
+              if hasattr(obj, "cache_clear")]
+    assert len(caches) == 7
+
+    def records():
+        return np.array([check.measure() for check in checks.registry()]).view(np.uint64)
+
+    kept = [records(), records()]
+    for cache in caches:
+        cache.cache_clear()
+    cleared = records()
+    assert all(np.array_equal(bits, cleared) for bits in kept)
+
+    tables = (numerics._cheb(16), numerics._rosen_morse_table(16),
+              checks._squaring_probe(1024, tuple(range(20))), checks._kernel_probe(),
+              checks._intertwining_probe())
+    arrays = list(_arrays(tables))
+    assert len(arrays) == 3 + 4 + 2 + 4 + 4
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        checks._morse_chain().alpha = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        checks._morse_params().A_m = 0.0

@@ -91,6 +91,25 @@ def test_config_error_names_a_field_key_once(tmp_path, capsys):
         "config error: field.C2: expected a finite complex number, got [1, 2]")
 
 
+@pytest.mark.parametrize("text, command, message", [
+    # a run is told what it does not read before any value is judged
+    ("quantum: {e: 0}\n", "geometry", "geometry does not read quantum.e; leave it at 1.0"),
+    ("analytic: {alpha: 1.0e+200}\n", "geometry",
+     "geometry does not read analytic.alpha; leave it at 1.0"),
+    # a run that reads the charge names it
+    ("quantum: {e: 0}\n", "spectrum", "quantum.e=0: gauge family 'quadratic_au' needs e != 0"),
+    ("quantum: {e: 0}\n", "sweep alpha 1.0",
+     "quantum.e=0: gauge family 'quadratic_au' needs e != 0"),
+], ids=["e-geometry", "alpha-geometry", "e-spectrum", "e-sweep"])
+def test_config_checks_the_reads_before_the_values(tmp_path, capsys, text, command, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), *command.split()]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(out.iterdir())
+
+
 def test_analytic_reports_the_display_fit(tmp_path, capsys):
     assert cli.main(["--out", str(tmp_path), "--no-timestamp", "analytic"]) == 0
     line = next(s for s in capsys.readouterr().out.splitlines() if "display-form fit" in s)

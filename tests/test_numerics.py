@@ -1,4 +1,5 @@
 import logging
+from functools import partial
 
 import numpy as np
 import pytest
@@ -411,9 +412,10 @@ def test_half_line_map_gives_oscillator_levels(caplog):
     with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
         w = half_line_levels(lambda t: t ** 2, -10.0, 10.0, 4)
     assert np.max(np.abs(w - (2 * np.arange(4) + 1))) < 1e-11
-    # a Gaussian tail under the algebraic map settles only at 257 points
+    # a Gaussian tail under the algebraic map settles only at 257 points, confirmed at 273
     widened = [r.getMessage() for r in caplog.records if "widening" in r.getMessage()]
-    assert len(widened) == 4 and widened[-1].startswith("half-line collocation: 129 and 257")
+    assert [m.split(" points")[0] for m in widened] == [
+        f"half-line collocation: {s} and {s + 16}" for s in (17, 33, 65, 129)]
 
 
 def test_collocation_raises_on_a_kinked_potential(caplog):
@@ -421,7 +423,24 @@ def test_collocation_raises_on_a_kinked_potential(caplog):
     with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
         with pytest.raises(ConvergenceFailure, match="within 513 points"):
             half_line_levels(np.abs, -10.0, 10.0, 3)
-    assert len([r for r in caplog.records if "widening" in r.getMessage()]) == 5
+    widened = [r.getMessage() for r in caplog.records if "widening" in r.getMessage()]
+    assert len(widened) == 5 and widened[-1].startswith("half-line collocation: 257 and 273")
+
+
+def test_refined_confirms_each_size_at_size_plus_16_and_solves_nothing_above_513():
+    sizes = []
+
+    def solve(size, settled=None):
+        sizes.append(size)
+        return np.array([1.0 if settled and size >= settled else float(size)])
+
+    # 17 is confirmed by 33, which is also the next size, so it is solved once
+    with pytest.raises(ConvergenceFailure, match="within 513 points"):
+        numerics._refined(solve, 17, 1e-12, "never", "points")
+    assert sizes == [17, 33, 49, 65, 81, 129, 145, 257, 273, 497, 513]
+    sizes.clear()
+    assert numerics._refined(partial(solve, settled=65), 17, 1e-12, "settles", "points") == 1.0
+    assert sizes == [17, 33, 49, 65, 81]
 
 
 def test_morse_collocation_matches_the_dirichlet_window_at_second_order():
