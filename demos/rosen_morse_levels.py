@@ -53,13 +53,14 @@ print("  (b) partner potential with regular walls (second-order convergent)")
 gp = Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet")
 for n in (1, 2, 3):
     s = sols[n]
-    bc = s.a2
+    bc, exact = s.a2, s.epsilon_n ** 2
     vt = C1 + bc * np.tan(gt.points) - 0.25 * np.tan(gt.points) ** 2
-    fd_t = eig_sym_tridiag(discretize_schrodinger(vt, gt), n + 1, first=n).eigenvalues[0]
+    fd_t = eig_sym_tridiag(discretize_schrodinger(vt, gt), n + 1, first=n,
+                           near=[exact]).eigenvalues[0]
     e0 = C1 + 0.5 - bc ** 2
     vp = e0 + 0.75 * np.tan(gp.points) ** 2 + bc * np.tan(gp.points) + bc ** 2 + 0.5
-    fd_p = eig_sym_tridiag(discretize_schrodinger(vp, gp), n, first=n - 1).eigenvalues[0]
-    exact = s.epsilon_n ** 2
+    fd_p = eig_sym_tridiag(discretize_schrodinger(vp, gp), n, first=n - 1,
+                           near=[exact]).eigenvalues[0]
     print(f"  n={n}: exact {exact:.6f}  (a) {fd_t:.6f} (rel {abs(fd_t-exact)/exact:.1e})"
           f"  (b) {fd_p:.6f} (rel {abs(fd_p-exact)/exact:.1e})")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -201,154 +201,112 @@ def sturm_count(m: TridiagonalSym, sigma: float) -> int:
     return count + bool(d[-1] < 0.0)
 
 
-class _Counts:
-    """Inertia counts of one pure tridiagonal matrix, each shift counted once."""
-
-    def __init__(self, m: TridiagonalSym):
-        self.m, self.seen = m, {}
-
-    def __call__(self, sigma: float) -> int:
-        if sigma not in self.seen:
-            self.seen[sigma] = sturm_count(self.m, sigma)
-        return self.seen[sigma]
-
-    def bracket(self, j: int):
-        """The tightest counted (a, b) with count(a) <= j < count(b); None where none is."""
-        a = max((s for s, c in self.seen.items() if c <= j), default=None)
-        b = min((s for s, c in self.seen.items() if c > j), default=None)
-        return a, b
-
-
-def _isolate(count: _Counts, j: int, floor: float):
-    """[a, b] with count(a) = j and count(b) = j + 1, by counts at +-1, +-2, +-4, ... and bisection.
-
-    Where the counts cannot split a bracket wider than `floor` (a numerically
-    multiple level), the unsplit [a, b] is returned.
-    """
-    for side, step in ((1, 1.0), (0, -1.0)):
-        while count.bracket(j)[side] is None:
-            count(step)
-            step *= 2.0
-    a, b = count.bracket(j)
-    while not (count(a) == j and count(b) == j + 1):
-        mid = 0.5 * (a + b)
-        if b - a <= floor or mid in (a, b):
-            break
-        count(mid)
-        a, b = count.bracket(j)
-    return a, b
-
-
-def _polish(m: TridiagonalSym, count: _Counts, j: int, a: float, b: float,
-            x: np.ndarray, found: np.ndarray, floor: float):
-    """Rayleigh-quotient iteration for the level j alone in [a, b].
+def _polish(m: TridiagonalSym, mu: float, x: np.ndarray, found: np.ndarray, floor: float):
+    """Rayleigh-quotient iteration from the shift mu, the caller's estimate of a level.
 
     Each step solves (T - mu) y = x (LAPACK `dgtsv`), keeps y orthogonal to
-    the columns of `found` and takes the Rayleigh quotient lambda.  A lambda
-    inside [a, b] is the next shift, with no count: the closing certificate
-    of `_eig_levels` counts the level once it has converged.  A lambda
-    outside [a, b] is dropped; one count at the middle of the bracket halves
-    it, and the new middle is the next shift.  Stops once ||T x - lambda x||
-    <= floor.  Returns (lambda, x, residual).
+    the columns of `found` and takes the Rayleigh quotient lambda as the next
+    shift.  Stops once ||T x - lambda x|| <= floor, or at a y that is not finite
+    (so a lambda that is not finite ends it one step later).  Returns (lambda,
+    x, residual), residual inf if no step was taken.
     """
     from scipy.linalg import lapack
 
-    mu = 0.5 * (a + b)
     lam, res = mu, np.inf
-    for _ in range(100):  # bisection alone narrows any bracket to the floor in ~60 steps
+    for _ in range(100):
         y, info = lapack.dgtsv(m.offdiag.copy(), m.diag - mu, m.offdiag.copy(), x,
                                overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3:]
         if info:  # mu is a level to working precision: step off it
             mu += floor
             continue
         y -= found @ (found.T @ y)
-        x = y / np.linalg.norm(y)
+        norm = np.linalg.norm(y)
+        if not 0.0 < norm < np.inf:  # y underflowed (or overflowed): no next iterate
+            break
+        x = y / norm
         tx = m.matvec(x)
         lam = x @ tx
         res = np.linalg.norm(tx - lam * x)
         if res <= floor:
             break
-        if a < lam < b:
-            mu = lam
-            continue
-        mid = 0.5 * (a + b)
-        if count(mid) <= j:
-            a = mid
-        else:
-            b = mid
-        mu = 0.5 * (a + b)
+        mu = lam
     return lam, x, res
 
 
-def _eig_levels(m: TridiagonalSym, first: int, k: int):
-    """Levels first..k-1 of a pure tridiagonal matrix and unit vectors, by inertia counts.
+def _eig_levels(m: TridiagonalSym, first: int, k: int, near):
+    """Levels first..k-1 of a pure tridiagonal matrix, their unit vectors and residuals.
 
-    Each level j is isolated by `_isolate` and polished by `_polish` from one
+    Level j is polished by `_polish` from its estimate near[j - first] and one
     seeded start vector, orthogonal to the levels already found, and kept
     under the certificate count(lambda - delta) = j, count(lambda + delta) =
-    j + 1, delta = max(residual, 8 eps |T|_inf).  Where the counts leave
-    levels unsplit at that floor (a numerically multiple eigenvalue, as in a
-    split matrix) or the certificate fails, LAPACK (`eigh_tridiagonal`) solves
-    the window's levels by index, and each such fallback is logged.
+    j + 1 (`sturm_count`), delta = max(residual, 8 eps |T|_inf).  A level with
+    no estimate, with an estimate or Rayleigh quotient that is not finite, or
+    whose certificate fails (a poor estimate, or a numerically multiple
+    eigenvalue, as in a split matrix) is solved by LAPACK (`eigh_tridiagonal`)
+    by index, and each such fallback is logged.  No value that is not finite
+    reaches a count.
     """
     from scipy.linalg import eigh_tridiagonal
 
     n = m.n
-    w, vecs = np.empty(k - first), np.zeros((n, k - first))
+    w, vecs, res = np.empty(k - first), np.zeros((n, k - first)), np.zeros(k - first)
     if n == 1:
         w[0], vecs[0, 0] = m.diag[0], 1.0
-        return w, vecs
+        return w, vecs, res
     floor = 8.0 * np.finfo(float).eps * m.norm_inf()
-    count = _Counts(m)
     start = np.random.default_rng(0).random(n)
-    j = first
-    while j < k:
-        a, b = _isolate(count, j, floor)
-        if count(a) == j and count(b) == j + 1:
-            lam, x, res = _polish(m, count, j, a, b, start, vecs[:, :j - first], floor)
-            delta = max(res, floor)
-            if count(lam - delta) == j and count(lam + delta) == j + 1:
-                w[j - first], vecs[:, j - first] = lam, x
-                j += 1
+    rest = []
+    for i, mu in enumerate([np.nan] * (k - first) if near is None else near):
+        if np.isfinite(mu):
+            lam, x, r = _polish(m, mu, start, vecs[:, :i], floor)
+            lo, hi = lam - max(r, floor), lam + max(r, floor)
+            if (np.isfinite(lo) and np.isfinite(hi) and sturm_count(m, lo) == first + i
+                    and sturm_count(m, hi) == first + i + 1):
+                w[i], vecs[:, i], res[i] = lam, x, r
                 continue
-            a, b = min(a, lam - delta), max(b, lam + delta)
-        top = min(count(b), k) - 1
-        logger.info("tridiagonal eigensolve: inertia counts leave levels %d..%d unsplit in "
-                    "[%.17g, %.17g]; LAPACK solves levels %d..%d",
-                    count(a), count(b) - 1, a, b, j, top)
-        w[j - first:top + 1 - first], vecs[:, j - first:top + 1 - first] = eigh_tridiagonal(
-            m.diag, m.offdiag, select="i", select_range=(j, top))
-        j = top + 1
-    return w, vecs
+        rest.append(i)
+    if rest:
+        window = (first + rest[0], first + rest[-1])
+        logger.info("tridiagonal eigensolve: no certified estimate for levels %s; "
+                    "LAPACK solves levels %d..%d", [first + i for i in rest], *window)
+        lw, lv = eigh_tridiagonal(m.diag, m.offdiag, select="i", select_range=window)
+        picked = np.array(rest) - rest[0]
+        w[rest], vecs[:, rest] = lw[picked], lv[:, picked]
+        res[rest] = _residuals(m, w[rest], vecs[:, rest])
+    return w, vecs, res
 
 
-def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int, *, first: int = 0) -> EigResult:
+def eig_sym_tridiag(m: TridiagonalSym, k_lowest: int, *, first: int = 0,
+                    near: Optional[Sequence[float]] = None) -> EigResult:
     """Eigenpairs first..k_lowest-1 in ascending order (the lowest k by default).
 
-    Pure tridiagonal problems are solved level by level (`_eig_levels`):
-    LDL^T inertia counts (`sturm_count`) isolate each level, Rayleigh-quotient
-    iteration polishes it far inside eps |T|_inf (the rounding of the Rayleigh
-    quotient, 1e-11 on the n=8000 pdfv levels where eps |T|_inf is 5.8e-9),
-    counting only where a Rayleigh quotient leaves the level's bracket, and
-    two more counts certify its index; `eigenvalues[0]` is level `first`.
+    Pure tridiagonal problems are solved level by level (`_eig_levels`): each
+    level starts from its estimate in `near` (one per level, as the caller's
+    closed form gives it), Rayleigh-quotient iteration polishes it far inside
+    eps |T|_inf (the rounding of the Rayleigh quotient, 1e-11 on the n=8000
+    pdfv levels where eps |T|_inf is 5.8e-9), and two LDL^T inertia counts
+    (`sturm_count`) certify its index; `eigenvalues[0]` is level `first`.  A
+    level without a finite estimate, or whose certificate fails, is solved by
+    LAPACK, logged.
     A nonzero periodic corner is solved in Fourier space (`_eig_periodic`): a
     real Galerkin matrix on the modes |m| <= M, M widened until the
     eigenpairs pass a full-grid residual check, and the mode count kept in
-    `modes`.  That solve is lowest-k by construction, so it takes no `first`.
-    Both paths compute the vectors, for the residual check, and return them
-    with the residuals.  Residuals above 1e-6 max(1, max |lambda|) raise
-    ConvergenceFailure.
+    `modes`.  That solve is lowest-k by construction, so it takes no `first`
+    and no `near`.  Both paths compute the vectors, for the residual check,
+    and return them with the residuals.  Residuals above 1e-6 max(1, max
+    |lambda|) raise ConvergenceFailure.
     """
     if not 1 <= k_lowest <= m.n:
         raise ValueError("k_lowest out of range")
     if not 0 <= first < k_lowest:
         raise ValueError("first out of range")
+    if near is not None and len(near) != k_lowest - first:
+        raise ValueError("near needs one estimate for each level first..k_lowest-1")
     modes = None
     if m.corner == 0.0:
-        w, vecs = _eig_levels(m, first, k_lowest)
-        res = _residuals(m, w, vecs)
-    elif first:
-        raise ValueError("a periodic solve returns the lowest k levels; first must be 0")
+        w, vecs, res = _eig_levels(m, first, k_lowest, near)
+    elif first or near is not None:
+        raise ValueError("a periodic solve returns the lowest k levels; it takes no first or near")
     else:
         w, vecs, res, modes = _eig_periodic(m, k_lowest)
     if np.any(res > 1e-6 * max(1.0, np.max(np.abs(w)))):

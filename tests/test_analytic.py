@@ -435,7 +435,8 @@ def test_fd_cross_check_with_partner_oracle():
         bc = sol.a2
         e0 = c1 + 0.5 - bc ** 2
         v1 = e0 + 0.75 * np.tan(x) ** 2 + bc * np.tan(x) + bc ** 2 + 0.5
-        fd = eig_sym_tridiag(discretize_schrodinger(v1, g), n, first=n - 1).eigenvalues[0]
+        fd = eig_sym_tridiag(discretize_schrodinger(v1, g), n, first=n - 1,
+                             near=[sol.epsilon_n ** 2]).eigenvalues[0]
         assert abs(fd - sol.epsilon_n ** 2) / max(1.0, sol.epsilon_n ** 2) < 1e-3
 
 

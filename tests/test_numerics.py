@@ -4,7 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal, lapack
+import scipy.linalg
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 from scipy.special import mathieu_a, mathieu_b
 
 from torusdirac import analytic, checks, fields, geometry, numerics, pseudoherm
@@ -79,7 +80,7 @@ def test_random_tridiag_against_sturm_count():
     for i, lam in enumerate(res.eigenvalues):
         assert sturm_count(m, lam - 1e-10 * scale) == i
         assert sturm_count(m, lam + 1e-10 * scale) == i + 1
-    # the solver isolates and certifies its levels with sturm_count itself
+    # with no estimates every level comes from LAPACK, by index
     assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(_dense(m)), rtol=0.0,
                        atol=1e-12 * scale)
 
@@ -270,48 +271,61 @@ def test_first_solves_one_level_like_the_lowest_k_solve(make):
 def test_first_is_rejected_by_the_periodic_solve_and_out_of_range():
     with pytest.raises(ValueError, match="periodic"):
         eig_sym_tridiag(_random_periodic(), 3, first=1)
+    with pytest.raises(ValueError, match="periodic"):
+        eig_sym_tridiag(_random_periodic(), 2, near=[0.0, 1.0])
     m = _random_tridiag(20)
     for first in (-1, 3):
         with pytest.raises(ValueError, match="first"):
             eig_sym_tridiag(m, 3, first=first)
+    with pytest.raises(ValueError, match="near"):  # one estimate per level
+        eig_sym_tridiag(m, 3, first=1, near=[1.0])
 
 
 def test_box_levels_match_the_closed_form_fd_levels():
     # the three-point box on [0, pi] has the levels (4/h^2) sin^2(k pi/(2(n+1)));
-    # LAPACK's stebz, bisecting to eps |T|_inf, missed them by up to 5.9e-10 relative
+    # started at the continuum levels k^2 they come out to the rounding of the
+    # Rayleigh quotient, where LAPACK's stebz, bisecting to eps |T|_inf, missed
+    # them by up to 5.9e-10 relative
     n = 4000
     g = Grid(n, 0.0, np.pi, "dirichlet")
-    w = eig_sym_tridiag(discretize_schrodinger(lambda x: np.zeros_like(x), g), 4).eigenvalues
+    w = eig_sym_tridiag(discretize_schrodinger(lambda x: np.zeros_like(x), g), 4,
+                        near=[1.0, 4.0, 9.0, 16.0]).eigenvalues
     exact = 4.0 / g.h ** 2 * np.sin(np.arange(1, 5) * np.pi / (2 * (n + 1))) ** 2
     assert np.max(np.abs(w - exact) / exact) < 1e-12
 
 
 def test_split_matrix_multiple_level_is_solved_by_lapack_once(caplog):
-    # two decoupled blocks share the level 1, which no count can split: LAPACK
-    # solves that window, logged once, and the simple level 3 is polished as usual
+    # two decoupled blocks share the level 1, which no certificate can isolate:
+    # LAPACK solves both of its levels in one call, logged once, and the simple
+    # level 3 is polished from its estimate as usual
     m = TridiagonalSym(diag=[2.0, 2.0, 1.0], offdiag=[-1.0, 0.0])
     with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
-        res = eig_sym_tridiag(m, 3)
+        res = eig_sym_tridiag(m, 3, near=[1.0, 1.0, 3.0])
     assert np.allclose(res.eigenvalues, [1.0, 1.0, 3.0], rtol=0.0, atol=1e-14)
     assert np.max(np.abs(res.eigenvectors.T @ res.eigenvectors - np.eye(3))) < 1e-14
     logged = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
-    assert len(logged) == 1 and "levels 0..1 unsplit" in logged[0]
+    assert len(logged) == 1 and "levels [0, 1]; LAPACK solves levels 0..1" in logged[0]
 
 
-def test_a_shift_on_a_level_steps_off_it():
-    # the first shift, the middle of the bracket [-1, 1], is level 0 itself, so
-    # T - mu is exactly singular and dgtsv refuses it
-    res = eig_sym_tridiag(TridiagonalSym(diag=[0.0, 5.0], offdiag=[0.0]), 2)
+def test_a_shift_on_a_level_steps_off_it(caplog):
+    # each estimate is its level exactly, so T - mu is exactly singular and
+    # dgtsv refuses it; the shift steps off by 8 eps |T|_inf and is certified
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        res = eig_sym_tridiag(TridiagonalSym(diag=[0.0, 5.0], offdiag=[0.0]), 2,
+                              near=[0.0, 5.0])
+    assert not caplog.records  # no fallback
     assert np.allclose(res.eigenvalues, [0.0, 5.0], rtol=0.0, atol=1e-14)
     assert np.max(res.residuals) < 1e-14
 
 
 def test_near_degenerate_double_well_pair_comes_out_in_order(caplog):
-    # V = 2.5 (x^2 - 4)^2: the two lowest levels split by 6.4e-6, above the count floor
+    # V = 2.5 (x^2 - 4)^2: the two lowest levels split by 6.4e-6, above the count
+    # floor; started from LAPACK's levels, each is certified on its own
     g = Grid(4000, -6.0, 6.0, "dirichlet")
     m = discretize_schrodinger(lambda x: 2.5 * (x ** 2 - 4.0) ** 2, g)
+    near = eigvalsh_tridiagonal(m.diag, m.offdiag, select="i", select_range=(0, 1))
     with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
-        res = eig_sym_tridiag(m, 2)
+        res = eig_sym_tridiag(m, 2, near=near)
     assert not caplog.records  # no window fallback
     w = res.eigenvalues
     assert 6e-6 < w[1] - w[0] < 7e-6
@@ -322,9 +336,12 @@ def test_near_degenerate_double_well_pair_comes_out_in_order(caplog):
     assert abs(res.eigenvectors[:, 0] @ res.eigenvectors[:, 1]) < 1e-12
 
 
-def test_vectors_are_unit_and_pass_the_residual_gate():
+def test_vectors_are_unit_and_pass_the_residual_gate(caplog):
     m = _pdfv_matrix()
-    res = eig_sym_tridiag(m, 4)
+    near = eigvalsh_tridiagonal(m.diag, m.offdiag, select="i", select_range=(0, 3))
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        res = eig_sym_tridiag(m, 4, near=near)
+    assert not caplog.records  # every level is polished, none falls back
     v, w = res.eigenvectors, res.eigenvalues
     assert np.max(np.abs(np.linalg.norm(v, axis=0) - 1.0)) < 1e-14
     tv = m.diag[:, None] * v
@@ -337,63 +354,84 @@ def test_vectors_are_unit_and_pass_the_residual_gate():
 
 
 def _passes_per_solve(monkeypatch):
-    """(inertia counts, dgtsv solves) of each `eig_sym_tridiag` call, as they are made."""
+    """(inertia counts, dgtsv solves, LAPACK fallbacks) of each `eig_sym_tridiag` call."""
     passes, now = [], {}
-    # `_polish` imports scipy.linalg.lapack on entry, so patching the module patches its solves
-    count, solve, eig = numerics.sturm_count, lapack.dgtsv, numerics.eig_sym_tridiag
+    # `_polish` and `_eig_levels` import from scipy.linalg on entry, so patching
+    # the modules patches their solves
+    count, solve = numerics.sturm_count, lapack.dgtsv
+    fallback, eig = scipy.linalg.eigh_tridiagonal, numerics.eig_sym_tridiag
 
-    def counted(*args, **kwargs):
-        now["counts"] += 1
-        return count(*args, **kwargs)
-
-    def solved(*args, **kwargs):
-        now["solves"] += 1
-        return solve(*args, **kwargs)
+    def tally(key, f):
+        def counted(*args, **kwargs):
+            now[key] += 1
+            return f(*args, **kwargs)
+        return counted
 
     def tallied(*args, **kwargs):
-        now.update(counts=0, solves=0)
+        now.update(counts=0, solves=0, fallbacks=0)
         out = eig(*args, **kwargs)
-        passes.append((now["counts"], now["solves"]))
+        passes.append((now["counts"], now["solves"], now["fallbacks"]))
         return out
 
-    monkeypatch.setattr(numerics, "sturm_count", counted)
-    monkeypatch.setattr(lapack, "dgtsv", solved)
+    monkeypatch.setattr(numerics, "sturm_count", tally("counts", count))
+    monkeypatch.setattr(lapack, "dgtsv", tally("solves", solve))
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", tally("fallbacks", fallback))
     monkeypatch.setattr(numerics, "eig_sym_tridiag", tallied)
     return passes
 
 
 def test_dirichlet_levels_keep_their_pass_budget(monkeypatch):
-    # Rayleigh steps inside the bracket take no count; the counts left are the
-    # isolation, the bisections and the two-count certificate of each level
+    # each level starts at its closed form: Rayleigh steps take no count, and
+    # the two counts left are its certificate
     passes = _passes_per_solve(monkeypatch)
     checks.pdfv_levels(1.0, 3, Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
-    counts, solves = zip(*passes)
-    assert all(c <= limit for c, limit in zip(counts, (4, 6, 7, 10))), counts
-    assert solves == (3, 4, 4, 4)
+    assert passes == [(2, 3, 0), (2, 4, 0), (2, 4, 0), (2, 4, 0)], passes
     passes.clear()
     checks.box_benchmark()
     checks.oscillator_benchmark()
-    assert passes[0][0] <= 24 and passes[1][0] <= 15, passes
+    assert [p[0] for p in passes] == [8, 6] and not passes[0][2] and not passes[1][2], passes
 
 
-def test_a_rayleigh_quotient_outside_the_bracket_bisects_it():
-    # started on level j + 1, the first Rayleigh quotient lies above the bracket
-    # of level j; counts at the bracket's middle halve it until inverse
-    # iteration turns to level j
+def test_extreme_alpha_levels_take_no_scan(monkeypatch):
+    # at alpha = 1e100 no Rayleigh step survives (the iterate underflows), so
+    # each level goes straight to LAPACK; counts from +-1, +-2, +-4, ... and
+    # bisection took 2866 here, about 2 s
+    passes, shifts = _passes_per_solve(monkeypatch), []
+    count = numerics.sturm_count
+    monkeypatch.setattr(numerics, "sturm_count", lambda m, s: shifts.append(s) or count(m, s))
+    with np.errstate(divide="raise", invalid="raise"):  # an underflowed iterate is not divided
+        rows = checks.pdfv_levels(1e100, 3, Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
+    assert all(counts <= 2 and fallbacks <= 1 for counts, _, fallbacks in passes), passes
+    assert np.all(np.isfinite(shifts))  # no value that is not finite reaches a count
+    assert len(passes) == 4 and all(np.isfinite(row[1]) for row in rows)
+
+
+def test_an_estimate_nearer_the_next_level_falls_back_to_lapack(caplog):
+    # started nearer level j + 1, the iteration converges there; its certificate
+    # for level j fails, and LAPACK solves level j by index, logged
     m = _random_tridiag(60)
-    w, v = eigh_tridiagonal(m.diag, m.offdiag)
+    w = eigvalsh_tridiagonal(m.diag, m.offdiag)
     j = 2
-    a, b = 0.5 * (w[j - 1] + w[j]), 0.5 * (w[j] + w[j + 1])
-    start = v[:, j + 1] + 1e-3 * v[:, j]
-    start /= np.linalg.norm(start)
-    assert not a < start @ m.matvec(start) < b
-    count = numerics._Counts(m)
-    floor = 8.0 * np.finfo(float).eps * _row_sum(m)
-    lam, x, res = numerics._polish(m, count, j, a, b, start, np.zeros((m.n, 0)), floor)
-    assert count.seen  # only the out-of-bracket branch counts
-    assert abs(lam - w[j]) <= 1e-12 * abs(w[j])
-    delta = max(res, floor)
-    assert sturm_count(m, lam - delta) == j and sturm_count(m, lam + delta) == j + 1
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        res = eig_sym_tridiag(m, j + 1, first=j, near=[w[j + 1] - 0.1 * (w[j + 1] - w[j])])
+    logged = [r.getMessage() for r in caplog.records]
+    assert len(logged) == 1 and f"levels [{j}]; LAPACK solves levels {j}..{j}" in logged[0]
+    delta = max(res.residuals[0], 8.0 * np.finfo(float).eps * _row_sum(m))
+    assert abs(res.eigenvalues[0] - w[j]) <= delta
+    assert sturm_count(m, res.eigenvalues[0] - delta) == j
+    assert sturm_count(m, res.eigenvalues[0] + delta) == j + 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_estimate_returns_the_lapack_levels(bad, caplog):
+    m = _pdfv_matrix()
+    w, v = eigh_tridiagonal(m.diag, m.offdiag, select="i", select_range=(1, 2))
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        res = eig_sym_tridiag(m, 3, first=1, near=[bad, bad])
+    assert [r.getMessage() for r in caplog.records] == [
+        "tridiagonal eigensolve: no certified estimate for levels [1, 2]; "
+        "LAPACK solves levels 1..2"]
+    assert np.array_equal(res.eigenvalues, w) and np.array_equal(res.eigenvectors, v)
 
 
 def test_complex_potential_rejected():
