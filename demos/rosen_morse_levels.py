@@ -41,8 +41,8 @@ print(f"\npost-hoc fit of the two-constant display form: mu={fit['mu']:.4f}, "
 
 p = TorusParams(a=0.5, c=2.0)
 g = Grid(1500, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
-ve = veff_case2(p, linear_ring_field(a2=0.2), cosine_velocity(), g)
-gap = np.max(np.abs(ve.rho - rosen_morse_form(p, 0.2, 1.0, g.points)))
+ve = veff_case2(p, cosine_velocity(), g)(linear_ring_field(a2=0.2))
+gap = np.max(np.abs(ve - rosen_morse_form(p, 0.2, 1.0, g.points)))
 print(f"\neffective potential vs closed form: max gap {gap:.3e}")
 
 print("\nfinite-difference cross-checks for n=1..3:")

@@ -14,10 +14,10 @@ info    reported without a threshold; the suite asserts only that it is finite
 the checks marked `verify=False`:
 
 - the Christoffel oracle order and the truncated-domain spectrum match,
-  which would add about a third to its cost (0.49 ms and 10.6 ms against
-  30.8 ms for the 20 checks it runs: medians of 7 in-process runs after a
-  warm-up pass, on a 2-CPU Intel Xeon container with OpenBLAS at 1 thread;
-  README gives the spread between runs);
+  which would add about a fifth to its cost (0.67 ms and 7.7 ms against
+  37 ms for the 20 checks it runs: the median of four measurements, each
+  the median of 7 in-process runs after a warm-up pass, on a 2-CPU Intel
+  Xeon container with OpenBLAS at 1 thread; README gives the spread);
 - the position-dependent intertwiner, the two readings of the case-2
   gauge prefactor and the printed 2F1 parameters, which have never been
   part of its report;
@@ -279,10 +279,9 @@ def pdfv_intertwiner_residual() -> float:
 def effective_potential_gap() -> float:
     """Effective potential of the cosine-velocity case against its Rosen-Morse form."""
     g = Grid(2000, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
-    gauge = fields.linear_ring_field(a2=0.2, e=1.0, k=1)
-    ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge, fields.cosine_velocity(), g)
-    return float(np.max(np.abs(
-        ve.rho - pseudoherm.rosen_morse_form(DEFAULT_TORUS, 0.2, 1.0, g.points))))
+    veff = pseudoherm.veff_case2(DEFAULT_TORUS, fields.cosine_velocity(), g)
+    return float(np.max(np.abs(veff(fields.linear_ring_field(a2=0.2, e=1.0, k=1))
+                               - pseudoherm.rosen_morse_form(DEFAULT_TORUS, 0.2, 1.0, g.points))))
 
 
 def prefactor_residual(sign: float, n: int = 2000) -> float:
@@ -352,14 +351,15 @@ def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
     Level n sets C1 and the linear ring amplitude so that it is quantized,
     then solves the cosine-velocity effective potential on `grid` with
     Dirichlet walls.  With a2 = alpha (n + 1/2)/(e a) that potential depends on
-    alpha alone, so the default torus and k = e = 1 are used.
+    alpha alone, so the default torus and k = e = 1 are used.  One effective-potential
+    map serves every level.
     """
+    veff = pseudoherm.veff_case2(DEFAULT_TORUS, fields.cosine_velocity(), grid)
     rows = []
     for n in range(n_max + 1):
         sol = analytic.case2_quantize(n, alpha, alpha ** 2 * (n + 0.5) ** 2 - 0.5)
         gauge_n = fields.linear_ring_field(a2=alpha * (n + 0.5) / DEFAULT_TORUS.a)
-        ve = pseudoherm.veff_case2(DEFAULT_TORUS, gauge_n, fields.cosine_velocity(), grid)
-        m = numerics.discretize_schrodinger(np.real(ve.rho), grid)
+        m = numerics.discretize_schrodinger(veff(gauge_n), grid)
         eps_sq = sol.epsilon_n ** 2
         fd = numerics.eig_sym_tridiag(m, n + 1, first=n, near=[eps_sq]).eigenvalues[0]
         rows.append((n, fd, eps_sq, abs(fd - eps_sq) / max(1.0, eps_sq)))

@@ -49,12 +49,13 @@ class TridiagonalSym:
         return self.diag.shape[0]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """T v for a vector, or for each row of a stack of vectors."""
         out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
+        out[..., :-1] += self.offdiag * v[..., 1:]
+        out[..., 1:] += self.offdiag * v[..., :-1]
         if self.corner != 0.0:
-            out[0] += self.corner * v[-1]
-            out[-1] += self.corner * v[0]
+            out[..., 0] += self.corner * v[..., -1]
+            out[..., -1] += self.corner * v[..., 0]
         return out
 
     def norm_inf(self) -> float:
@@ -129,8 +130,13 @@ def _fourier_galerkin(dhat: np.ndarray, ohat: np.ndarray, modes: np.ndarray) -> 
 
 
 def _residuals(m: TridiagonalSym, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.norm(m.matvec(vecs[:, i]) - w[i] * vecs[:, i])
-                     for i in range(len(w))])
+    """||T v_i - w_i v_i|| of each column v_i, from one pass of T over the whole block.
+
+    The block is applied as contiguous rows, and each row's norm is taken on
+    its own, so every residual has the bits of a column-by-column pass.
+    """
+    rows = np.ascontiguousarray(vecs.T)
+    return np.array([np.linalg.norm(r) for r in m.matvec(rows) - w[:, None] * rows])
 
 
 def _eig_periodic(m: TridiagonalSym, k: int):
@@ -205,10 +211,10 @@ def _polish(m: TridiagonalSym, mu: float, x: np.ndarray, found: np.ndarray, floo
     """Rayleigh-quotient iteration from the shift mu, the caller's estimate of a level.
 
     Each step solves (T - mu) y = x (LAPACK `dgtsv`), keeps y orthogonal to
-    the columns of `found` and takes the Rayleigh quotient lambda as the next
-    shift.  Stops once ||T x - lambda x|| <= floor, or at a y that is not finite
-    (so a lambda that is not finite ends it one step later).  Returns (lambda,
-    x, residual), residual inf if no step was taken.
+    the columns of `found` (if there are any) and takes the Rayleigh quotient
+    lambda as the next shift.  Stops once ||T x - lambda x|| <= floor, or at a
+    y that is not finite (so a lambda that is not finite ends it one step
+    later).  Returns (lambda, x, residual), residual inf if no step was taken.
     """
     from scipy.linalg import lapack
 
@@ -219,7 +225,8 @@ def _polish(m: TridiagonalSym, mu: float, x: np.ndarray, found: np.ndarray, floo
         if info:  # mu is a level to working precision: step off it
             mu += floor
             continue
-        y -= found @ (found.T @ y)
+        if found.shape[1]:
+            y -= found @ (found.T @ y)
         norm = np.linalg.norm(y)
         if not 0.0 < norm < np.inf:  # y underflowed (or overflowed): no next iterate
             break
@@ -236,15 +243,15 @@ def _polish(m: TridiagonalSym, mu: float, x: np.ndarray, found: np.ndarray, floo
 def _eig_levels(m: TridiagonalSym, first: int, k: int, near):
     """Levels first..k-1 of a pure tridiagonal matrix, their unit vectors and residuals.
 
-    Level j is polished by `_polish` from its estimate near[j - first] and one
-    seeded start vector, orthogonal to the levels already found, and kept
-    under the certificate count(lambda - delta) = j, count(lambda + delta) =
-    j + 1 (`sturm_count`), delta = max(residual, 8 eps |T|_inf).  A level with
-    no estimate, with an estimate or Rayleigh quotient that is not finite, or
-    whose certificate fails (a poor estimate, or a numerically multiple
-    eigenvalue, as in a split matrix) is solved by LAPACK (`eigh_tridiagonal`)
-    by index, and each such fallback is logged.  No value that is not finite
-    reaches a count.
+    Level j is polished by `_polish` from its estimate near[j - first] and the
+    Dirichlet mode with j nodes, sin((j + 1) pi i/(n + 1)) at i = 1..n, kept
+    orthogonal to the levels already found.  It is kept under the certificate
+    count(lambda - delta) = j, count(lambda + delta) = j + 1 (`sturm_count`),
+    delta = max(residual, 8 eps |T|_inf).  A level with no estimate, with an
+    estimate or Rayleigh quotient that is not finite, or whose certificate
+    fails (a poor estimate, or a numerically multiple eigenvalue, as in a
+    split matrix) is solved by LAPACK (`eigh_tridiagonal`) by index, and each
+    such fallback is logged.  No value that is not finite reaches a count.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -254,10 +261,10 @@ def _eig_levels(m: TridiagonalSym, first: int, k: int, near):
         w[0], vecs[0, 0] = m.diag[0], 1.0
         return w, vecs, res
     floor = 8.0 * np.finfo(float).eps * m.norm_inf()
-    start = np.random.default_rng(0).random(n)
     rest = []
     for i, mu in enumerate([np.nan] * (k - first) if near is None else near):
         if np.isfinite(mu):
+            start = np.sin((first + i + 1) * np.pi * np.arange(1, n + 1) / (n + 1))
             lam, x, r = _polish(m, mu, start, vecs[:, :i], floor)
             lo, hi = lam - max(r, floor), lam + max(r, floor)
             if (np.isfinite(lo) and np.isfinite(hi) and sturm_count(m, lo) == first + i

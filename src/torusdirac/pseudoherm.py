@@ -169,9 +169,10 @@ def eta2_case2(params: TorusParams, C2: float, grid: Grid) -> SampledOp:
     return SampledOp(grid, 0, 1, coeff)
 
 
-def veff_case2(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,
-               grid: Grid) -> SampledOp:
-    """Effective potential of the transformed position-dependent-velocity problem.
+def veff_case2(params: TorusParams, vf: FermiVelocity, grid: Grid):
+    """Effective potential of the position-dependent-velocity problem, as a map of ring fields.
+
+    The map takes a linear ring field and returns the real samples on the grid:
 
     V_eff = -V'^2/(4V^2) + V''/(2V) + (a e A_u + k)^2/R^2 - a e A_u'/R
             + (k + a e A_u) R'/R^2 - (k + a e A_u) V'/(R V)
@@ -179,13 +180,13 @@ def veff_case2(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,
     With the cosine velocity and the linear ring field this collapses to the
     trigonometric Rosen-Morse-II form; see `rosen_morse_form`.  k and e are
     read from the gauge field.  Both families are real, so the samples are
-    built in real arithmetic from one evaluation of cos x and sin x; each
-    factor repeats the floating-point operations of `radius_profile`,
-    `radius_derivative`, `eval_gauge` or `eval_fermi_velocity`, so it has the
-    bits of that helper's real part.
+    built in real arithmetic; each factor repeats the floating-point
+    operations of `radius_profile`, `radius_derivative`, `eval_gauge` or
+    `eval_fermi_velocity`, so it has the bits of that helper's real part.
+    cos x, sin x and every factor that does not depend on the field (V and
+    its derivatives, R, R', R^2, R V and the first two terms) are evaluated
+    once, when the map is made.
     """
-    if gauge.kind != "linear_au":
-        raise FamilyMismatch("the effective potential needs the linear A_u family")
     if vf.kind != "cosine":
         raise FamilyMismatch("the effective potential needs the cosine velocity profile")
 
@@ -193,18 +194,24 @@ def veff_case2(params: TorusParams, gauge: GaugeField, vf: FermiVelocity,
     cos, sin = np.cos(x), np.sin(x)
     if np.min(np.abs(cos)) < 1e-9:
         raise DomainSingularity("grid touches a velocity zero")
-    a, k, e = params.a, gauge.k, gauge.e
+    a = params.a
     v, vp, vpp = a * cos, -a * sin, -a * cos
     r, rp = params.c + v, vp
-    au, aup = gauge.a2 * r - k / (a * e), gauge.a2 * rp
     r2, rv = r ** 2, r * v
-    return SampledOp(grid, 1, 0, -(vp ** 2) / (4.0 * v ** 2)
-                     + vpp / (2.0 * v)
-                     + (au * a * e + k) ** 2 / r2
-                     - a * e * aup / r
-                     + (k + a * e * au) * rp / r2
-                     - k * vp / rv
-                     - a * e * au * vp / rv)
+    base = -(vp ** 2) / (4.0 * v ** 2) + vpp / (2.0 * v)
+
+    def veff(gauge: GaugeField) -> np.ndarray:
+        if gauge.kind != "linear_au":
+            raise FamilyMismatch("the effective potential needs the linear A_u family")
+        k, e = gauge.k, gauge.e
+        au, aup = gauge.a2 * r - k / (a * e), gauge.a2 * rp
+        return (base
+                + (au * a * e + k) ** 2 / r2
+                - a * e * aup / r
+                + (k + a * e * au) * rp / r2
+                - k * vp / rv
+                - a * e * au * vp / rv)
+    return veff
 
 
 def rosen_morse_form(params: TorusParams, a2: float, e: float, x):

@@ -225,6 +225,17 @@ def _random_periodic():
                           corner=rng.standard_normal())
 
 
+@pytest.mark.parametrize("make", [_default_periodic_mathieu, _random_periodic,
+                                  lambda: _random_tridiag(60)],
+                         ids=["mathieu1024", "random200", "random60"])
+def test_block_residuals_have_the_bits_of_one_column_at_a_time(make):
+    m = make()
+    vecs = np.random.default_rng(2).standard_normal((m.n, 6))
+    w = np.linspace(-1.0, 4.0, 6)
+    one_by_one = [np.linalg.norm(m.matvec(vecs[:, i]) - w[i] * vecs[:, i]) for i in range(6)]
+    assert np.array_equal(numerics._residuals(m, w, vecs), one_by_one)
+
+
 @pytest.mark.parametrize("make", [_default_periodic_mathieu, _random_periodic],
                          ids=["mathieu1024", "random200"])
 def test_periodic_lowest_k_match_full_spectrum(make):
@@ -240,9 +251,9 @@ def test_periodic_lowest_k_match_full_spectrum(make):
 def _pdfv_matrix():
     """Dirichlet matrix of `checks.pdfv_levels` for n = 1 at alpha = 1, on 2000 points."""
     g = Grid(2000, -np.pi / 2, np.pi / 2, "dirichlet")
+    veff = pseudoherm.veff_case2(checks.DEFAULT_TORUS, fields.cosine_velocity(), g)
     gauge = fields.linear_ring_field(a2=1.5 / checks.DEFAULT_TORUS.a)
-    ve = pseudoherm.veff_case2(checks.DEFAULT_TORUS, gauge, fields.cosine_velocity(), g)
-    return discretize_schrodinger(np.real(ve.rho), g)
+    return discretize_schrodinger(veff(gauge), g)
 
 
 def _random_tridiag(n):
@@ -381,15 +392,41 @@ def _passes_per_solve(monkeypatch):
 
 
 def test_dirichlet_levels_keep_their_pass_budget(monkeypatch):
-    # each level starts at its closed form: Rayleigh steps take no count, and
-    # the two counts left are its certificate
+    # each level starts at its closed form and its own sine mode: Rayleigh steps
+    # take no count, and the two counts left are its certificate
     passes = _passes_per_solve(monkeypatch)
     checks.pdfv_levels(1.0, 3, Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
-    assert passes == [(2, 3, 0), (2, 4, 0), (2, 4, 0), (2, 4, 0)], passes
+    assert passes == [(2, 3, 0), (2, 3, 0), (2, 3, 0), (2, 4, 0)], passes
+    passes.clear()
+    checks.truncated_domain_match()
+    assert passes == [(2, 3, 0), (2, 3, 0), (2, 4, 0), (2, 4, 0)], passes
     passes.clear()
     checks.box_benchmark()
     checks.oscillator_benchmark()
-    assert [p[0] for p in passes] == [8, 6] and not passes[0][2] and not passes[1][2], passes
+    assert passes == [(8, 4, 0), (6, 6, 0)], passes
+
+
+@pytest.mark.parametrize("wall", [0.0, 1e-3], ids=["full", "truncated"])
+def test_pdfv_levels_are_lapacks_levels_by_index(wall, monkeypatch, caplog):
+    # started from its own sine mode, each level lands on the level LAPACK
+    # finds at the same index, to within its certificate's delta
+    solves, eig = [], numerics.eig_sym_tridiag
+
+    def recorded(m, *args, **kwargs):
+        solves.append((m, eig(m, *args, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(numerics, "eig_sym_tridiag", recorded)
+    g = Grid(8000, -np.pi / 2 + wall, np.pi / 2 - wall, "dirichlet")
+    with caplog.at_level(logging.INFO, logger="torusdirac.numerics"):
+        rows = checks.pdfv_levels(1.0, 3, g)
+    assert not caplog.records  # no fallback
+    assert len(solves) == 4
+    for (n, fd, *_), (m, res) in zip(rows, solves):
+        ref = eigh_tridiagonal(m.diag, m.offdiag, select="i", select_range=(n, n),
+                               eigvals_only=True)[0]
+        delta = max(res.residuals[0], 8.0 * np.finfo(float).eps * _row_sum(m))
+        assert abs(fd - ref) <= delta, (n, fd, ref, delta)
 
 
 def test_extreme_alpha_levels_take_no_scan(monkeypatch):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torusdirac.errors import FamilyMismatch
+from torusdirac.errors import DomainSingularity, FamilyMismatch
 from torusdirac.fields import (
     GaugeField,
     constant_velocity,
@@ -305,26 +305,26 @@ def test_eta2_case2_values_and_periodicity():
 
 def test_veff_values_and_guards():
     g = Grid(256, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
-    f = linear_ring_field(a2=0.2, e=1.0, k=1)
-    v = veff_case2(P, f, cosine_velocity(), g)
+    veff = veff_case2(P, cosine_velocity(), g)
+    v = veff(linear_ring_field(a2=0.2, e=1.0, k=1))
     idx = np.argmin(np.abs(g.points))
     x0 = g.points[idx]
     expected0 = (P.a * 0.2) ** 2 - 0.5 + 0.2 * P.a * np.tan(x0) - np.tan(x0) ** 2 / 4
-    assert v.rho[idx] == pytest.approx(expected0, abs=1e-12)
-    f0 = linear_ring_field(a2=0.0, e=1.0, k=1)
-    v0 = veff_case2(P, f0, cosine_velocity(), g)
-    assert np.max(np.abs(v0.rho - (-0.5 - np.tan(g.points) ** 2 / 4))) < 1e-12
+    assert v[idx] == pytest.approx(expected0, abs=1e-12)
+    v0 = veff(linear_ring_field(a2=0.0, e=1.0, k=1))
+    assert np.max(np.abs(v0 - (-0.5 - np.tan(g.points) ** 2 / 4))) < 1e-12
     with pytest.raises(FamilyMismatch):
-        veff_case2(P, zero_field(), cosine_velocity(), g)
+        veff(zero_field())
     with pytest.raises(FamilyMismatch):
-        veff_case2(P, f, constant_velocity(), g)
+        veff_case2(P, constant_velocity(), g)
+    with pytest.raises(DomainSingularity):  # a sample on the velocity zero x = pi/2
+        veff_case2(P, cosine_velocity(), Grid(255, -np.pi / 2, 3 * np.pi / 2, "dirichlet"))
 
 
 def test_veff_equals_rosen_morse_closed_form():
     g = Grid(2000, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
-    f = linear_ring_field(a2=0.2, e=1.0, k=1)
-    v = veff_case2(P, f, cosine_velocity(), g)
-    assert np.max(np.abs(v.rho - rosen_morse_form(P, 0.2, 1.0, g.points))) < 1e-10
+    v = veff_case2(P, cosine_velocity(), g)(linear_ring_field(a2=0.2, e=1.0, k=1))
+    assert np.max(np.abs(v - rosen_morse_form(P, 0.2, 1.0, g.points))) < 1e-10
 
 
 def _veff_from_helpers(params, gauge, vf, x, part=np.real):
@@ -345,7 +345,7 @@ def _veff_from_helpers(params, gauge, vf, x, part=np.real):
 def test_veff_is_the_real_evaluation_of_the_field_helpers(n, a2, e, k):
     g = Grid(n, -np.pi / 2, np.pi / 2, "dirichlet")
     f, vf = linear_ring_field(a2=a2, e=e, k=k), cosine_velocity()
-    rho = veff_case2(P, f, vf, g).rho
+    rho = veff_case2(P, vf, g)(f)
     assert np.all(rho.imag == 0.0)
     real = _veff_from_helpers(P, f, vf, g.points)
     assert np.array_equal(rho.real, real)
@@ -353,3 +353,12 @@ def test_veff_is_the_real_evaluation_of_the_field_helpers(n, a2, e, k):
     old = _veff_from_helpers(P, f, vf, g.points, part=np.asarray)
     bound = 8.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(real)))
     assert np.max(np.abs(old - real)) <= bound
+
+
+def test_one_veff_map_serves_every_level_with_the_bits_of_its_own_map():
+    # `checks.pdfv_levels` makes one map per grid: its levels n = 0..3 at alpha = 1
+    g = Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet")
+    gauges = [linear_ring_field(a2=(n + 0.5) / P.a) for n in range(4)]
+    shared = veff_case2(P, cosine_velocity(), g)
+    for f in gauges:
+        assert np.array_equal(shared(f), veff_case2(P, cosine_velocity(), g)(f))
