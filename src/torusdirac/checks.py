@@ -14,9 +14,9 @@ info    reported without a threshold; the suite asserts only that it is finite
 the checks marked `verify=False`:
 
 - the Christoffel oracle order and the truncated-domain spectrum match,
-  which would add about a fifth to its cost (0.67 ms and 7.7 ms against
-  37 ms for the 20 checks it runs: the median of four measurements, each
-  the median of 7 in-process runs after a warm-up pass, on a 2-CPU Intel
+  which would add about a quarter to its cost (0.69 ms and 8.1 ms against
+  38 ms for the 20 checks it runs: the median of five measurements, each
+  the median of 22 in-process runs after 3 warm-up passes, on a 2-CPU Intel
   Xeon container with OpenBLAS at 1 thread; README gives the spread);
 - the position-dependent intertwiner, the two readings of the case-2
   gauge prefactor and the printed 2F1 parameters, which have never been

@@ -22,7 +22,6 @@ import math
 import re
 import sys
 import time
-import warnings
 # only the benchmark tracer (tdbench/spans.py) reads this; ROADMAP item 1 removes it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
@@ -96,7 +95,6 @@ class ScenarioConfig:
     C1: float
     n_max: int
     outputs: list
-    settings: dict  # every file setting by dotted key, as read
 
 
 def _value(settings: dict, key: str):
@@ -168,7 +166,6 @@ def _build_config(settings: dict) -> ScenarioConfig:
         case=case, alpha=_level_alpha(_value(settings, "analytic.alpha")),
         C1=_level_c1(_value(settings, "analytic.C1"), "analytic.C1"), n_max=n_max,
         outputs=[entry for entry in OUTPUTS if settings[f"outputs.{entry}"]],
-        settings=settings,
     )
 
 
@@ -261,25 +258,23 @@ def _check_reads(settings: dict, command: str, negative_control: bool,
 # CSV
 # ---------------------------------------------------------------------------
 
-def write_csv(path: Path, header, rows, timestamp: bool) -> None:
-    """Write `header` and `rows`, every cell through one `%.17g` row template.
+def write_csv(path: Path, header, columns, timestamp: bool) -> None:
+    """Write `header` and one column per header entry, each row through one `%.17g` template.
 
-    Cells are real numbers: Python and numpy floats, ints and bools.  `%.17g`
-    reads an int as a double, so ints are written exactly up to 2^53 in
-    magnitude, rounded to a double above that, and in exponent form from
-    1e17.  A complex cell raises TypeError (tables split complex values into
-    re/im columns), a numpy one included, whose real cast would drop the
-    imaginary part.
+    A column is an array-like of real numbers: Python and numpy floats, ints
+    and bools.  `%.17g` reads an int as a double, so ints are written exactly
+    up to 2^53 in magnitude, rounded to a double above that, and in exponent
+    form from 1e17.  A complex column raises TypeError before the file is
+    opened (tables split complex values into re/im columns): its real cast
+    would drop the imaginary part.
     """
+    columns = [np.asarray(col) for col in columns]
+    if any(np.iscomplexobj(col) for col in columns):
+        raise TypeError(f"{path.name}: complex column; write re/im columns")
     template = ",".join(["%.17g"] * len(header))
     lines = [f"# written {time.strftime('%Y-%m-%dT%H:%M:%S')}"] if timestamp else []
     lines.append(",".join(header))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        try:
-            lines.extend(template % tuple(row) for row in rows)
-        except np.exceptions.ComplexWarning as exc:
-            raise TypeError(f"{path.name}: complex cell; write re/im columns") from exc
+    lines.extend(template % row for row in zip(*(col.tolist() for col in columns)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -295,9 +290,6 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     ch = geometry.christoffel_at(p, xs)
     tabulated = geometry.spin_connection_tabulated(p, xs)
     derived = geometry.spin_connection_derived(p, xs)
-    # rows of Python floats: `%.17g` formats them without numpy's scalar path
-    rows = zip(*(col.tolist() for col in (xs, geometry.radius_profile(p, xs), ch.gamma_2_12,
-                                          ch.gamma_1_22, tabulated, derived)))
     for check in checks.registry(p, xs):
         if check.criterion == 1:
             check.record(rep)
@@ -310,7 +302,8 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
         write_csv(out / "geometry.csv",
                   ["x", "R", "gamma_2_12", "gamma_1_22",
                    "spin_conn_tabulated", "spin_conn_frame"],
-                  rows, timestamp)
+                  [xs, geometry.radius_profile(p, xs), ch.gamma_2_12, ch.gamma_1_22,
+                   tabulated, derived], timestamp)
     return rep
 
 
@@ -328,22 +321,22 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                 f"{exc}; complex branches are certified by `verify`, not eigensolved"
             ) from exc
         res = numerics.eig_sym_tridiag(m, min(6, grid.n - 2))
-        rows = [(i, res.eigenvalues[i], res.residuals[i]) for i in range(len(res.eigenvalues))]
         worst = float(np.max(res.residuals))
         # past n of about 26000 the rounding of T v alone exceeds 1e-8
-        tol = max(numerics.RESIDUAL_TOL, 4.0 * np.finfo(float).eps * m.norm_inf())
+        tol = max(numerics.RESIDUAL_TOL, numerics.periodic_floor(m))
         rep.add("eigenpair residual max", worst, tol, worst < tol)
         rep.add_info("periodic eigensolve Fourier modes", res.modes, note=f"of {grid.n}")
         checks.HILL_ORDER.record(rep)
         if "csv" in cfg.outputs:
             write_csv(out / "spectrum_constant_vf.csv", ["n", "lambda", "residual"],
-                      rows, timestamp)
+                      [np.arange(len(res.eigenvalues)), res.eigenvalues, res.residuals],
+                      timestamp)
         if "coefficients" in cfg.outputs:
             plus, _ = operators.decouple_constant_vf(p, cfg.gauge, grid)
             write_csv(out / "sl_coefficients_plus.csv",
                       ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"],
-                      zip(grid.points, plus.sigma.real, plus.sigma.imag,
-                          plus.rho.real, plus.rho.imag), timestamp)
+                      [grid.points, plus.sigma.real, plus.sigma.imag,
+                       plus.rho.real, plus.rho.imag], timestamp)
     else:
         rows = checks.pdfv_levels(cfg.alpha, cfg.n_max,
                                   Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
@@ -352,7 +345,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
         if "csv" in cfg.outputs:
             write_csv(out / "spectrum_pdfv.csv",
                       ["n", "lambda_fd", "epsilon_sq_analytic", "rel_deviation"],
-                      rows, timestamp)
+                      zip(*rows), timestamp)
     return rep
 
 
@@ -412,12 +405,11 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
     for a, e in dict.fromkeys((p["a"], p["e"]) for p in points):
         c2, c = pseudoherm.factorization_constants(a, e)
         constants[a, e] = (c2.real, c2.imag, c.real if a < 1 else float("nan"))
-    rows = [(value, *cells, *constants[p["a"], p["e"]])
-            for value, p, *cells in zip(values, points, *(col.tolist() for col in levels))]
     header = [parameter] + [f"{col}{n}" for n in range(4) for col in ("eps", "resid")]
     header += ["C2_constraint_re", "C2_constraint_im", "c_constraint"]
-    write_csv(out / f"sweep_{parameter}.csv", header, rows, timestamp)
-    rep.add_info("rows written", len(rows))
+    write_csv(out / f"sweep_{parameter}.csv", header,
+              [values, *levels, *zip(*(constants[p["a"], p["e"]] for p in points))], timestamp)
+    rep.add_info("rows written", len(values))
     rep.add_info("unbound cells (NaN)", int(sum(np.isnan(eps).sum() for eps in levels[::2])),
                  note="levels that do not quantize are written as NaN")
     return rep
@@ -429,8 +421,8 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     if a >= 1:
         raise ConfigError(f"analytic: the Morse chain needs torus.a < 1, got {a!r}")
 
-    sols = [analytic.case2_quantize(n, alpha, c1) for n in range(cfg.n_max + 1)]
-    rows = [(n, sol.epsilon_n, 0.0, sol.residual) for n, sol in enumerate(sols)]
+    levels = range(cfg.n_max + 1)
+    sols = [analytic.case2_quantize(n, alpha, c1) for n in levels]
     fit = analytic.fit_energy_display(sols)
     rep.add_info("display-form fit rms", fit["rms"],
                  note=f"mu={fit['mu']:.4f} nu={fit['nu']:.4f} (post-hoc fit)" if len(sols) > 1
@@ -444,24 +436,21 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     # Morse-chain spectrum on the real branch at c = 2; this is not the
     # constrained-radius point that `verify` certifies (checks._morse_params)
     mf0 = pseudoherm.real_morse_branch(geometry.TorusParams(a=a, c=2.0))
-    rows1 = []
-    for n in range(cfg.n_max + 1):
-        tab = analytic.case1_energy(n, alpha, mf0)
-        lam, rho, exists = analytic.morse_energy_exact(n, mf0)
-        rows1.append((n, tab.real, tab.imag, lam.real, lam.imag, int(exists)))
+    tab = np.array([analytic.case1_energy(n, alpha, mf0) for n in levels])
+    lam, _, exists = zip(*(analytic.morse_energy_exact(n, mf0) for n in levels))
+    lam = np.array(lam)
 
     # every table is built before the first is written: a run that fails writes none
     write_csv(out / "case2_spectrum.csv", ["n", "re_eps", "im_eps", "residual"],
-              rows, timestamp)
+              [levels, [s.epsilon_n for s in sols], np.zeros(len(sols)),
+               [s.residual for s in sols]], timestamp)
     write_csv(out / "case2_wavefunctions.csv",
               ["x"] + [f"re_phi{n}" for n in range(len(wf_rows))]
               + [f"im_phi{n}" for n in range(len(wf_rows))],
-              zip(*(col.tolist() for col in (xg, *(w.real for w in wf_rows),
-                                             *(w.imag for w in wf_rows)))),
-              timestamp)
+              [xg, *(w.real for w in wf_rows), *(w.imag for w in wf_rows)], timestamp)
     write_csv(out / "case1_spectrum.csv",
               ["n", "re_tabulated", "im_tabulated", "re_derived", "im_derived", "bound"],
-              rows1, timestamp)
+              [levels, tab.real, tab.imag, lam.real, lam.imag, exists], timestamp)
     rep.add_info("tables written", 3)
     return rep
 

@@ -139,14 +139,22 @@ def _residuals(m: TridiagonalSym, w: np.ndarray, vecs: np.ndarray) -> np.ndarray
     return np.array([np.linalg.norm(r) for r in m.matvec(rows) - w[:, None] * rows])
 
 
+def periodic_floor(m: TridiagonalSym) -> float:
+    """4 eps |T|_inf, the rounding floor of a periodic residual.
+
+    The rounding of T v alone leaves about 0.6 eps |T|_inf, which grows as
+    n^2; neither the periodic solve nor `spectrum`'s gate asks below this.
+    """
+    return 4.0 * np.finfo(float).eps * m.norm_inf()
+
+
 def _eig_periodic(m: TridiagonalSym, k: int):
     """Lowest-k eigenpairs of a periodic matrix by Galerkin on the modes |m| <= M.
 
     M starts at 8 (or k) and doubles, with a log line, until every full-grid
     residual is at most min(RESIDUAL_TOL, 1e-9 max(1, max |lambda|)), never
-    looser than `spectrum`'s gate, or 4 eps |T|_inf where that is larger: the
-    rounding of T v alone leaves about 0.6 eps |T|_inf, which grows as n^2 and
-    would otherwise widen a large grid's solve to all n modes.  With all n
+    looser than `spectrum`'s gate, or `periodic_floor` where that is larger:
+    below it a large grid's solve would widen to all n modes.  With all n
     modes the solve is the exact similarity and is returned as it is.
     Returns (eigenvalues, real orthonormal eigenvectors, residuals, mode count).
     """
@@ -155,7 +163,7 @@ def _eig_periodic(m: TridiagonalSym, k: int):
     n = m.n
     dhat = np.fft.fft(m.diag) / n
     ohat = np.fft.fft(np.append(m.offdiag, m.corner)) / n
-    floor = 4.0 * np.finfo(float).eps * m.norm_inf()
+    floor = periodic_floor(m)
     cut = max(8, k)
     while True:
         modes = np.arange(-cut, cut + 1) if 2 * cut + 1 < n else np.arange(n) - n // 2
