@@ -19,7 +19,7 @@ from torusdirac.analytic import (
     case2_wavefunction,
     fit_energy_display,
 )
-from torusdirac.fields import cosine_velocity, linear_ring_field
+from torusdirac.fields import linear_ring_field
 from torusdirac.grids import Grid
 from torusdirac.numerics import discretize_schrodinger, eig_sym_tridiag
 from torusdirac.pseudoherm import rosen_morse_form, veff_case2
@@ -41,7 +41,7 @@ print(f"\npost-hoc fit of the two-constant display form: mu={fit['mu']:.4f}, "
 
 p = TorusParams(a=0.5, c=2.0)
 g = Grid(1500, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
-ve = veff_case2(p, cosine_velocity(), g)(linear_ring_field(a2=0.2))
+ve = veff_case2(p, g)(linear_ring_field(a2=0.2))
 gap = np.max(np.abs(ve - rosen_morse_form(p, 0.2, 1.0, g.points)))
 print(f"\neffective potential vs closed form: max gap {gap:.3e}")
 

@@ -15,10 +15,7 @@ from .geometry import (
 )
 from .grids import Grid, GridFunction
 from .fields import (
-    FermiVelocity,
     GaugeField,
-    constant_velocity,
-    cosine_velocity,
     eval_fermi_velocity,
     eval_gauge,
     hermitizing_quadratic_field,

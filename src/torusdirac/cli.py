@@ -264,13 +264,11 @@ def write_csv(path: Path, header, columns, timestamp: bool) -> None:
     A column is an array-like of real numbers: Python and numpy floats, ints
     and bools.  `%.17g` reads an int as a double, so ints are written exactly
     up to 2^53 in magnitude, rounded to a double above that, and in exponent
-    form from 1e17.  A complex column raises TypeError before the file is
-    opened (tables split complex values into re/im columns): its real cast
-    would drop the imaginary part.
+    form from 1e17.  A complex cell makes `%` raise TypeError while the lines
+    are built, before the file is opened (tables split complex values into
+    re/im columns).
     """
     columns = [np.asarray(col) for col in columns]
-    if any(np.iscomplexobj(col) for col in columns):
-        raise TypeError(f"{path.name}: complex column; write re/im columns")
     template = ",".join(["%.17g"] * len(header))
     lines = [f"# written {time.strftime('%Y-%m-%dT%H:%M:%S')}"] if timestamp else []
     lines.append(",".join(header))
@@ -320,7 +318,7 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
             raise ComplexPotential(
                 f"{exc}; complex branches are certified by `verify`, not eigensolved"
             ) from exc
-        res = numerics.eig_sym_tridiag(m, min(6, grid.n - 2))
+        res = numerics.eig_sym_tridiag(m, 6)
         worst = float(np.max(res.residuals))
         # past n of about 26000 the rounding of T v alone exceeds 1e-8
         tol = max(numerics.RESIDUAL_TOL, numerics.periodic_floor(m))

@@ -22,7 +22,7 @@ class VelocityZero(TorusDiracError):
 
 
 class FamilyMismatch(TorusDiracError):
-    """An operation received a gauge/velocity family it is not defined for."""
+    """An operation received a gauge family it is not defined for."""
 
 
 class DomainSingularity(TorusDiracError):

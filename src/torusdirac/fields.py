@@ -1,4 +1,4 @@
-"""Gauge-field and Fermi-velocity families entering the torus Dirac operator.
+"""Gauge-field families and the cosine Fermi velocity entering the torus Dirac operator.
 
 Gauge components may be complex: the hermitizing family has a purely
 imaginary A_x by construction, and the quadratic ring-field family is used
@@ -23,7 +23,6 @@ GAUGE_KINDS = (
     "hermitizing_quadratic",  # hermitizing A_x composed with the quadratic A_u
     "real_cos_ax",
 )
-FERMI_KINDS = ("constant", "cosine")
 
 
 @dataclass(frozen=True)
@@ -93,29 +92,7 @@ def eval_gauge(gauge: GaugeField, params: TorusParams, x):
     return ax, au, axp, aup
 
 
-@dataclass(frozen=True)
-class FermiVelocity:
-    """Unit constant speed (the decoupled problems read only V_F'/V_F) or the
-    cosine profile V_F(x) = a cos(x)."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in FERMI_KINDS:
-            raise FamilyMismatch(f"unknown Fermi-velocity kind {self.kind!r}")
-
-
-def constant_velocity() -> FermiVelocity:
-    return FermiVelocity(kind="constant")
-
-
-def cosine_velocity() -> FermiVelocity:
-    return FermiVelocity(kind="cosine")
-
-
-def eval_fermi_velocity(vel: FermiVelocity, params: TorusParams, x):
-    """Evaluate (V_F, V_F', V_F'') at x; zeros of the cosine profile are legal here."""
+def eval_fermi_velocity(params: TorusParams, x):
+    """Evaluate (V_F, V_F', V_F'') of the cosine profile V_F = a cos x; zeros are legal here."""
     x = np.asarray(x, dtype=float)
-    if vel.kind == "constant":
-        return np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
     return params.a * np.cos(x), -params.a * np.sin(x), -params.a * np.cos(x)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometry, GridMismatch, VelocityZero
-from .fields import FermiVelocity, GaugeField, eval_fermi_velocity, eval_gauge
+from .fields import GaugeField, eval_fermi_velocity, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
 from .grids import Grid, GridFunction, diff1, diff2, row_blocks, row_norms, same_grid
 
@@ -172,8 +172,8 @@ def decouple_constant_vf(params: TorusParams, gauge: GaugeField, grid: Grid):
     return SampledOp(grid, 1, sigma, f_plus), SampledOp(grid, 1, sigma, f_minus)
 
 
-def decouple_pdfv(params: TorusParams, gauge: GaugeField, vf: FermiVelocity, grid: Grid):
-    """Decoupled problems for position-dependent Fermi velocity.
+def decouple_pdfv(params: TorusParams, gauge: GaugeField, grid: Grid):
+    """Decoupled problems for the position-dependent Fermi velocity V_F = a cos x.
 
     Dividing the squared system by V_F^2 gives
 
@@ -182,7 +182,7 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, vf: FermiVelocity, gri
     with F identical to the constant-velocity rho and G = a (W1 +- Q).
     """
     x = grid.points
-    v, vp, _ = eval_fermi_velocity(vf, params, x)
+    v, vp, _ = eval_fermi_velocity(params, x)
     if np.min(np.abs(v)) < 1e-12:
         raise VelocityZero("V_F vanishes on an interior grid point; choose a grid avoiding it")
     sigma, (f_plus, f_minus), (g_plus, g_minus) = _squared_terms(params, gauge, x)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainSingularity, FamilyMismatch, GridMismatch
-from .fields import FermiVelocity, GaugeField, eval_gauge
+from .fields import GaugeField, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
 from .grids import Grid, GridFunction, row_blocks, row_norms, same_grid
 from .operators import SampledOp
@@ -57,8 +57,8 @@ def eta2_case1(params: TorusParams, C1: float, grid: Grid) -> SampledOp:
 
 
 def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
-                                grid: Grid) -> SampledOp:
-    """Hermitian-counterpart potential of the constant-velocity chain.
+                                grid: Grid) -> np.ndarray:
+    """Hermitian-counterpart potential of the constant-velocity chain, sampled on the grid.
 
     V1 = (a k + a^2 e A_u)^2 / R^2 + a e A_u' / R - a k R'/R^2 - a^2 e A_u R'/R^2,
     tabulated exactly as displayed in the source chain, with k and e read from
@@ -73,10 +73,10 @@ def hermitian_counterpart_case1(params: TorusParams, gauge: GaugeField,
     r = radius_profile(params, x)
     rp = radius_derivative(params, x)
     _, au, _, aup = eval_gauge(gauge, params, x)
-    return SampledOp(grid, 1, 0, (a * k + a ** 2 * e * au) ** 2 / r ** 2
-                     + a * e * aup / r
-                     - a * k * rp / r ** 2
-                     - a ** 2 * e * au * rp / r ** 2)
+    return ((a * k + a ** 2 * e * au) ** 2 / r ** 2
+            + a * e * aup / r
+            - a * k * rp / r ** 2
+            - a ** 2 * e * au * rp / r ** 2)
 
 
 def mathieu_form(params: TorusParams, e: float, C2: complex) -> MathieuParams:
@@ -144,13 +144,12 @@ def superpotential_case1(params: TorusParams, grid: Grid) -> SampledOp:
 
 
 def partner_potentials_case1(params: TorusParams, grid: Grid):
-    """Closed-form factorization partners (V, V1) = (W^2 - W', W^2 + W')."""
+    """Closed-form factorization partners (V, V1) = (W^2 - W', W^2 + W'), sampled on the grid."""
     a = params.a
     s = sqrt_am1(a)
     x = grid.points
     base = (a - 1.0) / a ** 2 * np.cos(x) ** 2 + (a - 2.0) / a ** 2 * s * np.sin(x) - 0.25
-    return (SampledOp(grid, 1, 0, base + 1j * s / a * np.cos(x)),
-            SampledOp(grid, 1, 0, base - 1j * s / a * np.cos(x)))
+    return base + 1j * s / a * np.cos(x), base - 1j * s / a * np.cos(x)
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +168,17 @@ def eta2_case2(params: TorusParams, C2: float, grid: Grid) -> SampledOp:
     return SampledOp(grid, 0, 1, coeff)
 
 
-def veff_case2(params: TorusParams, vf: FermiVelocity, grid: Grid):
-    """Effective potential of the position-dependent-velocity problem, as a map of ring fields.
+def veff_case2(params: TorusParams, grid: Grid):
+    """Effective potential of the cosine-velocity problem, as a map of ring fields.
 
     The map takes a linear ring field and returns the real samples on the grid:
 
     V_eff = -V'^2/(4V^2) + V''/(2V) + (a e A_u + k)^2/R^2 - a e A_u'/R
             + (k + a e A_u) R'/R^2 - (k + a e A_u) V'/(R V)
 
-    With the cosine velocity and the linear ring field this collapses to the
-    trigonometric Rosen-Morse-II form; see `rosen_morse_form`.  k and e are
-    read from the gauge field.  Both families are real, so the samples are
+    With the linear ring field this collapses to the trigonometric
+    Rosen-Morse-II form; see `rosen_morse_form`.  k and e are read from the
+    gauge field.  The field and the velocity are real, so the samples are
     built in real arithmetic; each factor repeats the floating-point
     operations of `radius_profile`, `radius_derivative`, `eval_gauge` or
     `eval_fermi_velocity`, so it has the bits of that helper's real part.
@@ -187,9 +186,6 @@ def veff_case2(params: TorusParams, vf: FermiVelocity, grid: Grid):
     its derivatives, R, R', R^2, R V and the first two terms) are evaluated
     once, when the map is made.
     """
-    if vf.kind != "cosine":
-        raise FamilyMismatch("the effective potential needs the cosine velocity profile")
-
     x = grid.points
     cos, sin = np.cos(x), np.sin(x)
     if np.min(np.abs(cos)) < 1e-9:

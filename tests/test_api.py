@@ -21,7 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public API without an internal caller, each with its reason
 EXEMPT = {
-    "constant_velocity": "the case-1 Fermi velocity, the counterpart of cosine_velocity",
     # `main` checks the reads between reading the settings and judging them
     "load_config": "loads a scenario for library callers; the benchmark's set-up time runs it",
 }

@@ -4,10 +4,7 @@ import pytest
 from torusdirac.errors import ChargeZero, FamilyMismatch
 from torusdirac.fields import (
     GAUGE_KINDS,
-    FermiVelocity,
     GaugeField,
-    constant_velocity,
-    cosine_velocity,
     eval_fermi_velocity,
     eval_gauge,
     hermitizing_quadratic_field,
@@ -50,8 +47,6 @@ def test_charge_zero_rejected():
 def test_unknown_kinds_rejected():
     with pytest.raises(FamilyMismatch):
         GaugeField(kind="nope")
-    with pytest.raises(FamilyMismatch):
-        FermiVelocity(kind="nope")
 
 
 def test_periodicity_of_builtin_families():
@@ -76,12 +71,10 @@ def test_k_cancellation_identity():
 
 
 def test_fermi_velocity_families():
-    v, vp, vpp = eval_fermi_velocity(constant_velocity(), P, 0.7)
-    assert v == 1.0 and vp == 0.0 and vpp == 0.0
-    v, vp, vpp = eval_fermi_velocity(cosine_velocity(), P, 0.0)
+    v, vp, vpp = eval_fermi_velocity(P, 0.0)
     assert v == pytest.approx(0.5) and vp == pytest.approx(0.0)
     assert vpp == pytest.approx(-0.5)
-    v, vp, vpp = eval_fermi_velocity(cosine_velocity(), P, np.pi / 2)
+    v, vp, vpp = eval_fermi_velocity(P, np.pi / 2)
     assert v == pytest.approx(0.0, abs=1e-15) and vp == pytest.approx(-0.5)
     assert vpp == pytest.approx(0.0, abs=1e-15)
 

@@ -251,7 +251,7 @@ def test_periodic_lowest_k_match_full_spectrum(make):
 def _pdfv_matrix():
     """Dirichlet matrix of `checks.pdfv_levels` for n = 1 at alpha = 1, on 2000 points."""
     g = Grid(2000, -np.pi / 2, np.pi / 2, "dirichlet")
-    veff = pseudoherm.veff_case2(checks.DEFAULT_TORUS, fields.cosine_velocity(), g)
+    veff = pseudoherm.veff_case2(checks.DEFAULT_TORUS, g)
     gauge = fields.linear_ring_field(a2=1.5 / checks.DEFAULT_TORUS.a)
     return discretize_schrodinger(veff(gauge), g)
 

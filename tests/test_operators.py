@@ -7,8 +7,6 @@ from torusdirac import checks, pseudoherm
 from torusdirac.checks import squaring_consistency
 from torusdirac.errors import GridMismatch, VelocityZero
 from torusdirac.fields import (
-    constant_velocity,
-    cosine_velocity,
     eval_fermi_velocity,
     eval_gauge,
     hermitizing_quadratic_field,
@@ -214,24 +212,29 @@ def test_hermiticity_contrast():
 
 
 def test_pdfv_reduces_to_constant_velocity_case():
-    g = Grid(256)
-    f = quadratic_ring_field(C2=0.3, e=1.0, k=1)
-    plus_c, minus_c = decouple_constant_vf(P, f, g)
-    plus_p, minus_p = decouple_pdfv(P, f, constant_velocity(), g)
-    assert np.max(np.abs(plus_p.sigma - plus_c.sigma)) == 0.0
-    assert np.max(np.abs(plus_p.rho - plus_c.rho)) == 0.0
-    assert np.max(np.abs(minus_p.rho - minus_c.rho)) == 0.0
+    # bit for bit: sigma - t and F + G t, with sigma and F the constant-velocity
+    # coefficients, G = a (W1 +- Q) and t = V'/V
+    g = Grid(200, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
+    v, vp, _ = eval_fermi_velocity(P, g.points)
+    t = vp / v
+    for f in (quadratic_ring_field(C2=0.3, e=1.0, k=1), linear_ring_field(a2=0.15, e=1.0, k=2),
+              hermitizing_quadratic_field(C2=0.4, e=1.0, k=1)):
+        w1, q, _, _ = _coefficients(P, f, g.points)
+        for const, pdfv, g_pm in zip(decouple_constant_vf(P, f, g), decouple_pdfv(P, f, g),
+                                     (P.a * (w1 + q), P.a * (w1 - q))):
+            assert np.array_equal(pdfv.sigma, const.sigma - t)
+            assert np.array_equal(pdfv.rho, const.rho + g_pm * t)
 
 
 def _f_and_g(gauge, grid):
     """((F+, G+), (F-, G-)) read from the coefficients of the decoupled problems.
 
-    With constant velocity rho = F; with the cosine velocity rho = F + G V'/V.
+    The constant-velocity rho is F; the cosine velocity's rho is F + G V'/V.
     """
-    v, vp, _ = eval_fermi_velocity(cosine_velocity(), P, grid.points)
+    v, vp, _ = eval_fermi_velocity(P, grid.points)
     return [(const.rho, (cos.rho - const.rho) / (vp / v))
-            for const, cos in zip(decouple_pdfv(P, gauge, constant_velocity(), grid),
-                                  decouple_pdfv(P, gauge, cosine_velocity(), grid))]
+            for const, cos in zip(decouple_constant_vf(P, gauge, grid),
+                                  decouple_pdfv(P, gauge, grid))]
 
 
 def test_pdfv_swap_rule_for_f_and_g():
@@ -253,7 +256,7 @@ def test_pdfv_coefficient_recomputation_oracle():
     g = Grid(300, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")
     a, e, k, a2 = P.a, 1.0, 1, 0.1
     f = linear_ring_field(a2=a2, e=e, k=k)
-    plus, _ = decouple_pdfv(P, f, cosine_velocity(), g)
+    plus, _ = decouple_pdfv(P, f, g)
     x = g.points
     r = radius_profile(P, x)
     rp = -a * np.sin(x)
@@ -279,7 +282,7 @@ def test_pdfv_velocity_zero_guard():
     g = Grid(63, np.pi / 2 - 0.5, np.pi / 2 + 0.5, "dirichlet")
     assert np.min(np.abs(g.points - np.pi / 2)) < 1e-15
     with pytest.raises(VelocityZero):
-        decouple_pdfv(P, zero_field(), cosine_velocity(), g)
+        decouple_pdfv(P, zero_field(), g)
 
 
 PERIODIC, DIRICHLET = Grid(256), Grid(300, -1.3, 1.3, "dirichlet")
