@@ -211,7 +211,7 @@ def test_hermiticity_contrast():
     assert hermiticity_defect(P, zero_field(), g, pairs) > 1e-3
 
 
-def test_pdfv_reduces_to_constant_velocity_case():
+def test_pdfv_reduces_to_the_constant_vf_problem():
     # bit for bit: sigma - t and F + G t, with sigma and F the constant-velocity
     # coefficients, G = a (W1 +- Q) and t = V'/V
     g = Grid(200, -np.pi / 2 + 0.2, np.pi / 2 - 0.2, "dirichlet")
