@@ -11,7 +11,6 @@ import numpy as np
 
 from torusdirac import (
     GaugeField,
-    SpinorGF,
     TorusParams,
     decouple_constant_vf,
     hermiticity_defect,
@@ -28,8 +27,7 @@ print("squared kernel vs decoupled operators (relative, 20 random spinors):")
 for n in (512, 1024, 2048):
     g = Grid(n)
     worst = max(
-        squaring_discrepancy(p, gauge, g,
-                             SpinorGF(*band_limited(g, [5, 6, 7, 8], rng=s, n_functions=2)))
+        squaring_discrepancy(p, gauge, g, band_limited(g, [5, 6, 7, 8], rng=s, n_functions=2))
         for s in range(20)
     )
     print(f"  n={n:5d}: {worst:.3e}")
@@ -43,8 +41,8 @@ print(f"  plus == swapped minus: {np.array_equal(plus.rho, swapped[1].rho)}")
 print("\nself-adjointness defect (flat inner product):")
 p5 = TorusParams(a=0.5, c=2.0)
 pairs = [
-    (SpinorGF(*band_limited(g, [1, 2, 3], rng=s, n_functions=2)),
-     SpinorGF(*band_limited(g, [2, 4], rng=70 + s, n_functions=2)))
+    (band_limited(g, [1, 2, 3], rng=s, n_functions=2),
+     band_limited(g, [2, 4], rng=70 + s, n_functions=2))
     for s in range(6)
 ]
 for label, f in (("hermitizing imaginary gauge", hermitizing_quadratic_field(0.4)),

@@ -13,7 +13,7 @@ from .geometry import (
     spin_connection_tabulated,
     vierbein_at,
 )
-from .grids import Grid, GridFunction
+from .grids import Grid
 from .fields import (
     GaugeField,
     eval_fermi_velocity,
@@ -25,7 +25,6 @@ from .fields import (
 )
 from .operators import (
     SampledOp,
-    SpinorGF,
     decouple_constant_vf,
     decouple_pdfv,
     dirac_operator,

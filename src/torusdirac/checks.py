@@ -23,11 +23,12 @@ the checks marked `verify=False`:
 - the periodic spectrum's order against Hill's method, which `spectrum`
   reports.
 
-The seeded probes that several checks share (the spinor stacks, the test
-functions of criterion 5, the Morse parameters and chain) are built once,
-on first use, and kept read-only.  Library functions are called through
-their module attributes (`geometry.metric_at`), so wrappers installed on
-those modules see them, and see each probe's first build.
+The seeded probes that several checks share are sample arrays: the spinor
+stacks of shape (2, S, n), the (S, n) test functions of criterion 5.  They,
+the Morse parameters and the Morse chain are built once, on first use, and
+kept read-only.  Library functions are called through their module
+attributes (`geometry.metric_at`), so wrappers installed on those modules
+see them, and see each probe's first build.
 """
 
 from __future__ import annotations
@@ -167,15 +168,8 @@ def christoffel_order(torus, xs) -> float:
     return float(np.log2(errs[0] / errs[1]))
 
 
-def _read_only(*functions: grids.GridFunction) -> tuple:
-    """The functions, their samples made read-only: a cached probe serves every later check."""
-    for f in functions:
-        f.values.setflags(write=False)
-    return functions
-
-
-def _spinor_stack(grid, modes, seeds) -> operators.SpinorGF:
-    """One band-limited spinor per seed, as one stack: an operator reads its coefficients once.
+def _spinor_stack(grid, modes, seeds) -> np.ndarray:
+    """One band-limited spinor per seed, as one (2, S, n) stack: operators read coefficients once.
 
     Each seed draws its coefficients as `grids.band_limited` does (two
     functions, scalar-draw order), and one `grids.mode_sum` builds every
@@ -184,8 +178,7 @@ def _spinor_stack(grid, modes, seeds) -> operators.SpinorGF:
     """
     c = np.stack([np.random.default_rng(s).standard_normal((2, len(modes), 2)) for s in seeds],
                  axis=1)  # (component, seed, mode, re/im)
-    v = grids.mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1])
-    return operators.SpinorGF(*_read_only(*(grids.GridFunction(grid, comp) for comp in v)))
+    return numerics._frozen(grids.mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1]))[0]
 
 
 @cache
@@ -234,7 +227,7 @@ def factorization_defect(scale: float = 1.0) -> float:
 def _intertwining_probe():
     """The 2048-point grid and the compact test functions of criterion 5."""
     g = Grid(2048)
-    return g, _read_only(*grids.compact_test_functions(g, modes=[3, 4, 6], rng=5, n_functions=4))
+    return g, numerics._frozen(grids.compact_test_functions(g, [3, 4, 6], rng=5, n_functions=4))[0]
 
 
 def factorization_pair_residual() -> float:
@@ -242,7 +235,7 @@ def factorization_pair_residual() -> float:
     g, phis = _intertwining_probe()
     a_pair = pseudoherm.superpotential_case1(geometry.TorusParams(a=0.9, c=2.0), g)
     a, a_h = a_pair.apply, a_pair.apply_adjoint
-    return pseudoherm.intertwining_residual(a, lambda f: a_h(a(f)), lambda f: a(a_h(f)), phis)
+    return pseudoherm.intertwining_residual(a, lambda f: a_h(a(f)), lambda f: a(a_h(f)), g, phis)
 
 
 def closed_form_pair_residual() -> float:
@@ -252,7 +245,7 @@ def closed_form_pair_residual() -> float:
     w, wp = pseudoherm.superpotential(0.9, g.points)
     return pseudoherm.intertwining_residual(
         a_pair.apply, operators.SampledOp(g, 1, 0, w ** 2 - wp).apply,
-        operators.SampledOp(g, 1, 0, w ** 2 + wp).apply, phis)
+        operators.SampledOp(g, 1, 0, w ** 2 + wp).apply, g, phis)
 
 
 def tabulated_intertwiner_residual() -> float:
@@ -262,7 +255,7 @@ def tabulated_intertwiner_residual() -> float:
     plus, _ = operators.decouple_constant_vf(DEFAULT_TORUS, herm_gauge, g)
     h_s = operators.SampledOp(g, 1, 0, plus.rho)  # sigma vanishes for this gauge
     eta2 = pseudoherm.eta2_case1(DEFAULT_TORUS, 0.0, g)
-    return pseudoherm.intertwining_residual(eta2.apply, h_s.apply, h_s.apply_adjoint, phis)
+    return pseudoherm.intertwining_residual(eta2.apply, h_s.apply, h_s.apply_adjoint, g, phis)
 
 
 def pdfv_intertwiner_residual() -> float:
@@ -272,7 +265,7 @@ def pdfv_intertwiner_residual() -> float:
     gauge = fields.linear_ring_field(a2=0.2, e=1.0, k=1)
     plus, _ = operators.decouple_pdfv(DEFAULT_TORUS, gauge, g)
     eta2 = pseudoherm.eta2_case2(DEFAULT_TORUS, 0.0, g)
-    return pseudoherm.intertwining_residual(eta2.apply, plus.apply, plus.apply_adjoint, phis)
+    return pseudoherm.intertwining_residual(eta2.apply, plus.apply, plus.apply_adjoint, g, phis)
 
 
 def effective_potential_gap() -> float:
@@ -299,11 +292,10 @@ def prefactor_residual(sign: float, n: int = 2000) -> float:
     x = g.points
     h = np.exp(0.5 * (sign * DEFAULT_TORUS.a ** 2 * (np.cos(x) - 1.0)
                       - np.log(np.abs(np.cos(x)))))
-    v_num = minus.apply(grids.GridFunction(g, h)).values / h
-    phi = np.array([p.values for p in grids.compact_test_functions(
-        g, modes=[2, 3, 5], rng=11, n_functions=3, margin=0.2 * (g.x_max - g.x_min))])
-    resid = (minus.apply(grids.GridFunction(g, h * phi)).values / h
-             + grids.diff2(phi, g) - v_num * phi)
+    v_num = minus.apply(h.astype(complex)) / h
+    phi = grids.compact_test_functions(g, modes=[2, 3, 5], rng=11, n_functions=3,
+                                       margin=0.2 * (g.x_max - g.x_min))
+    resid = minus.apply(h * phi) / h + grids.diff2(phi, g) - v_num * phi
     return float(np.max(np.max(np.abs(resid[:, 10:-10]), axis=1)
                         / np.max(np.abs(phi), axis=1)))
 

@@ -14,7 +14,8 @@ class ChargeZero(TorusDiracError):
 
 
 class GridMismatch(TorusDiracError):
-    """Two grid functions (or an operator and its operand) live on different grids."""
+    """Samples do not fit the grid: coefficient samples of the wrong shape, or a
+    non-periodic grid for the Dirac kernel."""
 
 
 class VelocityZero(TorusDiracError):

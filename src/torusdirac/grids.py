@@ -1,18 +1,17 @@
-"""Uniform 1-D grids, sampled complex functions, and difference stencils.
+"""Uniform 1-D grids, difference stencils, and reproducible test functions.
 
-Everything downstream (operator application, residual checks, eigensolves)
-runs on these two containers.  Periodic grids sample [0, 2pi) without the
+A function on a grid is the array of its samples: shape (n,), or (S, n) for
+a stack of S probes.  The stencils act on the last axis, so a stack is
+differentiated in one call.  Periodic grids sample [0, 2pi) without the
 right endpoint; Dirichlet grids sample the open interior of (x_min, x_max)
 so that the homogeneous boundary values never appear as unknowns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GridMismatch
 
 TWO_PI = 2.0 * np.pi
 
@@ -50,45 +49,19 @@ class Grid:
         return self.x_min + self.h * (1.0 + np.arange(self.n))
 
 
-@dataclass
-class GridFunction:
-    """Complex samples on a grid: one function (n,) or a stack of probes (S, n)."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim > 2 or self.values.shape[-1:] != (self.grid.n,):
-            raise GridMismatch(
-                f"value array of shape {self.values.shape} does not fit grid n={self.grid.n}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid function contains non-finite samples")
-
-    def norm(self):
-        """Discrete L2 norm with the uniform weight h; an array with one per row for a stack."""
-        out = np.sqrt(self.grid.h) * row_norms(self.values)
-        return out if self.values.ndim == 2 else float(out[0])
-
-
 def row_norms(values: np.ndarray) -> np.ndarray:
     """2-norm of each row of an (n,) or (S, n) array as a 1-D norm (`axis=-1` rounds otherwise)."""
     return np.array([np.linalg.norm(r) for r in np.atleast_2d(values)])
 
 
 def row_blocks(values: np.ndarray) -> list[np.ndarray]:
-    """Blocks of whole rows, at most 4096 samples (or one row) each: they bound temporaries."""
+    """Blocks of whole rows (second-last axis), at most 4096 samples (or one row) each.
+
+    They bound temporaries.  A leading axis, such as a spinor's component
+    axis, is kept in every block.
+    """
     step = max(1, 4096 // values.shape[-1])
-    return [values[i:i + step] for i in range(0, len(values), step)]
-
-
-def same_grid(*gfs: GridFunction) -> Grid:
-    g0 = gfs[0].grid
-    for gf in gfs[1:]:
-        if gf.grid != g0:
-            raise GridMismatch("grid functions live on different grids")
-    return g0
+    return [values[..., i:i + step, :] for i in range(0, values.shape[-2], step)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +148,13 @@ def mode_sum(grid: Grid, modes, coef: np.ndarray) -> np.ndarray:
     return v
 
 
-def band_limited(grid: Grid, modes, rng=None, n_functions: int = 1) -> list[GridFunction]:
-    """Random smooth periodic functions on the given modes, drawn at once in scalar-draw order."""
+def band_limited(grid: Grid, modes, rng=None, n_functions: int = 1) -> np.ndarray:
+    """(n_functions, n) random smooth periodic functions on the given modes.
+
+    The coefficients are drawn at once, in scalar-draw order.
+    """
     c = np.random.default_rng(rng).standard_normal((n_functions, len(modes), 2))
-    return [GridFunction(grid, row) for row in mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1])]
+    return mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1])
 
 
 def bump_window(grid: Grid, lo: float, hi: float) -> np.ndarray:
@@ -196,10 +172,7 @@ def bump_window(grid: Grid, lo: float, hi: float) -> np.ndarray:
 
 
 def compact_test_functions(grid: Grid, modes, rng=None, n_functions: int = 1,
-                           margin: float = 0.5) -> list[GridFunction]:
-    """Band-limited functions multiplied by a bump vanishing near the interval ends."""
+                           margin: float = 0.5) -> np.ndarray:
+    """(n_functions, n) band-limited functions times a bump vanishing near the interval ends."""
     w = bump_window(grid, grid.x_min + margin, grid.x_max - margin)
-    return [
-        GridFunction(grid, gf.values * w)
-        for gf in band_limited(grid, modes, rng, n_functions)
-    ]
+    return band_limited(grid, modes, rng, n_functions) * w

@@ -15,7 +15,9 @@ eigenvalue scale, which criterion 2 certifies; the literal reading, with
 
 Every sampled operator of the package, from the decoupled second-order
 problems to the first-order and multiplicative intertwiners, is one
-`SampledOp`  -p psi'' + sigma psi' + rho psi.
+`SampledOp`  -p psi'' + sigma psi' + rho psi.  Operators map sample arrays of
+the grid they were built on: a probe of shape (n,) or a stack (S, n), and a
+spinor (psi1, psi2) of shape (2, n) or (2, S, n).
 """
 
 from __future__ import annotations
@@ -27,32 +29,17 @@ import numpy as np
 from .errors import DegenerateGeometry, GridMismatch, VelocityZero
 from .fields import GaugeField, eval_fermi_velocity, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
-from .grids import Grid, GridFunction, diff1, diff2, row_blocks, row_norms, same_grid
-
-
-@dataclass
-class SpinorGF:
-    """Two-component spinor sampled on a common grid."""
-
-    psi1: GridFunction
-    psi2: GridFunction
-
-    def __post_init__(self):
-        same_grid(self.psi1, self.psi2)
-
-    @property
-    def grid(self) -> Grid:
-        return self.psi1.grid
-
-    def norm(self):
-        """L2 norm of the pair; an array with one per row for a stack."""
-        out = _hypot_rows(self.psi1.norm(), self.psi2.norm())
-        return out if self.psi1.values.ndim == 2 else float(out[0])
+from .grids import Grid, diff1, diff2, row_blocks, row_norms
 
 
 def _hypot_rows(n1, n2) -> np.ndarray:
     """sqrt(n1^2 + n2^2) row by row; scalar squares, as an array square can round differently."""
-    return np.array([np.sqrt(a ** 2 + b ** 2) for a, b in zip(*np.atleast_1d(n1, n2))])
+    return np.array([np.sqrt(a ** 2 + b ** 2) for a, b in zip(n1, n2)])
+
+
+def _spinor_norms(spinor: np.ndarray, grid: Grid) -> np.ndarray:
+    """L2 norm (weight h) of each probe of a (2, n) or (2, S, n) spinor, as a 1-D array."""
+    return _hypot_rows(*(np.sqrt(grid.h) * row_norms(psi) for psi in spinor))
 
 
 @dataclass
@@ -83,29 +70,23 @@ class SampledOp:
                 and np.all(np.isfinite(self.rho))):
             raise ValueError("non-finite coefficient samples")
 
-    def apply(self, gf: GridFunction) -> GridFunction:
-        """Apply -p d2 + sigma d1 + rho, d2 the three-point Laplacian."""
-        if gf.grid != self.grid:
-            raise GridMismatch("operand grid differs from operator grid")
-        v = gf.values
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Apply -p d2 + sigma d1 + rho, d2 the three-point Laplacian, to samples v."""
         out = self.sigma * diff1(v, self.grid) if np.any(self.sigma) else 0.0
         if self.p:
             out = -self.p * diff2(v, self.grid) + out
-        return GridFunction(self.grid, out + self.rho * v)
+        return out + self.rho * v
 
-    def apply_adjoint(self, gf: GridFunction) -> GridFunction:
+    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """Conjugate transpose of `apply`'s matrix: -p d2 v - d1(conj(sigma) v) + conj(rho) v.
 
         Exact on both grid kinds: the d2 stencil is symmetric and the
         (wrapped or zero-padded) d1 stencil antisymmetric.
         """
-        if gf.grid != self.grid:
-            raise GridMismatch("operand grid differs from operator grid")
-        v = gf.values
         out = -diff1(np.conj(self.sigma) * v, self.grid) if np.any(self.sigma) else 0.0
         if self.p:
             out = -self.p * diff2(v, self.grid) + out
-        return GridFunction(self.grid, out + np.conj(self.rho) * v)
+        return out + np.conj(self.rho) * v
 
 
 def _coefficients(params: TorusParams, gauge: GaugeField, x: np.ndarray):
@@ -124,7 +105,7 @@ def _coefficients(params: TorusParams, gauge: GaugeField, x: np.ndarray):
 
 
 def dirac_operator(params: TorusParams, gauge: GaugeField, grid: Grid):
-    """The reduced Dirac operator on a periodic grid, as a map of spinors (or stacks).
+    """The reduced Dirac operator on a periodic grid, as a map of (2, n) or (2, S, n) spinors.
 
     Its coefficients are evaluated once, when the map is made.
     """
@@ -133,14 +114,10 @@ def dirac_operator(params: TorusParams, gauge: GaugeField, grid: Grid):
     w1, q, _, _ = _coefficients(params, gauge, grid.points)
     inv_a = 1.0 / params.a
 
-    def apply(spinor: SpinorGF) -> SpinorGF:
-        if spinor.grid != grid:
-            raise GridMismatch("spinor grid differs from the requested grid")
-        d1 = diff1(spinor.psi1.values, grid)
-        d2 = diff1(spinor.psi2.values, grid)
-        out1 = -inv_a * d2 + (w1 - q) * spinor.psi2.values
-        out2 = inv_a * d1 - (w1 + q) * spinor.psi1.values
-        return SpinorGF(GridFunction(grid, out1), GridFunction(grid, out2))
+    def apply(spinor: np.ndarray) -> np.ndarray:
+        psi1, psi2 = spinor
+        return np.array((-inv_a * diff1(psi2, grid) + (w1 - q) * psi2,
+                         inv_a * diff1(psi1, grid) - (w1 + q) * psi1))
     return apply
 
 
@@ -196,7 +173,7 @@ def decouple_pdfv(params: TorusParams, gauge: GaugeField, grid: Grid):
 # ---------------------------------------------------------------------------
 
 def squaring_discrepancy(params: TorusParams, gauge: GaugeField, grid: Grid,
-                         spinor: SpinorGF) -> float:
+                         spinor: np.ndarray) -> float:
     """Relative mismatch between a^2 * H(H psi) and the decoupled operators.
 
     The decoupled problems are applied with the central first-derivative
@@ -214,21 +191,19 @@ def squaring_discrepancy(params: TorusParams, gauge: GaugeField, grid: Grid,
         return -op.p * diff1(d1, grid) + op.sigma * d1 + op.rho * v
 
     worst = 0.0
-    for v1, v2 in zip(*map(row_blocks, np.atleast_2d(spinor.psi1.values, spinor.psi2.values))):
-        rows = SpinorGF(GridFunction(spinor.grid, v1), GridFunction(spinor.grid, v2))
-        hh = dirac(dirac(rows))
-        rhs1, rhs2 = squared(plus, v1), squared(minus, v2)
-        num = _hypot_rows(row_norms(scale * hh.psi1.values - rhs1),
-                          row_norms(scale * hh.psi2.values - rhs2))
+    for rows in row_blocks(np.reshape(spinor, (2, -1, grid.n))):
+        hh1, hh2 = dirac(dirac(rows))
+        rhs1, rhs2 = squared(plus, rows[0]), squared(minus, rows[1])
+        num = _hypot_rows(row_norms(scale * hh1 - rhs1), row_norms(scale * hh2 - rhs2))
         worst = max(worst, float(np.max(num / _hypot_rows(row_norms(rhs1), row_norms(rhs2)))))
     return worst
 
 
 def hermiticity_defect(params: TorusParams, gauge: GaugeField, grid: Grid, pairs) -> float:
     """max |<f, H g> - <H f, g>| / (|f| |g|) over spinor pairs or stacks of them (flat measure)."""
-    def inner(f: SpinorGF, g: SpinorGF):
-        return grid.h * (np.sum(np.conj(f.psi1.values) * g.psi1.values, axis=-1)
-                         + np.sum(np.conj(f.psi2.values) * g.psi2.values, axis=-1))
+    def inner(f: np.ndarray, g: np.ndarray):
+        return grid.h * (np.sum(np.conj(f[0]) * g[0], axis=-1)
+                         + np.sum(np.conj(f[1]) * g[1], axis=-1))
 
     dirac = dirac_operator(params, gauge, grid)
     worst = 0.0
@@ -236,5 +211,5 @@ def hermiticity_defect(params: TorusParams, gauge: GaugeField, grid: Grid, pairs
         hf, hg = dirac(f), dirac(g)
         # scalar abs: np.abs of a complex array rounds differently
         gap = np.array([abs(z) for z in np.atleast_1d(inner(f, hg) - inner(hf, g))])
-        worst = max(worst, float(np.max(gap / (np.atleast_1d(f.norm()) * g.norm()))))
+        worst = max(worst, float(np.max(gap / (_spinor_norms(f, grid) * _spinor_norms(g, grid)))))
     return worst

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainSingularity, FamilyMismatch, GridMismatch
+from .errors import DomainSingularity, FamilyMismatch
 from .fields import GaugeField, eval_gauge
 from .geometry import TorusParams, radius_derivative, radius_profile
-from .grids import Grid, GridFunction, row_blocks, row_norms, same_grid
+from .grids import Grid, row_blocks, row_norms
 from .operators import SampledOp
 
 
@@ -221,24 +221,19 @@ def rosen_morse_form(params: TorusParams, a2: float, e: float, x):
 # residual certifier
 # ---------------------------------------------------------------------------
 
-def intertwining_residual(eta, h_op, h_target, testset) -> float:
+def intertwining_residual(eta, h_op, h_target, grid: Grid, testset) -> float:
     """max over the test set of ||(eta H - H_target eta) phi|| / ||phi||.
 
-    `eta`, `h_op` and `h_target` are maps of `GridFunction`s, such as a
-    `SampledOp`'s `apply` or `apply_adjoint`, or a composition of them.
-    Discrete compositions throughout, so an exact continuum relation leaves
-    only the stencil error, which vanishes at second order under refinement;
-    a factorized pair A^H A, A A^H is intertwined by A exactly, by
-    associativity.  The test set (functions or stacks) is applied as one
-    stack, in row blocks.
+    `eta`, `h_op` and `h_target` map sample arrays on `grid`: a `SampledOp`'s
+    `apply` or `apply_adjoint`, or a composition of them.  The test set is
+    one probe (n,) or a stack (S, n), applied in row blocks; the norms carry
+    the grid's weight h.  Discrete compositions throughout, so an exact
+    continuum relation leaves only the stencil error, which vanishes at
+    second order under refinement; a factorized pair A^H A, A A^H is
+    intertwined by A exactly, by associativity.
     """
-    testset = list(testset)
     worst = 0.0
-    for rows in row_blocks(np.vstack([p.values for p in testset])):
-        phi = GridFunction(same_grid(*testset), rows)
-        lhs = eta(h_op(phi))
-        rhs = h_target(eta(phi))
-        if lhs.grid != rhs.grid:
-            raise GridMismatch("composition grids diverged")
-        worst = max(worst, *np.sqrt(lhs.grid.h) * row_norms(lhs.values - rhs.values) / phi.norm())
+    for phi in row_blocks(np.atleast_2d(testset)):
+        gap = eta(h_op(phi)) - h_target(eta(phi))
+        worst = max(worst, *np.sqrt(grid.h) * row_norms(gap) / (np.sqrt(grid.h) * row_norms(phi)))
     return float(worst)

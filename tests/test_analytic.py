@@ -83,6 +83,7 @@ def _sample_array(elements):
        c=st.builds(lambda re, im, sign: complex(re, sign * im), st.floats(-20.5, 3.0),
                    st.floats(0.25, 2.0), st.sampled_from([1, -1])),
        s=_sample_array(_complexes((-2.0, 2.0), (-10.0, 10.0))))
+@example(n=1, b=1.0, c=1 + 1j, s=1 + 1j)  # an exact zero, 2F1(-1, 1; 1+i; 1+i) = 1 - 1
 def test_terminating_2f1_against_mpmath(n, b, c, s):
     got = gauss_2f1(-n, b, c, s)
     assert np.shape(got) == np.shape(s)
@@ -93,8 +94,10 @@ def test_terminating_2f1_against_mpmath(n, b, c, s):
         for m in range(n_terms):
             term *= (-n + m) * (b + m) / ((c + m) * (m + 1)) * sk
             scale = max(scale, abs(term))
+        # as for the Laguerre oracle below: without a zero magnitude mpmath
+        # raises on an exact zero
         with mpmath.workdps(40):
-            ref = complex(mpmath.hyp2f1(-n, b, c, complex(sk)))
+            ref = complex(mpmath.hyp2f1(-n, b, c, complex(sk), zeroprec=200))
         assert abs(gk - ref) <= 1e-15 * (n + 1) ** 2 * scale
         assert abs(gauss_2f1(-n, b, c, complex(sk)) - ref) <= 1e-15 * (n + 1) ** 2 * scale
 

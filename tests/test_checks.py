@@ -29,12 +29,11 @@ def test_spinor_stack_rows_have_the_bits_of_their_own_band_limited_draws():
     for grid, modes, seeds in ((Grid(1024), [5, 6, 7, 8], range(20)),
                                (Grid(512), [2, 4], range(90, 96))):
         stack = checks._spinor_stack(grid, modes, seeds)
+        assert stack.shape == (2, len(seeds), grid.n)
         for row, seed in enumerate(seeds):
             psi1, psi2 = band_limited(grid, modes, rng=seed, n_functions=2)
-            assert np.array_equal(stack.psi1.values[row].view(np.uint64),
-                                  psi1.values.view(np.uint64))
-            assert np.array_equal(stack.psi2.values[row].view(np.uint64),
-                                  psi2.values.view(np.uint64))
+            assert np.array_equal(stack[0, row].view(np.uint64), psi1.view(np.uint64))
+            assert np.array_equal(stack[1, row].view(np.uint64), psi2.view(np.uint64))
 
 
 def test_sigma_half_prefactor_residual_is_second_order():
@@ -81,7 +80,8 @@ def test_cached_tables_and_probes_are_read_only_and_keep_every_record():
               checks._squaring_probe(1024, tuple(range(20))), checks._kernel_probe(),
               checks._intertwining_probe())
     arrays = list(_arrays(tables))
-    assert len(arrays) == 3 + 4 + 2 + 4 + 4
+    # one spinor stack, two spinor stacks, one stack of test functions
+    assert len(arrays) == 3 + 4 + 1 + 2 + 1
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0

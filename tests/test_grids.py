@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusdirac.errors import GridMismatch
-from torusdirac.grids import Grid, GridFunction, band_limited, diff1, diff2, diff2_fourth_order
+from torusdirac.grids import Grid, band_limited, diff1, diff2, diff2_fourth_order
 
 # a band-limited periodic function: Fourier mode -> complex amplitude
 AMPLITUDES = st.dictionaries(
@@ -83,20 +82,6 @@ def test_band_limited_matches_the_per_mode_accumulation():
             v += c * np.exp(1j * m * x)
         oracle.append(v)
     got = band_limited(grid, modes, rng=8, n_functions=3)
-    assert len(got) == 3
-    assert all(np.array_equal(gf.values, want) for gf, want in zip(got, oracle))
+    assert got.shape == (3, grid.n)
+    assert all(np.array_equal(row, want) for row, want in zip(got, oracle))
 
-
-def test_grid_function_accepts_a_stack_and_guards_its_shape():
-    grid = Grid(32)
-    stack = np.ones((4, grid.n), dtype=complex)
-    gf = GridFunction(grid, stack)
-    assert gf.values.shape == (4, grid.n)
-    assert np.array_equal(gf.norm(), np.full(4, GridFunction(grid, stack[0]).norm()))
-    for bad in (np.ones((4, grid.n + 1)), np.ones((2, 4, grid.n)), np.ones(()),
-                np.ones(grid.n - 1)):
-        with pytest.raises(GridMismatch):
-            GridFunction(grid, bad)
-    stack[2, 7] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        GridFunction(grid, stack)

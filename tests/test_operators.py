@@ -17,11 +17,11 @@ from torusdirac.fields import (
 )
 from torusdirac.geometry import TorusParams, radius_profile
 from torusdirac import operators
-from torusdirac.grids import Grid, GridFunction, band_limited, diff1, diff2
+from torusdirac.grids import Grid, band_limited, diff1, diff2
 from torusdirac.operators import (
     SampledOp,
-    SpinorGF,
     _coefficients,
+    _spinor_norms,
     decouple_constant_vf,
     decouple_pdfv,
     dirac_operator,
@@ -34,7 +34,13 @@ G = Grid(256)
 
 
 def spinor(grid, modes, seed):
-    return SpinorGF(*band_limited(grid, modes, rng=seed, n_functions=2))
+    """A (2, n) band-limited spinor."""
+    return band_limited(grid, modes, rng=seed, n_functions=2)
+
+
+def norm(v, grid):
+    """The L2 norm (weight h) of one probe."""
+    return float(np.sqrt(grid.h) * np.linalg.norm(v))
 
 
 def test_offdiag_zero_field_values():
@@ -52,26 +58,27 @@ def test_offdiag_hermitizing_cancels_w1():
 
 def test_apply_dirac_offdiagonal_structure():
     psi1 = band_limited(G, [2, 3], rng=0)[0]
-    zero = GridFunction(G, np.zeros(G.n))
-    out = dirac_operator(P, zero_field(), G)(SpinorGF(psi1, zero))
+    out = dirac_operator(P, zero_field(), G)(np.array([psi1, np.zeros(G.n)]))
     # first output component only sees the second input component
-    assert np.max(np.abs(out.psi1.values)) == 0.0
-    assert np.max(np.abs(out.psi2.values)) > 0.0
+    assert np.max(np.abs(out[0])) == 0.0
+    assert np.max(np.abs(out[1])) > 0.0
 
 
 def test_apply_dirac_constant_spinor_literal_convention():
     # the kernel's second row is the literal reading of the printed row, negated
-    const = GridFunction(G, np.ones(G.n))
-    out = dirac_operator(P, GaugeField(kind="zero", k=0), G)(SpinorGF(const, const))
+    out = dirac_operator(P, GaugeField(kind="zero", k=0), G)(np.ones((2, G.n)))
     w1 = 0.5 * P.a * np.sin(G.points)
-    assert np.max(np.abs(out.psi1.values - w1)) < 1e-14
-    assert np.max(np.abs(out.psi2.values + w1)) < 1e-14
+    assert np.max(np.abs(out[0] - w1)) < 1e-14
+    assert np.max(np.abs(out[1] + w1)) < 1e-14
 
 
 def test_apply_dirac_grid_guards():
+    # an operand of another grid's length does not broadcast against the coefficients
     other = Grid(512)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ValueError, match="broadcast"):
         dirac_operator(P, zero_field(), other)(spinor(G, [1], 0))
+    with pytest.raises(ValueError, match="broadcast"):
+        SampledOp(other, 1, 0, 1.0).apply(spinor(G, [1], 0)[0])
     with pytest.raises(GridMismatch):
         dirac_operator(P, zero_field(), Grid(256, 0.1, 1.0, "dirichlet"))
 
@@ -115,10 +122,8 @@ def test_squaring_oracle_and_refinement():
 
 
 def _stack(spinors):
-    """One SpinorGF whose rows are the given single spinors."""
-    grid = spinors[0].grid
-    return SpinorGF(*(GridFunction(grid, np.stack([getattr(s, c).values for s in spinors]))
-                      for c in ("psi1", "psi2")))
+    """One (2, S, n) spinor stack whose rows are the given (2, n) spinors."""
+    return np.stack(spinors, axis=1)
 
 
 def _scalar_squaring(gauge, g, sp):
@@ -130,9 +135,9 @@ def _scalar_squaring(gauge, g, sp):
     plus, minus = decouple_constant_vf(P, gauge, g)
     dirac = dirac_operator(P, gauge, g)
     hh = dirac(dirac(sp))
-    lhs1, lhs2 = P.a ** 2 * hh.psi1.values, P.a ** 2 * hh.psi2.values
+    lhs1, lhs2 = P.a ** 2 * hh[0], P.a ** 2 * hh[1]
     rhs1, rhs2 = (-diff1(diff1(v, g), g) + op.sigma * diff1(v, g) + op.rho * v
-                  for op, v in ((plus, sp.psi1.values), (minus, sp.psi2.values)))
+                  for op, v in ((plus, sp[0]), (minus, sp[1])))
     num = np.sqrt(np.linalg.norm(lhs1 - rhs1) ** 2 + np.linalg.norm(lhs2 - rhs2) ** 2)
     den = np.sqrt(np.linalg.norm(rhs1) ** 2 + np.linalg.norm(rhs2) ** 2)
     return float(num / den)
@@ -141,10 +146,9 @@ def _scalar_squaring(gauge, g, sp):
 def _scalar_defect(gauge, g, f, h):
     """The flat self-adjointness defect of one pair, written with scalar abs and squares."""
     hf, hh = dirac_operator(P, gauge, g)(f), dirac_operator(P, gauge, g)(h)
-    inner = [g.h * (np.sum(np.conj(u.psi1.values) * v.psi1.values)
-                    + np.sum(np.conj(u.psi2.values) * v.psi2.values))
+    inner = [g.h * (np.sum(np.conj(u[0]) * v[0]) + np.sum(np.conj(u[1]) * v[1]))
              for u, v in ((f, hh), (hf, h))]
-    norms = [float(np.sqrt(s.psi1.norm() ** 2 + s.psi2.norm() ** 2)) for s in (f, h)]
+    norms = [float(np.sqrt(norm(s[0], g) ** 2 + norm(s[1], g) ** 2)) for s in (f, h)]
     return float(abs(inner[0] - inner[1]) / (norms[0] * norms[1]))
 
 
@@ -172,8 +176,8 @@ def test_probes_keep_the_values_of_the_scalar_formulas():
     g, f = Grid(16), quadratic_ring_field(C2=0.3, e=1.0, k=1)
     us = [spinor(g, [1, 2, 3], s) for s in [*range(300), 1491]]
     vs = [spinor(g, [2, 4], 1000 + s) for s in range(301)]
-    assert _stack(us).norm().tolist() == [float(np.sqrt(u.psi1.norm() ** 2 + u.psi2.norm() ** 2))
-                                          for u in us]
+    assert _spinor_norms(_stack(us), g).tolist() == [
+        float(np.sqrt(norm(u[0], g) ** 2 + norm(u[1], g) ** 2)) for u in us]
     for u, v in zip(us, vs):
         assert squaring_discrepancy(P, f, g, u) == _scalar_squaring(f, g, u)
         assert hermiticity_defect(P, f, g, [(u, v)]) == _scalar_defect(f, g, u, v)
@@ -304,9 +308,9 @@ def test_sl_apply_adjoint_is_the_conjugate_transpose(grid, form):
     p, sigma = {"second-order": (1, sigma), "first-order": (0, 1),
                 "multiplicative": (0, 0)}[form]
     op = SampledOp(grid, p, sigma, rho)
-    au = op.apply(GridFunction(grid, u)).values
+    au = op.apply(u)
     lhs = np.vdot(au, v)
-    rhs = np.vdot(u, op.apply_adjoint(GridFunction(grid, v)).values)
+    rhs = np.vdot(u, op.apply_adjoint(v))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(au) * np.linalg.norm(v)
 
 
@@ -314,7 +318,7 @@ def test_sl_apply_adjoint_is_the_conjugate_transpose(grid, form):
 def test_vanishing_sigma_skips_the_first_derivative(monkeypatch):
     # the Schrodinger form spends no first-derivative stencil on a zero sigma
     g = Grid(64)
-    v = GridFunction(g, np.exp(1j * g.points) + np.cos(3 * g.points))
+    v = np.exp(1j * g.points) + np.cos(3 * g.points)
     rho = 2.0 + np.sin(g.points)
     op = SampledOp(g, 1, 0, rho)
 
@@ -322,9 +326,9 @@ def test_vanishing_sigma_skips_the_first_derivative(monkeypatch):
         raise AssertionError("diff1 called for a zero sigma")
 
     monkeypatch.setattr(operators, "diff1", forbidden)
-    want = -diff2(v.values, g) + rho * v.values
-    assert np.array_equal(op.apply(v).values, want)
-    assert np.array_equal(op.apply_adjoint(v).values, want)
+    want = -diff2(v, g) + rho * v
+    assert np.array_equal(op.apply(v), want)
+    assert np.array_equal(op.apply_adjoint(v), want)
 
 
 @pytest.mark.parametrize("module", [operators, pseudoherm, checks],

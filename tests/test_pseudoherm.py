@@ -14,7 +14,7 @@ from torusdirac.fields import (
     zero_field,
 )
 from torusdirac.geometry import TorusParams, radius_derivative, radius_profile
-from torusdirac.grids import Grid, GridFunction, compact_test_functions
+from torusdirac.grids import Grid, compact_test_functions
 from torusdirac.operators import SampledOp, decouple_constant_vf
 from torusdirac.pseudoherm import (
     constrained_torus,
@@ -190,7 +190,7 @@ def test_identity_intertwiner_is_exact():
     g = Grid(256)
     h = SampledOp(g, 1, 0, np.cos(g.points))
     phis = compact_test_functions(g, [2, 3], rng=1, n_functions=2)
-    assert intertwining_residual(lambda f: f, h.apply, h.apply, phis) == 0.0
+    assert intertwining_residual(lambda f: f, h.apply, h.apply, g, phis) == 0.0
 
 
 def test_factorized_pair_intertwining_exact_and_sensitive():
@@ -199,14 +199,14 @@ def test_factorized_pair_intertwining_exact_and_sensitive():
     a, a_h = w.apply, w.apply_adjoint
     h, h_partner = (lambda f: a_h(a(f))), (lambda f: a(a_h(f)))
     phis = compact_test_functions(g, [3, 4, 6], rng=5, n_functions=3)
-    base = intertwining_residual(a, h, h_partner, phis)
+    base = intertwining_residual(a, h, h_partner, g, phis)
     assert base < 1e-12
     wrong = SampledOp(g, 0, 1, 1.01 * w.rho)
-    assert intertwining_residual(wrong.apply, h, h_partner, phis) > 1e3 * max(base, 1e-15)
+    assert intertwining_residual(wrong.apply, h, h_partner, g, phis) > 1e3 * max(base, 1e-15)
     # the pair built from 1.01 W is intertwined exactly by its own factor: the
     # residual certifies associativity, not the superpotential
     b, b_h = wrong.apply, wrong.apply_adjoint
-    assert intertwining_residual(b, lambda f: b_h(b(f)), lambda f: b(b_h(f)), phis) == 0.0
+    assert intertwining_residual(b, lambda f: b_h(b(f)), lambda f: b(b_h(f)), g, phis) == 0.0
 
 
 @pytest.mark.parametrize("grid", [Grid(1024), Grid(1024, -1.2, 1.2, "dirichlet")],
@@ -218,13 +218,13 @@ def test_intertwining_residual_on_a_stack_is_the_max_of_the_probes(grid):
     phis = compact_test_functions(grid, [3, 4, 6], rng=5, n_functions=4, margin=0.2)
     singles = []
     for phi in phis:
-        lhs = w.apply(h.apply(phi)).values
-        rhs = h_target.apply(w.apply(phi)).values
-        singles.append(float(np.sqrt(grid.h) * np.linalg.norm(lhs - rhs)) / phi.norm())
-        assert intertwining_residual(w.apply, h.apply, h_target.apply, [phi]) == singles[-1]
-    stack = GridFunction(grid, np.stack([phi.values for phi in phis]))
-    assert intertwining_residual(w.apply, h.apply, h_target.apply, [stack]) == max(singles)
-    assert intertwining_residual(w.apply, h.apply, h_target.apply, phis) == max(singles)
+        lhs = w.apply(h.apply(phi))
+        rhs = h_target.apply(w.apply(phi))
+        singles.append(float(np.sqrt(grid.h) * np.linalg.norm(lhs - rhs))
+                       / float(np.sqrt(grid.h) * np.linalg.norm(phi)))
+        assert intertwining_residual(w.apply, h.apply, h_target.apply, grid, phi) == singles[-1]
+    assert phis.shape == (4, grid.n)
+    assert intertwining_residual(w.apply, h.apply, h_target.apply, grid, phis) == max(singles)
 
 
 def test_closed_form_pair_residual_converges_second_order():
@@ -236,7 +236,7 @@ def test_closed_form_pair_residual_converges_second_order():
         wp = -1j * s / 0.9 * np.cos(x)
         phis = compact_test_functions(grid, [3, 4], rng=2, n_functions=2)
         return intertwining_residual(w.apply, SampledOp(grid, 1, 0, wv ** 2 - wp).apply,
-                                     SampledOp(grid, 1, 0, wv ** 2 + wp).apply, phis)
+                                     SampledOp(grid, 1, 0, wv ** 2 + wp).apply, grid, phis)
 
     r1, r2 = residual(Grid(1024)), residual(Grid(2048))
     assert np.log2(r1 / r2) > 1.9
@@ -248,12 +248,12 @@ def test_multiplicative_symmetrizer_is_exact_intertwiner():
     plus, _ = decouple_constant_vf(P, GaugeField(kind="zero", k=0), g)
     mu = SampledOp(g, 0, 0, np.exp(P.a ** 2 * np.cos(g.points)))  # exp(-int sigma)
     phis = compact_test_functions(g, [2, 4], rng=3, n_functions=2)
-    r1 = intertwining_residual(mu.apply, plus.apply, plus.apply_adjoint, phis)
+    r1 = intertwining_residual(mu.apply, plus.apply, plus.apply_adjoint, g, phis)
     g2 = Grid(4096)
     plus2, _ = decouple_constant_vf(P, GaugeField(kind="zero", k=0), g2)
     mu2 = SampledOp(g2, 0, 0, np.exp(P.a ** 2 * np.cos(g2.points)))
     phis2 = compact_test_functions(g2, [2, 4], rng=3, n_functions=2)
-    r2 = intertwining_residual(mu2.apply, plus2.apply, plus2.apply_adjoint, phis2)
+    r2 = intertwining_residual(mu2.apply, plus2.apply, plus2.apply_adjoint, g2, phis2)
     assert np.log2(r1 / r2) > 1.8  # discretization error only
 
 
@@ -268,11 +268,12 @@ def test_tabulated_intertwiner_obstruction_is_reported_not_hidden():
     h_s = SampledOp(g, 1, 0, plus.rho)
     eta2 = eta2_case1(P, 0.0, g)
     phis = compact_test_functions(g, [3, 4, 6], rng=5, n_functions=3)
-    res = intertwining_residual(eta2.apply, h_s.apply, h_s.apply_adjoint, phis)
+    res = intertwining_residual(eta2.apply, h_s.apply, h_s.apply_adjoint, g, phis)
     assert res > 1e-2
     # a constant shift of the coefficient leaves the obstruction unchanged
     eta2_shifted = eta2_case1(P, 0.35, g)
-    res_shifted = intertwining_residual(eta2_shifted.apply, h_s.apply, h_s.apply_adjoint, phis)
+    res_shifted = intertwining_residual(eta2_shifted.apply, h_s.apply, h_s.apply_adjoint, g,
+                                        phis)
     assert res_shifted == pytest.approx(res, rel=1e-10)
 
 
@@ -290,9 +291,8 @@ def test_eta1_similarity_defect_measured_with_exclusion_zone():
     h_s = SampledOp(g, 1, 0, v)
     h_1 = SampledOp(g, 1, 0, v1)
     mask = np.abs(eta1.rho) > 1e-6
-    phis = [gf for gf in compact_test_functions(g, [3, 5], rng=9, n_functions=3)]
-    phis = [GridFunction(g, gf.values * mask) for gf in phis]
-    res = intertwining_residual(eta1.apply, h_1.apply, h_s.apply, phis)
+    phis = compact_test_functions(g, [3, 5], rng=9, n_functions=3) * mask
+    res = intertwining_residual(eta1.apply, h_1.apply, h_s.apply, g, phis)
     assert np.isfinite(res) and res > 1e-2  # documented obstruction
 
 
