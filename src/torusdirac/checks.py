@@ -24,11 +24,12 @@ the checks marked `verify=False`:
   reports.
 
 The seeded probes that several checks share are sample arrays: the spinor
-stacks of shape (2, S, n), the (S, n) test functions of criterion 5.  They,
-the Morse parameters and the Morse chain are built once, on first use, and
-kept read-only.  Library functions are called through their module
-attributes (`geometry.metric_at`), so wrappers installed on those modules
-see them, and see each probe's first build.
+stacks of shape (2, S, n), one `grids.band_limited` pair per seed, and the
+(S, n) test functions of criterion 5.  They, the Morse parameters and the
+Morse chain are built once, on first use, and kept read-only.  Library
+functions are called through their module attributes (`geometry.metric_at`),
+so wrappers installed on those modules see them, and see each probe's first
+build.
 """
 
 from __future__ import annotations
@@ -152,6 +153,12 @@ def frame_identity_gap(torus, xs) -> float:
                                - e @ geometry.ETA @ np.swapaxes(e, -1, -2))))
 
 
+def _observed_order(errs) -> float:
+    """Mean log2 ratio of successive errors: the observed order of a step-halving sequence."""
+    e = np.asarray(errs)
+    return float(np.mean(np.log2(e[:-1] / e[1:])))
+
+
 def christoffel_order(torus, xs) -> float:
     """Convergence order of the finite-difference Christoffel oracle, h = 1e-3 -> 5e-4.
 
@@ -165,27 +172,15 @@ def christoffel_order(torus, xs) -> float:
         orc = geometry.christoffel_fd_oracle(torus, xs, h)
         errs.append(max(np.max(np.abs(ex.gamma_2_12 - orc.gamma_2_12)),
                         np.max(np.abs(ex.gamma_1_22 - orc.gamma_1_22))))
-    return float(np.log2(errs[0] / errs[1]))
-
-
-def _spinor_stack(grid, modes, seeds) -> np.ndarray:
-    """One band-limited spinor per seed, as one (2, S, n) stack: operators read coefficients once.
-
-    Each seed draws its coefficients as `grids.band_limited` does (two
-    functions, scalar-draw order), and one `grids.mode_sum` builds every
-    mode's row once for the whole stack, so each spinor has the bits of its
-    own `band_limited` call.  The samples are read-only.
-    """
-    c = np.stack([np.random.default_rng(s).standard_normal((2, len(modes), 2)) for s in seeds],
-                 axis=1)  # (component, seed, mode, re/im)
-    return numerics._frozen(grids.mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1]))[0]
+    return _observed_order(errs)
 
 
 @cache
 def _squaring_probe(n: int, seeds: tuple):
     """The grid and spinor stack of `squaring_consistency`."""
     g = Grid(n)
-    return g, _spinor_stack(g, [5, 6, 7, 8], seeds)
+    return g, numerics._frozen(np.stack([grids.band_limited(g, [5, 6, 7, 8], rng=s, n_functions=2)
+                                         for s in seeds], axis=1))[0]
 
 
 def squaring_consistency(n: int = 1024, seeds=range(20)) -> float:
@@ -199,7 +194,9 @@ def squaring_consistency(n: int = 1024, seeds=range(20)) -> float:
 def _kernel_probe():
     """The 512-point grid and the six fixed pairs of band-limited spinors of `kernel_defect`."""
     g = Grid(512)
-    return g, ((_spinor_stack(g, [1, 2, 3], range(6)), _spinor_stack(g, [2, 4], range(90, 96))),)
+    return g, (numerics._frozen(*(
+        np.stack([grids.band_limited(g, modes, rng=s, n_functions=2) for s in seeds], axis=1)
+        for modes, seeds in (([1, 2, 3], range(6)), ([2, 4], range(90, 96))))),)
 
 
 def kernel_defect(gauge: fields.GaugeField) -> float:
@@ -335,8 +332,8 @@ def partner_oracle_match() -> float:
                       [sol.epsilon_n ** 2 for sol in sols])
 
 
-def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
-    """Rows (n, lambda_fd, eps_n^2, rel deviation) for the levels n = 0..n_max.
+def pdfv_levels(alpha, n_max, grid) -> tuple[list, list, list, list]:
+    """Columns (n, lambda_fd, eps_n^2, rel deviation) for the levels n = 0..n_max.
 
     Level n sets C1 and the linear ring amplitude so that it is quantized,
     then solves the cosine-velocity effective potential on `grid` with
@@ -345,15 +342,14 @@ def pdfv_levels(alpha, n_max, grid) -> list[tuple]:
     map serves every level.
     """
     veff = pseudoherm.veff_case2(DEFAULT_TORUS, grid)
-    rows = []
-    for n in range(n_max + 1):
+    levels, fd, eps_sq = list(range(n_max + 1)), [], []
+    for n in levels:
         sol = analytic.case2_quantize(n, alpha, alpha ** 2 * (n + 0.5) ** 2 - 0.5)
         gauge_n = fields.linear_ring_field(a2=alpha * (n + 0.5) / DEFAULT_TORUS.a)
         m = numerics.discretize_schrodinger(veff(gauge_n), grid)
-        eps_sq = sol.epsilon_n ** 2
-        fd = numerics.eig_sym_tridiag(m, n + 1, first=n, near=[eps_sq]).eigenvalues[0]
-        rows.append((n, fd, eps_sq, abs(fd - eps_sq) / max(1.0, eps_sq)))
-    return rows
+        eps_sq.append(sol.epsilon_n ** 2)
+        fd.append(numerics.eig_sym_tridiag(m, n + 1, first=n, near=[eps_sq[n]]).eigenvalues[0])
+    return levels, fd, eps_sq, [abs(f - e) / max(1.0, e) for f, e in zip(fd, eps_sq)]
 
 
 def critical_pdfv_match() -> float:
@@ -371,8 +367,7 @@ def critical_pdfv_match() -> float:
 def truncated_domain_match() -> float:
     """Worst level deviation n = 0..3 with the walls moved in by 1e-3 (8000 points)."""
     g = Grid(8000, -np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, "dirichlet")
-    rows = pdfv_levels(1.0, 3, g)
-    return max(row[3] for row in rows)
+    return max(pdfv_levels(1.0, 3, g)[3])
 
 
 @cache
@@ -432,29 +427,18 @@ def special_function_gap() -> float:
     return worst
 
 
-def box_benchmark() -> float:
-    """Particle in a box [0, pi], 4000 points: worst relative error of levels 1..4."""
-    g = Grid(4000, 0.0, np.pi, "dirichlet")
-    m = numerics.discretize_schrodinger(lambda x: np.zeros_like(x), g)
-    exact = [(i + 1) ** 2 for i in range(4)]
-    w = numerics.eig_sym_tridiag(m, 4, near=exact).eigenvalues
-    return max(abs(w[i] - exact[i]) / exact[i] for i in range(4))
-
-
-def oscillator_benchmark() -> float:
-    """Harmonic oscillator on [-10, 10], 6000 points: worst relative error of 3 levels."""
-    g = Grid(6000, -10.0, 10.0, "dirichlet")
-    m = numerics.discretize_schrodinger(lambda x: x ** 2, g)
-    exact = [2 * i + 1 for i in range(3)]
-    w = numerics.eig_sym_tridiag(m, 3, near=exact).eigenvalues
-    return max(abs(w[i] - exact[i]) / exact[i] for i in range(3))
+def dirichlet_benchmark(grid, potential, exact) -> float:
+    """Worst relative error of the lowest Dirichlet levels of -psi'' + V psi, started at `exact`."""
+    m = numerics.discretize_schrodinger(potential, grid)
+    return _worst_gap(numerics.eig_sym_tridiag(m, len(exact), near=exact).eigenvalues, exact)
 
 
 def hill_order() -> float:
     """Convergence order of the periodic FD spectrum to Hill's, n = 512 -> 1024 -> 2048.
 
-    The default scenario's Mathieu-form potential (a=0.5, c=2, e=1, C2=0.2);
-    the mean log2 error ratio of the six lowest levels.
+    It always measures the default scenario's Mathieu-form potential (a=0.5,
+    c=2, e=1, C2=0.2), whatever the scenario of the run that records it; the
+    mean log2 error ratio of the six lowest levels.
     """
     potential = pseudoherm.mathieu_form(DEFAULT_TORUS, 1.0, 0.2).potential
     exact = numerics.hill_eigenvalues(potential, 6)
@@ -462,7 +446,7 @@ def hill_order() -> float:
     for n in (512, 1024, 2048):
         m = numerics.discretize_schrodinger(potential, Grid(n))
         errs.append(np.abs(numerics.eig_sym_tridiag(m, 6).eigenvalues - exact))
-    return float(np.mean([np.log2(errs[i] / errs[i + 1]) for i in range(2)]))
+    return _observed_order(errs)
 
 
 def simpson_slope() -> float:
@@ -471,7 +455,7 @@ def simpson_slope() -> float:
     for n in (101, 201, 401):
         t = np.linspace(0.0, np.pi, n)
         errs.append(abs(numerics.integrate_simpson(np.sin(t), t[1] - t[0]) - 2.0))
-    return float(np.mean([np.log2(errs[i] / errs[i + 1]) for i in range(2)]))
+    return _observed_order(errs)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +527,12 @@ def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
               status="info", note="expansion quality, no threshold set"),
         Check("special functions: oracle agreement (orders <= 20)", 9,
               special_function_gap, 1e-13),
-        Check("numerics: box benchmark", 10, box_benchmark, 1e-5),
-        Check("numerics: oscillator benchmark", 10, oscillator_benchmark, 1e-5),
+        Check("numerics: box benchmark", 10,
+              partial(dirichlet_benchmark, Grid(4000, 0.0, np.pi, "dirichlet"), np.zeros_like,
+                      [1, 4, 9, 16]), 1e-5),
+        Check("numerics: oscillator benchmark", 10,
+              partial(dirichlet_benchmark, Grid(6000, -10.0, 10.0, "dirichlet"), np.square,
+                      [1, 3, 5]), 1e-5),
         HILL_ORDER,
         Check("numerics: simpson error slope", 10, simpson_slope, (3.8, 4.2), "window"),
     )

@@ -266,13 +266,14 @@ def write_csv(path: Path, header, columns, timestamp: bool) -> None:
     up to 2^53 in magnitude, rounded to a double above that, and in exponent
     form from 1e17.  A complex cell makes `%` raise TypeError while the lines
     are built, before the file is opened (tables split complex values into
-    re/im columns).
+    re/im columns).  The file's directory is made if it is missing.
     """
     columns = [np.asarray(col) for col in columns]
     template = ",".join(["%.17g"] * len(header))
     lines = [f"# written {time.strftime('%Y-%m-%dT%H:%M:%S')}"] if timestamp else []
     lines.append(",".join(header))
     lines.extend(template % row for row in zip(*(col.tolist() for col in columns)))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -336,14 +337,14 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                       [grid.points, plus.sigma.real, plus.sigma.imag,
                        plus.rho.real, plus.rho.imag], timestamp)
     else:
-        rows = checks.pdfv_levels(cfg.alpha, cfg.n_max,
-                                  Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
-        rep.add_info("pdfv analytic-vs-fd max rel deviation", max(row[3] for row in rows),
+        columns = checks.pdfv_levels(cfg.alpha, cfg.n_max,
+                                     Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
+        rep.add_info("pdfv analytic-vs-fd max rel deviation", max(columns[3]),
                      note="wall-singular oracle; see verify for the convergent one")
         if "csv" in cfg.outputs:
             write_csv(out / "spectrum_pdfv.csv",
                       ["n", "lambda_fd", "epsilon_sq_analytic", "rel_deviation"],
-                      zip(*rows), timestamp)
+                      columns, timestamp)
     return rep
 
 
@@ -356,6 +357,7 @@ def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
         if check.verify:
             check.record(rep)
     if "report" in cfg.outputs:
+        out.mkdir(parents=True, exist_ok=True)
         (out / "verify_report.txt").write_text(rep.to_text() + "\n")
         (out / "verify_report.json").write_text(rep.to_json() + "\n")
     return rep
@@ -501,8 +503,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made by the first file written, so a rejected run makes none
     timestamp = not args.no_timestamp
 
     try:

@@ -14,8 +14,9 @@ class ChargeZero(TorusDiracError):
 
 
 class GridMismatch(TorusDiracError):
-    """Samples do not fit the grid: coefficient samples of the wrong shape, or a
-    non-periodic grid for the Dirac kernel."""
+    """Samples do not fit the grid: coefficient samples of the wrong shape, an
+    operand whose last axis is not the grid's n samples, or a non-periodic grid
+    for the Dirac kernel."""
 
 
 class VelocityZero(TorusDiracError):

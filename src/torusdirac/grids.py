@@ -136,25 +136,18 @@ def diff2_fourth_order(values: np.ndarray, grid: Grid) -> np.ndarray:
 # reproducible test functions for oracles and residual checks
 # ---------------------------------------------------------------------------
 
-def mode_sum(grid: Grid, modes, coef: np.ndarray) -> np.ndarray:
-    """sum_j coef[..., j] exp(i modes[j] x) on the grid's points, accumulated in mode order.
-
-    Each mode's row is built once for every leading index of `coef`.
-    """
-    x = grid.points
-    v = np.zeros(coef.shape[:-1] + (grid.n,), dtype=complex)
-    for j, m in enumerate(modes):
-        v += coef[..., j, None] * np.exp(1j * m * x)
-    return v
-
-
 def band_limited(grid: Grid, modes, rng=None, n_functions: int = 1) -> np.ndarray:
     """(n_functions, n) random smooth periodic functions on the given modes.
 
-    The coefficients are drawn at once, in scalar-draw order.
+    The coefficients are drawn at once, in scalar-draw order, and the modes
+    are summed in order, each mode's row built once for every function.
     """
     c = np.random.default_rng(rng).standard_normal((n_functions, len(modes), 2))
-    return mode_sum(grid, modes, c[..., 0] + 1j * c[..., 1])
+    coef, x = c[..., 0] + 1j * c[..., 1], grid.points
+    v = np.zeros((n_functions, grid.n), dtype=complex)
+    for j, m in enumerate(modes):
+        v += coef[:, j, None] * np.exp(1j * m * x)
+    return v
 
 
 def bump_window(grid: Grid, lo: float, hi: float) -> np.ndarray:

@@ -17,7 +17,8 @@ Every sampled operator of the package, from the decoupled second-order
 problems to the first-order and multiplicative intertwiners, is one
 `SampledOp`  -p psi'' + sigma psi' + rho psi.  Operators map sample arrays of
 the grid they were built on: a probe of shape (n,) or a stack (S, n), and a
-spinor (psi1, psi2) of shape (2, n) or (2, S, n).
+spinor (psi1, psi2) of shape (2, n) or (2, S, n).  An operand whose last axis
+does not hold the grid's n samples raises `GridMismatch`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ from .grids import Grid, diff1, diff2, row_blocks, row_norms
 def _hypot_rows(n1, n2) -> np.ndarray:
     """sqrt(n1^2 + n2^2) row by row; scalar squares, as an array square can round differently."""
     return np.array([np.sqrt(a ** 2 + b ** 2) for a, b in zip(n1, n2)])
+
+
+def _on_grid(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """v, or GridMismatch where its last axis does not hold the grid's n samples."""
+    if np.shape(v)[-1:] != (grid.n,):
+        raise GridMismatch(f"operand of shape {np.shape(v)} on a grid of {grid.n} points")
+    return v
 
 
 def _spinor_norms(spinor: np.ndarray, grid: Grid) -> np.ndarray:
@@ -72,6 +80,7 @@ class SampledOp:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply -p d2 + sigma d1 + rho, d2 the three-point Laplacian, to samples v."""
+        v = _on_grid(v, self.grid)
         out = self.sigma * diff1(v, self.grid) if np.any(self.sigma) else 0.0
         if self.p:
             out = -self.p * diff2(v, self.grid) + out
@@ -83,6 +92,7 @@ class SampledOp:
         Exact on both grid kinds: the d2 stencil is symmetric and the
         (wrapped or zero-padded) d1 stencil antisymmetric.
         """
+        v = _on_grid(v, self.grid)
         out = -diff1(np.conj(self.sigma) * v, self.grid) if np.any(self.sigma) else 0.0
         if self.p:
             out = -self.p * diff2(v, self.grid) + out
@@ -115,7 +125,7 @@ def dirac_operator(params: TorusParams, gauge: GaugeField, grid: Grid):
     inv_a = 1.0 / params.a
 
     def apply(spinor: np.ndarray) -> np.ndarray:
-        psi1, psi2 = spinor
+        psi1, psi2 = _on_grid(spinor, grid)
         return np.array((-inv_a * diff1(psi2, grid) + (w1 - q) * psi2,
                          inv_a * diff1(psi1, grid) - (w1 + q) * psi1))
     return apply
@@ -191,7 +201,7 @@ def squaring_discrepancy(params: TorusParams, gauge: GaugeField, grid: Grid,
         return -op.p * diff1(d1, grid) + op.sigma * d1 + op.rho * v
 
     worst = 0.0
-    for rows in row_blocks(np.reshape(spinor, (2, -1, grid.n))):
+    for rows in row_blocks(np.reshape(_on_grid(spinor, grid), (2, -1, grid.n))):
         hh1, hh2 = dirac(dirac(rows))
         rhs1, rhs2 = squared(plus, rows[0]), squared(minus, rows[1])
         num = _hypot_rows(row_norms(scale * hh1 - rhs1), row_norms(scale * hh2 - rhs2))

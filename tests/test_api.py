@@ -5,13 +5,15 @@ A public module-level function or class of `torusdirac.*` must be named in
 `src/` outside its own `def` or `class`, or in `demos/`.  An import does not
 count as a use, so a re-export from `__init__` alone does not keep one.  A
 default that no call in `src/`, `demos/` or `tests/` overrides is a
-constant, not a parameter.
+constant, not a parameter.  Every backticked `module.name` in README.md
+whose module is a `torusdirac` module names an attribute of that module.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -110,3 +112,19 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
             if not (by_position or param.name in calls or "**" in calls):
                 knobs.append(f"{module}.{name}({param.name}=)")
     assert not knobs, f"defaults that no call overrides: {knobs}"
+
+
+def test_every_module_name_in_the_readme_resolves():
+    # config keys such as `analytic.alpha` share the form and name no attribute
+    from torusdirac import cli
+
+    modules = {"torusdirac": torusdirac}
+    modules.update((info.name, importlib.import_module(f"torusdirac.{info.name}"))
+                   for info in pkgutil.iter_modules(torusdirac.__path__))
+    stale = []
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        name = re.match(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
+        if (name and name[1] in modules and name[0] not in cli.SCHEMA
+                and not hasattr(modules[name[1]], name[2])):
+            stale.append(span)
+    assert not stale, f"README names that do not resolve: {stale}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torusdirac import checks, numerics
-from torusdirac.grids import Grid, band_limited
+from torusdirac.grids import band_limited
 
 
 def test_window_record_carries_both_bounds():
@@ -25,10 +25,12 @@ def test_window_record_carries_both_bounds():
 
 
 def test_spinor_stack_rows_have_the_bits_of_their_own_band_limited_draws():
-    # the probes of the squaring and kernel-defect checks: one stack, one row per seed
-    for grid, modes, seeds in ((Grid(1024), [5, 6, 7, 8], range(20)),
-                               (Grid(512), [2, 4], range(90, 96))):
-        stack = checks._spinor_stack(grid, modes, seeds)
+    # the cached probes of the squaring and kernel-defect checks: one row per seed
+    squaring_grid, squaring = checks._squaring_probe(1024, tuple(range(20)))
+    kernel_grid, ((kernel_f, kernel_g),) = checks._kernel_probe()
+    for grid, modes, seeds, stack in ((squaring_grid, [5, 6, 7, 8], range(20), squaring),
+                                      (kernel_grid, [1, 2, 3], range(6), kernel_f),
+                                      (kernel_grid, [2, 4], range(90, 96), kernel_g)):
         assert stack.shape == (2, len(seeds), grid.n)
         for row, seed in enumerate(seeds):
             psi1, psi2 = band_limited(grid, modes, rng=seed, n_functions=2)

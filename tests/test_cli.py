@@ -107,7 +107,20 @@ def test_config_checks_the_reads_before_the_values(tmp_path, capsys, text, comma
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg), "--out", str(out), *command.split()]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not list(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, command", [
+    ("taurus: {a: 0.5}\n", "verify"),
+    ("", "sweep a -- -1,2"),
+], ids=["config", "sweep-values"])
+def test_a_rejected_run_creates_no_directory(tmp_path, capsys, text, command):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "new"
+    assert cli.main(["--config", str(cfg), "--out", str(out), *command.split()]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_analytic_reports_the_display_fit(tmp_path, capsys):
@@ -524,7 +537,7 @@ def test_config_bounds_the_size_keys(tmp_path, capsys, text, flags, command, key
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg), "--out", str(out), *flags, command]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}=")
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_config_size_bounds_sit_at_their_limits():
@@ -900,7 +913,7 @@ def test_config_rejects_an_alpha_whose_square_overflows(tmp_path, capsys, sectio
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg), "--out", str(out), *command.split()]) == 2
     assert "analytic.alpha" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_sweep_over_an_alpha_whose_square_overflows_writes_unbound_rows(tmp_path, capsys):

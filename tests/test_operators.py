@@ -73,12 +73,20 @@ def test_apply_dirac_constant_spinor_literal_convention():
 
 
 def test_apply_dirac_grid_guards():
-    # an operand of another grid's length does not broadcast against the coefficients
+    # an operand whose last axis is not the grid's n samples is rejected: one sample
+    # would broadcast against the (n,) coefficients, another grid's samples would not
     other = Grid(512)
-    with pytest.raises(ValueError, match="broadcast"):
-        dirac_operator(P, zero_field(), other)(spinor(G, [1], 0))
-    with pytest.raises(ValueError, match="broadcast"):
-        SampledOp(other, 1, 0, 1.0).apply(spinor(G, [1], 0)[0])
+    op = SampledOp(other, 1, 0, 1.0)
+    dirac = dirac_operator(P, zero_field(), other)
+    for length in (1, 256):
+        psi = np.ones((2, length), complex)
+        for apply, operand in ((dirac, psi), (op.apply, psi[0]), (op.apply_adjoint, psi[0]),
+                               (op.apply, psi)):
+            with pytest.raises(GridMismatch):
+                apply(operand)
+    # a certifier's stack of 2 x 256 samples is not one 512-sample probe
+    with pytest.raises(GridMismatch):
+        squaring_discrepancy(P, zero_field(), other, np.ones((2, 2, 256), complex))
     with pytest.raises(GridMismatch):
         dirac_operator(P, zero_field(), Grid(256, 0.1, 1.0, "dirichlet"))
 
