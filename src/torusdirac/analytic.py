@@ -342,7 +342,9 @@ def fit_energy_display(levels) -> dict:
     and is solved for at each mu; mu minimizes the rms misfit by
     golden-section search on [-0.95, 6] (Kiefer 1953; Brent, "Algorithms for
     Minimization without Derivatives", 1973), stopped once the bracket is
-    narrower than 1e-9, and is the bracket's midpoint.
+    narrower than 1e-9, and is the bracket's midpoint.  Where the search
+    never moves one end of [-0.95, 6], mu is that bound, not a fit, and the
+    label says so.
     """
     points = [(float(s.n), float(s.epsilon_n) ** 2) for s in levels]
 
@@ -366,7 +368,7 @@ def fit_energy_display(levels) -> dict:
         return nu, sq
 
     shrink = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi: each step keeps this share of the bracket
-    lo, hi = -0.95, 6.0
+    bracket = lo, hi = -0.95, 6.0
     left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
     f_left, f_right = misfit(left)[1], misfit(right)[1]
     while hi - lo > 1e-9:
@@ -380,4 +382,6 @@ def fit_energy_display(levels) -> dict:
             f_right = misfit(right)[1]
     mu = 0.5 * (lo + hi)
     nu, sq = misfit(mu)
-    return {"mu": mu, "nu": nu, "rms": math.sqrt(sq / len(points)), "label": "post-hoc fit"}
+    label = ("post-hoc fit" if lo != bracket[0] and hi != bracket[1]
+             else "mu at the end of its search bracket [-0.95, 6], not a fit")
+    return {"mu": mu, "nu": nu, "rms": math.sqrt(sq / len(points)), "label": label}

@@ -10,6 +10,9 @@ known   a known discrepancy of the tabulated formulas: `verify` reports it
         as INFO, the acceptance suite asserts it (and stays red)
 info    reported without a threshold; the suite asserts only that it is finite
 
+A measurement that is not finite is a gating FAIL in a report, whatever the
+status, and its JSON value is null.
+
 `registry()` lists every check in `verify`'s report order.  `verify` skips
 the checks marked `verify=False`:
 
@@ -100,7 +103,7 @@ class RunReport:
             "ok": self.ok,
             "metadata": self.metadata,
             "records": [
-                {"name": r.name, "value": r.value,
+                {"name": r.name, "value": r.value if np.isfinite(r.value) else None,
                  "tolerance": (list(r.tolerance) if isinstance(r.tolerance, tuple)
                                else None if np.isnan(r.tolerance) else r.tolerance),
                  "passed": r.passed, "gating": r.gating, "note": r.note}
@@ -135,11 +138,16 @@ class Check:
         return bool(value < self.tolerance)
 
     def record(self, report: RunReport) -> CheckRecord:
-        """Measure, then add a PASS/FAIL record for a gate and INFO otherwise."""
+        """Measure, then add a PASS/FAIL record for a gate and INFO otherwise.
+
+        A value that is not finite is a gating FAIL, whatever the status.
+        """
         value = self.measure()
-        if self.status != "gate":
+        finite = bool(np.isfinite(value))
+        if self.status != "gate" and finite:
             return report.add_info(self.name, value, note=self.note)
-        return report.add(self.name, value, self.tolerance, self.passes(value), self.note)
+        return report.add(self.name, value, self.tolerance, finite and self.passes(value),
+                          self.note)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ analytic   closed-form spectra and wavefunction tables
 Config files are YAML; every field has a default (a=0.5, c=2, e=1, k=1,
 chosen here since the source fixes no numbers).  Identical configs produce
 byte-identical CSV output, modulo an optional timestamp comment that
---no-timestamp suppresses.
+--no-timestamp suppresses.  A subcommand returns its report and its files'
+text; `main` alone writes the files, once the run has returned, so a run
+that is rejected or fails writes none and makes no --out directory.
 """
 
 from __future__ import annotations
@@ -258,31 +260,28 @@ def _check_reads(settings: dict, command: str, negative_control: bool,
 # CSV
 # ---------------------------------------------------------------------------
 
-def write_csv(path: Path, header, columns, timestamp: bool) -> None:
-    """Write `header` and one column per header entry, each row through one `%.17g` template.
+def csv_text(header, columns) -> str:
+    """`header` and one column per header entry, each row through one `%.17g` template.
 
     A column is an array-like of real numbers: Python and numpy floats, ints
     and bools.  `%.17g` reads an int as a double, so ints are written exactly
     up to 2^53 in magnitude, rounded to a double above that, and in exponent
-    form from 1e17.  A complex cell makes `%` raise TypeError while the lines
-    are built, before the file is opened (tables split complex values into
-    re/im columns).  The file's directory is made if it is missing.
+    form from 1e17.  A complex cell makes `%` raise TypeError (tables split
+    complex values into re/im columns).
     """
     columns = [np.asarray(col) for col in columns]
     template = ",".join(["%.17g"] * len(header))
-    lines = [f"# written {time.strftime('%Y-%m-%dT%H:%M:%S')}"] if timestamp else []
-    lines.append(",".join(header))
+    lines = [",".join(header)]
     lines.extend(template % row for row in zip(*(col.tolist() for col in columns)))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
-    rep = RunReport("geometry identities")
+def cmd_geometry(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
+    rep, files = RunReport("geometry identities"), {}
     p = cfg.torus
     xs = np.linspace(0.0, 2.0 * np.pi, 181)
 
@@ -298,16 +297,15 @@ def cmd_geometry(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
                  note="two definitions reported side by side")
 
     if "csv" in cfg.outputs:
-        write_csv(out / "geometry.csv",
-                  ["x", "R", "gamma_2_12", "gamma_1_22",
-                   "spin_conn_tabulated", "spin_conn_frame"],
-                  [xs, geometry.radius_profile(p, xs), ch.gamma_2_12, ch.gamma_1_22,
-                   tabulated, derived], timestamp)
-    return rep
+        files["geometry.csv"] = csv_text(
+            ["x", "R", "gamma_2_12", "gamma_1_22", "spin_conn_tabulated", "spin_conn_frame"],
+            [xs, geometry.radius_profile(p, xs), ch.gamma_2_12, ch.gamma_1_22,
+             tabulated, derived])
+    return rep, files
 
 
-def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
-    rep = RunReport("spectrum")
+def cmd_spectrum(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
+    rep, files = RunReport("spectrum"), {}
     p = cfg.torus
     if cfg.case == "constant_vf":
         # symmetrized branch: real trigonometric-polynomial potential
@@ -327,40 +325,36 @@ def cmd_spectrum(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
         rep.add_info("periodic eigensolve Fourier modes", res.modes, note=f"of {grid.n}")
         checks.HILL_ORDER.record(rep)
         if "csv" in cfg.outputs:
-            write_csv(out / "spectrum_constant_vf.csv", ["n", "lambda", "residual"],
-                      [np.arange(len(res.eigenvalues)), res.eigenvalues, res.residuals],
-                      timestamp)
+            files["spectrum_constant_vf.csv"] = csv_text(
+                ["n", "lambda", "residual"],
+                [np.arange(len(res.eigenvalues)), res.eigenvalues, res.residuals])
         if "coefficients" in cfg.outputs:
             plus, _ = operators.decouple_constant_vf(p, cfg.gauge, grid)
-            write_csv(out / "sl_coefficients_plus.csv",
-                      ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"],
-                      [grid.points, plus.sigma.real, plus.sigma.imag,
-                       plus.rho.real, plus.rho.imag], timestamp)
+            files["sl_coefficients_plus.csv"] = csv_text(
+                ["x", "re_sigma", "im_sigma", "re_rho", "im_rho"],
+                [grid.points, plus.sigma.real, plus.sigma.imag, plus.rho.real, plus.rho.imag])
     else:
         columns = checks.pdfv_levels(cfg.alpha, cfg.n_max,
                                      Grid(8000, -np.pi / 2, np.pi / 2, "dirichlet"))
         rep.add_info("pdfv analytic-vs-fd max rel deviation", max(columns[3]),
                      note="wall-singular oracle; see verify for the convergent one")
         if "csv" in cfg.outputs:
-            write_csv(out / "spectrum_pdfv.csv",
-                      ["n", "lambda_fd", "epsilon_sq_analytic", "rel_deviation"],
-                      columns, timestamp)
-    return rep
+            files["spectrum_pdfv.csv"] = csv_text(
+                ["n", "lambda_fd", "epsilon_sq_analytic", "rel_deviation"], columns)
+    return rep, files
 
 
-def cmd_verify(cfg: ScenarioConfig, out: Path, timestamp: bool,
-               negative_control: bool = False) -> RunReport:
-    rep = RunReport("verification suite")
+def cmd_verify(cfg: ScenarioConfig, negative_control: bool = False) -> tuple[RunReport, dict]:
+    rep, files = RunReport("verification suite"), {}
     rep.metadata["negative_control"] = negative_control
     angles = np.linspace(0.0, 2.0 * np.pi, 91)
     for check in checks.registry(angles=angles, negative_control=negative_control):
         if check.verify:
             check.record(rep)
     if "report" in cfg.outputs:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "verify_report.txt").write_text(rep.to_text() + "\n")
-        (out / "verify_report.json").write_text(rep.to_json() + "\n")
-    return rep
+        files["verify_report.txt"] = rep.to_text() + "\n"
+        files["verify_report.json"] = rep.to_json() + "\n"
+    return rep, files
 
 
 def _level_c1(c1: float, where: str) -> float:
@@ -390,8 +384,7 @@ def _sweep_point(cfg: ScenarioConfig, name: str, value: float) -> dict:
             name: float(value)}
 
 
-def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
-              parameter: str, values) -> RunReport:
+def cmd_sweep(cfg: ScenarioConfig, parameter: str, values) -> tuple[RunReport, dict]:
     values = list(values)
     if not values:
         raise ConfigError("sweep: empty value list")
@@ -407,15 +400,15 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, timestamp: bool,
         constants[a, e] = (c2.real, c2.imag, c.real if a < 1 else float("nan"))
     header = [parameter] + [f"{col}{n}" for n in range(4) for col in ("eps", "resid")]
     header += ["C2_constraint_re", "C2_constraint_im", "c_constraint"]
-    write_csv(out / f"sweep_{parameter}.csv", header,
-              [values, *levels, *zip(*(constants[p["a"], p["e"]] for p in points))], timestamp)
+    table = csv_text(header, [values, *levels,
+                              *zip(*(constants[p["a"], p["e"]] for p in points))])
     rep.add_info("rows written", len(values))
     rep.add_info("unbound cells (NaN)", int(sum(np.isnan(eps).sum() for eps in levels[::2])),
                  note="levels that do not quantize are written as NaN")
-    return rep
+    return rep, {f"sweep_{parameter}.csv": table}
 
 
-def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
+def cmd_analytic(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
     rep = RunReport("closed-form solutions")
     alpha, c1, a = cfg.alpha, cfg.C1, cfg.torus.a
     if a >= 1:
@@ -425,7 +418,7 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     sols = [analytic.case2_quantize(n, alpha, c1) for n in levels]
     fit = analytic.fit_energy_display(sols)
     rep.add_info("display-form fit rms", fit["rms"],
-                 note=f"mu={fit['mu']:.4f} nu={fit['nu']:.4f} (post-hoc fit)" if len(sols) > 1
+                 note=f"mu={fit['mu']:.4f} nu={fit['nu']:.4f} ({fit['label']})" if len(sols) > 1
                  else "one level does not determine mu and nu")
 
     margin = 0.05
@@ -440,19 +433,20 @@ def cmd_analytic(cfg: ScenarioConfig, out: Path, timestamp: bool) -> RunReport:
     lam, _, exists = zip(*(analytic.morse_energy_exact(n, mf0) for n in levels))
     lam = np.array(lam)
 
-    # every table is built before the first is written: a run that fails writes none
-    write_csv(out / "case2_spectrum.csv", ["n", "re_eps", "im_eps", "residual"],
-              [levels, [s.epsilon_n for s in sols], np.zeros(len(sols)),
-               [s.residual for s in sols]], timestamp)
-    write_csv(out / "case2_wavefunctions.csv",
-              ["x"] + [f"re_phi{n}" for n in range(len(wf_rows))]
-              + [f"im_phi{n}" for n in range(len(wf_rows))],
-              [xg, *(w.real for w in wf_rows), *(w.imag for w in wf_rows)], timestamp)
-    write_csv(out / "case1_spectrum.csv",
-              ["n", "re_tabulated", "im_tabulated", "re_derived", "im_derived", "bound"],
-              [levels, tab.real, tab.imag, lam.real, lam.imag, exists], timestamp)
-    rep.add_info("tables written", 3)
-    return rep
+    files = {
+        "case2_spectrum.csv": csv_text(
+            ["n", "re_eps", "im_eps", "residual"],
+            [levels, [s.epsilon_n for s in sols], np.zeros(len(sols)), [s.residual for s in sols]]),
+        "case2_wavefunctions.csv": csv_text(
+            ["x"] + [f"re_phi{n}" for n in range(len(wf_rows))]
+            + [f"im_phi{n}" for n in range(len(wf_rows))],
+            [xg, *(w.real for w in wf_rows), *(w.imag for w in wf_rows)]),
+        "case1_spectrum.csv": csv_text(
+            ["n", "re_tabulated", "im_tabulated", "re_derived", "im_derived", "bound"],
+            [levels, tab.real, tab.imag, lam.real, lam.imag, exists]),
+    }
+    rep.add_info("tables written", len(files))
+    return rep, files
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +475,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Torus Dirac operator: tables, spectra, and certification runs",
     )
     parser.add_argument("--config", type=str, default=None, help="YAML scenario file")
-    parser.add_argument("--out", type=str, default=".", help="output directory")
+    parser.add_argument("--out", type=Path, default=".", help="output directory")
     parser.add_argument("--grid-n", type=int, default=None,
                         help="override grid.n; only the constant_vf spectrum reads it")
     parser.add_argument("--no-timestamp", action="store_true",
@@ -503,10 +497,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out = Path(args.out)  # made by the first file written, so a rejected run makes none
-    timestamp = not args.no_timestamp
-
     try:
+        if args.out.exists() and not args.out.is_dir():
+            raise ConfigError(f"--out {args.out}: not a directory")
         settings = _read_settings(args.config, args.grid_n)
         inputs = _check_reads(settings, args.command, args.negative_control,
                               getattr(args, "parameter", None))
@@ -519,17 +512,15 @@ def main(argv=None) -> int:
         try:
             with np.errstate(over="raise"):
                 if args.command == "geometry":
-                    rep = cmd_geometry(cfg, out, timestamp)
+                    rep, files = cmd_geometry(cfg)
                 elif args.command == "spectrum":
-                    rep = cmd_spectrum(cfg, out, timestamp)
+                    rep, files = cmd_spectrum(cfg)
                 elif args.command == "verify":
-                    rep = cmd_verify(cfg, out, timestamp,
-                                     negative_control=args.negative_control)
+                    rep, files = cmd_verify(cfg, negative_control=args.negative_control)
                 elif args.command == "analytic":
-                    rep = cmd_analytic(cfg, out, timestamp)
+                    rep, files = cmd_analytic(cfg)
                 else:
-                    rep = cmd_sweep(cfg, out, timestamp, args.parameter,
-                                    _parse_range(args.values))
+                    rep, files = cmd_sweep(cfg, args.parameter, _parse_range(args.values))
         except ArithmeticError as exc:
             raise ConfigError(f"{', '.join(inputs)}: arithmetic in {args.command} fails "
                               f"({type(exc).__name__}: {exc})") from exc
@@ -540,6 +531,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    stamp = "" if args.no_timestamp else f"# written {time.strftime('%Y-%m-%dT%H:%M:%S')}\n"
+    try:
+        if files:
+            args.out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (args.out / name).write_text(stamp + text if name.endswith(".csv") else text)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc}", file=sys.stderr)
+        return 1
     print(rep.to_text())
     return 0 if rep.ok else 1
 

@@ -42,7 +42,7 @@ class TorusParams:
             warnings.warn(
                 "c <= a: ring radius R(x) = c + a*cos(x) changes sign; "
                 "geometry is degenerate at some angles",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__, to its caller
             )
 
 

@@ -7,6 +7,7 @@ count as a use, so a re-export from `__init__` alone does not keep one.  A
 default that no call in `src/`, `demos/` or `tests/` overrides is a
 constant, not a parameter.  Every backticked `module.name` in README.md
 whose module is a `torusdirac` module names an attribute of that module.
+Only `cli.main` puts files on disk.
 """
 
 import ast
@@ -128,3 +129,16 @@ def test_every_module_name_in_the_readme_resolves():
                 and not hasattr(modules[name[1]], name[2])):
             stale.append(span)
     assert not stale, f"README names that do not resolve: {stale}"
+
+
+def test_only_cli_main_writes_files():
+    # commands return their files' text; `main` writes them once the run has returned
+    writes = {"mkdir", "write_text", "write_bytes", "open"}
+    writers = set()
+    for path in sorted((ROOT / "src" / "torusdirac").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", getattr(node.func, "id", None)) in writes):
+                    writers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert writers == {"cli.main"}

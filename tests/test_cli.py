@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from test_analytic import _case2_level_reference
-from torusdirac import cli, geometry, pseudoherm
+from torusdirac import checks, cli, geometry, pseudoherm
 from torusdirac.errors import ConfigError
 
 BASE = [sys.executable, "-m", "torusdirac.cli"]
@@ -121,6 +122,64 @@ def test_a_rejected_run_creates_no_directory(tmp_path, capsys, text, command):
     assert cli.main(["--config", str(cfg), "--out", str(out), *command.split()]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+def test_a_run_that_fails_after_its_first_table_writes_nothing(tmp_path, capsys):
+    # the ring radius c + a cos x vanishes at a grid angle; the eigenvalue table
+    # is built before the coefficient table finds that out
+    cfg = tmp_path / "ring.yaml"
+    cfg.write_text(yaml.safe_dump({"torus": {"a": 2.0, "c": 1.4142135623730951},
+                                   "outputs": ["report", "csv", "coefficients"]}))
+    out = tmp_path / "new"
+    with pytest.warns(UserWarning, match="c <= a"):
+        code = cli.main(["--config", str(cfg), "--out", str(out), "--no-timestamp",
+                         "spectrum"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: ring radius vanishes on the grid\n"
+    assert not out.exists()
+
+
+def test_an_out_that_is_a_file_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "afile"
+    target.write_text("keep\n")
+    monkeypatch.setattr(cli, "cmd_geometry", lambda *args: pytest.fail("geometry ran"))
+    assert cli.main(["--out", str(target), "geometry"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ") and err.count("\n") == 1
+    assert target.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_a_file_that_cannot_be_written_is_a_one_line_error(tmp_path, capsys):
+    (tmp_path / "geometry.csv").mkdir()
+    assert cli.main(["--out", str(tmp_path), "--no-timestamp", "geometry"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "geometry.csv" in err and err.count("\n") == 1
+
+
+def test_verify_fails_a_measurement_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    # an INFO check that measures NaN gates the run; both reports are still written
+    monkeypatch.setattr(checks, "morse_truncation_gap", lambda: float("nan"))
+    assert cli.main(["--out", str(tmp_path), "--no-timestamp", "verify"]) == 1
+    assert "overall: FAIL" in (tmp_path / "verify_report.txt").read_text()
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    record = next(r for r in report["records"] if "truncation gap" in r["name"])
+    assert (record["value"], record["gating"], record["passed"]) == (None, True, False)
+    assert report["ok"] is False
+    assert "FAIL morse chain: quadratic-expansion truncation gap" in capsys.readouterr().out
+
+
+def test_analytic_says_when_mu_sits_at_its_search_bound(tmp_path, capsys):
+    # from n_max = 19 the misfit falls all the way to the bracket end mu = 6
+    for n_max, interior in ((18, True), (19, False)):
+        cfg = tmp_path / "levels.yaml"
+        cfg.write_text(f"analytic: {{n_max: {n_max}}}\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "--no-timestamp",
+                         "analytic"]) == 0
+        line = next(s for s in capsys.readouterr().out.splitlines()
+                    if "display-form fit" in s)
+        assert ("(post-hoc fit)" in line) is interior, line
+        assert ("search bracket" in line) is not interior, line
 
 
 def test_analytic_reports_the_display_fit(tmp_path, capsys):
@@ -375,9 +434,9 @@ def test_sweep_rejects_parameters_that_change_nothing(tmp_path, parameter):
     assert exc.value.code == 2
 
 
-def test_sweep_keeps_list_order_and_counts_unbound_cells(tmp_path):
-    rep = cli.cmd_sweep(cli.load_config(None), tmp_path, False, "alpha", [2.0, 1.0, 1.5])
-    rows = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
+def test_sweep_keeps_list_order_and_counts_unbound_cells():
+    rep, files = cli.cmd_sweep(cli.load_config(None), "alpha", [2.0, 1.0, 1.5])
+    rows = files["sweep_alpha.csv"].splitlines()[1:]
     assert [float(row.split(",")[0]) for row in rows] == [2.0, 1.0, 1.5]
     # level 0 is unbound above alpha = sqrt(2): NaN at alpha = 2 and 1.5
     unbound = {r.name: r.value for r in rep.records}["unbound cells (NaN)"]
@@ -405,16 +464,14 @@ def _reference_sweep_row(value, point):
     # disc rounds below 0 (an imaginary beta)
     ("C1", "1e16,3.6068034017008504e16,1e17,1e300"),
 ])
-def test_sweep_csv_matches_the_per_row_reference(tmp_path, parameter, values):
+def test_sweep_csv_matches_the_per_row_reference(parameter, values):
     cfg = cli.load_config(None)
     values = cli._parse_range(values)
-    rep = cli.cmd_sweep(cfg, tmp_path, False, parameter, values)
+    rep, files = cli.cmd_sweep(cfg, parameter, values)
     rows = [_reference_sweep_row(v, cli._sweep_point(cfg, parameter, v)) for v in values]
     header = ([parameter] + [f"{col}{n}" for n in range(4) for col in ("eps", "resid")]
               + ["C2_constraint_re", "C2_constraint_im", "c_constraint"])
-    cli.write_csv(tmp_path / "reference.csv", header, list(zip(*rows)), False)
-    assert ((tmp_path / f"sweep_{parameter}.csv").read_bytes()
-            == (tmp_path / "reference.csv").read_bytes())
+    assert files == {f"sweep_{parameter}.csv": cli.csv_text(header, list(zip(*rows)))}
     unbound = {r.name: r.value for r in rep.records}["unbound cells (NaN)"]
     assert unbound == sum(np.isnan(row[1 + 2 * n]) for row in rows for n in range(4))
 
@@ -445,7 +502,7 @@ def test_case2_tables_keep_their_bytes(tmp_path, command):
 
 
 # sha256 of the tables outside CASE2_TABLE_DIGESTS that hold closed forms alone, pinned
-# when `write_csv` took columns: command -> (scenario file, table, digest).  The
+# when the CSV writer took columns: command -> (scenario file, table, digest).  The
 # `spectrum` tables themselves carry LAPACK and Rayleigh-quotient bits and are not pinned
 CLOSED_FORM_TABLE_DIGESTS = {
     "geometry": ("", "geometry.csv",
@@ -883,22 +940,18 @@ CELLS = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(width=st.integers(1, 6), data=st.data())
-def test_csv_row_template_writes_the_bytes_of_the_per_cell_formatter(
-        tmp_path_factory, width, data):
+def test_csv_row_template_writes_the_bytes_of_the_per_cell_formatter(width, data):
     rows = data.draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=5))
-    path = tmp_path_factory.getbasetemp() / "template.csv"
     header = [f"c{i}" for i in range(width)]
-    cli.write_csv(path, header, list(zip(*rows)), timestamp=False)
     want = [",".join(header)] + [",".join(_reference_cell(v) for v in row) for row in rows]
-    assert path.read_text() == "\n".join(want) + "\n"
+    assert cli.csv_text(header, list(zip(*rows))) == "\n".join(want) + "\n"
 
 
 @pytest.mark.parametrize("cell", [1 + 2j, np.complex128(1 + 2j), np.complex64(1 - 2j),
                                   np.complex128(3.0)])
-def test_csv_rejects_a_complex_cell(tmp_path, cell):
+def test_csv_rejects_a_complex_cell(cell):
     with pytest.raises(TypeError, match="complex"):
-        cli.write_csv(tmp_path / "t.csv", ["x", "z"], [(0.5,), (cell,)], timestamp=False)
-    assert not (tmp_path / "t.csv").exists()
+        cli.csv_text(["x", "z"], [(0.5,), (cell,)])
 
 
 @pytest.mark.parametrize("section, command", [

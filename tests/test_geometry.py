@@ -109,6 +109,12 @@ def test_periodicity_and_parity():
         assert np.allclose(np.diag(metric_at(P, x)), np.diag(metric_at(P, -x)), atol=1e-14)
 
 
+def test_the_ring_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="c <= a") as caught:
+        TorusParams(a=2.0, c=1.5)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         TorusParams(a=-1.0, c=2.0)
