@@ -40,6 +40,53 @@ def _default_document():
 
 DEFAULTS = _default_document()
 
+# Each run's records on the default scenario, in report order: (name, gating)
+RUN_RECORDS = {
+    "geometry": [
+        ("geometry: frame identity", True),
+        ("geometry: christoffel oracle convergence order", True),
+        ("spin-connection tabulated-vs-frame max gap", False),
+    ],
+    cli._SPECTRUM: [
+        ("eigenpair residual max", True),
+        ("periodic eigensolve Fourier modes", False),
+        ("numerics: periodic FD order vs Hill's method", True),
+    ],
+    cli._PDFV: [
+        ("pdfv analytic-vs-fd max rel deviation", False),
+    ],
+    "verify": [
+        ("geometry: frame identity", True),
+        ("operators: squaring consistency @1024", True),
+        ("operators: defect with hermitizing gauge", True),
+        ("operators: defect with real unit gauge", True),
+        ("operators: defect with zero gauge", False),
+        ("factorization: W^2 -+ W' identities", True),
+        ("intertwining: factorization pair residual @2048", True),
+        ("intertwining: closed-form pair residual", False),
+        ("intertwining: tabulated first-order coefficient", False),
+        ("pdfv: effective potential closed-form gap", True),
+        ("quantization: wavefunction equation residual", True),
+        ("quantization: partner-oracle spectrum match", True),
+        ("quantization: critical pdfv levels vs collocation", True),
+        ("morse chain: derived closed form vs collocation", True),
+        ("morse chain: tabulated energy formula gap", False),
+        ("morse chain: quadratic-expansion truncation gap", False),
+        ("special functions: oracle agreement (orders <= 20)", True),
+        ("numerics: box benchmark", True),
+        ("numerics: oscillator benchmark", True),
+        ("numerics: simpson error slope", True),
+    ],
+}
+
+
+def test_each_run_records_its_pinned_checks():
+    for run, pinned in RUN_RECORDS.items():
+        doc = {"case": "pdfv", "fermi": {"kind": "cosine"}} if run == cli._PDFV else {}
+        command = getattr(cli, f"cmd_{run.split()[0]}")
+        report, _ = command(cli._build_config(cli._settings(doc)))
+        assert [(r.name, r.gating) for r in report.records] == pinned, run
+
 
 def test_geometry_default_passes(tmp_path, capsys):
     code = cli.main(["--out", str(tmp_path), "--no-timestamp", "geometry"])
