@@ -17,7 +17,6 @@ from torusdirac.analytic import (
     case2_ode_residual,
     case2_quantize,
     case2_wavefunction,
-    fit_energy_display,
 )
 from torusdirac.fields import linear_ring_field
 from torusdirac.grids import Grid
@@ -34,10 +33,6 @@ for s in sols:
 print("\nwavefunction equation residuals (fourth-order stencil):")
 for n in range(3):
     print(f"  n={n}: {case2_ode_residual(n, alpha, C1):.3e}")
-
-fit = fit_energy_display(sols)
-print(f"\npost-hoc fit of the two-constant display form: mu={fit['mu']:.4f}, "
-      f"nu={fit['nu']:.4f}, rms={fit['rms']:.3e}")
 
 p = TorusParams(a=0.5, c=2.0)
 g = Grid(1500, -np.pi / 2 + 0.1, np.pi / 2 - 0.1, "dirichlet")

@@ -17,7 +17,6 @@ parameter display misses the product the equation pins; the registry check
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -332,56 +331,3 @@ def case2_ode_residual(n: int, alpha: float, C1: float) -> float:
     res = -diff2_fourth_order(phi, grid) + v * phi - sol.epsilon_n ** 2 * phi
     core = slice(4, -4)  # drop one-sided boundary rows of the stencil
     return float(np.max(np.abs(res[core])) / np.max(np.abs(phi[core])))
-
-
-def fit_energy_display(levels) -> dict:
-    """Least-squares fit of eps_n^2 ~ (1/2)(n+mu+1)^2 - (1/2) nu/(n+mu+1)^2.
-
-    The display's mu and nu are undefined upstream; this reports the best
-    post-hoc fit and its rms misfit, labeled as a fit.  nu enters linearly
-    and is solved for at each mu; mu minimizes the rms misfit by
-    golden-section search on [-0.95, 6] (Kiefer 1953; Brent, "Algorithms for
-    Minimization without Derivatives", 1973), stopped once the bracket is
-    narrower than 1e-9, and is the bracket's midpoint.  Where the search
-    never moves one end of [-0.95, 6], mu is that bound, not a fit, and the
-    label says so.
-    """
-    points = [(float(s.n), float(s.epsilon_n) ** 2) for s in levels]
-
-    def misfit(mu: float) -> tuple[float, float]:
-        """(nu, sum of squared residuals) at mu, in plain loops over the few levels."""
-        # linear in nu: e2 = base/2 - nu/(2 base), so nu = <w, rhs>/<w, w>
-        # with weights w = -1/(2 base) and rhs = e2 - base/2
-        w, rhs = [], []
-        ww = wr = 0.0
-        for n, e2 in points:
-            base = (n + mu + 1.0) ** 2
-            wi, ri = -0.5 / base, e2 - base / 2.0
-            w.append(wi)
-            rhs.append(ri)
-            ww += wi * wi
-            wr += wi * ri
-        nu = wr / ww
-        sq = 0.0
-        for wi, ri in zip(w, rhs):
-            sq += (wi * nu - ri) ** 2
-        return nu, sq
-
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi: each step keeps this share of the bracket
-    bracket = lo, hi = -0.95, 6.0
-    left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    f_left, f_right = misfit(left)[1], misfit(right)[1]
-    while hi - lo > 1e-9:
-        if f_left < f_right:
-            hi, right, f_right = right, left, f_left
-            left = hi - shrink * (hi - lo)
-            f_left = misfit(left)[1]
-        else:
-            lo, left, f_left = left, right, f_right
-            right = lo + shrink * (hi - lo)
-            f_right = misfit(right)[1]
-    mu = 0.5 * (lo + hi)
-    nu, sq = misfit(mu)
-    label = ("post-hoc fit" if lo != bracket[0] and hi != bracket[1]
-             else "mu at the end of its search bracket [-0.95, 6], not a fit")
-    return {"mu": mu, "nu": nu, "rms": math.sqrt(sq / len(points)), "label": label}

@@ -13,18 +13,19 @@ info    reported without a threshold; the suite asserts only that it is finite
 A measurement that is not finite is a gating FAIL in a report, whatever the
 status, and its JSON value is null.
 
-`registry()` lists every check in `verify`'s report order.  `verify` skips
-the checks marked `verify=False`:
+`registry()` lists every check in report order, and the acceptance suite
+measures each one.  A check's `runs` names the runs that record it, as
+`cli.SCHEMA` names them ("verify", "geometry", "spectrum constant_vf"), and
+`record_run` records one run's checks in registry order.  Five checks name
+no run:
 
-- the Christoffel oracle order and the truncated-domain spectrum match,
-  which would add about a quarter to the time of the 20 checks it runs
-  (README gives one dated measurement; the milliseconds drift with the
-  host's load, the share does not);
+- the truncated-domain spectrum match, which, with the Christoffel oracle
+  order that `geometry` records, would add about a quarter to the time of
+  `verify`'s 20 checks (README gives one dated measurement; the milliseconds
+  drift with the host's load, the share does not);
 - the position-dependent intertwiner, the two readings of the case-2
   gauge prefactor and the printed 2F1 parameters, which have never been
-  part of its report;
-- the periodic spectrum's order against Hill's method, which `spectrum`
-  reports.
+  part of a report.
 
 The seeded probes that several checks share are sample arrays: the spinor
 stacks of shape (2, S, n), one `grids.band_limited` pair per seed, and the
@@ -125,7 +126,7 @@ class Check:
     direction: str = "below"  # 'below', 'above' or 'window'
     status: str = "gate"  # 'gate', 'known' or 'info'
     note: str = ""
-    verify: bool = True
+    runs: tuple = ("verify",)  # the runs that record it
 
     def passes(self, value: float) -> bool:
         if self.status == "info":
@@ -470,13 +471,9 @@ def simpson_slope() -> float:
 # the registry
 # ---------------------------------------------------------------------------
 
-HILL_ORDER = Check("numerics: periodic FD order vs Hill's method", 10, hill_order,
-                   (1.9, 2.1), "window", verify=False)
-
-
 def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
              negative_control: bool = False) -> tuple[Check, ...]:
-    """Every check, in `verify`'s report order.
+    """Every check, in report order.
 
     The geometry identities are measured on `torus` at `angles`; the
     factorization identity uses a superpotential scaled by 1.01 under
@@ -484,9 +481,9 @@ def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
     """
     return (
         Check("geometry: frame identity", 1,
-              partial(frame_identity_gap, torus, angles), 1e-13),
+              partial(frame_identity_gap, torus, angles), 1e-13, runs=("verify", "geometry")),
         Check("geometry: christoffel oracle convergence order", 1,
-              partial(christoffel_order, torus, angles), 1.9, "above", verify=False),
+              partial(christoffel_order, torus, angles), 1.9, "above", runs=("geometry",)),
         Check("operators: squaring consistency @1024", 2, squaring_consistency, 1e-6),
         Check("operators: defect with hermitizing gauge", 3,
               partial(kernel_defect, fields.hermitizing_quadratic_field(0.4, e=1.0, k=1)),
@@ -507,21 +504,21 @@ def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
               tabulated_intertwiner_residual, 1e-6, status="known",
               note="known discrepancy: no first-order intertwiner exists here"),
         Check("intertwining: tabulated position-dependent coefficient", 5,
-              pdfv_intertwiner_residual, 1e-6, status="known", verify=False,
+              pdfv_intertwiner_residual, 1e-6, status="known", runs=(),
               note="known discrepancy: no first-order intertwiner exists here"),
         Check("pdfv: effective potential closed-form gap", 6, effective_potential_gap, 1e-10),
         Check("pdfv: sigma-half prefactor first-derivative residual", 6,
-              partial(prefactor_residual, -1.0), 1e-4, verify=False),
+              partial(prefactor_residual, -1.0), 1e-4, runs=()),
         Check("pdfv: printed prefactor first-derivative residual", 6,
-              partial(prefactor_residual, 1.0), 1e-1, "above", verify=False,
+              partial(prefactor_residual, 1.0), 1e-1, "above", runs=(),
               note="the printed reading leaves a first-derivative term"),
         Check("quantization: wavefunction equation residual", 7, wavefunction_residual, 1e-6),
         Check("quantization: partner-oracle spectrum match", 7, partner_oracle_match, 1e-3),
         Check("quantization: printed 2F1 parameter product gap", 7, printed_display_gap,
-              1e-2, "above", verify=False,
+              1e-2, "above", runs=(),
               note="the printed parameters miss the product the equation pins"),
         Check("quantization: truncated-domain spectrum match @8000", 7,
-              truncated_domain_match, 1e-3, status="known", verify=False,
+              truncated_domain_match, 1e-3, status="known", runs=(),
               note="known discrepancy: the wall coupling is critical, so truncation "
                    "shifts levels by O(1/log(1/delta))"),
         Check("quantization: critical pdfv levels vs collocation", 7, critical_pdfv_match,
@@ -541,6 +538,14 @@ def registry(torus=DEFAULT_TORUS, angles=np.linspace(0.0, 2.0 * np.pi, 181),
         Check("numerics: oscillator benchmark", 10,
               partial(dirichlet_benchmark, Grid(6000, -10.0, 10.0, "dirichlet"), np.square,
                       [1, 3, 5]), 1e-5),
-        HILL_ORDER,
+        Check("numerics: periodic FD order vs Hill's method", 10, hill_order, (1.9, 2.1),
+              "window", runs=("spectrum constant_vf",)),
         Check("numerics: simpson error slope", 10, simpson_slope, (3.8, 4.2), "window"),
     )
+
+
+def record_run(report: RunReport, run: str, *registry_args) -> None:
+    """Record every check of `registry(*registry_args)` whose `runs` names `run`."""
+    for check in registry(*registry_args):
+        if run in check.runs:
+            check.record(report)

@@ -288,9 +288,7 @@ def cmd_geometry(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
     ch = geometry.christoffel_at(p, xs)
     tabulated = geometry.spin_connection_tabulated(p, xs)
     derived = geometry.spin_connection_derived(p, xs)
-    for check in checks.registry(p, xs):
-        if check.criterion == 1:
-            check.record(rep)
+    checks.record_run(rep, "geometry", p, xs)
 
     rep.add_info("spin-connection tabulated-vs-frame max gap",
                  np.max(np.abs(tabulated - derived)),
@@ -323,7 +321,6 @@ def cmd_spectrum(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
         tol = max(numerics.RESIDUAL_TOL, numerics.periodic_floor(m))
         rep.add("eigenpair residual max", worst, tol, worst < tol)
         rep.add_info("periodic eigensolve Fourier modes", res.modes, note=f"of {grid.n}")
-        checks.HILL_ORDER.record(rep)
         if "csv" in cfg.outputs:
             files["spectrum_constant_vf.csv"] = csv_text(
                 ["n", "lambda", "residual"],
@@ -341,16 +338,15 @@ def cmd_spectrum(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
         if "csv" in cfg.outputs:
             files["spectrum_pdfv.csv"] = csv_text(
                 ["n", "lambda_fd", "epsilon_sq_analytic", "rel_deviation"], columns)
+    checks.record_run(rep, f"spectrum {cfg.case}")
     return rep, files
 
 
 def cmd_verify(cfg: ScenarioConfig, negative_control: bool = False) -> tuple[RunReport, dict]:
     rep, files = RunReport("verification suite"), {}
     rep.metadata["negative_control"] = negative_control
-    angles = np.linspace(0.0, 2.0 * np.pi, 91)
-    for check in checks.registry(angles=angles, negative_control=negative_control):
-        if check.verify:
-            check.record(rep)
+    checks.record_run(rep, "verify", checks.DEFAULT_TORUS, np.linspace(0.0, 2.0 * np.pi, 91),
+                      negative_control)
     if "report" in cfg.outputs:
         files["verify_report.txt"] = rep.to_text() + "\n"
         files["verify_report.json"] = rep.to_json() + "\n"
@@ -416,10 +412,6 @@ def cmd_analytic(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
 
     levels = range(cfg.n_max + 1)
     sols = [analytic.case2_quantize(n, alpha, c1) for n in levels]
-    fit = analytic.fit_energy_display(sols)
-    rep.add_info("display-form fit rms", fit["rms"],
-                 note=f"mu={fit['mu']:.4f} nu={fit['nu']:.4f} ({fit['label']})" if len(sols) > 1
-                 else "one level does not determine mu and nu")
 
     margin = 0.05
     xg = np.linspace(-np.pi / 2 + margin, np.pi / 2 - margin, 801)
@@ -498,7 +490,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.out.exists() and not args.out.is_dir():
+        # a directory below a file can be neither made nor written to
+        if not next(p for p in (args.out, *args.out.parents) if p.exists()).is_dir():
             raise ConfigError(f"--out {args.out}: not a directory")
         settings = _read_settings(args.config, args.grid_n)
         inputs = _check_reads(settings, args.command, args.negative_control,

@@ -48,8 +48,8 @@ def test_printed_display_misses_the_product_by_exactly_one():
     # at n = 0, alpha = 1, C1 = 0: a_p, b_p = +-i while the equation pins a b = 0
     assert checks.printed_display_gap() == 1.0
     check = next(c for c in checks.registry() if c.measure is checks.printed_display_gap)
-    assert (check.criterion, check.direction, check.tolerance, check.verify) == (7, "above",
-                                                                                1e-2, False)
+    assert (check.criterion, check.direction, check.tolerance, check.runs) == (7, "above",
+                                                                              1e-2, ())
 
 
 def _arrays(obj):

@@ -86,6 +86,10 @@ def test_each_run_records_its_pinned_checks():
         command = getattr(cli, f"cmd_{run.split()[0]}")
         report, _ = command(cli._build_config(cli._settings(doc)))
         assert [(r.name, r.gating) for r in report.records] == pinned, run
+    # a run name that no command records would drop its check from every report
+    for check in checks.registry():
+        for run in check.runs:
+            assert check.name in [name for name, _ in RUN_RECORDS.get(run, ())], (check.name, run)
 
 
 def test_geometry_default_passes(tmp_path, capsys):
@@ -190,11 +194,13 @@ def test_an_out_that_is_a_file_is_rejected_before_any_work(tmp_path, capsys, mon
     target = tmp_path / "afile"
     target.write_text("keep\n")
     monkeypatch.setattr(cli, "cmd_geometry", lambda *args: pytest.fail("geometry ran"))
-    assert cli.main(["--out", str(target), "geometry"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: --out ") and err.count("\n") == 1
-    assert target.read_text() == "keep\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    # the file itself, and a directory that would have to be made below it
+    for out in (target, target / "sub"):
+        assert cli.main(["--out", str(out), "geometry"]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out ") and err.count("\n") == 1
+        assert target.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_a_file_that_cannot_be_written_is_a_one_line_error(tmp_path, capsys):
@@ -214,35 +220,6 @@ def test_verify_fails_a_measurement_that_is_not_finite(tmp_path, capsys, monkeyp
     assert (record["value"], record["gating"], record["passed"]) == (None, True, False)
     assert report["ok"] is False
     assert "FAIL morse chain: quadratic-expansion truncation gap" in capsys.readouterr().out
-
-
-def test_analytic_says_when_mu_sits_at_its_search_bound(tmp_path, capsys):
-    # from n_max = 19 the misfit falls all the way to the bracket end mu = 6
-    for n_max, interior in ((18, True), (19, False)):
-        cfg = tmp_path / "levels.yaml"
-        cfg.write_text(f"analytic: {{n_max: {n_max}}}\n")
-        assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "--no-timestamp",
-                         "analytic"]) == 0
-        line = next(s for s in capsys.readouterr().out.splitlines()
-                    if "display-form fit" in s)
-        assert ("(post-hoc fit)" in line) is interior, line
-        assert ("search bracket" in line) is not interior, line
-
-
-def test_analytic_reports_the_display_fit(tmp_path, capsys):
-    assert cli.main(["--out", str(tmp_path), "--no-timestamp", "analytic"]) == 0
-    line = next(s for s in capsys.readouterr().out.splitlines() if "display-form fit" in s)
-    assert "value=7.592187e-01" in line and "[mu=0.8274 nu=12.3654 (post-hoc fit)]" in line
-
-
-def test_analytic_with_one_level_reports_no_display_fit(tmp_path, capsys):
-    # a single level fits every mu exactly, so a printed mu and nu would mean nothing
-    cfg = tmp_path / "one.yaml"
-    cfg.write_text("analytic: {n_max: 0}\n")
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "--no-timestamp",
-                     "analytic"]) == 0
-    line = next(s for s in capsys.readouterr().out.splitlines() if "display-form fit" in s)
-    assert "mu=" not in line and "one level does not determine mu and nu" in line
 
 
 def _scipy_modules(code, cwd, *args):
@@ -679,13 +656,11 @@ OVERFLOWS = [
     ("field: {C2: 1.0e+100}\n", "spectrum", "field.C2"),
     ("quantum: {e: 1.0e+140}\n", "spectrum", "quantum.e"),
     ("torus: {a: 1.0e+40}\n", "spectrum", "torus.a"),
-    # the display fit squares the level misfits; the first table was already written
-    ("analytic: {C1: 1.0e+200}\n", "analytic", "analytic.C1"),
 ]
 OVERFLOW_IDS = ["a-geometry", "a-spectrum", "c-spectrum", "e-spectrum", "C2-spectrum",
                 "C2-dft-spectrum", "a-sweep", "a-underflow-sweep", "a-underflow-analytic",
                 "k-beyond-double", "c-geometry", "C2-residual-spectrum",
-                "e-residual-spectrum", "a-residual-spectrum", "C1-fit-analytic"]
+                "e-residual-spectrum", "a-residual-spectrum"]
 
 
 @pytest.mark.parametrize("text, command, key", OVERFLOWS, ids=OVERFLOW_IDS)
